@@ -76,32 +76,18 @@ def _cmd_topology(args, inputs):
     return {"space": jsonio.space_to_json(space, cap=args.open_cap)}, None
 
 
-def _incl_from_args(args, inputs):
+def _cmd_check(args, inputs):
+    """weq-check, surjection-check and inclusion-check."""
     g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
-    return g, sub
-
-
-def _cmd_weq_check(args, inputs):
-    g, sub = _incl_from_args(args, inputs)
     fam = _family(args, g, inputs)
-    verdict = weq.is_weak_equivalence(
-        sub, family=fam, mode=args.mode, budget=args.subgroupoid_budget
-    )
-    return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
-
-
-def _cmd_surjection_check(args, inputs):
-    g, sub = _incl_from_args(args, inputs)
-    fam = _family(args, g, inputs)
-    verdict = weq.is_localic_surjection(sub, family=fam, budget=args.subgroupoid_budget)
-    return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
-
-
-def _cmd_inclusion_check(args, inputs):
-    g, sub = _incl_from_args(args, inputs)
-    fam = _family(args, g, inputs)
-    verdict = weq.is_subtopos_inclusion(sub, family=fam, budget=args.subgroupoid_budget)
+    budget = args.subgroupoid_budget
+    if args.command == "weq-check":
+        verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, budget=budget)
+    elif args.command == "surjection-check":
+        verdict = weq.is_localic_surjection(sub, family=fam, budget=budget)
+    else:
+        verdict = weq.is_subtopos_inclusion(sub, family=fam, budget=budget)
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
@@ -211,9 +197,9 @@ def _cmd_morita_search(args, inputs):
 _COMMANDS = {
     "validate": _cmd_validate,
     "topology": _cmd_topology,
-    "weq-check": _cmd_weq_check,
-    "surjection-check": _cmd_surjection_check,
-    "inclusion-check": _cmd_inclusion_check,
+    "weq-check": _cmd_check,
+    "surjection-check": _cmd_check,
+    "inclusion-check": _cmd_check,
     "factorize": _cmd_factorize,
     "generators": _cmd_generators,
     "subobjects": _cmd_subobjects,

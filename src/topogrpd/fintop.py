@@ -11,7 +11,8 @@ at DEFAULT_OPEN_CAP sets.
 
 Points are opaque hashable ids; constructed spaces (quotients, fiber
 products) use frozensets and tuples of ids as points.  All enumerations
-are sorted by the canonical key `ckey` for reproducible output.
+of sets are ordered by `set_key`, built on the canonical point key
+`ckey`, for reproducible output.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def ckey(x):
 
 def sorted_points(items):
     return sorted(items, key=ckey)
+
+
+def set_key(s):
+    """Canonical sort key for sets of points: by size, then by sorted ids."""
+    return (len(s), sorted(ckey(x) for x in s))
 
 
 def fmt_point(x) -> str:
@@ -131,18 +137,11 @@ class FinSpace:
             raise InputError("subset not contained in points")
         return all(self._min[x] <= s for x in s)
 
-    def is_closed(self, subset) -> bool:
-        return self.is_open(self.points - frozenset(subset))
-
     def closure(self, subset) -> frozenset:
         s = frozenset(subset)
         if not s <= self.points:
             raise InputError("subset not contained in points")
         return frozenset(x for x in self.points if self._min[x] & s)
-
-    def interior(self, subset) -> frozenset:
-        s = frozenset(subset)
-        return frozenset(x for x in s if self._min[x] <= s)
 
     def opens(self, cap: int = DEFAULT_OPEN_CAP):
         """The explicit open family, canonically ordered.
@@ -166,9 +165,7 @@ class FinSpace:
                         if len(fam) > cap:
                             raise CapExceeded(f"open family exceeds cap {cap}")
             frontier = nxt
-        self._opens = tuple(
-            sorted(fam, key=lambda o: (len(o), sorted(ckey(x) for x in o)))
-        )
+        self._opens = tuple(sorted(fam, key=set_key))
         return self._opens
 
     def open_count(self, limit: int = DEFAULT_OPEN_CAP) -> int:
@@ -286,15 +283,6 @@ def identity_map(space: FinSpace) -> ContinuousMap:
     return ContinuousMap(space, space, {x: x for x in space.points}, check=False)
 
 
-def compose_maps(g: ContinuousMap, f: ContinuousMap) -> ContinuousMap:
-    if f.codomain != g.domain:
-        raise InputError("maps not composable")
-    return ContinuousMap(
-        f.domain, g.codomain, {x: g.mapping[f.mapping[x]] for x in f.domain.points},
-        check=False,
-    )
-
-
 def inclusion_map(subset, space: FinSpace) -> ContinuousMap:
     """Inclusion of the subspace on `subset` into `space`."""
     return ContinuousMap(
@@ -337,9 +325,13 @@ def quotient_space(space: FinSpace, blocks):
     return q, ContinuousMap(space, q, cls, check=False)
 
 
-def quotient_by_relation(space: FinSpace, pairs):
-    """Quotient by the equivalence relation generated by `pairs`."""
-    parent = {x: x for x in space.points}
+def partition(points, pairs):
+    """Blocks of the equivalence relation on `points` generated by `pairs`.
+
+    Union-find with path halving.  Every pair must lie in `points`, which
+    is iterated twice; blocks are sets, listed in order of first point.
+    """
+    parent = {x: x for x in points}
 
     def find(x):
         while parent[x] != x:
@@ -348,15 +340,22 @@ def quotient_by_relation(space: FinSpace, pairs):
         return x
 
     for a, b in pairs:
-        if a not in space.points or b not in space.points:
-            raise InputError("relation pair outside point set")
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    groups = {}
-    for x in space.points:
-        groups.setdefault(find(x), set()).add(x)
-    return quotient_space(space, groups.values())
+    blocks = {}
+    for x in points:
+        blocks.setdefault(find(x), set()).add(x)
+    return list(blocks.values())
+
+
+def quotient_by_relation(space: FinSpace, pairs):
+    """Quotient by the equivalence relation generated by `pairs`."""
+    pairs = list(pairs)
+    for a, b in pairs:
+        if a not in space.points or b not in space.points:
+            raise InputError("relation pair outside point set")
+    return quotient_space(space, partition(space.points, pairs))
 
 
 def fiber_product(f: ContinuousMap, g: ContinuousMap):
@@ -395,20 +394,6 @@ def is_t0(space: FinSpace) -> bool:
             return False
         seen[u] = x
     return True
-
-
-def irreducible_closed_sets(space: FinSpace):
-    """All irreducible closed subsets.
-
-    In a finite space every irreducible closed set is the closure of a
-    point (an irreducible closed set is a finite union of point closures,
-    hence equals one of them), so these are the distinct point closures.
-    The cover-based definition is kept as a test oracle.
-    """
-    return sorted(
-        {space.closure({x}) for x in space.points},
-        key=lambda c: (len(c), sorted(ckey(x) for x in c)),
-    )
 
 
 def is_sober(space: FinSpace) -> bool:

@@ -50,9 +50,6 @@ class TopGroupoid:
         """g o f (f first)."""
         return self.comp[(g, f)]
 
-    def unit_of(self, x):
-        return self.unit.mapping[x]
-
     def inverse(self, a):
         return self.inv.mapping[a]
 
@@ -63,9 +60,6 @@ class TopGroupoid:
         for g in self.arrows.points:
             for f in by_tgt.get(self.src.mapping[g], ()):
                 yield g, f
-
-    def arrows_from(self, x):
-        return [a for a in self.arrows.points if self.src.mapping[a] == x]
 
     def arrows_between(self, x, y):
         return [
@@ -353,10 +347,6 @@ def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
     return frozenset(reach)
 
 
-def _sub_sort_key(s: frozenset):
-    return (len(s), sorted(ckey(a) for a in s))
-
-
 def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
     seen = {frozenset()}
     for a in atoms:
@@ -379,7 +369,7 @@ def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
                             f"subgroupoid family exceeds budget {budget}"
                         )
         frontier = nxt
-    return [Subgroupoid(g, s) for s in sorted(seen, key=_sub_sort_key)]
+    return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key)]
 
 
 def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
@@ -424,23 +414,10 @@ def orbit_space(u: Subgroupoid):
     """
     amb = u.ambient
     objs = u.object_set
-    obj_space = amb.objects.subspace(objs)
-    parent = {x: x for x in objs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in u.arrow_set:
-        ra, rb = find(amb.src.mapping[a]), find(amb.tgt.mapping[a])
-        if ra != rb:
-            parent[ra] = rb
-    blocks = {}
-    for x in objs:
-        blocks.setdefault(find(x), set()).add(x)
-    return fintop.quotient_space(obj_space, blocks.values())
+    blocks = fintop.partition(
+        objs, ((amb.src.mapping[a], amb.tgt.mapping[a]) for a in u.arrow_set)
+    )
+    return fintop.quotient_space(amb.objects.subspace(objs), blocks)
 
 
 def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
@@ -469,33 +446,21 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
                     f"v not stable under post-composition at {fmt_point((c, a))}"
                 )
     sub = x.arrows.subspace(v)
-    parent = {a: a for a in v}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     by_tgt = {}
     for b in right.arrow_set:
         by_tgt.setdefault(t[b], []).append(b)
     by_src = {}
     for c in left.arrow_set:
         by_src.setdefault(s[c], []).append(c)
-    for a in v:
-        for b in by_tgt.get(s[a], ()):
-            ra, rb = find(a), find(x.comp[(a, b)])
-            if ra != rb:
-                parent[ra] = rb
-        for c in by_src.get(t[a], ()):
-            ra, rc = find(a), find(x.comp[(c, a)])
-            if ra != rc:
-                parent[ra] = rc
-    blocks = {}
-    for a in v:
-        blocks.setdefault(find(a), set()).add(a)
-    space, quot = fintop.quotient_space(sub, blocks.values())
+
+    def actions():
+        for a in v:
+            for b in by_tgt.get(s[a], ()):
+                yield a, x.comp[(a, b)]
+            for c in by_src.get(t[a], ()):
+                yield a, x.comp[(c, a)]
+
+    space, quot = fintop.quotient_space(sub, fintop.partition(v, actions()))
     incl = ContinuousMap(sub, x.arrows, {a: a for a in v}, check=False)
     return space, quot, incl
 
@@ -585,12 +550,6 @@ class ContinuousFunctor:
             if f1[dom.comp[(g, f)]] != cod.comp[(f1[g], f1[f])]:
                 out.append(f"comp not preserved at {fmt_point((g, f))}")
         return out
-
-    def on_obj(self, x):
-        return self.obj_map.mapping[x]
-
-    def on_arr(self, a):
-        return self.arr_map.mapping[a]
 
     def __eq__(self, other):
         if not isinstance(other, ContinuousFunctor):
@@ -831,9 +790,3 @@ def transformations(f: ContinuousFunctor, g: ContinuousFunctor, limit: int | Non
         if limit is not None and len(out) >= limit:
             break
     return out
-
-
-def find_transformation(f: ContinuousFunctor, g: ContinuousFunctor):
-    """First continuous transformation f => g in canonical order, or None."""
-    found = transformations(f, g, limit=1)
-    return found[0] if found else None

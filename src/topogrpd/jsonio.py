@@ -14,11 +14,10 @@ import json
 
 from . import fintop, logic
 from .errors import InputError
-from .fintop import ContinuousMap, FinSpace, fmt_point, sorted_points
+from .fintop import FinSpace, fmt_point, sorted_points
 from .grpd import ContinuousFunctor, Subgroupoid, TopGroupoid
 from .logic import (
     FinModel,
-    GeometricFormula,
     IndexedModel,
     Iso,
     ModelGroupoid,
@@ -64,23 +63,6 @@ def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP):
         "opens": [
             sorted(fmt_point(p) for p in o) for o in space.opens(cap=cap)
         ],
-    }
-
-
-def map_from_json(doc, domain: FinSpace, codomain: FinSpace) -> ContinuousMap:
-    body = doc.get("map", doc) if isinstance(doc, dict) else doc
-    mapping = {}
-    for k, v in body.items():
-        mapping[_coerce(k, domain.points)] = _coerce(v, codomain.points)
-    return ContinuousMap(domain, codomain, mapping)
-
-
-def map_to_json(m: ContinuousMap):
-    return {
-        "map": {
-            fmt_point(k): fmt_point(v)
-            for k, v in sorted(m.mapping.items(), key=lambda kv: fintop.ckey(kv[0]))
-        }
     }
 
 
@@ -308,17 +290,6 @@ def model_groupoid_to_json(g: ModelGroupoid):
         "models": models,
         "arrows": [iso_to_json(a) for a in sorted(g.arrows, key=fintop.ckey)],
     }
-
-
-def formula_from_json(doc, sig: Signature) -> GeometricFormula:
-    if isinstance(doc, str):
-        return logic.parse_formula(doc, sig)
-    if "formula" not in doc:
-        raise InputError("formula document needs 'formula'")
-    ctx = doc.get("context")
-    return logic.parse_formula(
-        doc["formula"], sig, [tuple(p) for p in ctx] if ctx is not None else None
-    )
 
 
 # -- cospans ------------------------------------------------------------------

@@ -127,16 +127,6 @@ class Exists:
     body: object
 
 
-def make_and(parts):
-    parts = list(parts)
-    if not parts:
-        return Top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def make_or(parts):
     parts = list(parts)
     if not parts:
@@ -822,14 +812,6 @@ class DefinableSets:
 
     def context(self, ctx_sorts):
         return tuple((f"x{i + 1}", s) for i, s in enumerate(ctx_sorts))
-
-    def all_tuples(self, ctx_sorts):
-        out = []
-        for m in self.models:
-            pools = [fintop.sorted_points(m.carriers[s]) for s in ctx_sorts]
-            for tup in product(*pools):
-                out.append((m.name, tup))
-        return out
 
     def _atoms(self, ctx_sorts):
         sig = self.signature

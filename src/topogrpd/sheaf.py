@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fintop, grpd
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .fintop import ContinuousMap, FinSpace, fmt_point, sorted_points
 from .grpd import ContinuousFunctor, ContinuousTransformation, Subgroupoid, TopGroupoid
 
@@ -247,27 +247,13 @@ def subobject_lattice(s: EquivariantSheaf, cap: int = fintop.DEFAULT_OPEN_CAP) -
     These are exactly the saturated opens for the orbit partition, i.e.
     the opens of the quotient of the total space by action reachability.
     """
-    parent = {y: y for y in s.total.points}
-
-    def find(y):
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        return y
-
-    for (g, y), z in s.action.items():
-        ry, rz = find(y), find(z)
-        if ry != rz:
-            parent[ry] = rz
-    blocks = {}
-    for y in s.total.points:
-        blocks.setdefault(find(y), set()).add(y)
+    blocks = fintop.partition(s.total.points, ((y, z) for (_, y), z in s.action.items()))
     if blocks:
-        q, _ = fintop.quotient_space(s.total, blocks.values())
+        q, _ = fintop.quotient_space(s.total, blocks)
         elements = tuple(
             sorted(
                 (frozenset(y for b in o for y in b) for o in q.opens(cap=cap)),
-                key=lambda e: (len(e), sorted(fintop.ckey(y) for y in e)),
+                key=fintop.set_key,
             )
         )
     else:
@@ -285,9 +271,6 @@ class SubobjectRestriction:
     big: SubobjectLattice
     small: SubobjectLattice
     mapping: tuple  # pairs (element of big, element of small)
-
-    def as_dict(self):
-        return dict(self.mapping)
 
     def is_injective(self) -> bool:
         vals = [v for _, v in self.mapping]
@@ -314,9 +297,12 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid,
     gen = moerdijk_generator(amb, u)
     pulled = inverse_image(incl.inclusion_functor(), gen)
     lat_cache = amb._cache.setdefault("gen_lattice", {})
-    if u.arrow_set not in lat_cache:
-        lat_cache[u.arrow_set] = subobject_lattice(gen, cap=cap)
-    big = lat_cache[u.arrow_set]
+    big = lat_cache.get(u.arrow_set)
+    if big is None:
+        big = lat_cache[u.arrow_set] = subobject_lattice(gen, cap=cap)
+    elif len(big) > cap:
+        # the cached lattice was built under a larger cap
+        raise CapExceeded(f"open family exceeds cap {cap}")
     small = subobject_lattice(pulled, cap=cap)
     small_set = set(small.elements)
     mapping = []

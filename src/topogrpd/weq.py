@@ -180,12 +180,6 @@ def has_source_determined_orbits(incl: Subgroupoid, u: Subgroupoid) -> bool:
 # -- verdicts ----------------------------------------------------------------
 
 
-def _check_incl(incl: Subgroupoid):
-    bad = incl.validate()
-    if bad:
-        raise InputError("not a subgroupoid: " + "; ".join(bad))
-
-
 def _restriction(incl: Subgroupoid, u: Subgroupoid) -> sheaf.SubobjectRestriction:
     cache = incl.ambient._cache.setdefault("restriction", {})
     key = (incl.arrow_set, u.arrow_set)
@@ -194,45 +188,59 @@ def _restriction(incl: Subgroupoid, u: Subgroupoid) -> sheaf.SubobjectRestrictio
     return cache[key]
 
 
-def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096) -> Verdict:
-    """Surjection criterion: Skula dense u-orbits for every open
-    subgroupoid u, cross-checked against injectivity of the subobject
-    restriction (OracleDisagreement on mismatch)."""
-    _check_incl(incl)
+def _for_all_members(incl: Subgroupoid, family, budget: int, check) -> Verdict:
+    """The universal quantifier over the subgroupoid family.
+
+    `check(u)` returns a witness dict when member u fails, None when it
+    passes, or raises OracleDisagreement.  The first failing member gives
+    a "no" whose witness names it; otherwise the answer is "yes" for the
+    exhaustive family and "unknown" for a user-supplied one.
+    """
+    bad = incl.validate()
+    if bad:
+        raise InputError("not a subgroupoid: " + "; ".join(bad))
     fam, provenance = resolve_family(incl.ambient, family, budget)
     for u in fam:
-        w = skula_witness(incl, u)
-        inj = _restriction(incl, u).is_injective()
-        if (w is None) != inj:
-            raise OracleDisagreement(
-                "skula-dense-orbits and subobject injectivity disagree on "
-                f"subgroupoid {_sub_label(u)}"
-            )
+        w = check(u)
         if w is not None:
             w = dict(w, open_subgroupoid=list(_sub_label(u)))
             return Verdict("no", (tuple(sorted(w.items())),), provenance)
     return Verdict("yes" if provenance == "exhaustive" else "unknown", (), provenance)
+
+
+def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096) -> Verdict:
+    """Surjection criterion: Skula dense u-orbits for every open
+    subgroupoid u, cross-checked against injectivity of the subobject
+    restriction (OracleDisagreement on mismatch)."""
+
+    def check(u):
+        w = skula_witness(incl, u)
+        if (w is None) != _restriction(incl, u).is_injective():
+            raise OracleDisagreement(
+                "skula-dense-orbits and subobject injectivity disagree on "
+                f"subgroupoid {_sub_label(u)}"
+            )
+        return w
+
+    return _for_all_members(incl, family, budget, check)
 
 
 def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096) -> Verdict:
     """Inclusion criterion: source determined orbits for every open
     subgroupoid, cross-checked against surjectivity of the subobject
     restriction."""
-    _check_incl(incl)
-    fam, provenance = resolve_family(incl.ambient, family, budget)
-    for u in fam:
+
+    def check(u):
         w = source_determined_witness(incl, u)
-        surj = _restriction(incl, u).is_surjective()
-        if (w is None) != surj:
+        if (w is None) != _restriction(incl, u).is_surjective():
             raise OracleDisagreement(
                 "source-determined-orbits and subobject surjectivity disagree on "
                 f"subgroupoid {_sub_label(u)}; the criteria are only proven to "
                 "coincide on T0 groupoids, check the input before suspecting a bug"
             )
-        if w is not None:
-            w = dict(w, open_subgroupoid=list(_sub_label(u)))
-            return Verdict("no", (tuple(sorted(w.items())),), provenance)
-    return Verdict("yes" if provenance == "exhaustive" else "unknown", (), provenance)
+        return w
+
+    return _for_all_members(incl, family, budget, check)
 
 
 def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:
@@ -252,12 +260,11 @@ def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
     mode is one of "quasi-homeo", "two-condition", "subobject-oracle" or
     "all"; with "all" every route is run on every family member and any
     disagreement raises OracleDisagreement."""
-    _check_incl(incl)
     if mode != "all" and mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    fam, provenance = resolve_family(incl.ambient, family, budget)
     modes = MODES if mode == "all" else (mode,)
-    for u in fam:
+
+    def check(u):
         answers = {m: _weq_one_mode(incl, u, m) for m in modes}
         if len(set(answers.values())) > 1:
             raise OracleDisagreement(
@@ -265,11 +272,12 @@ def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
                 + ", ".join(f"{m}={v}" for m, v in sorted(answers.items()))
                 + "; the modes are only proven to coincide on T0 groupoids"
             )
-        if not next(iter(answers.values())):
-            detail = skula_witness(incl, u) or source_determined_witness(incl, u) or {}
-            w = dict(detail, open_subgroupoid=list(_sub_label(u)), mode=",".join(modes))
-            return Verdict("no", (tuple(sorted(w.items())),), provenance)
-    return Verdict("yes" if provenance == "exhaustive" else "unknown", (), provenance)
+        if next(iter(answers.values())):
+            return None
+        detail = skula_witness(incl, u) or source_determined_witness(incl, u) or {}
+        return dict(detail, mode=",".join(modes))
+
+    return _for_all_members(incl, family, budget, check)
 
 
 # -- surjection-inclusion factorization -------------------------------------
@@ -300,7 +308,10 @@ def factorize(f: ContinuousFunctor, budget: int = 4096) -> Factorization:
     """Factor a continuous functor through its full essential image.
 
     Returns the corestriction onto the full essential image and the full
-    replete inclusion, with both certificates computed from scratch.
+    replete inclusion.  The image certificate is the surjection verdict
+    of the image inside the full essential image, and the inclusion
+    certificate the subtopos verdict of the full essential image, so
+    both are cross-checked against the subobject restriction.
     """
     fei = grpd.full_essential_image(f)
     fei_grpd = fei.as_groupoid()
@@ -313,17 +324,6 @@ def factorize(f: ContinuousFunctor, budget: int = 4096) -> Factorization:
     img = grpd.image(f)
     img_in_fei = Subgroupoid(fei_grpd, img.arrow_set)
     surj = frozenset(f.obj_map.mapping.values()) == img.object_set
-    fam, provenance = resolve_family(fei_grpd, None, budget)
-    skula_bad = None
-    for u in fam:
-        w = skula_witness(img_in_fei, u)
-        if w is not None:
-            skula_bad = dict(w, open_subgroupoid=list(_sub_label(u)))
-            break
-    image_cert = (
-        Verdict("yes", (), provenance)
-        if skula_bad is None
-        else Verdict("no", (tuple(sorted(skula_bad.items())),), provenance)
-    )
+    image_cert = is_localic_surjection(img_in_fei, budget=budget)
     incl_cert = is_subtopos_inclusion(fei, budget=budget)
     return Factorization(first, fei, surj, image_cert, incl_cert)

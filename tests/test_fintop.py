@@ -212,6 +212,14 @@ def test_quotient_space_topology():
             assert sp.is_open(qm3.preimage(o))
 
 
+def test_partition():
+    blocks = fintop.partition(range(6), [(0, 1), (2, 1), (3, 2), (4, 5)])
+    assert sorted(map(sorted, blocks)) == [[0, 1, 2, 3], [4, 5]]
+    # points no pair touches stay singletons
+    assert sorted(map(sorted, fintop.partition(range(4), [(1, 2)]))) == [[0], [1, 2], [3]]
+    assert sorted(map(sorted, fintop.partition(range(3), []))) == [[0], [1], [2]]
+
+
 def test_fiber_product_and_subspace_are_continuous():
     rng = random.Random(23)
     for _ in range(20):

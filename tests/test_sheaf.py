@@ -5,7 +5,7 @@ import pytest
 from corpus import SMALL_GROUPS, random_discrete_groupoid
 from test_grpd import S3, Z2, iso_pair
 from topogrpd import fintop, grpd, sheaf
-from topogrpd.errors import InputError
+from topogrpd.errors import CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
 
@@ -172,6 +172,17 @@ def test_subobject_restriction_examples():
         grpd.full_subgroupoid_on(two, {"p"}), grpd.identity_subgroupoid(two)
     )
     assert not r2.is_injective() and r2.is_surjective()
+
+
+def test_subobject_restriction_cap_holds_on_cached_lattice():
+    g = grpd.space_groupoid(FinSpace.discrete({0, 1, 2}))
+    incl, u = Subgroupoid(g, {0}), grpd.whole_subgroupoid(g)
+    with pytest.raises(CapExceeded):
+        sheaf.subobject_restriction(incl, u, cap=4)
+    # the 8-element generator lattice, now cached, still exceeds the cap
+    assert len(sheaf.subobject_restriction(incl, u).big) == 8
+    with pytest.raises(CapExceeded):
+        sheaf.subobject_restriction(incl, u, cap=4)
 
 
 def test_master_cross_check_restriction_vs_iota():

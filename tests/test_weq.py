@@ -239,3 +239,6 @@ def test_oracle_disagreement_is_raised_on_forced_mismatch(monkeypatch):
     monkeypatch.setattr(weq, "skula_witness", lambda incl, u: {"kind": "fake"})
     with pytest.raises(OracleDisagreement):
         weq.is_localic_surjection(h)
+    # the image certificate of factorize is the same cross-checked verdict
+    with pytest.raises(OracleDisagreement):
+        weq.factorize(h.inclusion_functor())
