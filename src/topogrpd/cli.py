@@ -167,9 +167,7 @@ def _cmd_compose(args, inputs):
     fwd2, leg2 = jsonio.cospan_from_json(_load(args.second, inputs))
     c1 = frac.make_cospan(fwd1, leg1, args.depth, args.tuple_cap, args.subgroupoid_budget)
     c2 = frac.make_cospan(fwd2, leg2, args.depth, args.tuple_cap, args.subgroupoid_budget)
-    out = frac.compose(
-        c1, c2, budget=args.subgroupoid_budget, merge_budget=args.subgroupoid_budget
-    )
+    out = frac.compose(c1, c2, budget=args.subgroupoid_budget)
     return {"cospan": jsonio.cospan_to_json(out)}, None
 
 
@@ -177,12 +175,7 @@ def _cmd_morita_search(args, inputs):
     left = jsonio.model_groupoid_from_json(_load(args.left, inputs))
     right = jsonio.model_groupoid_from_json(_load(args.right, inputs))
     res = frac.morita_search(
-        left,
-        right,
-        args.depth,
-        args.tuple_cap,
-        budget=args.subgroupoid_budget,
-        merge_budget=args.subgroupoid_budget,
+        left, right, args.depth, args.tuple_cap, budget=args.subgroupoid_budget
     )
     result = {"verdict": res.verdict.to_json(), "answer": res.verdict.answer}
     if res.apex is not None:

@@ -130,7 +130,7 @@ class ModelInclusion:
         return self.sub == other.sub and self.ambient == other.ambient
 
 
-def merge_and_complete(parts, merge_budget: int = 4096) -> ModelGroupoid:
+def merge_and_complete(parts, budget: int = 4096) -> ModelGroupoid:
     """Union of member models under the merged parameter set, with all
     isomorphisms between them (etale-completion style apex)."""
     parts = list(parts)
@@ -155,9 +155,9 @@ def merge_and_complete(parts, merge_budget: int = 4096) -> ModelGroupoid:
         [logic.identity_iso(im.model) for im in member_list],
     )
     arrows = logic.all_isos_between_members(probe)
-    if len(arrows) > merge_budget:
+    if len(arrows) > budget:
         raise BudgetExceeded(
-            f"merged groupoid has {len(arrows)} arrows, budget {merge_budget}"
+            f"merged groupoid has {len(arrows)} arrows, budget {budget}"
         )
     return ModelGroupoid(sig, params, member_list, arrows)
 
@@ -227,7 +227,7 @@ class OreSquare:
 
 def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
                  tuple_cap: int = logic.DEFAULT_TUPLE_CAP,
-                 budget: int = 4096, merge_budget: int = 4096) -> OreSquare:
+                 budget: int = 4096) -> OreSquare:
     """Complete the span (psi: Y -> W weak equivalence, phi: Y -> X) to
     psi2: X -> V, phi2: W -> V with phi2 o psi isomorphic to psi2 o phi.
 
@@ -246,7 +246,7 @@ def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
             phi.cod, ident, phi,
             grpd.identity_transformation(phi.derived(depth, tuple_cap)), cert,
         )
-    apex = merge_and_complete([phi.cod, psi.ambient], merge_budget)
+    apex = merge_and_complete([phi.cod, psi.ambient], budget)
     psi2 = ModelInclusion(phi.cod, apex)
     cert = weq.is_weak_equivalence(
         psi2.derived_subgroupoid(depth, tuple_cap), mode="all", budget=budget
@@ -266,16 +266,13 @@ def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
     return OreSquare(apex, psi2, phi2, candidates[0], cert)
 
 
-def compose(f: CospanMorphism, g: CospanMorphism, budget: int = 4096,
-            merge_budget: int = 4096) -> CospanMorphism:
+def compose(f: CospanMorphism, g: CospanMorphism, budget: int = 4096) -> CospanMorphism:
     """Composite cospan source(f) -> target(g), with the middle span
     completed by ore_complete and the composite inclusion re-certified."""
     if f.target != g.source:
         raise InputError("cospans not composable")
     depth, tuple_cap = max(f.depth, g.depth), max(f.tuple_cap, g.tuple_cap)
-    square = ore_complete(
-        f.weq_leg, g.fwd, depth, tuple_cap, budget, merge_budget
-    )
+    square = ore_complete(f.weq_leg, g.fwd, depth, tuple_cap, budget)
     fwd = compose_model_functors(square.phi2, f.fwd)
     leg = ModelInclusion(g.target, square.apex)
     cert = weq.is_weak_equivalence(
@@ -400,20 +397,19 @@ def _separating_sentence(x: ModelGroupoid, y: ModelGroupoid, depth, budget):
 
 def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
                   tuple_cap: int = logic.DEFAULT_TUPLE_CAP,
-                  budget: int = 4096, merge_budget: int = 4096,
-                  depth_ladder: int = 1) -> MoritaResult:
+                  budget: int = 4096) -> MoritaResult:
     """Search for a common groupoid receiving both inputs by certified
     weak-equivalence inclusions: the merged completion is tried at
-    `depth` and up to `depth_ladder` deeper.  Success is a definitive
-    yes; exhaustion is "unknown" with heuristic evidence, never a no."""
+    `depth` and at `depth + 1`.  Success is a definitive yes; exhaustion
+    is "unknown" with heuristic evidence, never a no."""
     if x.signature != y.signature:
         raise NotModelPresented("morita search across different signatures")
     evidence = []
     try:
-        apex = merge_and_complete([x, y], merge_budget)
+        apex = merge_and_complete([x, y], budget)
     except InputError as e:
         raise InputError(f"cannot merge inputs: {e}")
-    for d in range(depth, depth + depth_ladder + 1):
+    for d in (depth, depth + 1):
         incl_x = ModelInclusion(x, apex)
         incl_y = ModelInclusion(y, apex)
         vx = weq.is_weak_equivalence(
@@ -431,7 +427,7 @@ def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
             (("depth", d), ("left", vx.answer), ("right", vy.answer))
         )
     sentence = _separating_sentence(x, y, depth, budget)
-    details = [("candidates_tried", depth_ladder + 1)]
+    details = [("candidates_tried", 2)]
     if sentence is not None:
         details.append(("separating_sentence", sentence))
     return MoritaResult(

@@ -27,7 +27,15 @@ def _as_map(m, domain, codomain):
 
 
 class TopGroupoid:
-    """A groupoid internal to finite spaces: arrows over objects."""
+    """A groupoid internal to finite spaces: arrows over objects.
+
+    `_cache` holds four memos of complete results derived from it:
+    "open_subgroupoids" (the open family, budget checked on every read),
+    "moerdijk" (generator sheaves by u.arrow_set), "iota_cod" ((ambient,
+    u)-bi-orbit spaces by u.arrow_set) and "restriction" (subobject
+    restrictions by (incl.arrow_set, u.arrow_set), cap checked on every
+    read).
+    """
 
     __slots__ = ("objects", "arrows", "src", "tgt", "unit", "inv", "comp", "_cache")
 
@@ -214,14 +222,14 @@ class Subgroupoid:
     composition and inverses, with subspace topologies.  The object set is
     recovered as the source (equivalently target) image."""
 
-    __slots__ = ("ambient", "arrow_set", "_grpd")
+    __slots__ = ("ambient", "arrow_set", "_incl")
 
     def __init__(self, ambient: TopGroupoid, arrow_set):
         self.ambient = ambient
         self.arrow_set = frozenset(arrow_set)
         if not self.arrow_set <= ambient.arrows.points:
             raise InputError("arrow subset outside ambient arrows")
-        self._grpd = None
+        self._incl = None
 
     @property
     def object_set(self) -> frozenset:
@@ -250,10 +258,15 @@ class Subgroupoid:
         )
 
     def as_groupoid(self) -> TopGroupoid:
-        if self._grpd is None:
+        return self.inclusion_functor().dom
+
+    def inclusion_functor(self) -> "ContinuousFunctor":
+        """The inclusion into the ambient groupoid, built and validated
+        once per subgroupoid."""
+        if self._incl is None:
             amb = self.ambient
             objs = self.object_set
-            self._grpd = TopGroupoid(
+            sub = TopGroupoid(
                 amb.objects.subspace(objs),
                 amb.arrows.subspace(self.arrow_set),
                 {a: amb.src.mapping[a] for a in self.arrow_set},
@@ -267,16 +280,10 @@ class Subgroupoid:
                     if amb.src.mapping[a] == amb.tgt.mapping[b]
                 },
             )
-        return self._grpd
-
-    def inclusion_functor(self) -> "ContinuousFunctor":
-        sub = self.as_groupoid()
-        return ContinuousFunctor(
-            sub,
-            self.ambient,
-            {x: x for x in sub.objects.points},
-            {a: a for a in sub.arrows.points},
-        )
+            self._incl = ContinuousFunctor(
+                sub, amb, {x: x for x in objs}, {a: a for a in self.arrow_set}
+            )
+        return self._incl
 
     def __eq__(self, other):
         if not isinstance(other, Subgroupoid):
@@ -382,11 +389,11 @@ def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
     `budget`; callers must then raise the cap or supply an explicit
     family.  Includes the empty subgroupoid.
     """
-    cached = g._cache.get("open_subgroupoids")
-    if cached is not None and cached[0] >= budget:
-        if len(cached[1]) > budget:
+    subs = g._cache.get("open_subgroupoids")
+    if subs is not None:
+        if len(subs) > budget:
             raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
-        return cached[1]
+        return subs
     if not g.is_open():
         raise InputError("groupoid is not open")
     atoms = {subgroupoid_closure(g, g.arrows.min_open(a)) for a in g.arrows.points}
@@ -394,7 +401,7 @@ def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
     for s in subs:
         if not s.is_open():  # pragma: no cover - guarded by openness precondition
             raise InputError("internal: non-open subgroupoid generated")
-    g._cache["open_subgroupoids"] = (budget, subs)
+    g._cache["open_subgroupoids"] = subs
     return subs
 
 

@@ -316,8 +316,8 @@ def cospan_from_json(doc):
     return fwd, weq_leg
 
 
-def cospan_to_json(c, verdict_json=True):
-    out = {
+def cospan_to_json(c):
+    return {
         "source": model_groupoid_to_json(c.source),
         "target": model_groupoid_to_json(c.target),
         "apex": model_groupoid_to_json(c.apex),
@@ -331,10 +331,8 @@ def cospan_to_json(c, verdict_json=True):
         "weq_leg": {
             "arrows": [iso_to_json(a) for a in sorted(c.weq_leg.sub.arrows, key=fintop.ckey)]
         },
+        "certificate": c.certificate.to_json(),
     }
-    if verdict_json:
-        out["certificate"] = c.certificate.to_json()
-    return out
 
 
 def dumps(doc) -> str:

@@ -703,7 +703,7 @@ class ModelGroupoid:
         self.by_name = {im.name: im for im in self.members}
         self.arrows = frozenset(arrows)
         self._derived = {}
-        self._engine = None
+        self._engines = {}
         bad = self.validate()
         if bad:
             raise InputError("; ".join(bad))
@@ -745,11 +745,12 @@ class ModelGroupoid:
         return [im.name for im in self.members]
 
     def engine(self, budget=DEFAULT_FORMULA_BUDGET) -> "DefinableSets":
-        if self._engine is None or self._engine.budget < budget:
-            self._engine = DefinableSets(
+        """The definable-set enumeration of the members, one per budget."""
+        if budget not in self._engines:
+            self._engines[budget] = DefinableSets(
                 self.signature, [im.model for im in self.members], budget
             )
-        return self._engine
+        return self._engines[budget]
 
     def interp_tuple(self, name, ptuple):
         """Interpretation of a parameter tuple in a member, or None."""
@@ -770,7 +771,7 @@ class ModelGroupoid:
 
     def derive(self, depth: int, tuple_cap: int = DEFAULT_TUPLE_CAP,
                budget: int = DEFAULT_FORMULA_BUDGET) -> "DerivedGroupoid":
-        key = (depth, tuple_cap)
+        key = (depth, tuple_cap, budget)
         if key not in self._derived:
             self._derived[key] = logical_topologies(self, depth, tuple_cap, budget)
         return self._derived[key]

@@ -22,7 +22,7 @@ class EquivariantSheaf:
     action, stored as a table on pairs (arrow g, point y) with
     proj(y) = src(g)."""
 
-    __slots__ = ("base", "total", "proj", "action")
+    __slots__ = ("base", "total", "proj", "action", "_lattice")
 
     def __init__(self, base: TopGroupoid, total: FinSpace, proj, action):
         self.base = base
@@ -36,6 +36,7 @@ class EquivariantSheaf:
         for (g, y), z in self.action.items():
             if g not in base.arrows.points or y not in total.points or z not in total.points:
                 raise InputError("action entry outside sheaf data")
+        self._lattice = None
 
     def act(self, g, y):
         return self.action[(g, y)]
@@ -242,23 +243,21 @@ class SubobjectLattice:
 
 
 def subobject_lattice(s: EquivariantSheaf, cap: int = fintop.DEFAULT_OPEN_CAP) -> SubobjectLattice:
-    """All action-stable open subsets of the total space.
+    """All action-stable open subsets of the total space, in `fintop.set_key` order.
 
-    These are exactly the saturated opens for the orbit partition, i.e.
-    the opens of the quotient of the total space by action reachability.
+    These are the opens saturated for the orbit partition: the opens of
+    the space whose minimal neighbourhood of y is the union of the orbits
+    in the quotient's minimal neighbourhood of y's orbit.  The result is
+    kept on the sheaf, and `cap` is checked on every read.
     """
-    blocks = fintop.partition(s.total.points, ((y, z) for (_, y), z in s.action.items()))
-    if blocks:
-        q, _ = fintop.quotient_space(s.total, blocks)
-        elements = tuple(
-            sorted(
-                (frozenset(y for b in o for y in b) for o in q.opens(cap=cap)),
-                key=fintop.set_key,
-            )
-        )
-    else:
-        elements = (frozenset(),)
-    return SubobjectLattice(s, elements)
+    if s._lattice is None:
+        blocks = fintop.partition(s.total.points, ((y, z) for (_, y), z in s.action.items()))
+        q, to_q = fintop.quotient_space(s.total, blocks)
+        stable = {y: frozenset().union(*q.min_open(to_q.mapping[y])) for y in s.total.points}
+        s._lattice = SubobjectLattice(s, FinSpace(s.total.points, stable, _check=False).opens(cap))
+    elif len(s._lattice) > cap:
+        raise CapExceeded(f"open family exceeds cap {cap}")
+    return s._lattice
 
 
 @dataclass(frozen=True)
@@ -289,20 +288,23 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid,
 
     The pullback of the generator of u along the inclusion has as points
     the pairs (object of the subgroupoid, orbit class); a subobject W of
-    the generator maps to the pairs whose class lies in W.
+    the generator maps to the pairs whose class lies in W.  The result is
+    kept on the ambient groupoid by both arrow sets, and `cap` is checked
+    on every read.
     """
     amb = incl.ambient
     if u.ambient != amb:
         raise InputError("subgroupoids of different groupoids")
+    cache = amb._cache.setdefault("restriction", {})
+    key = (incl.arrow_set, u.arrow_set)
+    out = cache.get(key)
+    if out is not None:
+        if max(len(out.big), len(out.small)) > cap:
+            raise CapExceeded(f"open family exceeds cap {cap}")
+        return out
     gen = moerdijk_generator(amb, u)
     pulled = inverse_image(incl.inclusion_functor(), gen)
-    lat_cache = amb._cache.setdefault("gen_lattice", {})
-    big = lat_cache.get(u.arrow_set)
-    if big is None:
-        big = lat_cache[u.arrow_set] = subobject_lattice(gen, cap=cap)
-    elif len(big) > cap:
-        # the cached lattice was built under a larger cap
-        raise CapExceeded(f"open family exceeds cap {cap}")
+    big = subobject_lattice(gen, cap=cap)
     small = subobject_lattice(pulled, cap=cap)
     small_set = set(small.elements)
     mapping = []
@@ -311,4 +313,5 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid,
         if image not in small_set:  # pragma: no cover - mathematically impossible
             raise InputError("internal: restricted subobject not stable open")
         mapping.append((w, image))
-    return SubobjectRestriction(big, small, tuple(mapping))
+    cache[key] = SubobjectRestriction(big, small, tuple(mapping))
+    return cache[key]

@@ -180,14 +180,6 @@ def has_source_determined_orbits(incl: Subgroupoid, u: Subgroupoid) -> bool:
 # -- verdicts ----------------------------------------------------------------
 
 
-def _restriction(incl: Subgroupoid, u: Subgroupoid) -> sheaf.SubobjectRestriction:
-    cache = incl.ambient._cache.setdefault("restriction", {})
-    key = (incl.arrow_set, u.arrow_set)
-    if key not in cache:
-        cache[key] = sheaf.subobject_restriction(incl, u)
-    return cache[key]
-
-
 def _for_all_members(incl: Subgroupoid, family, budget: int, check) -> Verdict:
     """The universal quantifier over the subgroupoid family.
 
@@ -215,7 +207,7 @@ def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096) ->
 
     def check(u):
         w = skula_witness(incl, u)
-        if (w is None) != _restriction(incl, u).is_injective():
+        if (w is None) != sheaf.subobject_restriction(incl, u).is_injective():
             raise OracleDisagreement(
                 "skula-dense-orbits and subobject injectivity disagree on "
                 f"subgroupoid {_sub_label(u)}"
@@ -232,7 +224,7 @@ def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096) ->
 
     def check(u):
         w = source_determined_witness(incl, u)
-        if (w is None) != _restriction(incl, u).is_surjective():
+        if (w is None) != sheaf.subobject_restriction(incl, u).is_surjective():
             raise OracleDisagreement(
                 "source-determined-orbits and subobject surjectivity disagree on "
                 f"subgroupoid {_sub_label(u)}; the criteria are only proven to "
@@ -249,7 +241,7 @@ def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:
     if mode == "two-condition":
         return skula_witness(incl, u) is None and source_determined_witness(incl, u) is None
     if mode == "subobject-oracle":
-        return _restriction(incl, u).is_bijective()
+        return sheaf.subobject_restriction(incl, u).is_bijective()
     raise InputError(f"unknown mode {mode!r}")
 
 

@@ -269,14 +269,8 @@ def sober_eliminating_model_groupoids(rng: random.Random, count, depth=1,
     tries = 0
     while len(out) < count and tries < max_tries:
         tries += 1
-        try:
-            g = random_model_groupoid(rng, max_models, max_size)
-        except Exception:
-            continue
-        try:
-            derived = g.derive(depth, tuple_cap)
-        except Exception:
-            continue
+        g = random_model_groupoid(rng, max_models, max_size)
+        derived = g.derive(depth, tuple_cap)
         if not fintop.is_t0(derived.objects):
             continue
         if logic.eliminates_parameters(g, depth, tuple_cap).answer != "yes":
@@ -307,11 +301,7 @@ def groupoid_corpus(rng: random.Random, count):
         elif kind < 0.8:
             g = random_discrete_groupoid(rng, max_arrows=12)
         else:
-            try:
-                mg = random_model_groupoid(rng, max_models=2, max_size=2)
-                g = mg.derive(1, 2).groupoid
-            except Exception:
-                continue
+            g = random_model_groupoid(rng, max_models=2, max_size=2).derive(1, 2).groupoid
             if len(g.arrows.points) > 12:
                 continue
             if not (fintop.is_t0(g.objects) and fintop.is_t0(g.arrows)):

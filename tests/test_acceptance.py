@@ -272,12 +272,9 @@ def test_criterion_9_fraction_laws():
     cases = 0
     failures = 0
     for g in gs:
-        try:
-            comp, _ = logic.etale_completion(g, 1, 2)
-            mi = frac.ModelInclusion(g, comp)
-            f = frac.make_cospan(mi.as_model_functor(), mi, 1, 2)
-        except Exception:
-            continue
+        comp, _ = logic.etale_completion(g, 1, 2)
+        mi = frac.ModelInclusion(g, comp)
+        f = frac.make_cospan(mi.as_model_functor(), mi, 1, 2)
         idl = frac.identity_cospan(g, 1, 2)
         idr = frac.identity_cospan(comp, 1, 2)
         left = frac.compose(idl, f)

@@ -180,6 +180,8 @@ def test_image_and_full_essential_image():
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
     sub = grpd.full_subgroupoid_on(two, {"p"})
     incl = sub.inclusion_functor()
+    # built and validated once per subgroupoid
+    assert sub.inclusion_functor() is incl and sub.as_groupoid() is incl.dom
     assert grpd.image(incl).arrow_set == sub.arrow_set
     assert grpd.full_essential_image(incl).arrow_set == sub.arrow_set
 

@@ -269,9 +269,9 @@ def test_parameter_orbit_examples():
     assert sheaf.orbit_of_subset(s, orb) == orb
 
 
-def test_eliminates_parameters_all_indexed_models():
-    """The groupoid of all indexed models of pure equality eliminates
-    parameters with equality-pattern witnesses."""
+def all_indexed_models():
+    """The groupoid of all indexed models of pure equality on one or two
+    elements, with parameters p, q, r, and all isomorphisms."""
     params = {"p": "S", "q": "S", "r": "S"}
     members = []
     k = 0
@@ -285,8 +285,13 @@ def test_eliminates_parameters_all_indexed_models():
                     members.append(IndexedModel(m, dict(zip(dom, assign)), params))
     probe = ModelGroupoid(PURE, params, members,
                           [logic.identity_iso(im.model) for im in members])
-    gall = ModelGroupoid(PURE, params, members, logic.all_isos_between_members(probe))
-    v = logic.eliminates_parameters(gall, 1, 2)
+    return ModelGroupoid(PURE, params, members, logic.all_isos_between_members(probe))
+
+
+def test_eliminates_parameters_all_indexed_models():
+    """The groupoid of all indexed models of pure equality eliminates
+    parameters with equality-pattern witnesses."""
+    v = logic.eliminates_parameters(all_indexed_models(), 1, 2)
     assert v.answer == "yes"
     by_tuple = {w[0][1]: w[1][1] for w in v.witnesses}
     assert by_tuple[("p", "q")] == "T"

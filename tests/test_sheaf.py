@@ -4,8 +4,9 @@ import pytest
 
 from corpus import SMALL_GROUPS, random_discrete_groupoid
 from test_grpd import S3, Z2, iso_pair
-from topogrpd import fintop, grpd, sheaf
-from topogrpd.errors import CapExceeded, InputError
+from test_logic import all_indexed_models
+from topogrpd import fintop, grpd, logic, sheaf
+from topogrpd.errors import BudgetExceeded, CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
 
@@ -149,7 +150,11 @@ def test_subobject_lattice_examples():
     act = {(0, p): p for p in tot.points}
     act.update({(1, "u"): "v", (1, "v"): "u", (1, "w"): "x", (1, "x"): "w"})
     two_orbits = sheaf.EquivariantSheaf(Z2, tot, {p: "*" for p in tot.points}, act)
-    assert len(sheaf.subobject_lattice(two_orbits)) == 4
+    lat = sheaf.subobject_lattice(two_orbits)
+    assert len(lat) == 4
+    # listed in canonical order, and kept on the sheaf
+    assert list(lat.elements) == sorted(lat.elements, key=fintop.set_key)
+    assert sheaf.subobject_lattice(two_orbits) is lat
 
 
 def test_subobject_restriction_examples():
@@ -174,15 +179,51 @@ def test_subobject_restriction_examples():
     assert not r2.is_injective() and r2.is_surjective()
 
 
-def test_subobject_restriction_cap_holds_on_cached_lattice():
-    g = grpd.space_groupoid(FinSpace.discrete({0, 1, 2}))
-    incl, u = Subgroupoid(g, {0}), grpd.whole_subgroupoid(g)
-    with pytest.raises(CapExceeded):
-        sheaf.subobject_restriction(incl, u, cap=4)
-    # the 8-element generator lattice, now cached, still exceeds the cap
-    assert len(sheaf.subobject_restriction(incl, u).big) == 8
-    with pytest.raises(CapExceeded):
-        sheaf.subobject_restriction(incl, u, cap=4)
+def _discrete3():
+    return grpd.space_groupoid(FinSpace.discrete({0, 1, 2}))
+
+
+def _generator():
+    g = _discrete3()
+    return sheaf.moerdijk_generator(g, grpd.whole_subgroupoid(g))
+
+
+def _restrict(g, **limit):
+    return sheaf.subobject_restriction(Subgroupoid(g, {0}), grpd.whole_subgroupoid(g), **limit)
+
+
+# name -> (fresh object, call taking the limit as a keyword, that keyword);
+# each object exceeds a limit of 4 and fits the default one
+WARM_COLD_CASES = {
+    "opens": (lambda: FinSpace.discrete({0, 1, 2}), FinSpace.opens, "cap"),
+    "open_subgroupoids": (_discrete3, grpd.enumerate_open_subgroupoids, "budget"),
+    "subobject_lattice": (_generator, sheaf.subobject_lattice, "cap"),
+    "subobject_restriction": (_discrete3, _restrict, "cap"),
+    "eliminates_parameters": (
+        all_indexed_models, lambda g, **kw: logic.eliminates_parameters(g, 2, 2, **kw), "budget",
+    ),
+}
+
+
+def _limit_error(call):
+    try:
+        call()
+    except (BudgetExceeded, CapExceeded) as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("case", list(WARM_COLD_CASES))
+def test_warm_read_under_smaller_limit_behaves_like_cold_call(case):
+    """A memo filled under the default limit answers a call with a
+    smaller limit exactly as a cold call does: with the same error."""
+    make, call, keyword = WARM_COLD_CASES[case]
+    cold = _limit_error(lambda: call(make(), **{keyword: 4}))
+    assert cold is not None
+    warm = make()
+    call(warm)
+    assert _limit_error(lambda: call(warm, **{keyword: 4})) == cold
+    call(warm)
 
 
 def test_master_cross_check_restriction_vs_iota():
