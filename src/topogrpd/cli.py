@@ -69,7 +69,7 @@ def _cmd_topology(args, inputs):
     doc = _load(args.input, inputs)
     if "points" not in doc or "subbasis" not in doc:
         raise InputError("topology input needs 'points' and 'subbasis'")
-    points = frozenset(doc["points"])
+    points = jsonio._point_set(doc["points"], "points")
     space = fintop.generate_topology(
         points, [jsonio._coerce_set(s, points) for s in doc["subbasis"]]
     )
@@ -77,23 +77,26 @@ def _cmd_topology(args, inputs):
 
 
 def _cmd_check(args, inputs):
-    """weq-check, surjection-check and inclusion-check."""
+    """weq-check, surjection-check and inclusion-check, on a valid groupoid."""
     g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
+    bad = grpd.validate_groupoid(g)
+    if bad:
+        raise InputError("not an open topological groupoid: " + "; ".join(bad))
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
     fam = _family(args, g, inputs)
-    budget = args.subgroupoid_budget
+    limits = {"budget": args.subgroupoid_budget, "cap": args.open_cap}
     if args.command == "weq-check":
-        verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, budget=budget)
+        verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, **limits)
     elif args.command == "surjection-check":
-        verdict = weq.is_localic_surjection(sub, family=fam, budget=budget)
+        verdict = weq.is_localic_surjection(sub, family=fam, **limits)
     else:
-        verdict = weq.is_subtopos_inclusion(sub, family=fam, budget=budget)
+        verdict = weq.is_subtopos_inclusion(sub, family=fam, **limits)
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
 def _cmd_factorize(args, inputs):
     f = jsonio.functor_from_json(_load(args.functor, inputs))
-    fz = weq.factorize(f, budget=args.subgroupoid_budget)
+    fz = weq.factorize(f, budget=args.subgroupoid_budget, cap=args.open_cap)
     answer = "yes" if fz.certificates_pass() else "no"
     result = {
         "answer": answer,

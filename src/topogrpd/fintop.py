@@ -10,9 +10,9 @@ The explicit open family is available through FinSpace.opens(), capped
 at DEFAULT_OPEN_CAP sets.
 
 Points are opaque hashable ids; constructed spaces (quotients, fiber
-products) use frozensets and tuples of ids as points.  All enumerations
-of sets are ordered by `set_key`, built on the canonical point key
-`ckey`, for reproducible output.
+products) use frozensets and tuples of ids as points.  Sets of points
+are ordered by `set_key`: by size, then by sorted canonical point keys
+`ckey`, ranking the points once per sort, for reproducible output.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ def sorted_points(items):
     return sorted(items, key=ckey)
 
 
-def set_key(s):
-    """Canonical sort key for sets of points: by size, then by sorted ids."""
-    return (len(s), sorted(ckey(x) for x in s))
+def set_key(points):
+    """Key for subsets of `points`: size, then the sorted `ckey` ranks of their points."""
+    rank = {x: i for i, x in enumerate(sorted_points(points))}
+    return lambda s: (len(s), sorted([rank[x] for x in s]))
 
 
 def fmt_point(x) -> str:
@@ -165,7 +166,7 @@ class FinSpace:
                         if len(fam) > cap:
                             raise CapExceeded(f"open family exceeds cap {cap}")
             frontier = nxt
-        self._opens = tuple(sorted(fam, key=set_key))
+        self._opens = tuple(sorted(fam, key=set_key(self.points)))
         return self._opens
 
     def open_count(self, limit: int = DEFAULT_OPEN_CAP) -> int:

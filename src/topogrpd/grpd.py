@@ -307,22 +307,20 @@ def identity_subgroupoid(g: TopGroupoid) -> Subgroupoid:
 
 
 def subgroupoid_closure(g: TopGroupoid, arrows) -> frozenset:
-    """Closure of an arrow subset under composition and inverses."""
-    closed = set(arrows)
-    frontier = list(closed)
+    """Closure of an arrow subset under composition and inverses; closed
+    arrows are indexed by source and target to find composable partners."""
+    s, t, inv, comp = g.src.mapping, g.tgt.mapping, g.inv.mapping, g.comp
+    closed, by_src, by_tgt, frontier = set(), {}, {}, list(arrows)
     while frontier:
         a = frontier.pop()
-        for b in (g.inv.mapping[a],):
-            if b not in closed:
-                closed.add(b)
-                frontier.append(b)
-        for b in list(closed):
-            for c, d in ((a, b), (b, a)):
-                if g.src.mapping[c] == g.tgt.mapping[d]:
-                    e = g.comp[(c, d)]
-                    if e not in closed:
-                        closed.add(e)
-                        frontier.append(e)
+        if a in closed:
+            continue
+        closed.add(a)
+        by_src.setdefault(s[a], []).append(a)
+        by_tgt.setdefault(t[a], []).append(a)
+        frontier.append(inv[a])
+        frontier += [comp[(a, b)] for b in by_tgt.get(s[a], ())]
+        frontier += [comp[(b, a)] for b in by_src.get(t[a], ())]
     return frozenset(closed)
 
 
@@ -376,7 +374,7 @@ def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
                             f"subgroupoid family exceeds budget {budget}"
                         )
         frontier = nxt
-    return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key)]
+    return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows.points))]
 
 
 def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):

@@ -1,10 +1,11 @@
 """JSON schemas for spaces, groupoids, sheaves and model groupoids.
 
-Input points may be JSON strings or integers.  Output spaces whose
-points were constructed internally (orbit classes, pairs) are labelled
-with canonical strings via fmt_point.  JSON object keys are always
-strings; when a point set contains integers, keys are matched by
-int-coercion.  comp triples [f, g, h] mean h = g o f (f first).
+Input point ids must be JSON strings or integers (not booleans); any
+other id is an InputError.  Output spaces whose points were constructed
+internally (orbit classes, pairs) are labelled with canonical strings
+via fmt_point.  JSON object keys are always strings; when a point set
+contains integers, keys are matched by int-coercion.  comp triples
+[f, g, h] mean h = g o f (f first).
 """
 
 from __future__ import annotations
@@ -29,8 +30,20 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _point_id(raw):
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise InputError(f"point id {raw!r} is not a string or an integer")
+    return raw
+
+
+def _point_set(raws, what):
+    if not isinstance(raws, list):
+        raise InputError(f"{what} must be a list of point ids")
+    return frozenset(_point_id(r) for r in raws)
+
+
 def _coerce(raw, points):
-    if raw in points:
+    if _point_id(raw) in points:
         return raw
     if isinstance(raw, str):
         try:
@@ -52,7 +65,7 @@ def _coerce_set(raws, points):
 def space_from_json(doc) -> FinSpace:
     if not isinstance(doc, dict) or "points" not in doc or "opens" not in doc:
         raise InputError("space document needs 'points' and 'opens'")
-    points = frozenset(doc["points"])
+    points = _point_set(doc["points"], "points")
     opens = [_coerce_set(o, points) for o in doc["opens"]]
     return FinSpace.from_opens(points, opens)
 
@@ -205,7 +218,7 @@ def model_from_json(doc, sig: Signature) -> FinModel:
     return FinModel(
         doc["name"],
         sig,
-        {s: frozenset(v) for s, v in doc["carriers"].items()},
+        {s: _point_set(v, f"carrier {s!r}") for s, v in doc["carriers"].items()},
         {n: [tuple(r) for r in rows] for n, rows in doc.get("relations", {}).items()},
         doc.get("constants", {}),
     )

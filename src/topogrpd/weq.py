@@ -200,14 +200,16 @@ def _for_all_members(incl: Subgroupoid, family, budget: int, check) -> Verdict:
     return Verdict("yes" if provenance == "exhaustive" else "unknown", (), provenance)
 
 
-def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096) -> Verdict:
+def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096,
+                          cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Surjection criterion: Skula dense u-orbits for every open
     subgroupoid u, cross-checked against injectivity of the subobject
-    restriction (OracleDisagreement on mismatch)."""
+    restriction (OracleDisagreement on mismatch), whose lattices may hold
+    at most `cap` elements."""
 
     def check(u):
         w = skula_witness(incl, u)
-        if (w is None) != sheaf.subobject_restriction(incl, u).is_injective():
+        if (w is None) != sheaf.subobject_restriction(incl, u, cap).is_injective():
             raise OracleDisagreement(
                 "skula-dense-orbits and subobject injectivity disagree on "
                 f"subgroupoid {_sub_label(u)}"
@@ -217,14 +219,15 @@ def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096) ->
     return _for_all_members(incl, family, budget, check)
 
 
-def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096) -> Verdict:
+def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096,
+                          cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Inclusion criterion: source determined orbits for every open
     subgroupoid, cross-checked against surjectivity of the subobject
-    restriction."""
+    restriction, whose lattices may hold at most `cap` elements."""
 
     def check(u):
         w = source_determined_witness(incl, u)
-        if (w is None) != sheaf.subobject_restriction(incl, u).is_surjective():
+        if (w is None) != sheaf.subobject_restriction(incl, u, cap).is_surjective():
             raise OracleDisagreement(
                 "source-determined-orbits and subobject surjectivity disagree on "
                 f"subgroupoid {_sub_label(u)}; the criteria are only proven to "
@@ -235,29 +238,30 @@ def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096) ->
     return _for_all_members(incl, family, budget, check)
 
 
-def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:
+def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str, cap: int) -> bool:
     if mode == "quasi-homeo":
         return fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u))
     if mode == "two-condition":
         return skula_witness(incl, u) is None and source_determined_witness(incl, u) is None
     if mode == "subobject-oracle":
-        return sheaf.subobject_restriction(incl, u).is_bijective()
+        return sheaf.subobject_restriction(incl, u, cap).is_bijective()
     raise InputError(f"unknown mode {mode!r}")
 
 
 def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
-                        budget: int = 4096) -> Verdict:
+                        budget: int = 4096, cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Does the inclusion induce an equivalence of sheaf topoi?
 
     mode is one of "quasi-homeo", "two-condition", "subobject-oracle" or
     "all"; with "all" every route is run on every family member and any
-    disagreement raises OracleDisagreement."""
+    disagreement raises OracleDisagreement.  The subobject lattices may
+    hold at most `cap` elements."""
     if mode != "all" and mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     modes = MODES if mode == "all" else (mode,)
 
     def check(u):
-        answers = {m: _weq_one_mode(incl, u, m) for m in modes}
+        answers = {m: _weq_one_mode(incl, u, m, cap) for m in modes}
         if len(set(answers.values())) > 1:
             raise OracleDisagreement(
                 f"weak-equivalence modes disagree on subgroupoid {_sub_label(u)}: "
@@ -296,7 +300,8 @@ class Factorization:
         )
 
 
-def factorize(f: ContinuousFunctor, budget: int = 4096) -> Factorization:
+def factorize(f: ContinuousFunctor, budget: int = 4096,
+              cap: int = fintop.DEFAULT_OPEN_CAP) -> Factorization:
     """Factor a continuous functor through its full essential image.
 
     Returns the corestriction onto the full essential image and the full
@@ -316,6 +321,6 @@ def factorize(f: ContinuousFunctor, budget: int = 4096) -> Factorization:
     img = grpd.image(f)
     img_in_fei = Subgroupoid(fei_grpd, img.arrow_set)
     surj = frozenset(f.obj_map.mapping.values()) == img.object_set
-    image_cert = is_localic_surjection(img_in_fei, budget=budget)
-    incl_cert = is_subtopos_inclusion(fei, budget=budget)
+    image_cert = is_localic_surjection(img_in_fei, budget=budget, cap=cap)
+    incl_cert = is_subtopos_inclusion(fei, budget=budget, cap=cap)
     return Factorization(first, fei, surj, image_cert, incl_cert)

@@ -198,3 +198,26 @@ def generated_topology_oracle(points, subbasis) -> FinSpace:
                 opens.add(u)
                 frontier.append(u)
     return FinSpace.from_opens(points, opens)
+
+
+def ckey_set_key(s):
+    """Reference canonical set key: size, then the sorted `ckey`s of the
+    points, recomputed for every set."""
+    return (len(s), sorted(fintop.ckey(x) for x in s))
+
+
+def subgroupoid_closure_oracle(g, arrows) -> frozenset:
+    """Naive fixpoint: add inverses and all composites of closed arrows
+    until a full pass adds nothing."""
+    closed = set(arrows)
+    while True:
+        new = {g.inv.mapping[a] for a in closed}
+        new |= {
+            g.comp[(a, b)]
+            for a in closed
+            for b in closed
+            if g.src.mapping[a] == g.tgt.mapping[b]
+        }
+        if new <= closed:
+            return frozenset(closed)
+        closed |= new

@@ -191,3 +191,71 @@ def test_determinism_across_commands(capsys, docs):
     code1, rep1 = run(capsys, "generators", "--groupoid", docs["groupoid"])
     code2, rep2 = run(capsys, "generators", "--groupoid", docs["groupoid"])
     assert rep1 == rep2
+
+
+def discrete_space_groupoid_doc(n):
+    """The n-point discrete space as a groupoid with identity arrows only."""
+    points = [str(i) for i in range(n)]
+    space = {
+        "points": points,
+        "opens": [[p for i, p in enumerate(points) if m >> i & 1] for m in range(2 ** n)],
+    }
+    ident = {"map": {p: p for p in points}}
+    return {
+        "objects": space, "arrows": space, "src": ident, "tgt": ident, "unit": ident,
+        "inv": ident, "comp": [[p, p, p] for p in points],
+    }
+
+
+@pytest.mark.parametrize(
+    "command,uncapped",
+    [("weq-check", 1), ("surjection-check", 1), ("inclusion-check", 0)],
+)
+def test_open_cap_reaches_check_commands(capsys, tmp_path, command, uncapped):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(discrete_space_groupoid_doc(3)))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["0"]}))
+    code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub))
+    assert code == uncapped
+    code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub), "--open-cap", "1")
+    assert code == 4
+    assert "exceeds cap 1" in rep["result"]["error"]
+    code, rep = run(capsys, "subobjects", "--groupoid", str(g), "--sub", str(sub), "--open-cap", "1")
+    assert code == 4
+
+
+def test_open_cap_reaches_factorize(capsys, tmp_path):
+    g = discrete_space_groupoid_doc(3)
+    ident = {p: p for p in g["objects"]["points"]}
+    p = tmp_path / "functor.json"
+    p.write_text(json.dumps({"dom": g, "cod": g, "obj_map": ident, "arr_map": ident}))
+    code, rep = run(capsys, "factorize", "--functor", str(p))
+    assert code == 0
+    code, rep = run(capsys, "factorize", "--functor", str(p), "--open-cap", "1")
+    assert code == 4
+    assert "exceeds cap 1" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("bad", [0.5, True, None, [1], {"x": 1}])
+def test_point_ids_other_than_strings_and_integers_exit_3(capsys, tmp_path, bad):
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps({"points": [bad, 1], "opens": [[], [bad, 1]]}))
+    code, rep = run(capsys, "validate", "--space", str(p))
+    assert code == 3
+    assert "not a string or an integer" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("command", ["weq-check", "surjection-check", "inclusion-check"])
+def test_check_on_groupoid_with_missing_comp_exits_3(capsys, tmp_path, command):
+    doc = discrete_space_groupoid_doc(3)
+    doc["comp"] = doc["comp"][:2]
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(doc))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["2"]}))
+    code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub))
+    assert code == 3
+    assert rep["result"]["error"] == (
+        "not an open topological groupoid: comp not total, missing pair (2,2)"
+    )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from corpus import SMALL_GROUPS, random_discrete_groupoid
 from test_grpd import S3, Z2, iso_pair
 from test_logic import all_indexed_models
@@ -153,7 +154,7 @@ def test_subobject_lattice_examples():
     lat = sheaf.subobject_lattice(two_orbits)
     assert len(lat) == 4
     # listed in canonical order, and kept on the sheaf
-    assert list(lat.elements) == sorted(lat.elements, key=fintop.set_key)
+    assert list(lat.elements) == sorted(lat.elements, key=oracles.ckey_set_key)
     assert sheaf.subobject_lattice(two_orbits) is lat
 
 
