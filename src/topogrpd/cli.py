@@ -76,12 +76,18 @@ def _cmd_topology(args, inputs):
     return {"space": jsonio.space_to_json(space, cap=args.open_cap)}, None
 
 
-def _cmd_check(args, inputs):
-    """weq-check, surjection-check and inclusion-check, on a valid groupoid."""
+def _valid_groupoid(args, inputs):
+    """The --groupoid document, rejected unless it is an open topological groupoid."""
     g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
     bad = grpd.validate_groupoid(g)
     if bad:
         raise InputError("not an open topological groupoid: " + "; ".join(bad))
+    return g
+
+
+def _cmd_check(args, inputs):
+    """weq-check, surjection-check and inclusion-check, on a valid groupoid."""
+    g = _valid_groupoid(args, inputs)
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
     fam = _family(args, g, inputs)
     limits = {"budget": args.subgroupoid_budget, "cap": args.open_cap}
@@ -111,7 +117,7 @@ def _cmd_factorize(args, inputs):
 
 
 def _cmd_generators(args, inputs):
-    g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
+    g = _valid_groupoid(args, inputs)
     if args.sub:
         u = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
         gen = sheaf.moerdijk_generator(g, u)
@@ -129,7 +135,7 @@ def _cmd_generators(args, inputs):
 
 
 def _cmd_subobjects(args, inputs):
-    g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
+    g = _valid_groupoid(args, inputs)
     u = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
     gen = sheaf.moerdijk_generator(g, u)
     lat = sheaf.subobject_lattice(gen, cap=args.open_cap)

@@ -6,8 +6,8 @@ a set is open iff it contains the minimal neighbourhood of each of its
 points.  Spaces are stored that way, which keeps every predicate here a
 direct set computation while still allowing, say, a 24-point discrete
 space (2^24 opens) that could never be materialised extensionally.
-The explicit open family is available through FinSpace.opens(), capped
-at DEFAULT_OPEN_CAP sets.
+FinSpace.opens() lists the open family, capped at DEFAULT_OPEN_CAP sets,
+built on int bitmasks by `union_closure` and ordered by `sets_in_order`.
 
 Points are opaque hashable ids; constructed spaces (quotients, fiber
 products) use frozensets and tuples of ids as points.  Sets of points
@@ -47,6 +47,28 @@ def set_key(points):
     """Key for subsets of `points`: size, then the sorted `ckey` ranks of their points."""
     rank = {x: i for i, x in enumerate(sorted_points(points))}
     return lambda s: (len(s), sorted([rank[x] for x in s]))
+
+
+def masker(points):
+    """Map from subsets of `points` to int masks: bit i is points[i]."""
+    bit = {x: 1 << i for i, x in enumerate(points)}
+    return lambda s: sum(bit[x] for x in s)
+
+
+def union_closure(gens, cap: int) -> set:
+    """All unions of the int masks `gens`, 0 included; CapExceeded past `cap` members."""
+    fam = {0}
+    for g in set(gens):
+        fam |= {o | g for o in fam}
+        if len(fam) > cap:
+            raise CapExceeded(f"open family exceeds cap {cap}")
+    return fam
+
+
+def sets_in_order(masks, points) -> tuple:
+    """Masks over `points` (bit i is points[i]) as frozensets, in `set_key` order."""
+    sets = [frozenset(p for i, p in enumerate(points) if m >> i & 1) for m in masks]
+    return tuple(sorted(sets, key=set_key(points)))
 
 
 def fmt_point(x) -> str:
@@ -153,20 +175,9 @@ class FinSpace:
             if len(self._opens) > cap:
                 raise CapExceeded(f"open family exceeds cap {cap}")
             return self._opens
-        fam = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            nxt = []
-            for o in frontier:
-                for x in self.points:
-                    u = o | self._min[x]
-                    if u not in fam:
-                        fam.add(u)
-                        nxt.append(u)
-                        if len(fam) > cap:
-                            raise CapExceeded(f"open family exceeds cap {cap}")
-            frontier = nxt
-        self._opens = tuple(sorted(fam, key=set_key(self.points)))
+        points = tuple(self.points)
+        gens = map(masker(points), self._min.values())
+        self._opens = sets_in_order(union_closure(gens, cap), points)
         return self._opens
 
     def open_count(self, limit: int = DEFAULT_OPEN_CAP) -> int:
@@ -187,7 +198,7 @@ class FinSpace:
     def __eq__(self, other):
         if not isinstance(other, FinSpace):
             return NotImplemented
-        return self.points == other.points and self._min == other._min
+        return self is other or (self.points == other.points and self._min == other._min)
 
     def __hash__(self):
         if self._hash is None:
@@ -267,7 +278,7 @@ class ContinuousMap:
     def __eq__(self, other):
         if not isinstance(other, ContinuousMap):
             return NotImplemented
-        return (
+        return self is other or (
             self.domain == other.domain
             and self.codomain == other.codomain
             and self.mapping == other.mapping

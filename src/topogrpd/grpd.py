@@ -82,7 +82,7 @@ class TopGroupoid:
     def __eq__(self, other):
         if not isinstance(other, TopGroupoid):
             return NotImplemented
-        return (
+        return self is other or (
             self.objects == other.objects
             and self.arrows == other.arrows
             and self.src == other.src
@@ -137,22 +137,12 @@ def validate_groupoid(g: TopGroupoid) -> list:
         if g.comp[(i[a], a)] != e[s[a]] or g.comp[(a, i[a])] != e[t[a]]:
             out.append(f"inverse law fails at {fmt_point(a)}")
     # associativity: (h o g) o f = h o (g o f) over composable triples
-    by_tgt = {}
-    for f in arrows.points:
-        by_tgt.setdefault(t[f], []).append(f)
-    for gg in arrows.points:
-        for ff in by_tgt.get(s[gg], ()):
-            gf = g.comp[(gg, ff)]
-            for hh in arrows.points:
-                if s[hh] == t[gg]:
-                    if g.comp[(g.comp[(hh, gg)], ff)] != g.comp[(hh, gf)]:
-                        out.append(
-                            f"comp not associative at {fmt_point((hh, gg, ff))}"
-                        )
-                        break
-            else:
-                continue
-            break
+    for gg, ff in g.composable_pairs():
+        gf = g.comp[(gg, ff)]
+        for hh in arrows.points:
+            if s[hh] == t[gg] and g.comp[(g.comp[(hh, gg)], ff)] != g.comp[(hh, gf)]:
+                out.append(f"comp not associative at {fmt_point((hh, gg, ff))}")
+                break
         else:
             continue
         break
@@ -337,25 +327,15 @@ def full_subgroupoid_on(g: TopGroupoid, objs) -> Subgroupoid:
 
 
 def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
-    """All objects reachable from objs by arrows of g."""
-    reach = set(objs)
-    frontier = list(reach)
-    while frontier:
-        x = frontier.pop()
-        for a in g.arrows.points:
-            if g.src.mapping[a] == x and g.tgt.mapping[a] not in reach:
-                reach.add(g.tgt.mapping[a])
-                frontier.append(g.tgt.mapping[a])
-            if g.tgt.mapping[a] == x and g.src.mapping[a] not in reach:
-                reach.add(g.src.mapping[a])
-                frontier.append(g.src.mapping[a])
-    return frozenset(reach)
+    """All objects reachable from objs by arrows of g: the connected
+    components that meet objs."""
+    s, t = g.src.mapping, g.tgt.mapping
+    blocks = fintop.partition(g.objects.points, ((s[a], t[a]) for a in g.arrows.points))
+    return frozenset().union(*(b for b in blocks if not b.isdisjoint(objs)))
 
 
 def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
-    seen = {frozenset()}
-    for a in atoms:
-        seen.add(a)
+    seen = {frozenset(), *atoms}
     if len(seen) > budget:
         raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
     frontier = list(seen)
@@ -363,16 +343,15 @@ def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
         nxt = []
         for s in frontier:
             for a in atoms:
-                if a <= s:
+                # members are closed, so a known join needs no closure
+                if s | a in seen:
                     continue
                 j = subgroupoid_closure(g, s | a)
                 if j not in seen:
                     seen.add(j)
                     nxt.append(j)
                     if len(seen) > budget:
-                        raise BudgetExceeded(
-                            f"subgroupoid family exceeds budget {budget}"
-                        )
+                        raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
         frontier = nxt
     return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows.points))]
 
@@ -497,14 +476,7 @@ def iota_map(incl: Subgroupoid, u: Subgroupoid) -> ContinuousMap:
 
 
 def is_full(sg: Subgroupoid) -> bool:
-    objs = sg.object_set
-    amb = sg.ambient
-    want = frozenset(
-        a
-        for a in amb.arrows.points
-        if amb.src.mapping[a] in objs and amb.tgt.mapping[a] in objs
-    )
-    return sg.arrow_set == want
+    return sg.arrow_set == full_subgroupoid_on(sg.ambient, sg.object_set).arrow_set
 
 
 def is_replete(sg: Subgroupoid) -> bool:

@@ -83,6 +83,8 @@ def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP):
 
 
 def groupoid_from_json(doc) -> TopGroupoid:
+    if not isinstance(doc, dict):
+        raise InputError("groupoid document must be an object")
     for key in ("objects", "arrows", "src", "tgt", "unit", "inv", "comp"):
         if key not in doc:
             raise InputError(f"groupoid document missing {key!r}")
@@ -90,14 +92,18 @@ def groupoid_from_json(doc) -> TopGroupoid:
     arrows = space_from_json(doc["arrows"])
 
     def raw_map(d, dom, cod):
-        body = d.get("map", d)
+        body = d.get("map", d) if isinstance(d, dict) else d
+        if not isinstance(body, dict):
+            raise InputError("groupoid maps must be objects from point to point")
         return {
             _coerce(k, dom.points): _coerce(v, cod.points) for k, v in body.items()
         }
 
+    if not isinstance(doc["comp"], list):
+        raise InputError("comp must be a list of triples [f, g, h]")
     comp = {}
     for triple in doc["comp"]:
-        if len(triple) != 3:
+        if not isinstance(triple, list) or len(triple) != 3:
             raise InputError("comp entries must be triples [f, g, h]")
         f, g, h = (_coerce(t, arrows.points) for t in triple)
         comp[(g, f)] = h

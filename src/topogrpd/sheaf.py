@@ -4,7 +4,8 @@ A sheaf is a local homeomorphism onto the object space together with a
 continuous arrow action on its fibers.  Everything is stored
 extensionally: total spaces are finite, actions are tables.  The
 subobject lattices computed here are the independent oracle against
-which the weak-equivalence criteria are cross-checked.
+which the weak-equivalence criteria are cross-checked.  They work on int
+bitmasks; only `SubobjectLattice.elements` sorts them into frozensets.
 """
 
 from __future__ import annotations
@@ -230,31 +231,39 @@ def orbit_of_subset(s: EquivariantSheaf, subset) -> frozenset:
 @dataclass(frozen=True)
 class SubobjectLattice:
     """Action-stable open subsets of a sheaf's total space, ordered by
-    inclusion (listed smallest-first in canonical order)."""
+    inclusion: `masks` over `points` (bit i is points[i])."""
 
     sheaf: EquivariantSheaf
-    elements: tuple
+    points: tuple
+    masks: frozenset
+
+    @property
+    def elements(self) -> tuple:
+        """The subsets as frozensets, smallest-first in `fintop.set_key` order."""
+        return fintop.sets_in_order(self.masks, self.points)
 
     def __contains__(self, subset):
-        return frozenset(subset) in set(self.elements)
+        return frozenset(subset) in self.elements
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.masks)
 
 
 def subobject_lattice(s: EquivariantSheaf, cap: int = fintop.DEFAULT_OPEN_CAP) -> SubobjectLattice:
-    """All action-stable open subsets of the total space, in `fintop.set_key` order.
+    """All action-stable open subsets of the total space.
 
-    These are the opens saturated for the orbit partition: the opens of
-    the space whose minimal neighbourhood of y is the union of the orbits
-    in the quotient's minimal neighbourhood of y's orbit.  The result is
-    kept on the sheaf, and `cap` is checked on every read.
+    These are the unions of the stable neighbourhoods of the orbits: the
+    union of the orbits in the quotient's minimal neighbourhood of an
+    orbit, one generator mask per orbit.  The result is kept on the
+    sheaf, and `cap` is checked on every read.
     """
     if s._lattice is None:
-        blocks = fintop.partition(s.total.points, ((y, z) for (_, y), z in s.action.items()))
-        q, to_q = fintop.quotient_space(s.total, blocks)
-        stable = {y: frozenset().union(*q.min_open(to_q.mapping[y])) for y in s.total.points}
-        s._lattice = SubobjectLattice(s, FinSpace(s.total.points, stable, _check=False).opens(cap))
+        points = tuple(s.total.points)
+        blocks = fintop.partition(points, ((y, z) for (_, y), z in s.action.items()))
+        q, _ = fintop.quotient_space(s.total, blocks)
+        stable = (frozenset().union(*q.min_open(c)) for c in q.points)
+        masks = fintop.union_closure(map(fintop.masker(points), stable), cap)
+        s._lattice = SubobjectLattice(s, points, frozenset(masks))
     elif len(s._lattice) > cap:
         raise CapExceeded(f"open family exceeds cap {cap}")
     return s._lattice
@@ -269,14 +278,13 @@ class SubobjectRestriction:
 
     big: SubobjectLattice
     small: SubobjectLattice
-    mapping: tuple  # pairs (element of big, element of small)
+    mapping: tuple  # pairs (mask in big, mask in small)
 
     def is_injective(self) -> bool:
-        vals = [v for _, v in self.mapping]
-        return len(set(vals)) == len(vals)
+        return len({v for _, v in self.mapping}) == len(self.mapping)
 
     def is_surjective(self) -> bool:
-        return {v for _, v in self.mapping} == set(self.small.elements)
+        return {v for _, v in self.mapping} == self.small.masks
 
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
@@ -288,9 +296,9 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid,
 
     The pullback of the generator of u along the inclusion has as points
     the pairs (object of the subgroupoid, orbit class); a subobject W of
-    the generator maps to the pairs whose class lies in W.  The result is
-    kept on the ambient groupoid by both arrow sets, and `cap` is checked
-    on every read.
+    the generator maps to the pairs whose class lies in W, the OR of the
+    lift masks of W's classes.  The result is kept on the ambient
+    groupoid by both arrow sets, and `cap` is checked on every read.
     """
     amb = incl.ambient
     if u.ambient != amb:
@@ -306,11 +314,13 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid,
     pulled = inverse_image(incl.inclusion_functor(), gen)
     big = subobject_lattice(gen, cap=cap)
     small = subobject_lattice(pulled, cap=cap)
-    small_set = set(small.elements)
+    lift = dict.fromkeys(big.points, 0)  # disjoint masks of the points over each class
+    for j, (_, c) in enumerate(small.points):
+        lift[c] |= 1 << j
     mapping = []
-    for w in big.elements:
-        image = frozenset(p for p in pulled.total.points if p[1] in w)
-        if image not in small_set:  # pragma: no cover - mathematically impossible
+    for w in big.masks:
+        image = sum(m for i, m in enumerate(lift.values()) if w >> i & 1)
+        if image not in small.masks:  # pragma: no cover - mathematically impossible
             raise InputError("internal: restricted subobject not stable open")
         mapping.append((w, image))
     cache[key] = SubobjectRestriction(big, small, tuple(mapping))

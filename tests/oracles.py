@@ -221,3 +221,50 @@ def subgroupoid_closure_oracle(g, arrows) -> frozenset:
         if new <= closed:
             return frozenset(closed)
         closed |= new
+
+
+def unions_oracle(sets):
+    """All unions of `sets`, the empty union included, by a search over
+    frozensets."""
+    sets = [frozenset(b) for b in sets]
+    fam = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        o = frontier.pop()
+        for b in sets:
+            u = o | b
+            if u not in fam:
+                fam.add(u)
+                frontier.append(u)
+    return fam
+
+
+def reference_sorted(sets, points):
+    """`sets` of `points` sorted as `ckey_set_key` sorts them, with each
+    point's `ckey` computed once."""
+    key = {x: fintop.ckey(x) for x in points}
+    return sorted(sets, key=lambda s: (len(s), sorted(key[x] for x in s)))
+
+
+def opens_oracle(space):
+    """The open family in reference order: all unions of minimal
+    neighbourhoods."""
+    return reference_sorted(unions_oracle(space.min_open(x) for x in space.points), space.points)
+
+
+def subobject_lattice_oracle(s):
+    """Action-stable opens of a sheaf's total space in reference order:
+    the unions of minimal neighbourhoods that contain every action image
+    of their points."""
+    opens = unions_oracle(s.total.min_open(x) for x in s.total.points)
+    stable = [o for o in opens if all(z in o for (_, y), z in s.action.items() if y in o)]
+    return reference_sorted(stable, s.total.points)
+
+
+def restriction_oracle(big, small, pulled):
+    """(injective, surjective) of the restriction from the frozenset
+    lattice `big` of a generator to the lattice `small` of its pullback
+    `pulled`, whose points are pairs (object, generator point): W goes to
+    the pairs whose generator point lies in W."""
+    images = [frozenset(p for p in pulled.total.points if p[1] in w) for w in big]
+    return len(set(images)) == len(images), set(images) == set(small)

@@ -246,7 +246,9 @@ def test_point_ids_other_than_strings_and_integers_exit_3(capsys, tmp_path, bad)
     assert "not a string or an integer" in rep["result"]["error"]
 
 
-@pytest.mark.parametrize("command", ["weq-check", "surjection-check", "inclusion-check"])
+@pytest.mark.parametrize(
+    "command", ["weq-check", "surjection-check", "inclusion-check", "generators", "subobjects"]
+)
 def test_check_on_groupoid_with_missing_comp_exits_3(capsys, tmp_path, command):
     doc = discrete_space_groupoid_doc(3)
     doc["comp"] = doc["comp"][:2]
@@ -254,8 +256,32 @@ def test_check_on_groupoid_with_missing_comp_exits_3(capsys, tmp_path, command):
     g.write_text(json.dumps(doc))
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"arrows": ["2"]}))
-    code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub))
+    sub_args = [] if command == "generators" else ["--sub", str(sub)]
+    code, rep = run(capsys, command, "--groupoid", str(g), *sub_args)
     assert code == 3
     assert rep["result"]["error"] == (
         "not an open topological groupoid: comp not total, missing pair (2,2)"
     )
+
+
+MALFORMED_GROUPOIDS = {
+    "src-list": lambda d: dict(d, src=d["objects"]["points"]),
+    "inv-map-list": lambda d: dict(d, inv={"map": d["arrows"]["points"]}),
+    "comp-entry-int": lambda d: dict(d, comp=[5] + d["comp"]),
+    "comp-entry-string": lambda d: dict(d, comp=["012"] + d["comp"]),
+    "comp-object": lambda d: dict(d, comp={"0": ["0", "0", "0"]}),
+    "document-list": lambda d: [d],
+}
+
+
+@pytest.mark.parametrize("command", ["generators", "subobjects", "weq-check", "validate"])
+@pytest.mark.parametrize("shape", list(MALFORMED_GROUPOIDS))
+def test_malformed_groupoid_shape_exits_3(capsys, tmp_path, command, shape):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(MALFORMED_GROUPOIDS[shape](discrete_space_groupoid_doc(3))))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["0"]}))
+    sub_args = ["--sub", str(sub)] if command in ("subobjects", "weq-check") else []
+    code, rep = run(capsys, command, "--groupoid", str(g), *sub_args)
+    assert code == 3
+    assert rep["result"]["error"]

@@ -4,15 +4,24 @@
 recomputes the recursive `ckey` of every point of every set.
 `grpd.subgroupoid_closure` indexes the closed arrows by source and
 target; `oracles.subgroupoid_closure_oracle` is the naive fixpoint.
+Open families and subobject lattices are int bitmasks sorted into
+frozensets on output; the oracles search and compare frozensets.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
+import topogrpd
 from corpus import groupoid_corpus
 from test_acceptance import SEED
+from test_cli import discrete_space_groupoid_doc
 from topogrpd import fintop, grpd, sheaf
 from topogrpd.fintop import FinSpace
 
@@ -70,19 +79,77 @@ def test_opens_ranks_points_once(monkeypatch):
 
 
 def test_corpus_orders_match_the_recursive_key(corpus):
-    lattices = 0
+    spaces = 0
     for g in corpus:
         for space in (g.objects, g.arrows):
             opens = space.opens()
-            assert list(opens) == sorted(opens, key=oracles.ckey_set_key)
+            assert list(opens) == oracles.opens_oracle(space)
+            spaces += len(opens) > 2
         for enumerate_family in (grpd.enumerate_open_subgroupoids, grpd.enumerate_subgroupoids):
             family = [u.arrow_set for u in enumerate_family(g)]
             assert family == sorted(family, key=oracles.ckey_set_key)
+    assert spaces > 300
+
+
+def test_mask_lattices_and_restrictions_match_frozenset_references(corpus):
+    """Every generator lattice of the corpus, and on every tenth groupoid
+    (for run time) every pulled-back lattice and restriction along every
+    subgroupoid inclusion, against the frozenset references."""
+    generators = pulled = restrictions = 0
+    for i, g in enumerate(corpus):
+        subs = grpd.enumerate_subgroupoids(g) if i % 10 == 0 else []
         for u in grpd.enumerate_open_subgroupoids(g):
-            elements = sheaf.subobject_lattice(sheaf.moerdijk_generator(g, u)).elements
-            assert list(elements) == sorted(elements, key=oracles.ckey_set_key)
-            lattices += len(elements) > 2
-    assert lattices > 1000
+            gen = sheaf.moerdijk_generator(g, u)
+            big = oracles.subobject_lattice_oracle(gen)
+            lat = sheaf.subobject_lattice(gen)
+            assert lat.elements == tuple(big) and len(lat) == len(big)
+            assert big[-1] in lat and big[-1] | {"not a point"} not in lat
+            generators += len(big) > 2
+            for y in subs:
+                r = sheaf.subobject_restriction(y, u)
+                small = oracles.subobject_lattice_oracle(r.small.sheaf)
+                assert r.small.elements == tuple(small)
+                expected = oracles.restriction_oracle(big, small, r.small.sheaf)
+                assert (r.is_injective(), r.is_surjective()) == expected
+                pulled += len(small) > 2
+                restrictions += expected != (True, True)
+    assert generators > 1000 and pulled > 1000 and restrictions > 500
+
+
+def test_join_closure_closes_each_new_join_once(monkeypatch):
+    calls = 0
+    closure = grpd.subgroupoid_closure
+
+    def counting(g, arrows):
+        nonlocal calls
+        calls += 1
+        return closure(g, arrows)
+
+    monkeypatch.setattr(grpd, "subgroupoid_closure", counting)
+    g = grpd.space_groupoid(FinSpace.discrete(range(8)))
+    assert len(grpd.enumerate_open_subgroupoids(g)) == 256
+    # 8 atoms and one closure per other non-empty member; skipping only
+    # the joins a <= s costs 8 + 1024
+    assert calls == 8 + 247
+
+
+def test_subobjects_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(discrete_space_groupoid_doc(5)))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": [str(i) for i in range(5)]}))
+    src = str(Path(topogrpd.__file__).resolve().parent.parent)
+    reports = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "topogrpd.cli", "subobjects", "--groupoid", str(g),
+             "--sub", str(sub)],
+            env=env, capture_output=True, check=True,
+        ).stdout
+        reports.append(out)
+    assert len(json.loads(reports[0])["result"]["lattice"]) == 32
+    assert reports[0] == reports[1]
 
 
 def test_closure_matches_naive_fixpoint(corpus):

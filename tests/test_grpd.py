@@ -269,3 +269,12 @@ def test_naturality_validation_catches_errors():
         idf, idf, {"a": "ia", "b": "f"}, check=False
     )
     assert bad.validate() != []
+
+
+def test_validate_groupoid_reports_non_associative_comp():
+    # a loop of order 5 with unit 0, every element its own inverse, and
+    # (1*2)*2 = 4 != 1 = 1*(2*2)
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    mult = {(x, y): rows[x][y] for x in range(5) for y in range(5)}
+    bad = grpd.validate_groupoid(grpd.group_groupoid(range(5), mult))
+    assert len(bad) == 1 and bad[0].startswith("comp not associative at (")
