@@ -70,9 +70,8 @@ def _cmd_topology(args, inputs):
     if "points" not in doc or "subbasis" not in doc:
         raise InputError("topology input needs 'points' and 'subbasis'")
     points = jsonio._point_set(doc["points"], "points")
-    space = fintop.generate_topology(
-        points, [jsonio._coerce_set(s, points) for s in doc["subbasis"]]
-    )
+    subbasis = jsonio._coerce_sets(doc["subbasis"], points, "subbasis")
+    space = fintop.generate_topology(points, subbasis)
     return {"space": jsonio.space_to_json(space, cap=args.open_cap)}, None
 
 
@@ -213,11 +212,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a bad command line in an InputError report (exit 3), not in
+    argparse's exit 2, which here means an unknown verdict."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="topogrpd",
-        description="finite topological groupoid calculator",
-    )
+    top = _Parser(prog="topogrpd", description="finite topological groupoid calculator")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -282,19 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built once per process: parse_args returns a fresh Namespace every call
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    inputs = {}
-    report = {
-        "command": args.command,
-        "tool_version": __version__,
-        "options": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("command", "output") and v is not None
-        },
-    }
+    args, inputs = None, {}
+    report = {"command": None, "tool_version": __version__, "options": {}}
     try:
+        args = _PARSER.parse_args(argv)
+        report["command"] = args.command
+        report["options"] = {
+            k: v for k, v in sorted(vars(args).items())
+            if k not in ("command", "output") and v is not None
+        }
         result, answer = _COMMANDS[args.command](args, inputs)
         code = 0 if answer is None else _ANSWER_CODES[answer]
     except (InputError, NotModelPresented) as e:
@@ -308,7 +313,7 @@ def run(argv=None) -> int:
     report["inputs"] = inputs
     report["result"] = result
     text = jsonio.dumps(report)
-    if args.output:
+    if args is not None and args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:

@@ -387,8 +387,9 @@ def _separating_sentence(x: ModelGroupoid, y: ModelGroupoid, depth, budget):
     )
     xs = {im.name for im in x.members}
     ys = {im.name for im in y.members}
+    names = [n for n, _ in eng.index(())]
     for ext, ast in eng.level((), depth).items():
-        holds = {n for (n, _) in ext}
+        holds = {n for bit, n in enumerate(names) if ext >> bit & 1}
         if holds & (xs | ys) == xs or holds & (xs | ys) == ys:
             if holds & (xs | ys) not in (set(), xs | ys):
                 return logic.print_formula(ast)

@@ -55,8 +55,16 @@ def _coerce(raw, points):
     raise InputError(f"unknown point {raw!r}")
 
 
-def _coerce_set(raws, points):
+def _coerce_set(raws, points, what):
+    if not isinstance(raws, list):
+        raise InputError(f"{what} must be a list of point ids")
     return frozenset(_coerce(r, points) for r in raws)
+
+
+def _coerce_sets(raws, points, what):
+    if not isinstance(raws, list):
+        raise InputError(f"{what} must be a list of lists of point ids")
+    return [_coerce_set(r, points, f"each of {what}") for r in raws]
 
 
 # -- spaces -------------------------------------------------------------------
@@ -66,8 +74,7 @@ def space_from_json(doc) -> FinSpace:
     if not isinstance(doc, dict) or "points" not in doc or "opens" not in doc:
         raise InputError("space document needs 'points' and 'opens'")
     points = _point_set(doc["points"], "points")
-    opens = [_coerce_set(o, points) for o in doc["opens"]]
-    return FinSpace.from_opens(points, opens)
+    return FinSpace.from_opens(points, _coerce_sets(doc["opens"], points, "opens"))
 
 
 def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP):
@@ -142,7 +149,7 @@ def groupoid_to_json(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
 def subgroupoid_from_json(doc, ambient: TopGroupoid) -> Subgroupoid:
     if not isinstance(doc, dict) or "arrows" not in doc:
         raise InputError("subgroupoid document needs 'arrows'")
-    sub = Subgroupoid(ambient, _coerce_set(doc["arrows"], ambient.arrows.points))
+    sub = Subgroupoid(ambient, _coerce_set(doc["arrows"], ambient.arrows.points, "arrows"))
     bad = sub.validate()
     if bad:
         raise InputError("not a subgroupoid: " + "; ".join(bad))
@@ -159,9 +166,13 @@ def family_from_json(doc, ambient: TopGroupoid):
 
 
 def functor_from_json(doc) -> ContinuousFunctor:
+    if not isinstance(doc, dict):
+        raise InputError("functor document must be an object")
     for key in ("dom", "cod", "obj_map", "arr_map"):
         if key not in doc:
             raise InputError(f"functor document missing {key!r}")
+        if key.endswith("_map") and not isinstance(doc[key], dict):
+            raise InputError(f"{key} must be an object from point to point")
     dom = groupoid_from_json(doc["dom"])
     cod = groupoid_from_json(doc["cod"])
     obj = {

@@ -127,15 +127,6 @@ class Exists:
     body: object
 
 
-def make_or(parts):
-    parts = list(parts)
-    if not parts:
-        return Bot()
-    if len(parts) == 1:
-        return parts[0]
-    return Or(tuple(parts))
-
-
 def depth(ast) -> int:
     if isinstance(ast, (Top, Bot, Eq, Rel)):
         return 0
@@ -796,13 +787,20 @@ class ModelGroupoid:
 # -- semantic enumeration of definable sets ----------------------------------
 
 
+def _tuples(m: FinModel, ctx_sorts):
+    """Tuples of a model over the context, in the product order of its sorted carriers."""
+    return product(*(fintop.sorted_points(m.carriers[s]) for s in ctx_sorts))
+
+
 class DefinableSets:
     """Depth-stratified enumeration of definable sets, synchronised
     across a family of models.
 
-    level(ctx_sorts, depth) maps each realised extension -- a frozenset
-    of (model name, tuple) pairs -- to one canonical formula AST of
-    depth <= depth in the context x1:s1, ..., xk:sk.
+    level(ctx_sorts, depth) maps each realised extension to one canonical
+    formula AST of depth <= depth in the context x1:s1, ..., xk:sk.  An
+    extension is an int mask over index(ctx_sorts): bit i stands for the
+    i-th (model name, tuple) pair.  Masks are decoded into pairs only
+    where an extension leaves the engine.
     """
 
     def __init__(self, signature: Signature, models, budget=DEFAULT_FORMULA_BUDGET):
@@ -810,40 +808,50 @@ class DefinableSets:
         self.models = list(models)
         self.budget = budget
         self._levels = {}
+        self._indexes = {}
 
-    def context(self, ctx_sorts):
-        return tuple((f"x{i + 1}", s) for i, s in enumerate(ctx_sorts))
+    def index(self, ctx_sorts) -> dict:
+        """{(model name, tuple): bit}, in enumeration order (models in
+        order, tuples of sorted carriers); same-named members share bits."""
+        ctx_sorts = tuple(ctx_sorts)
+        if ctx_sorts not in self._indexes:
+            index = {}
+            for m in self.models:
+                for tup in _tuples(m, ctx_sorts):
+                    index.setdefault((m.name, tup), len(index))
+            self._indexes[ctx_sorts] = index
+        return self._indexes[ctx_sorts]
 
     def _atoms(self, ctx_sorts):
+        """(atom, extension) pairs, the extension found by looking each
+        tuple up in the models' constants and relation tables."""
         sig = self.signature
-        ctx = self.context(ctx_sorts)
+        index = self.index(ctx_sorts)
+        consts = [c for c, _ in sig.constants]
+        # a term is a position in a tuple followed by the constants' values
         terms_by_sort = {}
-        for (v, s) in ctx:
-            terms_by_sort.setdefault(s, []).append(Var(v))
-        for c, s in sig.constants:
-            terms_by_sort.setdefault(s, []).append(Const(c))
-        atoms = [Top(), Bot()]
+        for i, s in enumerate(ctx_sorts):
+            terms_by_sort.setdefault(s, []).append((Var(f"x{i + 1}"), i))
+        for j, (c, s) in enumerate(sig.constants):
+            terms_by_sort.setdefault(s, []).append((Const(c), len(ctx_sorts) + j))
+        rows = [
+            (m, 1 << index[(m.name, tup)], tup + tuple(m.constants[c] for c in consts))
+            for m in self.models for tup in _tuples(m, ctx_sorts)
+        ]
+        yield Top(), (1 << len(index)) - 1
+        yield Bot(), 0
         for s in sig.sorts:
             ts = terms_by_sort.get(s, [])
-            for i, a in enumerate(ts):
-                for b in ts[i + 1:]:
-                    atoms.append(Eq(a, b))
+            for i, (a, p) in enumerate(ts):
+                for b, q in ts[i + 1:]:
+                    yield Eq(a, b), sum({bit for _, bit, vals in rows if vals[p] == vals[q]})
         for rname, arity in sorted(sig.relation_arities.items()):
-            pools = [terms_by_sort.get(s, []) for s in arity]
-            for args in product(*pools):
-                atoms.append(Rel(rname, tuple(args)))
-        return atoms
-
-    def _extension(self, ast, ctx_sorts):
-        ctx = self.context(ctx_sorts)
-        names = [v for v, _ in ctx]
-        ext = set()
-        for m in self.models:
-            pools = [fintop.sorted_points(m.carriers[s]) for s in ctx_sorts]
-            for tup in product(*pools):
-                if _eval(m, ast, dict(zip(names, tup))):
-                    ext.add((m.name, tup))
-        return frozenset(ext)
+            for args in product(*(terms_by_sort.get(s, []) for s in arity)):
+                at = [p for _, p in args]
+                yield Rel(rname, tuple(t for t, _ in args)), sum({
+                    bit for m, bit, vals in rows
+                    if tuple(map(vals.__getitem__, at)) in m.relations[rname]
+                })
 
     def level(self, ctx_sorts, depth: int) -> dict:
         ctx_sorts = tuple(ctx_sorts)
@@ -852,40 +860,43 @@ class DefinableSets:
             return self._levels[key]
         if depth == 0:
             table = {}
-            for atom in self._atoms(ctx_sorts):
-                ext = self._extension(atom, ctx_sorts)
-                if ext not in table:
-                    table[ext] = atom
+            for atom, ext in self._atoms(ctx_sorts):
+                table.setdefault(ext, atom)
             self._levels[key] = table
             return table
         prev = self.level(ctx_sorts, depth - 1)
         table = dict(prev)
 
-        def add(ext, ast):
+        def add(ext, node, *parts):
             if ext not in table:
-                table[ext] = ast
+                table[ext] = node(*parts)
                 if len(table) > self.budget:
-                    raise CapExceeded(
-                        f"definable-set family exceeds budget {self.budget}"
-                    )
+                    raise CapExceeded(f"definable-set family exceeds budget {self.budget}")
 
         items = list(prev.items())
         for i, (e1, f1) in enumerate(items):
             for e2, f2 in items[i:]:
-                add(e1 & e2, And(f1, f2))
-                add(e1 | e2, make_or([f1, f2]))
+                add(e1 & e2, And, f1, f2)
+                add(e1 | e2, Or, (f1, f2))
+        parents = self.index(ctx_sorts)
         for s in self.signature.sorts:
             inner = self.level(ctx_sorts + (s,), depth - 1)
             var = f"x{len(ctx_sorts) + 1}"
+            # bit of each parent pair -> mask of the pairs extending it
+            fibres = {}
+            for (n, tup), bit in self.index(ctx_sorts + (s,)).items():
+                p = 1 << parents[(n, tup[:-1])]
+                fibres[p] = fibres.get(p, 0) | 1 << bit
             for ext, ast in inner.items():
-                proj = frozenset((n, tup[:-1]) for n, tup in ext)
-                add(proj, Exists(var, s, ast))
+                add(sum(p for p, fibre in fibres.items() if ext & fibre), Exists, var, s, ast)
         self._levels[key] = table
         return table
 
     def lookup(self, ctx_sorts, depth, ext):
         """Canonical formula with the given extension, or None."""
-        return self.level(tuple(ctx_sorts), depth).get(frozenset(ext))
+        index, ext = self.index(ctx_sorts), set(ext)
+        mask = sum(1 << index[pair] for pair in ext) if ext <= index.keys() else None
+        return self.level(tuple(ctx_sorts), depth).get(mask)
 
 
 # -- logical topologies -------------------------------------------------------
@@ -911,19 +922,15 @@ class DerivedGroupoid:
 
 def _object_subbasis(g: ModelGroupoid, depth, tuple_cap, budget):
     eng = g.engine(budget)
-    names = g.member_names()
     subbasis = set()
     for ptuple in g.param_tuples(tuple_cap):
         ctx_sorts = tuple(g.params[p] for p in ptuple)
         level = eng.level(ctx_sorts, depth)
+        index = eng.index(ctx_sorts)
+        bits = [(n, index[(n, vals)]) for n in g.member_names()
+                if (vals := g.interp_tuple(n, ptuple)) is not None]
         for ext in level:
-            opens = frozenset(
-                n
-                for n in names
-                if (vals := g.interp_tuple(n, ptuple)) is not None
-                and (n, vals) in ext
-            )
-            subbasis.add(opens)
+            subbasis.add(frozenset(n for n, bit in bits if ext >> bit & 1))
     return subbasis
 
 
@@ -1007,23 +1014,18 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     names = [v for v, _ in formula.context]
     total_pts = set()
     for im in g.members:
-        m = im.model
-        pools = [fintop.sorted_points(m.carriers[s]) for s in ctx_sorts]
-        for tup in product(*pools):
-            if _eval(m, formula.ast, dict(zip(names, tup))):
+        for tup in _tuples(im.model, ctx_sorts):
+            if _eval(im.model, formula.ast, dict(zip(names, tup))):
                 total_pts.add((im.name, tup))
     subbasis = set()
     for ptuple in g.param_tuples(tuple_cap):
         psorts = tuple(g.params[p] for p in ptuple)
         level = eng.level(ctx_sorts + psorts, depth)
+        index = eng.index(ctx_sorts + psorts)
+        bits = [((n, tup), index[(n, tup + vals)]) for (n, tup) in total_pts
+                if (vals := g.interp_tuple(n, ptuple)) is not None]
         for ext in level:
-            opens = frozenset(
-                (n, tup)
-                for (n, tup) in total_pts
-                if (vals := g.interp_tuple(n, ptuple)) is not None
-                and (n, tup + vals) in ext
-            )
-            subbasis.add(opens)
+            subbasis.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
     total = fintop.generate_topology(frozenset(total_pts), subbasis)
     proj = {pt: pt[0] for pt in total_pts}
     action = {}
@@ -1113,11 +1115,8 @@ def is_ultrahomogeneous(m: FinModel, depth: int,
         for sorts_of in combinations_with_replacement(sorted(m.signature.sorts), k):
             level = eng.level(sorts_of, depth)
             fingerprints = {}
-            pools = [fintop.sorted_points(m.carriers[s]) for s in sorts_of]
-            for tup in product(*pools):
-                fp = frozenset(
-                    i for i, ext in enumerate(level) if (m.name, tup) in ext
-                )
+            for (_, tup), bit in eng.index(sorts_of).items():
+                fp = tuple(ext >> bit & 1 for ext in level)
                 fingerprints.setdefault(fp, []).append(tup)
             for group in fingerprints.values():
                 for t1, t2 in combinations(group, 2):

@@ -259,6 +259,39 @@ def random_model_groupoid(rng: random.Random, max_models=3, max_size=3) -> Model
     return ModelGroupoid(sig, params, members, frozenset(arrows))
 
 
+def rigid_graphs(size):
+    """Edge sets, as sorted lists of pairs, of the graphs on v0..v{size-1}
+    whose only automorphism is the identity."""
+    carrier = [f"v{i}" for i in range(size)]
+    pairs = list(product(carrier, repeat=2))
+    out = []
+    for mask in range(2 ** len(pairs)):
+        edges = [list(p) for i, p in enumerate(pairs) if mask >> i & 1]
+        if len(logic.automorphisms(FinModel("X", GRAPH, {"V": carrier}, {"E": edges}))) == 1:
+            out.append(edges)
+    return out
+
+
+def graph_copies_doc(edges, size, names, arrows):
+    """Model-groupoid document of copies of one graph on v0..v{size-1},
+    named `names` and indexed by p0..p{size-1}, with identity arrows only
+    (`arrows` "identities") or all isomorphisms ("all")."""
+    carrier = [f"v{i}" for i in range(size)]
+    ident = {"V": {c: c for c in carrier}}
+    return {
+        "signature": {"sorts": ["V"], "relations": {"E": ["V", "V"]}},
+        "params": {f"p{i}": "V" for i in range(size)},
+        "models": [
+            {"name": n, "carriers": {"V": carrier}, "relations": {"E": edges},
+             "indexing": {f"p{i}": c for i, c in enumerate(carrier)}}
+            for n in names
+        ],
+        "arrows": "all" if arrows == "all" else [
+            {"src": n, "tgt": n, "map": ident} for n in names
+        ],
+    }
+
+
 def sober_eliminating_model_groupoids(rng: random.Random, count, depth=1,
                                       tuple_cap=2, max_models=3, max_size=3,
                                       max_tries=4000):

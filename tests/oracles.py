@@ -2,9 +2,10 @@
 computation paths: quantifiers are run literally over materialised open
 families.  Only usable on small inputs."""
 
-from itertools import combinations
+from itertools import combinations, product
 
-from topogrpd import fintop, grpd
+from topogrpd import fintop, grpd, logic
+from topogrpd.errors import CapExceeded
 from topogrpd.fintop import FinSpace
 
 
@@ -268,3 +269,73 @@ def restriction_oracle(big, small, pulled):
     the pairs whose generator point lies in W."""
     images = [frozenset(p for p in pulled.total.points if p[1] in w) for w in big]
     return len(set(images)) == len(images), set(images) == set(small)
+
+
+class DefinableSetsOracle:
+    """The definable-set levels with frozenset extensions of (model name,
+    tuple) pairs, each atom evaluated by `logic._eval` on every tuple.
+    Tables are built in the engine's order, with its budget check."""
+
+    def __init__(self, signature, models, budget=logic.DEFAULT_FORMULA_BUDGET):
+        self.signature = signature
+        self.models = list(models)
+        self.budget = budget
+        self._levels = {}
+
+    def _atoms(self, ctx_sorts):
+        sig = self.signature
+        terms_by_sort = {}
+        for i, s in enumerate(ctx_sorts):
+            terms_by_sort.setdefault(s, []).append(logic.Var(f"x{i + 1}"))
+        for c, s in sig.constants:
+            terms_by_sort.setdefault(s, []).append(logic.Const(c))
+        atoms = [logic.Top(), logic.Bot()]
+        for s in sig.sorts:
+            ts = terms_by_sort.get(s, [])
+            atoms += [logic.Eq(a, b) for i, a in enumerate(ts) for b in ts[i + 1:]]
+        for rname, arity in sorted(sig.relation_arities.items()):
+            for args in product(*(terms_by_sort.get(s, []) for s in arity)):
+                atoms.append(logic.Rel(rname, tuple(args)))
+        return atoms
+
+    def _extension(self, ast, ctx_sorts):
+        names = [f"x{i + 1}" for i in range(len(ctx_sorts))]
+        return frozenset(
+            (m.name, tup)
+            for m in self.models
+            for tup in product(*(fintop.sorted_points(m.carriers[s]) for s in ctx_sorts))
+            if logic._eval(m, ast, dict(zip(names, tup)))
+        )
+
+    def level(self, ctx_sorts, depth):
+        ctx_sorts = tuple(ctx_sorts)
+        key = (ctx_sorts, depth)
+        if key in self._levels:
+            return self._levels[key]
+        if depth == 0:
+            table = {}
+            for atom in self._atoms(ctx_sorts):
+                table.setdefault(self._extension(atom, ctx_sorts), atom)
+            self._levels[key] = table
+            return table
+        prev = self.level(ctx_sorts, depth - 1)
+        table = dict(prev)
+
+        def add(ext, ast):
+            if ext not in table:
+                table[ext] = ast
+                if len(table) > self.budget:
+                    raise CapExceeded(f"definable-set family exceeds budget {self.budget}")
+
+        items = list(prev.items())
+        for i, (e1, f1) in enumerate(items):
+            for e2, f2 in items[i:]:
+                add(e1 & e2, logic.And(f1, f2))
+                add(e1 | e2, logic.Or((f1, f2)))
+        for s in self.signature.sorts:
+            inner = self.level(ctx_sorts + (s,), depth - 1)
+            for ext, ast in inner.items():
+                proj = frozenset((n, tup[:-1]) for n, tup in ext)
+                add(proj, logic.Exists(f"x{len(ctx_sorts) + 1}", s, ast))
+        self._levels[key] = table
+        return table

@@ -285,3 +285,61 @@ def test_malformed_groupoid_shape_exits_3(capsys, tmp_path, command, shape):
     code, rep = run(capsys, command, "--groupoid", str(g), *sub_args)
     assert code == 3
     assert rep["result"]["error"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["weq-check"], "the following arguments are required: --groupoid, --sub"),
+    (["logical-topology", "--models", "m.json", "--depth", "x"], "invalid int value: 'x'"),
+    (["nosuch"], "invalid choice: 'nosuch'"),
+    (["weq-check", "--groupoid", "g.json", "--sub", "s.json", "--mode", "fast"],
+     "invalid choice: 'fast'"),
+], ids=["no-command", "missing-required", "bad-int", "unknown-command", "bad-choice"])
+def test_bad_command_line_is_an_error_report_with_exit_3(capsys, argv, message):
+    code, rep = run(capsys, *argv)
+    assert code == 3
+    assert message in rep["result"]["error"]
+    assert rep["command"] is None and rep["inputs"] == {}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["weq-check", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        cli.run(argv)
+    assert done.value.code == 0
+    assert "usage: topogrpd" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", ["obj_map-list", "arr_map-list", "document-list"])
+def test_functor_maps_that_are_not_objects_exit_3(capsys, tmp_path, shape):
+    g = discrete_space_groupoid_doc(2)
+    ident = {p: p for p in g["objects"]["points"]}
+    doc = {"dom": g, "cod": g, "obj_map": ident, "arr_map": ident}
+    if shape == "document-list":
+        doc = [doc]
+    else:
+        doc[shape[:-5]] = list(ident)
+    p = tmp_path / "functor.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, "factorize", "--functor", str(p))
+    assert code == 3
+    assert "must be an object" in rep["result"]["error"]
+
+
+def test_point_sets_must_be_lists(capsys, tmp_path):
+    """A string of point ids is not read as a set of one-character ids."""
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(discrete_space_groupoid_doc(2)))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": "01"}))
+    code, rep = run(capsys, "subobjects", "--groupoid", str(g), "--sub", str(sub))
+    assert (code, rep["result"]["error"]) == (3, "arrows must be a list of point ids")
+    for subbasis in ([["0"], "01"], "01", 5):
+        t = tmp_path / "topology.json"
+        t.write_text(json.dumps({"points": ["0", "1"], "subbasis": subbasis}))
+        code, rep = run(capsys, "topology", "--input", str(t))
+        assert code == 3 and "subbasis must be a list of" in rep["result"]["error"]
+    s = tmp_path / "space.json"
+    s.write_text(json.dumps({"points": ["0", "1"], "opens": [[], "01", ["0", "1"]]}))
+    code, rep = run(capsys, "validate", "--space", str(s))
+    assert (code, rep["result"]["error"]) == (3, "each of opens must be a list of point ids")

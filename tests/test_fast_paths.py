@@ -6,6 +6,9 @@ recomputes the recursive `ckey` of every point of every set.
 target; `oracles.subgroupoid_closure_oracle` is the naive fixpoint.
 Open families and subobject lattices are int bitmasks sorted into
 frozensets on output; the oracles search and compare frozensets.
+Definable-set extensions are int masks over `DefinableSets.index`;
+`oracles.DefinableSetsOracle` builds the same tables from frozensets
+and `logic._eval`.
 """
 
 import json
@@ -19,10 +22,11 @@ import pytest
 
 import oracles
 import topogrpd
-from corpus import groupoid_corpus
+from corpus import graph_copies_doc, groupoid_corpus, random_model_groupoid, rigid_graphs
 from test_acceptance import SEED
-from test_cli import discrete_space_groupoid_doc
-from topogrpd import fintop, grpd, sheaf
+from test_cli import MG_DOC, discrete_space_groupoid_doc
+from topogrpd import cli, fintop, grpd, jsonio, logic, sheaf
+from topogrpd.errors import CapExceeded
 from topogrpd.fintop import FinSpace
 
 
@@ -133,23 +137,120 @@ def test_join_closure_closes_each_new_join_once(monkeypatch):
     assert calls == 8 + 247
 
 
+def fresh_report(argv, hash_seed="0"):
+    """Exit code and report bytes of a CLI run in a new interpreter."""
+    src = str(Path(topogrpd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "topogrpd.cli", *argv], env=env,
+                          capture_output=True)
+    return done.returncode, done.stdout
+
+
 def test_subobjects_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps(discrete_space_groupoid_doc(5)))
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"arrows": [str(i) for i in range(5)]}))
-    src = str(Path(topogrpd.__file__).resolve().parent.parent)
-    reports = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-m", "topogrpd.cli", "subobjects", "--groupoid", str(g),
-             "--sub", str(sub)],
-            env=env, capture_output=True, check=True,
-        ).stdout
-        reports.append(out)
-    assert len(json.loads(reports[0])["result"]["lattice"]) == 32
+    argv = ["subobjects", "--groupoid", str(g), "--sub", str(sub)]
+    reports = [fresh_report(argv, seed) for seed in ("1", "2")]
+    assert len(json.loads(reports[0][1])["result"]["lattice"]) == 32
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command,arrows", [("logical-topology", "all"),
+                                            ("elim-params", "identities")])
+def test_model_reports_do_not_depend_on_the_hash_seed(tmp_path, command, arrows):
+    models = tmp_path / "models.json"
+    doc = graph_copies_doc(rigid_graphs(3)[0], 3, ["M0", "M1", "M2"], arrows)
+    models.write_text(json.dumps(doc))
+    argv = [command, "--models", str(models), "--depth", "2"]
+    reports = [fresh_report(argv, seed) for seed in ("1", "2")]
+    assert "error" not in json.loads(reports[0][1])["result"]
+    assert reports[0] == reports[1]
+
+
+def test_consecutive_runs_in_one_process_match_fresh_runs(tmp_path, capsys):
+    """The parser is built once per process; a call leaves no option or
+    default behind for the next one."""
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps(MG_DOC))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(discrete_space_groupoid_doc(3)))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["0"]}))
+    runs = [
+        ["elim-params", "--models", str(models), "--depth", "2", "--tuple-cap", "1"],
+        ["weq-check", "--groupoid", str(g), "--sub", str(sub), "--mode", "quasi-homeo"],
+        ["logical-topology", "--models", str(models)],
+        ["subobjects", "--groupoid", str(g), "--sub", str(sub)],
+    ]
+    for argv in runs:
+        code = cli.run(argv)
+        assert (code, capsys.readouterr().out.encode()) == fresh_report(argv)
+
+
+def decoded_level(eng, ctx_sorts, depth):
+    """level() as a list of (frozenset extension, formula), or where a
+    budget stopped it: the error and the levels completed by then."""
+    try:
+        if isinstance(eng, oracles.DefinableSetsOracle):
+            return list(eng.level(ctx_sorts, depth).items())
+        pairs = list(eng.index(ctx_sorts))
+        return [
+            (frozenset(p for bit, p in enumerate(pairs) if ext >> bit & 1), ast)
+            for ext, ast in eng.level(ctx_sorts, depth).items()
+        ]
+    except CapExceeded as e:
+        return str(e), sorted(eng._levels)
+
+
+def model_families():
+    """(signature, member models, tuple-cap-2 contexts): corpus model
+    groupoids, rigid-graph copies as the CLI reads them (alone, merged
+    with renamed copies as a Morita search does, and merged with
+    themselves, so that same-named members share bits), and a two-sorted
+    family with a constant."""
+    rng = random.Random(SEED)
+    groupoids = [random_model_groupoid(rng) for _ in range(60)]
+    for edges in random.Random(SEED).sample(rigid_graphs(3), 3):
+        for k in (2, 3, 4):
+            for arrows in ("identities", "all"):
+                groupoids.append(jsonio.model_groupoid_from_json(
+                    graph_copies_doc(edges, 3, [f"M{i}" for i in range(k)], arrows)))
+    out = []
+    for g in groupoids:
+        models = [im.model for im in g.members]
+        contexts = sorted({tuple(g.params[p] for p in pt) for pt in g.param_tuples(2)})
+        out.append((g.signature, models, contexts))
+        if g.arrows == frozenset(logic.identity_iso(m) for m in models):
+            renamed = [logic.FinModel(f"N{m.name}", m.signature, m.carriers, m.relations)
+                       for m in models]
+            out += [(g.signature, models + renamed, [()]), (g.signature, models + models, [()])]
+    sig = logic.make_signature(["A", "B"], {"R": ("A", "B")}, {"c": "A"})
+    two_sorted = [
+        logic.FinModel("K", sig, {"A": [0, 1], "B": ["b"]}, {"R": [(0, "b")]}, {"c": 1}),
+        logic.FinModel("L", sig, {"A": [0], "B": ["b", "d"]}, {"R": [(0, "d")]}, {"c": 0}),
+    ]
+    out.append((sig, two_sorted, [(), ("A",), ("B",), ("A", "B"), ("B", "A")]))
+    return out
+
+
+def test_definable_levels_match_the_frozenset_reference():
+    """Every level of every family at depths 0-2: the decoded keys, the
+    formulas and their order, and with a small budget the point where
+    CapExceeded is raised."""
+    levels = capped = 0
+    for sig, models, contexts in model_families():
+        for budget in (logic.DEFAULT_FORMULA_BUDGET, 24, 8):
+            eng = logic.DefinableSets(sig, models, budget)
+            ref = oracles.DefinableSetsOracle(sig, models, budget)
+            for ctx_sorts in contexts:
+                for depth in range(3):
+                    got = decoded_level(eng, ctx_sorts, depth)
+                    assert got == decoded_level(ref, ctx_sorts, depth)
+                    levels += isinstance(got, list) and len(got) > 4
+                    capped += isinstance(got, tuple)
+    assert levels > 300 and capped > 150
 
 
 def test_closure_matches_naive_fixpoint(corpus):

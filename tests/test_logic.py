@@ -340,12 +340,13 @@ def _ultra_brute(m, depth, cap):
     for k in range(1, cap + 1):
         for sorts in itertools.combinations_with_replacement(sorted(m.signature.sorts), k):
             exts = list(eng.level(sorts, depth))
+            bit = eng.index(sorts)  # extensions are int masks over these pairs
             pools = [sorted(m.carriers[s]) for s in sorts]
             tuples = list(itertools.product(*pools))
             for t1 in tuples:
                 for t2 in tuples:
-                    tp1 = [i for i, e in enumerate(exts) if (m.name, t1) in e]
-                    tp2 = [i for i, e in enumerate(exts) if (m.name, t2) in e]
+                    tp1 = [i for i, e in enumerate(exts) if e >> bit[(m.name, t1)] & 1]
+                    tp2 = [i for i, e in enumerate(exts) if e >> bit[(m.name, t2)] & 1]
                     if tp1 == tp2:
                         if not any(
                             tuple(a.apply(s, e) for s, e in zip(sorts, t1)) == t2
