@@ -39,12 +39,6 @@ def _load(path, inputs):
         raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
 
 
-def _family(args, ambient, inputs):
-    if args.family:
-        return jsonio.family_from_json(_load(args.family, inputs), ambient)
-    return None
-
-
 def _cmd_validate(args, inputs):
     diagnostics = []
     if args.space:
@@ -66,12 +60,7 @@ def _cmd_validate(args, inputs):
 
 
 def _cmd_topology(args, inputs):
-    doc = _load(args.input, inputs)
-    if "points" not in doc or "subbasis" not in doc:
-        raise InputError("topology input needs 'points' and 'subbasis'")
-    points = jsonio._point_set(doc["points"], "points")
-    subbasis = jsonio._coerce_sets(doc["subbasis"], points, "subbasis")
-    space = fintop.generate_topology(points, subbasis)
+    space = jsonio.topology_from_json(_load(args.input, inputs))
     return {"space": jsonio.space_to_json(space, cap=args.open_cap)}, None
 
 
@@ -88,7 +77,7 @@ def _cmd_check(args, inputs):
     """weq-check, surjection-check and inclusion-check, on a valid groupoid."""
     g = _valid_groupoid(args, inputs)
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
-    fam = _family(args, g, inputs)
+    fam = jsonio.family_from_json(_load(args.family, inputs), g) if args.family else None
     limits = {"budget": args.subgroupoid_budget, "cap": args.open_cap}
     if args.command == "weq-check":
         verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, **limits)
@@ -195,23 +184,6 @@ def _cmd_morita_search(args, inputs):
     return result, res.verdict.answer
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "topology": _cmd_topology,
-    "weq-check": _cmd_check,
-    "surjection-check": _cmd_check,
-    "inclusion-check": _cmd_check,
-    "factorize": _cmd_factorize,
-    "generators": _cmd_generators,
-    "subobjects": _cmd_subobjects,
-    "logical-topology": _cmd_logical_topology,
-    "elim-params": _cmd_elim_params,
-    "etale-complete": _cmd_etale_complete,
-    "compose": _cmd_compose,
-    "morita-search": _cmd_morita_search,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Ends a bad command line in an InputError report (exit 3), not in
     argparse's exit 2, which here means an unknown verdict."""
@@ -220,69 +192,44 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+# the limit and mode flags, each registered only on the commands that read it
+_KNOBS = {
+    "depth": {"type": int, "default": 1},
+    "tuple-cap": {"type": int, "default": 2},
+    "open-cap": {"type": int, "default": fintop.DEFAULT_OPEN_CAP},
+    "subgroupoid-budget": {"type": int, "default": 4096},
+    "mode": {"choices": (*weq.MODES, "all"), "default": "all"},
+}
+
+# command: (function, input flags with "?" marking an optional one, knobs it reads)
+_TABLE = {
+    "validate": (_cmd_validate, "space? groupoid? models?", "depth tuple-cap open-cap"),
+    "topology": (_cmd_topology, "input", "open-cap"),
+    "weq-check": (_cmd_check, "groupoid sub family?", "mode subgroupoid-budget open-cap"),
+    "surjection-check": (_cmd_check, "groupoid sub family?", "subgroupoid-budget open-cap"),
+    "inclusion-check": (_cmd_check, "groupoid sub family?", "subgroupoid-budget open-cap"),
+    "factorize": (_cmd_factorize, "functor", "subgroupoid-budget open-cap"),
+    "generators": (_cmd_generators, "groupoid sub?", "subgroupoid-budget open-cap"),
+    "subobjects": (_cmd_subobjects, "groupoid sub", "open-cap"),
+    "logical-topology": (_cmd_logical_topology, "models", "depth tuple-cap open-cap"),
+    "elim-params": (_cmd_elim_params, "models", "depth tuple-cap"),
+    "etale-complete": (_cmd_etale_complete, "models", "depth tuple-cap"),
+    "compose": (_cmd_compose, "first second", "depth tuple-cap subgroupoid-budget"),
+    "morita-search": (_cmd_morita_search, "left right", "depth tuple-cap subgroupoid-budget"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="topogrpd", description="finite topological groupoid calculator")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--depth", type=int, default=1)
-        p.add_argument("--tuple-cap", type=int, default=2)
-        p.add_argument("--open-cap", type=int, default=fintop.DEFAULT_OPEN_CAP)
-        p.add_argument("--subgroupoid-budget", type=int, default=4096)
-        p.add_argument("--output", default=None, help="report path (default stdout)")
-
-    p = sub.add_parser("validate")
-    p.add_argument("--space")
-    p.add_argument("--groupoid")
-    p.add_argument("--models")
-    common(p)
-
-    p = sub.add_parser("topology")
-    p.add_argument("--input", required=True, help="{'points': [...], 'subbasis': [[...]]}")
-    common(p)
-
-    for name in ("weq-check", "surjection-check", "inclusion-check"):
-        p = sub.add_parser(name)
-        p.add_argument("--groupoid", required=True)
-        p.add_argument("--sub", required=True)
-        p.add_argument("--family", default=None)
-        if name == "weq-check":
-            p.add_argument(
-                "--mode",
-                choices=["quasi-homeo", "two-condition", "subobject-oracle", "all"],
-                default="all",
-            )
-        common(p)
-
-    p = sub.add_parser("factorize")
-    p.add_argument("--functor", required=True)
-    common(p)
-
-    p = sub.add_parser("generators")
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--sub", default=None)
-    common(p)
-
-    p = sub.add_parser("subobjects")
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--sub", required=True)
-    common(p)
-
-    for name in ("logical-topology", "elim-params", "etale-complete"):
-        p = sub.add_parser(name)
-        p.add_argument("--models", required=True)
-        common(p)
-
-    p = sub.add_parser("compose")
-    p.add_argument("--first", required=True)
-    p.add_argument("--second", required=True)
-    common(p)
-
-    p = sub.add_parser("morita-search")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
-
+    for name, (_, flags, knobs) in _TABLE.items():
+        # no abbreviations: --mode would otherwise be read as --models
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument("--" + flag.rstrip("?"), required=not flag.endswith("?"))
+        for knob in knobs.split():
+            p.add_argument("--" + knob, **_KNOBS[knob])
+        p.add_argument("--output", help="report path (default stdout)")
     return top
 
 
@@ -300,7 +247,7 @@ def run(argv=None) -> int:
             k: v for k, v in sorted(vars(args).items())
             if k not in ("command", "output") and v is not None
         }
-        result, answer = _COMMANDS[args.command](args, inputs)
+        result, answer = _TABLE[args.command][0](args, inputs)
         code = 0 if answer is None else _ANSWER_CODES[answer]
     except (InputError, NotModelPresented) as e:
         result, answer, code = {"error": str(e)}, None, 3

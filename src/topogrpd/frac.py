@@ -150,11 +150,7 @@ def merge_and_complete(parts, budget: int = 4096) -> ModelGroupoid:
             if old != im:
                 raise InputError(f"member name clash at {im.name}")
     member_list = tuple(members[n] for n in sorted(members))
-    probe = ModelGroupoid(
-        sig, params, member_list,
-        [logic.identity_iso(im.model) for im in member_list],
-    )
-    arrows = logic.all_isos_between_members(probe)
+    arrows = logic.all_isos_between_members(member_list)
     if len(arrows) > budget:
         raise BudgetExceeded(
             f"merged groupoid has {len(arrows)} arrows, budget {budget}"
@@ -379,12 +375,11 @@ class MoritaResult:
     right_leg: ModelInclusion | None = None
 
 
-def _separating_sentence(x: ModelGroupoid, y: ModelGroupoid, depth, budget):
+def _separating_sentence(apex: ModelGroupoid, x: ModelGroupoid, y: ModelGroupoid, depth):
     """A sentence holding on exactly one side's members, if one exists at
-    this depth (heuristic evidence for a failed search)."""
-    eng = logic.DefinableSets(
-        x.signature, [im.model for im in x.members + y.members], budget
-    )
+    this depth (heuristic evidence for a failed search); the merged apex
+    holds both sides' members."""
+    eng = apex.engine()
     xs = {im.name for im in x.members}
     ys = {im.name for im in y.members}
     names = [n for n, _ in eng.index(())]
@@ -427,7 +422,7 @@ def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
         evidence.append(
             (("depth", d), ("left", vx.answer), ("right", vy.answer))
         )
-    sentence = _separating_sentence(x, y, depth, budget)
+    sentence = _separating_sentence(apex, x, y, depth)
     details = [("candidates_tried", 2)]
     if sentence is not None:
         details.append(("separating_sentence", sentence))

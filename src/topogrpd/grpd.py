@@ -523,9 +523,12 @@ class ContinuousFunctor:
         for x in sorted_points(dom.objects.points):
             if f1[dom.unit.mapping[x]] != cod.unit.mapping[f0[x]]:
                 out.append(f"unit not preserved at {fmt_point(x)}")
-        for (g, f) in dom.composable_pairs():
-            if f1[dom.comp[(g, f)]] != cod.comp[(f1[g], f1[f])]:
-                out.append(f"comp not preserved at {fmt_point((g, f))}")
+        # a comp that is not total is reported here, not raised; the
+        # failing pairs are sorted, as set order depends on the hash seed
+        broken = [(g, f) for (g, f) in dom.composable_pairs()
+                  if (h := dom.comp.get((g, f))) is None
+                  or f1[h] != cod.comp.get((f1[g], f1[f]))]
+        out += [f"comp not preserved at {fmt_point(p)}" for p in sorted(broken, key=ckey)]
         return out
 
     def __eq__(self, other):

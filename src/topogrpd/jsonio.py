@@ -30,16 +30,42 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _object(doc, what, keys=()):
+    """doc, once it is known to be a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be an object")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"{what} missing {key!r}")
+    return doc
+
+
+def _list(raw, what):
+    if not isinstance(raw, list):
+        raise InputError(f"{what} must be a list")
+    return raw
+
+
+def _names(raws, what):
+    if not isinstance(raws, list) or not all(isinstance(r, str) for r in raws):
+        raise InputError(f"{what} must be a list of names")
+    return raws
+
+
 def _point_id(raw):
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise InputError(f"point id {raw!r} is not a string or an integer")
     return raw
 
 
-def _point_set(raws, what):
+def _point_tuple(raws, what):
     if not isinstance(raws, list):
         raise InputError(f"{what} must be a list of point ids")
-    return frozenset(_point_id(r) for r in raws)
+    return tuple(_point_id(r) for r in raws)
+
+
+def _point_set(raws, what):
+    return frozenset(_point_tuple(raws, what))
 
 
 def _coerce(raw, points):
@@ -71,10 +97,16 @@ def _coerce_sets(raws, points, what):
 
 
 def space_from_json(doc) -> FinSpace:
-    if not isinstance(doc, dict) or "points" not in doc or "opens" not in doc:
-        raise InputError("space document needs 'points' and 'opens'")
+    doc = _object(doc, "space document", ("points", "opens"))
     points = _point_set(doc["points"], "points")
     return FinSpace.from_opens(points, _coerce_sets(doc["opens"], points, "opens"))
+
+
+def topology_from_json(doc) -> FinSpace:
+    """The space generated by {"points": [...], "subbasis": [[...], ...]}."""
+    doc = _object(doc, "topology input", ("points", "subbasis"))
+    points = _point_set(doc["points"], "points")
+    return fintop.generate_topology(points, _coerce_sets(doc["subbasis"], points, "subbasis"))
 
 
 def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP):
@@ -90,11 +122,7 @@ def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP):
 
 
 def groupoid_from_json(doc) -> TopGroupoid:
-    if not isinstance(doc, dict):
-        raise InputError("groupoid document must be an object")
-    for key in ("objects", "arrows", "src", "tgt", "unit", "inv", "comp"):
-        if key not in doc:
-            raise InputError(f"groupoid document missing {key!r}")
+    doc = _object(doc, "groupoid document", ("objects", "arrows", "src", "tgt", "unit", "inv", "comp"))
     objects = space_from_json(doc["objects"])
     arrows = space_from_json(doc["arrows"])
 
@@ -147,8 +175,7 @@ def groupoid_to_json(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
 
 
 def subgroupoid_from_json(doc, ambient: TopGroupoid) -> Subgroupoid:
-    if not isinstance(doc, dict) or "arrows" not in doc:
-        raise InputError("subgroupoid document needs 'arrows'")
+    doc = _object(doc, "subgroupoid document", ("arrows",))
     sub = Subgroupoid(ambient, _coerce_set(doc["arrows"], ambient.arrows.points, "arrows"))
     bad = sub.validate()
     if bad:
@@ -157,22 +184,17 @@ def subgroupoid_from_json(doc, ambient: TopGroupoid) -> Subgroupoid:
 
 
 def family_from_json(doc, ambient: TopGroupoid):
-    if not isinstance(doc, dict) or "subgroupoids" not in doc:
-        raise InputError("family document needs 'subgroupoids'")
+    doc = _object(doc, "family document", ("subgroupoids",))
     return [
         subgroupoid_from_json({"arrows": arrows}, ambient)
-        for arrows in doc["subgroupoids"]
+        for arrows in _list(doc["subgroupoids"], "subgroupoids")
     ]
 
 
 def functor_from_json(doc) -> ContinuousFunctor:
-    if not isinstance(doc, dict):
-        raise InputError("functor document must be an object")
-    for key in ("dom", "cod", "obj_map", "arr_map"):
-        if key not in doc:
-            raise InputError(f"functor document missing {key!r}")
-        if key.endswith("_map") and not isinstance(doc[key], dict):
-            raise InputError(f"{key} must be an object from point to point")
+    doc = _object(doc, "functor document", ("dom", "cod", "obj_map", "arr_map"))
+    for key in ("obj_map", "arr_map"):
+        _object(doc[key], key)
     dom = groupoid_from_json(doc["dom"])
     cod = groupoid_from_json(doc["cod"])
     obj = {
@@ -214,11 +236,14 @@ def lattice_to_json(lat):
 
 
 def signature_from_json(doc) -> Signature:
-    if "sorts" not in doc:
-        raise InputError("signature document needs 'sorts'")
-    return logic.make_signature(
-        doc["sorts"], doc.get("relations", {}), doc.get("constants", {})
-    )
+    doc = _object(doc, "signature document", ("sorts",))
+    relations = _object(doc.get("relations", {}), "signature relations")
+    for name, arity in relations.items():
+        _names(arity, f"arity of {name}")
+    constants = _object(doc.get("constants", {}), "signature constants")
+    if not all(isinstance(s, str) for s in constants.values()):
+        raise InputError("signature constants must map names to sorts")
+    return logic.make_signature(_names(doc["sorts"], "sorts"), relations, constants)
 
 
 def signature_to_json(sig: Signature):
@@ -230,14 +255,19 @@ def signature_to_json(sig: Signature):
 
 
 def model_from_json(doc, sig: Signature) -> FinModel:
-    if "name" not in doc or "carriers" not in doc:
-        raise InputError("model document needs 'name' and 'carriers'")
+    doc = _object(doc, "model document", ("name", "carriers"))
+    if not isinstance(doc["name"], str):
+        raise InputError("model name must be a string")
+    carriers = _object(doc["carriers"], "carriers")
+    relations = _object(doc.get("relations", {}), "model relations")
+    constants = _object(doc.get("constants", {}), "model constants")
     return FinModel(
         doc["name"],
         sig,
-        {s: _point_set(v, f"carrier {s!r}") for s, v in doc["carriers"].items()},
-        {n: [tuple(r) for r in rows] for n, rows in doc.get("relations", {}).items()},
-        doc.get("constants", {}),
+        {s: _point_set(v, f"carrier {s!r}") for s, v in carriers.items()},
+        {n: [_point_tuple(r, f"each row of {n}") for r in _list(rows, f"relation {n}")]
+         for n, rows in relations.items()},
+        {c: _point_id(v) for c, v in constants.items()},
     )
 
 
@@ -246,16 +276,16 @@ def _carrier_coerce(raw, model: FinModel, sort):
 
 
 def iso_from_json(doc, by_name) -> Iso:
-    for key in ("src", "tgt", "map"):
-        if key not in doc:
-            raise InputError(f"isomorphism document missing {key!r}")
-    if doc["src"] not in by_name or doc["tgt"] not in by_name:
+    doc = _object(doc, "isomorphism document", ("src", "tgt", "map"))
+    if not all(isinstance(doc[k], str) and doc[k] in by_name for k in ("src", "tgt")):
         raise InputError("isomorphism between unknown models")
     src = by_name[doc["src"]].model
     tgt = by_name[doc["tgt"]].model
     triples = []
-    for sort, assign in doc["map"].items():
-        for a, b in assign.items():
+    for sort, assign in _object(doc["map"], "isomorphism map").items():
+        if sort not in src.carriers:
+            raise InputError(f"isomorphism map on undeclared sort {sort!r}")
+        for a, b in _object(assign, f"isomorphism map of sort {sort!r}").items():
             triples.append(
                 (sort, _carrier_coerce(a, src, sort), _carrier_coerce(b, tgt, sort))
             )
@@ -270,28 +300,27 @@ def iso_to_json(a: Iso):
 
 
 def model_groupoid_from_json(doc) -> ModelGroupoid:
-    for key in ("signature", "params", "models", "arrows"):
-        if key not in doc:
-            raise InputError(f"model-groupoid document missing {key!r}")
+    doc = _object(doc, "model-groupoid document", ("signature", "params", "models", "arrows"))
     sig = signature_from_json(doc["signature"])
-    params = dict(doc["params"])
+    params = _object(doc["params"], "params")
+    for p, s in params.items():
+        if s not in sig.sorts:
+            raise InputError(f"parameter {p} has undeclared sort {s}")
     members = []
-    for mdoc in doc["models"]:
+    for mdoc in _list(doc["models"], "models"):
         model = model_from_json(mdoc, sig)
-        indexing = {
-            p: _carrier_coerce(e, model, params[p])
-            for p, e in mdoc.get("indexing", {}).items()
-        }
-        members.append(IndexedModel(model, indexing, params))
+        indexing = _object(mdoc.get("indexing", {}), "indexing")
+        for p in indexing:
+            if p not in params:
+                raise InputError(f"parameter {p} not declared")
+        members.append(IndexedModel(
+            model, {p: _carrier_coerce(e, model, params[p]) for p, e in indexing.items()}, params
+        ))
     by_name = {im.name: im for im in members}
     if doc["arrows"] == "all":
-        probe = ModelGroupoid(
-            sig, params, members,
-            [logic.identity_iso(im.model) for im in members],
-        )
-        arrows = logic.all_isos_between_members(probe)
+        arrows = logic.all_isos_between_members(members)
     else:
-        arrows = frozenset(iso_from_json(a, by_name) for a in doc["arrows"])
+        arrows = frozenset(iso_from_json(a, by_name) for a in _list(doc["arrows"], "arrows"))
     return ModelGroupoid(sig, params, members, arrows)
 
 
@@ -328,16 +357,18 @@ def model_groupoid_to_json(g: ModelGroupoid):
 def cospan_from_json(doc):
     from . import frac
 
-    for key in ("source", "target", "apex", "fwd"):
-        if key not in doc:
-            raise InputError(f"cospan document missing {key!r}")
+    doc = _object(doc, "cospan document", ("source", "target", "apex", "fwd"))
+    fdoc = _object(doc["fwd"], "fwd", ("obj_map", "arr_map"))
+    obj_map = _object(fdoc["obj_map"], "obj_map")
+    if not all(isinstance(v, str) for v in obj_map.values()):
+        raise InputError("obj_map must map model names to model names")
     source = model_groupoid_from_json(doc["source"])
     target = model_groupoid_from_json(doc["target"])
     apex = model_groupoid_from_json(doc["apex"])
-    fdoc = doc["fwd"]
-    obj_map = dict(fdoc["obj_map"])
     arr_map = {}
-    for pair in fdoc["arr_map"]:
+    for pair in _list(fdoc["arr_map"], "arr_map"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputError("arr_map entries must be pairs [iso, iso]")
         a = iso_from_json(pair[0], source.by_name)
         b = iso_from_json(pair[1], apex.by_name)
         arr_map[a] = b

@@ -694,7 +694,7 @@ class ModelGroupoid:
         self.by_name = {im.name: im for im in self.members}
         self.arrows = frozenset(arrows)
         self._derived = {}
-        self._engines = {}
+        self._engine = None
         bad = self.validate()
         if bad:
             raise InputError("; ".join(bad))
@@ -735,13 +735,11 @@ class ModelGroupoid:
     def member_names(self):
         return [im.name for im in self.members]
 
-    def engine(self, budget=DEFAULT_FORMULA_BUDGET) -> "DefinableSets":
-        """The definable-set enumeration of the members, one per budget."""
-        if budget not in self._engines:
-            self._engines[budget] = DefinableSets(
-                self.signature, [im.model for im in self.members], budget
-            )
-        return self._engines[budget]
+    def engine(self) -> "DefinableSets":
+        """The definable-set enumeration of the members."""
+        if self._engine is None:
+            self._engine = DefinableSets(self.signature, [im.model for im in self.members])
+        return self._engine
 
     def interp_tuple(self, name, ptuple):
         """Interpretation of a parameter tuple in a member, or None."""
@@ -760,11 +758,10 @@ class ModelGroupoid:
             out.extend(comb(names, k))
         return out
 
-    def derive(self, depth: int, tuple_cap: int = DEFAULT_TUPLE_CAP,
-               budget: int = DEFAULT_FORMULA_BUDGET) -> "DerivedGroupoid":
-        key = (depth, tuple_cap, budget)
+    def derive(self, depth: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> "DerivedGroupoid":
+        key = (depth, tuple_cap)
         if key not in self._derived:
-            self._derived[key] = logical_topologies(self, depth, tuple_cap, budget)
+            self._derived[key] = logical_topologies(self, depth, tuple_cap)
         return self._derived[key]
 
     def __eq__(self, other):
@@ -920,8 +917,8 @@ class DerivedGroupoid:
         return self.groupoid.arrows
 
 
-def _object_subbasis(g: ModelGroupoid, depth, tuple_cap, budget):
-    eng = g.engine(budget)
+def _object_subbasis(g: ModelGroupoid, depth, tuple_cap):
+    eng = g.engine()
     subbasis = set()
     for ptuple in g.param_tuples(tuple_cap):
         ctx_sorts = tuple(g.params[p] for p in ptuple)
@@ -957,8 +954,7 @@ def _arrow_subbasis(g: ModelGroupoid, obj_subbasis):
 
 
 def logical_topologies(g: ModelGroupoid, depth: int,
-                       tuple_cap: int = DEFAULT_TUPLE_CAP,
-                       budget: int = DEFAULT_FORMULA_BUDGET) -> DerivedGroupoid:
+                       tuple_cap: int = DEFAULT_TUPLE_CAP) -> DerivedGroupoid:
     """Endow a model groupoid with the logical topologies at bounded
     depth, deepening until consecutive open families agree or the bound
     is hit; the achieved depth and stabilization flag are recorded."""
@@ -968,7 +964,7 @@ def logical_topologies(g: ModelGroupoid, depth: int,
     spaces = None
     prev = None
     for d in range(0, depth + 1):
-        obj_sub = _object_subbasis(g, d, tuple_cap, budget)
+        obj_sub = _object_subbasis(g, d, tuple_cap)
         arr_sub = _arrow_subbasis(g, obj_sub)
         obj_space = fintop.generate_topology(names, obj_sub)
         arr_space = fintop.generate_topology(frozenset(g.arrows), arr_sub)
@@ -999,17 +995,15 @@ def logical_topologies(g: ModelGroupoid, depth: int,
 
 
 def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
-                    tuple_cap: int = DEFAULT_TUPLE_CAP,
-                    budget: int = DEFAULT_FORMULA_BUDGET):
+                    tuple_cap: int = DEFAULT_TUPLE_CAP):
     """The sheaf of satisfying tuples of a geometric formula, with the
     parameter-definable topology on its total space, over the derived
     groupoid at the same depth.  An empty context yields the terminal
     sheaf."""
     from . import sheaf as sheaf_mod
 
-    derived = g.derive(depth, tuple_cap, budget)
-    base = derived.groupoid
-    eng = g.engine(budget)
+    base = g.derive(depth, tuple_cap).groupoid
+    eng = g.engine()
     ctx_sorts = tuple(s for _, s in formula.context)
     names = [v for v, _ in formula.context]
     total_pts = set()
@@ -1070,12 +1064,11 @@ def parameter_orbit(g: ModelGroupoid, ptuple) -> frozenset:
 
 
 def eliminates_parameters(g: ModelGroupoid, depth: int,
-                          tuple_cap: int = DEFAULT_TUPLE_CAP,
-                          budget: int = DEFAULT_FORMULA_BUDGET) -> Verdict:
+                          tuple_cap: int = DEFAULT_TUPLE_CAP) -> Verdict:
     """Search for parameter-free formulas defining every parameter-tuple
     orbit.  "yes" comes with one witness formula per tuple; exhausting
     the depth bound gives "unknown", never a definitive "no"."""
-    eng = g.engine(budget)
+    eng = g.engine()
     witnesses = []
     unknown = []
     for ptuple in g.param_tuples(tuple_cap, with_replacement=True):
@@ -1102,13 +1095,12 @@ def eliminates_parameters(g: ModelGroupoid, depth: int,
 
 
 def is_ultrahomogeneous(m: FinModel, depth: int,
-                        tuple_cap: int = DEFAULT_TUPLE_CAP,
-                        budget: int = DEFAULT_FORMULA_BUDGET) -> Verdict:
+                        tuple_cap: int = DEFAULT_TUPLE_CAP) -> Verdict:
     """Are tuples of equal bounded-depth type automorphism-conjugate?
 
     Bounded types make this approximate in both directions; the verdict
     records the depth it was computed at."""
-    eng = DefinableSets(m.signature, [m], budget)
+    eng = DefinableSets(m.signature, [m])
     autos = automorphisms(m)
     provenance = f"depth={depth},tuple-cap={tuple_cap}"
     for k in range(1, tuple_cap + 1):
@@ -1137,45 +1129,40 @@ def is_ultrahomogeneous(m: FinModel, depth: int,
 # -- etale completion ----------------------------------------------------------
 
 
-def all_isos_between_members(g: ModelGroupoid) -> frozenset:
-    out = set()
-    models = [im.model for im in g.members]
-    for m in models:
-        for n in models:
-            out.update(model_isomorphisms(m, n))
-    return frozenset(out)
+def all_isos_between_members(members) -> frozenset:
+    """Every isomorphism between the indexed models `members` (a
+    ModelGroupoid is read as its members)."""
+    models = [im.model for im in getattr(members, "members", members)]
+    return frozenset(a for m in models for n in models for a in model_isomorphisms(m, n))
 
 
 def etale_completion(g: ModelGroupoid, depth: int,
-                     tuple_cap: int = DEFAULT_TUPLE_CAP,
-                     budget: int = DEFAULT_FORMULA_BUDGET):
+                     tuple_cap: int = DEFAULT_TUPLE_CAP):
     """Same members and indexings, arrows enlarged to all isomorphisms,
     logical topologies recomputed.  Returns (completed groupoid, the
     inclusion of the original as a subgroupoid of the completion's
     derived groupoid)."""
     completed = ModelGroupoid(
-        g.signature, g.params, g.members, all_isos_between_members(g)
+        g.signature, g.params, g.members, all_isos_between_members(g.members)
     )
-    derived = completed.derive(depth, tuple_cap, budget)
-    inclusion = Subgroupoid(derived.groupoid, g.arrows)
+    inclusion = Subgroupoid(completed.derive(depth, tuple_cap).groupoid, g.arrows)
     return completed, inclusion
 
 
 def is_etale_complete(g: ModelGroupoid, depth: int,
-                      tuple_cap: int = DEFAULT_TUPLE_CAP,
-                      budget: int = DEFAULT_FORMULA_BUDGET) -> Verdict:
+                      tuple_cap: int = DEFAULT_TUPLE_CAP) -> Verdict:
     """Three conjuncts: all isomorphisms between members present (exact),
     sober object space (exact; automatic for finite T0), and parameter
     elimination (bounded, may come back unknown)."""
     witnesses = []
-    missing = all_isos_between_members(g) - g.arrows
+    missing = all_isos_between_members(g.members) - g.arrows
     for a in sorted(missing, key=ckey):
         witnesses.append((("kind", "missing-isomorphism"), ("src", a.src), ("tgt", a.tgt)))
-    derived = g.derive(depth, tuple_cap, budget)
+    derived = g.derive(depth, tuple_cap)
     sober = fintop.is_sober(derived.objects)
     if not sober:
         witnesses.append((("kind", "object-space-not-sober"),))
-    elim = eliminates_parameters(g, depth, tuple_cap, budget)
+    elim = eliminates_parameters(g, depth, tuple_cap)
     details = (
         ("achieved_depth", derived.depth),
         ("stabilized", derived.stabilized),

@@ -135,19 +135,19 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     span_space = amb.arrows.subspace(span)
     u0space = amb.objects.subspace(u0)
     u1_from = {}
-    for z in sorted_points(u.arrow_set):
+    for z in u.arrow_set:
         u1_from.setdefault(s[z], []).append(z)
-    amb_from = {}
-    for a in sorted_points(amb.arrows.points):
-        amb_from.setdefault(s[a], []).append(a)
-    for alpha in sorted_points(span):
+    # every admissible gamma (source in w, a subset of u0; target in y0) is in span
+    span_sorted = sorted_points(span)
+    span_from = {}
+    for a in span_sorted:
+        span_from.setdefault(s[a], []).append(a)
+    for alpha in span_sorted:
         v = span_space.min_open(alpha)
         w = u0space.min_open(s[alpha])
         v_srcs = {s[eta] for eta in v}
         for x2 in sorted_points(w):
-            for gamma in amb_from.get(x2, ()):
-                if t[gamma] not in y0:
-                    continue
+            for gamma in span_from.get(x2, ()):
                 ok = False
                 for zeta in u1_from.get(x2, ()):
                     if t[zeta] not in v_srcs:

@@ -246,10 +246,7 @@ def random_model_groupoid(rng: random.Random, max_models=3, max_size=3) -> Model
                 members.append(_indexed(other, params))
     arrow_style = rng.choice(["autos", "all", "identities"])
     if arrow_style == "all":
-        probe = ModelGroupoid(
-            sig, params, members, [logic.identity_iso(im.model) for im in members]
-        )
-        arrows = logic.all_isos_between_members(probe)
+        arrows = logic.all_isos_between_members(members)
     elif arrow_style == "autos":
         arrows = set()
         for im in members:

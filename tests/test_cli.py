@@ -326,6 +326,20 @@ def test_functor_maps_that_are_not_objects_exit_3(capsys, tmp_path, shape):
     assert "must be an object" in rep["result"]["error"]
 
 
+@pytest.mark.parametrize("side", ["dom", "cod"])
+def test_functor_between_groupoids_with_missing_comp_exits_3(capsys, tmp_path, side):
+    g = discrete_space_groupoid_doc(2)
+    ident = {p: p for p in g["objects"]["points"]}
+    doc = {"dom": g, "cod": g, "obj_map": ident, "arr_map": ident}
+    doc[side] = dict(g, comp=[])
+    p = tmp_path / "functor.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, "factorize", "--functor", str(p))
+    assert (code, rep["result"]["error"]) == (
+        3, "not a continuous functor: comp not preserved at (0,0); comp not preserved at (1,1)"
+    )
+
+
 def test_point_sets_must_be_lists(capsys, tmp_path):
     """A string of point ids is not read as a set of one-character ids."""
     g = tmp_path / "g.json"
@@ -343,3 +357,42 @@ def test_point_sets_must_be_lists(capsys, tmp_path):
     s.write_text(json.dumps({"points": ["0", "1"], "opens": [[], "01", ["0", "1"]]}))
     code, rep = run(capsys, "validate", "--space", str(s))
     assert (code, rep["result"]["error"]) == (3, "each of opens must be a list of point ids")
+
+
+ISO_MG_DOC = dict(MG_DOC, arrows=[{"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}}])
+
+
+def _model(doc, **changes):
+    return dict(doc, models=[dict(doc["models"][0], **changes)])
+
+
+MALFORMED_MODEL_GROUPOIDS = {
+    "params-list-of-non-pairs": lambda d: dict(d, params=["p", "q"]),
+    "param-of-undeclared-sort": lambda d: dict(d, params={"p": "S", "q": "T"}),
+    "indexing-undeclared-param": lambda d: _model(d, indexing={"p": "a", "q": "b", "r": "a"}),
+    "indexing-list": lambda d: _model(d, indexing=["a", "b"]),
+    "carriers-list": lambda d: _model(d, carriers=["a", "b"]),
+    "arity-not-a-list": lambda d: dict(d, signature={"sorts": ["S"], "relations": {"P": 5, "Q": ["S"]}}),
+    "relation-row-int": lambda d: _model(d, relations={"P": [5], "Q": [["b"]]}),
+    "constants-list": lambda d: _model(d, constants=["c"]),
+    "name-list": lambda d: _model(d, name=["M1"]),
+    "arrows-int": lambda d: dict(d, arrows=5),
+    "iso-map-list": lambda d: dict(d, arrows=[dict(d["arrows"][0], map=["a", "b"])]),
+    "iso-sort-map-list": lambda d: dict(d, arrows=[dict(d["arrows"][0], map={"S": ["a", "b"]})]),
+}
+
+
+@pytest.mark.parametrize("shape", list(MALFORMED_MODEL_GROUPOIDS))
+def test_malformed_model_groupoid_shape_exits_3(capsys, tmp_path, shape):
+    p = tmp_path / "models.json"
+    p.write_text(json.dumps(MALFORMED_MODEL_GROUPOIDS[shape](ISO_MG_DOC)))
+    code, rep = run(capsys, "elim-params", "--models", str(p))
+    assert code == 3
+    assert rep["result"]["error"]
+
+
+def test_topology_input_that_is_not_an_object_exits_3(capsys, tmp_path):
+    p = tmp_path / "topology.json"
+    p.write_text("5")
+    code, rep = run(capsys, "topology", "--input", str(p))
+    assert (code, rep["result"]["error"]) == (3, "topology input must be an object")

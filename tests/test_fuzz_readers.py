@@ -1,0 +1,73 @@
+"""Fuzz the JSON readers: a valid document with one subtree replaced by
+arbitrary JSON must end in a report and an exit code, never a traceback."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_cli import ISO_MG_DOC, ISO_PAIR_DOC, discrete_space_groupoid_doc
+from topogrpd import cli
+
+GROUPOID = discrete_space_groupoid_doc(2)
+IDENT = {p: p for p in GROUPOID["objects"]["points"]}
+
+# name -> (document, command line reading it from the path {doc}, other files)
+DOCUMENTS = {
+    "groupoid": (ISO_PAIR_DOC, ["weq-check", "--groupoid", "{doc}", "--sub", "{sub}"]),
+    "model-groupoid": (ISO_MG_DOC, ["elim-params", "--models", "{doc}"]),
+    "functor": ({"dom": GROUPOID, "cod": GROUPOID, "obj_map": IDENT, "arr_map": IDENT},
+                ["factorize", "--functor", "{doc}"]),
+    "topology": ({"points": [0, 1, 2], "subbasis": [[0, 1], [1, 2]]},
+                 ["topology", "--input", "{doc}"]),
+}
+
+# leaves lean towards names the documents use, so that mutants get past the first check
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+          | st.sampled_from(["a", "b", "f", "ia", "0", "1", "S", "M1", "p", "all", "map"])
+          | st.text(max_size=2))
+JSON = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=2) | st.sampled_from(["a", "S", "map"]),
+                                      inner, max_size=3),
+                    max_leaves=8)
+
+
+def paths(doc, at=()):
+    """Every subtree position of a JSON document, the root included."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from paths(value, at + (key,))
+
+
+def replaced(doc, at, value):
+    if not at:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[at[0]] = replaced(doc[at[0]], at[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("kind", list(DOCUMENTS))
+def test_a_mutated_document_ends_in_a_report(tmp_path_factory, kind):
+    base, argv = DOCUMENTS[kind]
+    folder = tmp_path_factory.mktemp(kind)
+    sub = folder / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["ia"]}))
+    doc = folder / "doc.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(at=st.sampled_from(list(paths(base))), value=JSON)
+    def mutant_is_reported(at, value):
+        doc.write_text(json.dumps(replaced(base, at, value)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run([a.format(doc=doc, sub=sub) for a in argv])
+        assert code in range(6)
+        report = json.loads(out.getvalue())
+        assert report["command"] == argv[0]
+
+    mutant_is_reported()

@@ -283,9 +283,7 @@ def all_indexed_models():
                     k += 1
                     m = FinModel(f"m{k}", PURE, {"S": set(carrier)})
                     members.append(IndexedModel(m, dict(zip(dom, assign)), params))
-    probe = ModelGroupoid(PURE, params, members,
-                          [logic.identity_iso(im.model) for im in members])
-    return ModelGroupoid(PURE, params, members, logic.all_isos_between_members(probe))
+    return ModelGroupoid(PURE, params, members, logic.all_isos_between_members(members))
 
 
 def test_eliminates_parameters_all_indexed_models():

@@ -5,8 +5,7 @@ import pytest
 import oracles
 from corpus import SMALL_GROUPS, random_discrete_groupoid
 from test_grpd import S3, Z2, iso_pair
-from test_logic import all_indexed_models
-from topogrpd import fintop, grpd, logic, sheaf
+from topogrpd import fintop, grpd, sheaf
 from topogrpd.errors import BudgetExceeded, CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
@@ -203,9 +202,6 @@ WARM_COLD_CASES = {
     "open_subgroupoids": (_discrete3, grpd.enumerate_open_subgroupoids, "budget"),
     "subobject_lattice": (_generator, sheaf.subobject_lattice, "cap"),
     "subobject_restriction": (_discrete3, _restrict, "cap"),
-    "eliminates_parameters": (
-        all_indexed_models, lambda g, **kw: logic.eliminates_parameters(g, 2, 2, **kw), "budget",
-    ),
 }
 
 

@@ -75,6 +75,32 @@ def test_pointwise_criteria_match_literal_oracles():
                 assert weq.has_source_determined_orbits(y, u) == oracles.source_determined_oracle(y, u)
 
 
+def test_source_determined_witness_sorts_only_the_span_and_neighbourhoods(monkeypatch):
+    """Work guard: one sort of the span per call plus one per minimal
+    neighbourhood visited; the ambient arrows and u's arrows are never
+    sorted."""
+    sorted_args = []
+
+    def counting(points):
+        sorted_args.append(points)
+        return fintop.sorted_points(points)
+
+    monkeypatch.setattr(weq, "sorted_points", counting)
+    rng = random.Random(67)
+    checked = 0
+    for g in groupoid_corpus(rng, 20):
+        for y in grpd.enumerate_subgroupoids(g, budget=256)[:6]:
+            for u in grpd.enumerate_open_subgroupoids(g, budget=256)[:6]:
+                sorted_args.clear()
+                weq.source_determined_witness(y, u)
+                span = [a for a in g.arrows.points
+                        if g.src.mapping[a] in u.object_set and g.tgt.mapping[a] in y.object_set]
+                assert len(sorted_args) <= 1 + len(span)
+                assert not any(p is g.arrows.points or p is u.arrow_set for p in sorted_args)
+                checked += len(span) > 1
+    assert checked > 100
+
+
 def test_localic_surjection_examples():
     h = Subgroupoid(S3, grpd.subgroupoid_closure(S3, {(1, 0, 2)}))
     assert weq.is_localic_surjection(h).answer == "yes"
