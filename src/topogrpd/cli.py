@@ -49,7 +49,6 @@ def _cmd_validate(args, inputs):
         diagnostics += grpd.validate_groupoid(g)
     if args.models:
         mg = jsonio.model_groupoid_from_json(_load(args.models, inputs))
-        diagnostics += mg.validate()
         diagnostics += grpd.validate_groupoid(
             mg.derive(args.depth, args.tuple_cap).groupoid
         )
@@ -148,8 +147,8 @@ def _cmd_elim_params(args, inputs):
 
 def _cmd_etale_complete(args, inputs):
     mg = jsonio.model_groupoid_from_json(_load(args.models, inputs))
-    completed, inclusion = logic.etale_completion(mg, args.depth, args.tuple_cap)
-    again, _ = logic.etale_completion(completed, args.depth, args.tuple_cap)
+    completed = logic.etale_completion(mg)
+    again = logic.etale_completion(completed)
     input_check = logic.is_etale_complete(mg, args.depth, args.tuple_cap)
     return {
         "completion": jsonio.model_groupoid_to_json(completed),

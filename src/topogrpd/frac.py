@@ -30,6 +30,9 @@ from .grpd import ContinuousFunctor, ContinuousTransformation, Subgroupoid
 from .logic import ModelGroupoid
 from .weq import Verdict
 
+# the certificate of an identity leg, which needs no search
+_IDENTITY_CERTIFICATE = Verdict("yes", (), "exhaustive", (("identity", True),))
+
 
 class ModelFunctor:
     """A functor of model groupoids: models to models, isomorphisms to
@@ -53,13 +56,9 @@ class ModelFunctor:
                 raise InputError("arrow map value outside codomain arrows")
             if b.src != self.obj_map[a.src] or b.tgt != self.obj_map[a.tgt]:
                 raise InputError("arrow map incompatible with object map")
-        for a in dom.arrows:
-            for b in dom.arrows:
-                if b.src == a.tgt:
-                    lhs = self.arr_map[logic.compose_isos(b, a)]
-                    rhs = logic.compose_isos(self.arr_map[b], self.arr_map[a])
-                    if lhs != rhs:
-                        raise InputError("arrow map not functorial")
+        for (b, a), ba in dom.comp.items():
+            if self.arr_map[ba] != cod.comp[(self.arr_map[b], self.arr_map[a])]:
+                raise InputError("arrow map not functorial")
 
     def derived(self, depth: int, tuple_cap: int = logic.DEFAULT_TUPLE_CAP) -> ContinuousFunctor:
         d, c = self.dom.derive(depth, tuple_cap), self.cod.derive(depth, tuple_cap)
@@ -112,6 +111,12 @@ class ModelInclusion:
     def derived_subgroupoid(self, depth: int, tuple_cap: int = logic.DEFAULT_TUPLE_CAP) -> Subgroupoid:
         amb = self.ambient.derive(depth, tuple_cap)
         return Subgroupoid(amb.groupoid, self.sub.arrows)
+
+    def certificate(self, depth: int, tuple_cap: int, budget: int) -> Verdict:
+        """The weak-equivalence verdict of the derived inclusion, every route."""
+        return weq.is_weak_equivalence(
+            self.derived_subgroupoid(depth, tuple_cap), mode="all", budget=budget
+        )
 
     def as_model_functor(self) -> ModelFunctor:
         return ModelFunctor(
@@ -191,9 +196,7 @@ def make_cospan(fwd: ModelFunctor, weq_leg: ModelInclusion, depth: int,
     if fwd.cod != weq_leg.ambient:
         raise InputError("forward leg and inclusion leg have different apexes")
     fwd.derived(depth, tuple_cap)
-    cert = weq.is_weak_equivalence(
-        weq_leg.derived_subgroupoid(depth, tuple_cap), mode="all", budget=budget
-    )
+    cert = weq_leg.certificate(depth, tuple_cap, budget)
     if cert.answer != "yes":
         raise CertificateError(
             f"weq certificate failed: {cert.answer} {cert.witnesses[:1]}"
@@ -203,9 +206,8 @@ def make_cospan(fwd: ModelFunctor, weq_leg: ModelInclusion, depth: int,
 
 def identity_cospan(g: ModelGroupoid, depth: int,
                     tuple_cap: int = logic.DEFAULT_TUPLE_CAP) -> CospanMorphism:
-    cert = Verdict("yes", (), "exhaustive", (("identity", True),))
     return CospanMorphism(
-        identity_model_functor(g), ModelInclusion(g, g), cert, depth, tuple_cap
+        identity_model_functor(g), ModelInclusion(g, g), _IDENTITY_CERTIFICATE, depth, tuple_cap
     )
 
 
@@ -236,17 +238,14 @@ def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
     if psi.sub != phi.dom:
         raise InputError("span legs have different feet")
     if psi.is_identity():
-        cert = Verdict("yes", (), "exhaustive", (("identity", True),))
         ident = ModelInclusion(phi.cod, phi.cod)
         return OreSquare(
             phi.cod, ident, phi,
-            grpd.identity_transformation(phi.derived(depth, tuple_cap)), cert,
+            grpd.identity_transformation(phi.derived(depth, tuple_cap)), _IDENTITY_CERTIFICATE,
         )
     apex = merge_and_complete([phi.cod, psi.ambient], budget)
     psi2 = ModelInclusion(phi.cod, apex)
-    cert = weq.is_weak_equivalence(
-        psi2.derived_subgroupoid(depth, tuple_cap), mode="all", budget=budget
-    )
+    cert = psi2.certificate(depth, tuple_cap, budget)
     if cert.answer != "yes":
         raise CertificateError(
             f"completed leg fails weak-equivalence certificate: {cert.answer}"
@@ -271,9 +270,7 @@ def compose(f: CospanMorphism, g: CospanMorphism, budget: int = 4096) -> CospanM
     square = ore_complete(f.weq_leg, g.fwd, depth, tuple_cap, budget)
     fwd = compose_model_functors(square.phi2, f.fwd)
     leg = ModelInclusion(g.target, square.apex)
-    cert = weq.is_weak_equivalence(
-        leg.derived_subgroupoid(depth, tuple_cap), mode="all", budget=budget
-    )
+    cert = leg.certificate(depth, tuple_cap, budget)
     if cert.answer != "yes":
         raise CertificateError(
             f"composite weq leg fails certification: {cert.answer}"
@@ -329,15 +326,13 @@ def _try_mediated(c_from: CospanMorphism, c_to: CospanMorphism, direction,
     cap = max(c_from.tuple_cap, c_to.tuple_cap)
     if c_from.apex == c_to.apex:
         mediator = identity_model_functor(c_from.apex)
-        kind, cert = "identity", Verdict("yes", (), "exhaustive", (("identity", True),))
+        kind, cert = "identity", _IDENTITY_CERTIFICATE
     else:
         try:
             incl = ModelInclusion(c_from.apex, c_to.apex)
         except InputError:
             return None
-        cert = weq.is_weak_equivalence(
-            incl.derived_subgroupoid(depth, cap), mode="all", budget=budget
-        )
+        cert = incl.certificate(depth, cap, budget)
         if cert.answer != "yes":
             return None
         mediator, kind = incl.as_model_functor(), "inclusion"
@@ -408,12 +403,8 @@ def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
     for d in (depth, depth + 1):
         incl_x = ModelInclusion(x, apex)
         incl_y = ModelInclusion(y, apex)
-        vx = weq.is_weak_equivalence(
-            incl_x.derived_subgroupoid(d, tuple_cap), mode="all", budget=budget
-        )
-        vy = weq.is_weak_equivalence(
-            incl_y.derived_subgroupoid(d, tuple_cap), mode="all", budget=budget
-        )
+        vx = incl_x.certificate(d, tuple_cap, budget)
+        vy = incl_y.certificate(d, tuple_cap, budget)
         if vx.answer == "yes" and vy.answer == "yes":
             return MoritaResult(
                 Verdict("yes", (), f"merged-completion,depth={d}"),

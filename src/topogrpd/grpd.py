@@ -373,7 +373,8 @@ def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
         return subs
     if not g.is_open():
         raise InputError("groupoid is not open")
-    atoms = {subgroupoid_closure(g, g.arrows.min_open(a)) for a in g.arrows.points}
+    # arrows of a non-T0 arrow space share minimal opens: close each once
+    atoms = {subgroupoid_closure(g, u) for u in {g.arrows.min_open(a) for a in g.arrows.points}}
     subs = _enumerate_join_closure(g, atoms, budget)
     for s in subs:
         if not s.is_open():  # pragma: no cover - guarded by openness precondition

@@ -32,7 +32,7 @@ from typing import NamedTuple
 from . import fintop
 from .errors import CapExceeded, FormulaError, InputError
 from .fintop import ckey
-from .grpd import Subgroupoid, TopGroupoid
+from .grpd import TopGroupoid
 from .weq import Verdict
 
 DEFAULT_TUPLE_CAP = 3
@@ -679,7 +679,14 @@ class IndexedModel:
 class ModelGroupoid:
     """A groupoid of indexed models: member models plus a set of
     isomorphisms closed under composition and inverses (identities
-    included).  derive() endows it with the logical topologies."""
+    included).  derive() endows it with the logical topologies.
+
+    Construction checks every arrow before it composes any: its endpoints
+    are members, its map is a bijection of the carriers and it preserves
+    the constants and relations.  Only then are the structure tables `unit` (member
+    name to identity), `inv` and `comp` ((b, a) to b o a) built, once,
+    and the closure laws read from them.  Each stage raises one
+    InputError naming all its violations in canonical order."""
 
     def __init__(self, signature: Signature, params, members, arrows):
         self.signature = signature
@@ -695,42 +702,45 @@ class ModelGroupoid:
         self.arrows = frozenset(arrows)
         self._derived = {}
         self._engine = None
-        bad = self.validate()
+        faults = {a: f for a in self.arrows if (f := self._arrow_fault(a))}
+        if faults:
+            raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
+        self.unit = {im.name: identity_iso(im.model) for im in self.members}
+        self.inv = {a: invert_iso(a) for a in self.arrows}
+        by_src = {}
+        for b in self.arrows:
+            by_src.setdefault(b.src, []).append(b)
+        self.comp = {(b, a): compose_isos(b, a) for a in self.arrows for b in by_src.get(a.tgt, ())}
+        bad = [f"missing identity on {n}" for n, e in self.unit.items() if e not in self.arrows]
+        bad += [f"arrows not closed under inverse at {a.src}->{a.tgt}"
+                for a in sorted((a for a in self.arrows if self.inv[a] not in self.arrows), key=ckey)]
+        if not self.arrows.issuperset(self.comp.values()):
+            bad.append("arrows not closed under composition")
         if bad:
             raise InputError("; ".join(bad))
 
-    def validate(self):
-        out = []
-        for a in self.arrows:
-            if a.src not in self.by_name or a.tgt not in self.by_name:
-                out.append(f"arrow between non-members {a.src}->{a.tgt}")
-                return out
-        for im in self.members:
-            if identity_iso(im.model) not in self.arrows:
-                out.append(f"missing identity on {im.name}")
-        for a in self.arrows:
-            if invert_iso(a) not in self.arrows:
-                out.append(f"arrows not closed under inverse at {a.src}->{a.tgt}")
-        for a in self.arrows:
-            for b in self.arrows:
-                if b.src == a.tgt and compose_isos(b, a) not in self.arrows:
-                    out.append("arrows not closed under composition")
-                    return out
-        for a in self.arrows:
-            m, n = self.by_name[a.src].model, self.by_name[a.tgt].model
-            lookup = dict(((s, x), y) for s, x, y in a.map)
-            for s in self.signature.sorts:
-                if {x for (ss, x) in lookup if ss == s} != set(m.carriers[s]):
-                    out.append(f"arrow map not total on {a.src}")
-                    return out
-            for rname, arity in self.signature.relation_arities.items():
-                fwd = frozenset(
-                    tuple(lookup[(s, e)] for s, e in zip(arity, row))
-                    for row in m.relations[rname]
-                )
-                if fwd != n.relations[rname]:
-                    out.append(f"arrow {a.src}->{a.tgt} not an isomorphism")
-        return out
+    def _arrow_fault(self, a: Iso):
+        """Why `a` is not an isomorphism between members, or None."""
+        if a.src not in self.by_name or a.tgt not in self.by_name:
+            return f"arrow between non-members {a.src}->{a.tgt}"
+        m, n = self.by_name[a.src].model, self.by_name[a.tgt].model
+        sorts = self.signature.sorts
+        lookup = {(s, x): y for s, x, y in a.map}
+        images = {(s, y) for s, _, y in a.map}
+        if (len(lookup) != len(a.map) or len(images) != len(a.map)
+                or lookup.keys() != {(s, x) for s in sorts for x in m.carriers[s]}
+                or images != {(s, y) for s in sorts for y in n.carriers[s]}):
+            return f"arrow {a.src}->{a.tgt} map not a bijection of the carriers"
+        if any(lookup[(s, m.constants[c])] != n.constants[c] for c, s in self.signature.constants):
+            return f"arrow {a.src}->{a.tgt} not an isomorphism"
+        for rname, arity in self.signature.relation_arities.items():
+            fwd = frozenset(
+                tuple(lookup[(s, e)] for s, e in zip(arity, row))
+                for row in m.relations[rname]
+            )
+            if fwd != n.relations[rname]:
+                return f"arrow {a.src}->{a.tgt} not an isomorphism"
+        return None
 
     def member_names(self):
         return [im.name for im in self.members]
@@ -917,17 +927,19 @@ class DerivedGroupoid:
         return self.groupoid.arrows
 
 
-def _object_subbasis(g: ModelGroupoid, depth, tuple_cap):
+def _definable_subbasis(g: ModelGroupoid, ctx_sorts, points, depth, tuple_cap):
+    """The sets of `points` that formulas of depth <= depth in the
+    context ctx_sorts cut out, with parameter tuples up to tuple_cap;
+    `points` maps each point to its (member name, tuple) pair."""
     eng = g.engine()
     subbasis = set()
     for ptuple in g.param_tuples(tuple_cap):
-        ctx_sorts = tuple(g.params[p] for p in ptuple)
-        level = eng.level(ctx_sorts, depth)
-        index = eng.index(ctx_sorts)
-        bits = [(n, index[(n, vals)]) for n in g.member_names()
+        sorts = ctx_sorts + tuple(g.params[p] for p in ptuple)
+        index = eng.index(sorts)
+        bits = [(pt, index[(n, tup + vals)]) for pt, (n, tup) in points.items()
                 if (vals := g.interp_tuple(n, ptuple)) is not None]
-        for ext in level:
-            subbasis.add(frozenset(n for n, bit in bits if ext >> bit & 1))
+        for ext in eng.level(sorts, depth):
+            subbasis.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
     return subbasis
 
 
@@ -958,16 +970,16 @@ def logical_topologies(g: ModelGroupoid, depth: int,
     """Endow a model groupoid with the logical topologies at bounded
     depth, deepening until consecutive open families agree or the bound
     is hit; the achieved depth and stabilization flag are recorded."""
-    names = frozenset(g.member_names())
+    names = {n: (n, ()) for n in g.member_names()}
     achieved = 0
     stabilized = False
     spaces = None
     prev = None
     for d in range(0, depth + 1):
-        obj_sub = _object_subbasis(g, d, tuple_cap)
+        obj_sub = _definable_subbasis(g, (), names, d, tuple_cap)
         arr_sub = _arrow_subbasis(g, obj_sub)
         obj_space = fintop.generate_topology(names, obj_sub)
-        arr_space = fintop.generate_topology(frozenset(g.arrows), arr_sub)
+        arr_space = fintop.generate_topology(g.arrows, arr_sub)
         if prev is not None and (obj_space, arr_space) == prev:
             stabilized = True
             achieved = d - 1
@@ -979,15 +991,7 @@ def logical_topologies(g: ModelGroupoid, depth: int,
     obj_space, arr_space = spaces
     src = {a: a.src for a in g.arrows}
     tgt = {a: a.tgt for a in g.arrows}
-    unit = {im.name: identity_iso(im.model) for im in g.members}
-    inv = {a: invert_iso(a) for a in g.arrows}
-    comp = {
-        (b, a): compose_isos(b, a)
-        for b in g.arrows
-        for a in g.arrows
-        if a.tgt == b.src
-    }
-    grpd_obj = TopGroupoid(obj_space, arr_space, src, tgt, unit, inv, comp)
+    grpd_obj = TopGroupoid(obj_space, arr_space, src, tgt, g.unit, g.inv, g.comp)
     return DerivedGroupoid(grpd_obj, achieved, tuple_cap, stabilized)
 
 
@@ -1003,7 +1007,6 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     from . import sheaf as sheaf_mod
 
     base = g.derive(depth, tuple_cap).groupoid
-    eng = g.engine()
     ctx_sorts = tuple(s for _, s in formula.context)
     names = [v for v, _ in formula.context]
     total_pts = set()
@@ -1011,16 +1014,8 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
         for tup in _tuples(im.model, ctx_sorts):
             if _eval(im.model, formula.ast, dict(zip(names, tup))):
                 total_pts.add((im.name, tup))
-    subbasis = set()
-    for ptuple in g.param_tuples(tuple_cap):
-        psorts = tuple(g.params[p] for p in ptuple)
-        level = eng.level(ctx_sorts + psorts, depth)
-        index = eng.index(ctx_sorts + psorts)
-        bits = [((n, tup), index[(n, tup + vals)]) for (n, tup) in total_pts
-                if (vals := g.interp_tuple(n, ptuple)) is not None]
-        for ext in level:
-            subbasis.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
-    total = fintop.generate_topology(frozenset(total_pts), subbasis)
+    subbasis = _definable_subbasis(g, ctx_sorts, {pt: pt for pt in total_pts}, depth, tuple_cap)
+    total = fintop.generate_topology(total_pts, subbasis)
     proj = {pt: pt[0] for pt in total_pts}
     action = {}
     for a in g.arrows:
@@ -1136,17 +1131,13 @@ def all_isos_between_members(members) -> frozenset:
     return frozenset(a for m in models for n in models for a in model_isomorphisms(m, n))
 
 
-def etale_completion(g: ModelGroupoid, depth: int,
-                     tuple_cap: int = DEFAULT_TUPLE_CAP):
-    """Same members and indexings, arrows enlarged to all isomorphisms,
-    logical topologies recomputed.  Returns (completed groupoid, the
-    inclusion of the original as a subgroupoid of the completion's
-    derived groupoid)."""
-    completed = ModelGroupoid(
-        g.signature, g.params, g.members, all_isos_between_members(g.members)
-    )
-    inclusion = Subgroupoid(completed.derive(depth, tuple_cap).groupoid, g.arrows)
-    return completed, inclusion
+def etale_completion(g: ModelGroupoid) -> ModelGroupoid:
+    """Same members and indexings, arrows enlarged to all isomorphisms.
+
+    The completion does not depend on a formula depth.  The inclusion of
+    g at depth d and tuple cap c is
+    `grpd.Subgroupoid(completion.derive(d, c).groupoid, g.arrows)`."""
+    return ModelGroupoid(g.signature, g.params, g.members, all_isos_between_members(g))
 
 
 def is_etale_complete(g: ModelGroupoid, depth: int,

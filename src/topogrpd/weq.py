@@ -48,7 +48,7 @@ class Verdict:
     def to_json(self):
         return {
             "answer": self.answer,
-            "witnesses": [dict(w) if not isinstance(w, dict) else w for w in self.witnesses],
+            "witnesses": [dict(w) for w in self.witnesses],
             "family": self.provenance,
             "details": dict(self.details),
         }

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +400,70 @@ def test_topology_input_that_is_not_an_object_exits_3(capsys, tmp_path):
     p.write_text("5")
     code, rep = run(capsys, "topology", "--input", str(p))
     assert (code, rep["result"]["error"]) == (3, "topology input must be an object")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_under_hash_seed(seed, *argv):
+    """(exit code, report bytes) of a CLI run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "topogrpd.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+def members_on_ab(*names):
+    """Model-groupoid document without arrows: members on the carrier {a, b}."""
+    return {
+        "signature": {"sorts": ["V"], "relations": {}},
+        "params": {"p": "V", "q": "V"},
+        "models": [{"name": n, "carriers": {"V": ["a", "b"]}, "relations": {},
+                    "indexing": {"p": "a", "q": "b"}} for n in names],
+    }
+
+
+def iso_doc(src, tgt, assign):
+    return {"src": src, "tgt": tgt, "map": {"V": assign}}
+
+
+IDENTITY_MAP = {"a": "a", "b": "b"}
+
+
+@pytest.mark.parametrize("assign", [{"a": "a"}, {"a": "a", "b": "a"}],
+                         ids=["partial", "two-elements-one-image"])
+def test_an_iso_map_that_is_not_a_bijection_exits_3_under_every_hash_seed(tmp_path, assign):
+    """Arrows are checked before any is composed, so a map that is not a
+    bijection never reaches composition, whatever the set order."""
+    doc = dict(members_on_ab("M1", "M2"), arrows=[
+        iso_doc("M1", "M1", IDENTITY_MAP), iso_doc("M2", "M2", IDENTITY_MAP),
+        iso_doc("M1", "M2", assign), iso_doc("M2", "M1", assign),
+    ])
+    p = tmp_path / "models.json"
+    p.write_text(json.dumps(doc))
+    runs = [run_under_hash_seed(seed, "elim-params", "--models", str(p)) for seed in (0, 1)]
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert code == 3
+    assert json.loads(out)["result"]["error"] == (
+        "arrow M1->M2 map not a bijection of the carriers; "
+        "arrow M2->M1 map not a bijection of the carriers"
+    )
+
+
+def test_model_groupoid_violations_are_reported_in_canonical_order(tmp_path):
+    doc = dict(members_on_ab("M1", "M2", "M3"), arrows=[
+        *(iso_doc(n, n, IDENTITY_MAP) for n in ("M1", "M2", "M3")),
+        iso_doc("M1", "M2", IDENTITY_MAP), iso_doc("M1", "M3", IDENTITY_MAP),
+    ])
+    p = tmp_path / "models.json"
+    p.write_text(json.dumps(doc))
+    runs = [run_under_hash_seed(seed, "elim-params", "--models", str(p)) for seed in (1, 3)]
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert code == 3
+    assert json.loads(out)["result"]["error"] == (
+        "arrows not closed under inverse at M1->M2; "
+        "arrows not closed under inverse at M1->M3"
+    )

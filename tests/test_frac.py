@@ -36,7 +36,7 @@ def copies_groupoid(*names):
 
 
 def completion_cospan(g, depth=1, cap=2):
-    comp, _ = logic.etale_completion(g, depth, cap)
+    comp = logic.etale_completion(g)
     mi = ModelInclusion(g, comp)
     return make_cospan(mi.as_model_functor(), mi, depth, cap)
 
@@ -78,7 +78,7 @@ def test_ore_completion_span():
     """Span: identities-only included in its completion, against the same
     inclusion; the completed square has an identity-shaped 2-cell."""
     g = ident_groupoid("M1")
-    comp, _ = logic.etale_completion(g, 1, 2)
+    comp = logic.etale_completion(g)
     psi = ModelInclusion(g, comp)
     sq = frac.ore_complete(psi, psi.as_model_functor(), 1, 2)
     assert sq.apex.members == comp.members
@@ -91,7 +91,7 @@ def test_ore_second_copy():
     lands in a renamed copy; the merged completion connects everything
     and the square closes up to a found isomorphism."""
     g_both = copies_groupoid("M1", "M2")
-    comp, _ = logic.etale_completion(g_both, 1, 2)
+    comp = logic.etale_completion(g_both)
     psi = ModelInclusion(g_both, comp)
     assert not psi.is_identity()
     g_copy = copies_groupoid("M3", "M4")
@@ -174,7 +174,7 @@ def test_two_cell_full_faithfulness_at_finite_scale():
     completed two-copy groupoid are isomorphic, and the isomorphism count
     is exactly the transformation search's output."""
     g = copies_groupoid("M1", "M2")
-    comp, _ = logic.etale_completion(g, 1, 2)
+    comp = logic.etale_completion(g)
     derived = comp.derive(1, 2).groupoid
     idf = grpd.identity_functor(derived)
     cross = {a for a in comp.arrows if a.src == "M1" and a.tgt == "M2"}
@@ -199,7 +199,7 @@ def test_morita_equal_inputs():
     assert res.verdict.answer == "yes"
     assert res.apex is not None
     # witness: the completion of the input
-    comp, _ = logic.etale_completion(g, 1, 2)
+    comp = logic.etale_completion(g)
     assert res.apex.arrows == comp.arrows
 
 

@@ -1,5 +1,7 @@
 """Fuzz the JSON readers: a valid document with one subtree replaced by
-arbitrary JSON must end in a report and an exit code, never a traceback."""
+arbitrary JSON must end in a report and an exit code, never a traceback.
+Isomorphism maps are mutated on their own too, as arbitrary JSON almost
+never yields a well-formed map that is not a bijection."""
 
 import contextlib
 import io
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_cli import ISO_MG_DOC, ISO_PAIR_DOC, discrete_space_groupoid_doc
+from test_cli import (
+    IDENTITY_MAP, ISO_MG_DOC, ISO_PAIR_DOC, discrete_space_groupoid_doc, iso_doc, members_on_ab,
+)
 from topogrpd import cli
 
 GROUPOID = discrete_space_groupoid_doc(2)
@@ -71,3 +75,36 @@ def test_a_mutated_document_ends_in_a_report(tmp_path_factory, kind):
         assert report["command"] == argv[0]
 
     mutant_is_reported()
+
+
+# two members on {a, b}, joined both ways by the identity map
+TWO_MEMBERS = dict(members_on_ab("M1", "M2"), arrows=[
+    iso_doc(s, t, IDENTITY_MAP) for s in ("M1", "M2") for t in ("M1", "M2")
+])
+
+
+def iso_map_mutants(doc):
+    """Each arrow's map with one entry dropped, or with one element sent
+    to the image of another: never a bijection."""
+    for i, arrow in enumerate(doc["arrows"]):
+        for sort, assign in arrow["map"].items():
+            for x in assign:
+                changes = [{k: v for k, v in assign.items() if k != x}]
+                changes += [dict(assign, **{x: assign[y]}) for y in assign if y != x]
+                for new in changes:
+                    arrows = list(doc["arrows"])
+                    arrows[i] = dict(arrow, map=dict(arrow["map"], **{sort: new}))
+                    yield dict(doc, arrows=arrows)
+
+
+def test_an_iso_map_that_is_not_a_bijection_is_reported(tmp_path):
+    doc = tmp_path / "doc.json"
+    mutants = list(iso_map_mutants(TWO_MEMBERS))
+    assert len(mutants) == 4 * 2 * 2
+    for mutant in mutants:
+        doc.write_text(json.dumps(mutant))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(["elim-params", "--models", str(doc)])
+        assert code == 3
+        assert "map not a bijection of the carriers" in json.loads(out.getvalue())["result"]["error"]

@@ -3,8 +3,8 @@ import random
 import pytest
 
 import oracles
-from corpus import SMALL_GROUPS, random_discrete_groupoid
-from topogrpd import fintop, grpd
+from corpus import SMALL_GROUPS, graph_copies_doc, random_discrete_groupoid, rigid_graphs
+from topogrpd import fintop, grpd, jsonio
 from topogrpd.errors import BistabilityError, BudgetExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
@@ -75,6 +75,26 @@ def test_open_subgroupoids_empty_groupoid():
     g = grpd.space_groupoid(FinSpace.discrete(set()))
     subs = grpd.enumerate_open_subgroupoids(g)
     assert len(subs) == 1 and subs[0].arrow_set == frozenset()
+
+
+def test_each_distinct_minimal_neighbourhood_is_closed_once(monkeypatch):
+    """The derived groupoid of 3 rigid copies with all isomorphisms is not
+    T0: its 9 arrows share one minimal open, so one closure finds every atom."""
+    doc = graph_copies_doc(rigid_graphs(3)[0], 3, ["M1", "M2", "M3"], "all")
+    g = jsonio.model_groupoid_from_json(doc).derive(1, 2).groupoid
+    assert len(g.arrows.points) == 9
+    assert len({g.arrows.min_open(a) for a in g.arrows.points}) == 1
+    calls = []
+    closure = grpd.subgroupoid_closure
+
+    def counted(g, arrows):
+        calls.append(arrows)
+        return closure(g, arrows)
+
+    monkeypatch.setattr(grpd, "subgroupoid_closure", counted)
+    subs = grpd.enumerate_open_subgroupoids(g)
+    assert [s.arrow_set for s in subs] == [frozenset(), g.arrows.points]
+    assert len(calls) == 1
 
 
 def test_subgroupoid_budget():

@@ -359,7 +359,8 @@ def _ultra_brute(m, depth, cap):
 
 def test_completion_already_complete():
     g = aut_groupoid()
-    comp, incl = logic.etale_completion(g, 1)
+    comp = logic.etale_completion(g)
+    incl = grpd.Subgroupoid(comp.derive(1).groupoid, g.arrows)
     assert comp.arrows == g.arrows
     assert incl.arrow_set == g.arrows
 
@@ -374,9 +375,10 @@ def test_completion_adds_isos():
          IndexedModel(nn, {"p": "a", "q": "b"}, prm)],
         [logic.identity_iso(mm), logic.identity_iso(nn)],
     )
-    comp, incl = logic.etale_completion(gi, 1)
+    comp = logic.etale_completion(gi)
+    incl = grpd.Subgroupoid(comp.derive(1).groupoid, gi.arrows)
     assert len(comp.arrows) == 4  # the two cross isomorphisms were added
-    comp2, _ = logic.etale_completion(comp, 1)
+    comp2 = logic.etale_completion(comp)
     assert comp2.arrows == comp.arrows  # idempotent
     v = weq.is_weak_equivalence(incl, mode="all")
     assert v.answer == "yes"
@@ -387,7 +389,8 @@ def test_completion_inclusion_weq_on_generated_corpus():
     gs = sober_eliminating_model_groupoids(rng, 6, depth=1, tuple_cap=2)
     assert len(gs) >= 4
     for g in gs:
-        comp, incl = logic.etale_completion(g, 1, 2)
+        comp = logic.etale_completion(g)
+        incl = grpd.Subgroupoid(comp.derive(1, 2).groupoid, g.arrows)
         assert weq.is_weak_equivalence(incl, mode="all").answer == "yes"
 
 
@@ -429,3 +432,14 @@ def test_model_groupoid_validation():
     # non-surjective indexing
     with pytest.raises(InputError):
         IndexedModel(m, {"p": "a"}, {"p": "S"})
+
+
+def test_an_arrow_that_moves_a_constant_is_not_an_isomorphism():
+    sig = logic.make_signature(["S"], {}, {"c": "S"})
+    m = FinModel("M", sig, {"S": {"a", "b"}}, {}, {"c": "a"})
+    params = {"p": "S", "q": "S"}
+    im = IndexedModel(m, {"p": "a", "q": "b"}, params)
+    swap = logic.Iso("M", "M", (("S", "a", "b"), ("S", "b", "a")))
+    assert logic.automorphisms(m) == [logic.identity_iso(m)]
+    with pytest.raises(InputError, match="arrow M->M not an isomorphism"):
+        ModelGroupoid(sig, params, [im], [logic.identity_iso(m), swap])
