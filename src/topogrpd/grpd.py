@@ -136,16 +136,15 @@ def validate_groupoid(g: TopGroupoid) -> list:
             out.append(f"unit law fails at {fmt_point(a)}")
         if g.comp[(i[a], a)] != e[s[a]] or g.comp[(a, i[a])] != e[t[a]]:
             out.append(f"inverse law fails at {fmt_point(a)}")
-    # associativity: (h o g) o f = h o (g o f) over composable triples
-    for gg, ff in g.composable_pairs():
-        gf = g.comp[(gg, ff)]
-        for hh in arrows.points:
-            if s[hh] == t[gg] and g.comp[(g.comp[(hh, gg)], ff)] != g.comp[(hh, gf)]:
-                out.append(f"comp not associative at {fmt_point((hh, gg, ff))}")
-                break
-        else:
-            continue
-        break
+    # associativity: (h o g) o f = h o (g o f) over composable triples,
+    # the h of each (g, f) read from the pairs (h, g) indexed by g
+    after = {}
+    for hh, gg in pairs:
+        after.setdefault(gg, []).append(hh)
+    bad = [(hh, gg, ff) for gg, ff in pairs for hh in after[gg]
+           if g.comp[(g.comp[(hh, gg)], ff)] != g.comp[(hh, g.comp[(gg, ff)])]]
+    if bad:
+        out.append(f"comp not associative at {fmt_point(min(bad, key=ckey))}")
     fp, _, _ = fintop.fiber_product(g.src, g.tgt)
     comp_map = ContinuousMap(
         fp, arrows, {(gg, ff): g.comp[(gg, ff)] for (gg, ff) in fp.points}, check=False
@@ -227,17 +226,14 @@ class Subgroupoid:
 
     def validate(self) -> list:
         out = []
-        amb = self.ambient
-        for a in sorted_points(self.arrow_set):
-            if amb.inv.mapping[a] not in self.arrow_set:
+        amb, arr = self.ambient, self.arrow_set
+        for a in sorted_points(arr):
+            if amb.inv.mapping[a] not in arr:
                 out.append(f"not closed under inv at {fmt_point(a)}")
-        for a in sorted_points(self.arrow_set):
-            for b in self.arrow_set:
-                if amb.src.mapping[a] == amb.tgt.mapping[b]:
-                    if amb.comp[(a, b)] not in self.arrow_set:
-                        out.append(f"not closed under comp at {fmt_point((a, b))}")
+        bad = [p for p, h in amb.comp.items() if p[0] in arr and p[1] in arr and h not in arr]
+        out += [f"not closed under comp at {fmt_point(p)}" for p in sorted(bad, key=ckey)]
         objs = self.object_set
-        tgt_objs = frozenset(amb.tgt.mapping[a] for a in self.arrow_set)
+        tgt_objs = frozenset(amb.tgt.mapping[a] for a in arr)
         if objs != tgt_objs:
             out.append("object set differs between src and tgt images")
         return out
@@ -254,25 +250,18 @@ class Subgroupoid:
         """The inclusion into the ambient groupoid, built and validated
         once per subgroupoid."""
         if self._incl is None:
-            amb = self.ambient
+            amb, arr = self.ambient, self.arrow_set
             objs = self.object_set
             sub = TopGroupoid(
                 amb.objects.subspace(objs),
-                amb.arrows.subspace(self.arrow_set),
-                {a: amb.src.mapping[a] for a in self.arrow_set},
-                {a: amb.tgt.mapping[a] for a in self.arrow_set},
+                amb.arrows.subspace(arr),
+                {a: amb.src.mapping[a] for a in arr},
+                {a: amb.tgt.mapping[a] for a in arr},
                 {x: amb.unit.mapping[x] for x in objs},
-                {a: amb.inv.mapping[a] for a in self.arrow_set},
-                {
-                    (a, b): amb.comp[(a, b)]
-                    for a in self.arrow_set
-                    for b in self.arrow_set
-                    if amb.src.mapping[a] == amb.tgt.mapping[b]
-                },
+                {a: amb.inv.mapping[a] for a in arr},
+                {p: h for p, h in amb.comp.items() if p[0] in arr and p[1] in arr},
             )
-            self._incl = ContinuousFunctor(
-                sub, amb, {x: x for x in objs}, {a: a for a in self.arrow_set}
-            )
+            self._incl = ContinuousFunctor(sub, amb, {x: x for x in objs}, {a: a for a in arr})
         return self._incl
 
     def __eq__(self, other):
@@ -412,24 +401,15 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
 
     Returns (space of bi-orbits, quotient map from the subspace on v,
     inclusion of that subspace into the arrow space), realizing the
-    subquotient diagram arrows <- v ->> bi-orbits.  Raises
-    BistabilityError when v is not stable under both actions.
+    subquotient diagram arrows <- v ->> bi-orbits.  The actions are
+    indexed once (right arrows by target, left arrows by source), and
+    the pass that feeds their pairs to the partition raises
+    BistabilityError at the first composite that leaves v.
     """
     v = frozenset(v)
     if not v <= x.arrows.points:
         raise InputError("v not contained in the arrow set")
     s, t = x.src.mapping, x.tgt.mapping
-    for a in v:
-        for b in right.arrow_set:
-            if s[a] == t[b] and x.comp[(a, b)] not in v:
-                raise BistabilityError(
-                    f"v not stable under pre-composition at {fmt_point((a, b))}"
-                )
-        for c in left.arrow_set:
-            if s[c] == t[a] and x.comp[(c, a)] not in v:
-                raise BistabilityError(
-                    f"v not stable under post-composition at {fmt_point((c, a))}"
-                )
     sub = x.arrows.subspace(v)
     by_tgt = {}
     for b in right.arrow_set:
@@ -441,9 +421,17 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
     def actions():
         for a in v:
             for b in by_tgt.get(s[a], ()):
-                yield a, x.comp[(a, b)]
+                h = x.comp[(a, b)]
+                if h not in v:
+                    raise BistabilityError(
+                        f"v not stable under pre-composition at {fmt_point((a, b))}")
+                yield a, h
             for c in by_src.get(t[a], ()):
-                yield a, x.comp[(c, a)]
+                h = x.comp[(c, a)]
+                if h not in v:
+                    raise BistabilityError(
+                        f"v not stable under post-composition at {fmt_point((c, a))}")
+                yield a, h
 
     space, quot = fintop.quotient_space(sub, fintop.partition(v, actions()))
     incl = ContinuousMap(sub, x.arrows, {a: a for a in v}, check=False)
@@ -699,33 +687,27 @@ def whisker_along(a: ContinuousTransformation, h: ContinuousFunctor) -> Continuo
 
 
 def _components_of(g: TopGroupoid):
-    """Connected components of the underlying groupoid, each with a BFS
-    spanning tree of arrows: list of (representative, {object: arrow from
-    representative})."""
-    todo = set(g.objects.points)
-    out = []
-    while todo:
-        r = min(todo, key=ckey)
-        tree = {r: g.unit.mapping[r]}
-        frontier = [r]
-        while frontier:
-            x = frontier.pop(0)
-            for a in sorted_points(g.arrows.points):
-                if g.src.mapping[a] == x and g.tgt.mapping[a] not in tree:
-                    y = g.tgt.mapping[a]
-                    tree[y] = g.comp[(a, tree[x])]
-                    frontier.append(y)
-        todo -= set(tree)
-        out.append((r, tree))
-    return out
+    """Connected components of the underlying groupoid, blocks of
+    fintop.partition: list of (representative, {object: arrow from the
+    representative}) in ckey order of the representatives, each the
+    ckey-least object of its block and mapped to its identity."""
+    s, t = g.src.mapping, g.tgt.mapping
+    blocks = fintop.partition(g.objects.points, ((s[a], t[a]) for a in g.arrows.points))
+    trees = {min(b, key=ckey): {} for b in blocks}
+    for a in g.arrows.points:
+        if s[a] in trees:
+            trees[s[a]][t[a]] = a
+    for r, tree in trees.items():
+        tree[r] = g.unit.mapping[r]
+    return sorted(trees.items(), key=lambda rt: ckey(rt[0]))
 
 
 def transformations(f: ContinuousFunctor, g: ContinuousFunctor, limit: int | None = None):
     """All continuous transformations f => g, in canonical order.
 
     Components are fixed on a representative of each connected component
-    of the domain and propagated along a spanning tree; every candidate is
-    then checked for naturality and continuity.
+    of the domain and propagated along one arrow from it to each object;
+    every candidate is then checked for naturality and continuity.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise InputError("functors not parallel")

@@ -86,20 +86,17 @@ def validate_sheaf(s: EquivariantSheaf) -> list:
     for y in sorted_points(total.points):
         if s.action[(base.unit.mapping[q[y]], y)] != y:
             out.append(f"unit law fails at {fmt_point(y)}")
-    for (g, y), z in s.action.items():
-        if q[z] != tm[g]:
-            out.append(f"projection law fails at {fmt_point((g, y))}")
-            break
-    for (g, y) in pairs:
-        z = s.action[(g, y)]
-        for h in base.arrows.points:
-            if sm[h] == tm[g]:
-                if s.action[(h, z)] != s.action[(base.comp[(h, g)], y)]:
-                    out.append(f"composition law fails at {fmt_point((h, g, y))}")
-                    break
-        else:
-            continue
-        break
+    moved = [p for p, z in s.action.items() if q[z] != tm[p[0]]]
+    if moved:
+        # the composition law presupposes the projection law
+        return out + [f"projection law fails at {fmt_point(min(moved, key=fintop.ckey))}"]
+    by_src = {}
+    for h in base.arrows.points:
+        by_src.setdefault(sm[h], []).append(h)
+    bad = [(h, g, y) for (g, y), z in s.action.items() for h in by_src.get(tm[g], ())
+           if s.action[(h, z)] != s.action[(base.comp[(h, g)], y)]]
+    if bad:
+        out.append(f"composition law fails at {fmt_point(min(bad, key=fintop.ckey))}")
     fp, _, _ = fintop.fiber_product(base.src, s.proj)
     act_map = ContinuousMap(
         fp, total, {(g, y): s.action[(g, y)] for (g, y) in fp.points}, check=False

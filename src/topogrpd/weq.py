@@ -122,48 +122,34 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
 
     Checking all opens V reduces to the minimal open V of each arrow;
     the open neighbourhood W demanded for an arrow can be taken minimal
-    as well.  Membership of gamma in the realised set is decided by
-    solving gamma = theta o eta o zeta for theta and testing it against
-    the included arrow set.
+    as well.  The arrows realised from V, theta o eta o zeta with theta
+    included, eta in V and zeta in u, form one set, built once per
+    distinct V; every gamma sourced in W must lie in it.
     """
     amb = incl.ambient
-    s, t = amb.src.mapping, amb.tgt.mapping
+    s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
     u0 = u.object_set
     y0 = incl.object_set
-    y1 = incl.arrow_set
     span = frozenset(a for a in amb.arrows.points if s[a] in u0 and t[a] in y0)
     span_space = amb.arrows.subspace(span)
     u0space = amb.objects.subspace(u0)
-    u1_from = {}
-    for z in u.arrow_set:
-        u1_from.setdefault(s[z], []).append(z)
+    u1_to, y1_from, span_from, realised = {}, {}, {}, {}
+    for zeta in u.arrow_set:
+        u1_to.setdefault(t[zeta], []).append(zeta)
+    for theta in incl.arrow_set:
+        y1_from.setdefault(s[theta], []).append(theta)
     # every admissible gamma (source in w, a subset of u0; target in y0) is in span
     span_sorted = sorted_points(span)
-    span_from = {}
     for a in span_sorted:
         span_from.setdefault(s[a], []).append(a)
     for alpha in span_sorted:
         v = span_space.min_open(alpha)
-        w = u0space.min_open(s[alpha])
-        v_srcs = {s[eta] for eta in v}
-        for x2 in sorted_points(w):
+        if v not in realised:
+            realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
+                           for zeta in u1_to.get(s[eta], ()) for theta in y1_from.get(t[eta], ())}
+        for x2 in sorted_points(u0space.min_open(s[alpha])):
             for gamma in span_from.get(x2, ()):
-                ok = False
-                for zeta in u1_from.get(x2, ()):
-                    if t[zeta] not in v_srcs:
-                        continue
-                    for eta in v:
-                        if s[eta] != t[zeta]:
-                            continue
-                        theta = amb.comp[
-                            (amb.comp[(gamma, amb.inv.mapping[zeta])], amb.inv.mapping[eta])
-                        ]
-                        if theta in y1:
-                            ok = True
-                            break
-                    if ok:
-                        break
-                if not ok:
+                if gamma not in realised[v]:
                     return {
                         "kind": "source-determined-orbit",
                         "arrow": fmt_point(alpha),

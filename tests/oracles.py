@@ -140,6 +140,59 @@ def source_determined_oracle(incl, u) -> bool:
     return True
 
 
+def source_determined_witness_oracle(incl, u):
+    """The nested search for the source-determined witness: for each arrow
+    alpha of the span, each gamma sourced in the minimal open of alpha's
+    source is tested by solving gamma = theta o eta o zeta for theta over
+    every zeta of u and eta of V, then testing theta against the included
+    arrows.  Same witness dict (or None) as weq.source_determined_witness."""
+    amb = incl.ambient
+    s, t = amb.src.mapping, amb.tgt.mapping
+    u0 = u.object_set
+    y0 = incl.object_set
+    y1 = incl.arrow_set
+    span = frozenset(a for a in amb.arrows.points if s[a] in u0 and t[a] in y0)
+    span_space = amb.arrows.subspace(span)
+    u0space = amb.objects.subspace(u0)
+    u1_from = {}
+    for z in u.arrow_set:
+        u1_from.setdefault(s[z], []).append(z)
+    # every admissible gamma (source in w, a subset of u0; target in y0) is in span
+    span_sorted = fintop.sorted_points(span)
+    span_from = {}
+    for a in span_sorted:
+        span_from.setdefault(s[a], []).append(a)
+    for alpha in span_sorted:
+        v = span_space.min_open(alpha)
+        w = u0space.min_open(s[alpha])
+        v_srcs = {s[eta] for eta in v}
+        for x2 in fintop.sorted_points(w):
+            for gamma in span_from.get(x2, ()):
+                ok = False
+                for zeta in u1_from.get(x2, ()):
+                    if t[zeta] not in v_srcs:
+                        continue
+                    for eta in v:
+                        if s[eta] != t[zeta]:
+                            continue
+                        theta = amb.comp[
+                            (amb.comp[(gamma, amb.inv.mapping[zeta])], amb.inv.mapping[eta])
+                        ]
+                        if theta in y1:
+                            ok = True
+                            break
+                    if ok:
+                        break
+                if not ok:
+                    return {
+                        "kind": "source-determined-orbit",
+                        "arrow": fintop.fmt_point(alpha),
+                        "V": sorted(fintop.fmt_point(a) for a in v),
+                        "gamma": fintop.fmt_point(gamma),
+                    }
+    return None
+
+
 def subgroups_oracle(elements, mult):
     """All subgroups of a finite group, by closure-join search."""
     elements = frozenset(elements)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from topogrpd import cli
+from test_grpd import LOOP5_ROWS
+from topogrpd import cli, grpd, jsonio
 
 ISO_PAIR_DOC = {
     "objects": {"points": ["a", "b"], "opens": [[], ["a"], ["b"], ["a", "b"]]},
@@ -467,3 +468,38 @@ def test_model_groupoid_violations_are_reported_in_canonical_order(tmp_path):
         "arrows not closed under inverse at M1->M2; "
         "arrows not closed under inverse at M1->M3"
     )
+
+
+def one_object_groupoid_file(tmp_path, rows):
+    """A one-object groupoid on the arrows "0".."n-1" with g o f = rows[g][f]
+    and the discrete arrow space, written as a JSON file."""
+    els = [str(i) for i in range(len(rows))]
+    mult = {(g, f): str(rows[int(g)][int(f)]) for g in els for f in els}
+    p = tmp_path / "groupoid.json"
+    p.write_text(json.dumps(jsonio.groupoid_to_json(grpd.group_groupoid(els, mult))))
+    return str(p)
+
+
+def test_a_sub_not_closed_under_comp_is_reported_in_canonical_order(tmp_path):
+    groupoid = one_object_groupoid_file(tmp_path, [[(g + f) % 5 for f in range(5)] for g in range(5)])
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["1", "2"]}))
+    runs = [run_under_hash_seed(seed, "weq-check", "--groupoid", groupoid, "--sub", str(sub))
+            for seed in (1, 2)]
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert code == 3
+    assert json.loads(out)["result"]["error"] == (
+        "not a subgroupoid: not closed under inv at 1; not closed under inv at 2; "
+        "not closed under comp at (1,2); not closed under comp at (2,1); "
+        "not closed under comp at (2,2)"
+    )
+
+
+def test_validate_names_the_least_non_associative_triple(tmp_path):
+    groupoid = one_object_groupoid_file(tmp_path, LOOP5_ROWS)
+    runs = [run_under_hash_seed(seed, "validate", "--groupoid", groupoid) for seed in (1, 2)]
+    assert runs[0] == runs[1]
+    code, out = runs[0]
+    assert code == 1
+    assert json.loads(out)["result"]["diagnostics"] == ["comp not associative at (1,1,2)"]

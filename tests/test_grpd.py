@@ -3,7 +3,9 @@ import random
 import pytest
 
 import oracles
-from corpus import SMALL_GROUPS, graph_copies_doc, random_discrete_groupoid, rigid_graphs
+from corpus import (
+    SMALL_GROUPS, graph_copies_doc, pair_groupoid, random_discrete_groupoid, rigid_graphs,
+)
 from topogrpd import fintop, grpd, jsonio
 from topogrpd.errors import BistabilityError, BudgetExceeded, InputError
 from topogrpd.fintop import FinSpace
@@ -268,6 +270,16 @@ def test_transformations_enumeration():
         assert t.validate() == []
 
 
+def test_transformations_on_a_multi_object_component():
+    # id => id on a connected 2-object groupoid is the centre of its vertex
+    # group, however the component is propagated from the representative
+    for mult, count in ((SMALL_GROUPS["S3"], 1), (SMALL_GROUPS["Z2"], 2)):
+        idf = grpd.identity_functor(pair_groupoid(["x", "y"], mult))
+        ts = grpd.transformations(idf, idf)
+        assert len(ts) == count
+        assert all(t.validate() == [] for t in ts)
+
+
 def test_transformation_vertical_and_whisker():
     ts = grpd.transformations(grpd.identity_functor(Z2), grpd.identity_functor(Z2))
     a, b = ts
@@ -291,10 +303,13 @@ def test_naturality_validation_catches_errors():
     assert bad.validate() != []
 
 
+# a loop of order 5 with unit 0, every element its own inverse, and
+# (1*2)*2 = 4 != 1 = 1*(2*2); 36 of its 125 triples are not associative
+LOOP5_ROWS = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
 def test_validate_groupoid_reports_non_associative_comp():
-    # a loop of order 5 with unit 0, every element its own inverse, and
-    # (1*2)*2 = 4 != 1 = 1*(2*2)
-    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    mult = {(x, y): rows[x][y] for x in range(5) for y in range(5)}
+    mult = {(x, y): LOOP5_ROWS[x][y] for x in range(5) for y in range(5)}
     bad = grpd.validate_groupoid(grpd.group_groupoid(range(5), mult))
-    assert len(bad) == 1 and bad[0].startswith("comp not associative at (")
+    # the ckey-least failing triple (h, g, f): (1 o 1) o 2 = 2 != 4 = 1 o (1 o 2)
+    assert bad == ["comp not associative at (1,1,2)"]

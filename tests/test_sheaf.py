@@ -31,6 +31,26 @@ def test_validate_detects_unit_violation():
     assert any("unit law fails" in d for d in sheaf.validate_sheaf(bad))
 
 
+def test_validate_names_the_least_failing_composition():
+    # Z3 acting on {u, v, w} with 1 swapping u and v, and 0 and 2 fixing
+    # every point: six triples fail, the ckey-least being 1 . (2 . u)
+    z3 = grpd.group_groupoid(range(3), SMALL_GROUPS["Z3"])
+    tot = FinSpace.discrete({"u", "v", "w"})
+    act = {(g, y): y for g in (0, 2) for y in ("u", "v", "w")}
+    act.update({(1, "u"): "v", (1, "v"): "u", (1, "w"): "w"})
+    s = sheaf.EquivariantSheaf(z3, tot, {p: "*" for p in ("u", "v", "w")}, act)
+    assert sheaf.validate_sheaf(s) == ["composition law fails at (1,2,u)"]
+
+
+def test_validate_stops_at_a_failing_projection_law():
+    # f : a -> b and g : b -> a both send p, over a, to p: the action leaves
+    # the fibre over the target, and no composite of it is looked up
+    tot = FinSpace.discrete({"p", "q"})
+    act = {("ia", "p"): "p", ("ib", "q"): "q", ("f", "p"): "p", ("g", "q"): "p"}
+    s = sheaf.EquivariantSheaf(iso_pair(), tot, {"p": "a", "q": "b"}, act)
+    assert sheaf.validate_sheaf(s) == ["projection law fails at (f,p)"]
+
+
 def test_moerdijk_coset_sheaf():
     h = s3_subgroup()
     gen = sheaf.moerdijk_generator(S3, h)

@@ -101,6 +101,35 @@ def test_source_determined_witness_sorts_only_the_span_and_neighbourhoods(monkey
     assert checked > 100
 
 
+def test_source_determined_witness_matches_the_nested_search():
+    """Membership in the realised set of each minimal open gives the
+    nested search's witness dict on every subgroupoid x open-member pair
+    of a seeded corpus."""
+    non_null = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        opens = grpd.enumerate_open_subgroupoids(g)
+        for y in grpd.enumerate_subgroupoids(g):
+            for u in opens:
+                w = weq.source_determined_witness(y, u)
+                assert w == oracles.source_determined_witness_oracle(y, u)
+                non_null += w is not None
+    assert non_null > 10_000
+
+
+def test_two_condition_route_reads_no_bi_orbit_space(monkeypatch):
+    """The two-condition route stays independent of the quasi-homeo route."""
+
+    def forbidden(*args):
+        raise AssertionError("the two-condition route reached the quasi-homeo route")
+
+    monkeypatch.setattr(grpd, "bi_orbit_space", forbidden)
+    monkeypatch.setattr(grpd, "iota_map", forbidden)
+    monkeypatch.setattr(fintop, "is_quasi_homeomorphism", forbidden)
+    h = Subgroupoid(S3, grpd.subgroupoid_closure(S3, {(1, 0, 2)}))
+    for u in grpd.enumerate_open_subgroupoids(S3):
+        weq.skula_witness(h, u)
+        weq.source_determined_witness(h, u)
+
 def test_localic_surjection_examples():
     h = Subgroupoid(S3, grpd.subgroupoid_closure(S3, {(1, 0, 2)}))
     assert weq.is_localic_surjection(h).answer == "yes"
