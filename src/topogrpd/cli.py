@@ -191,12 +191,19 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _limit(text):
+    """The value of a limit flag: an int of at least 0, else a usage error."""
+    if text.strip().isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}, limits are integers >= 0")
+
+
 # the limit and mode flags, each registered only on the commands that read it
 _KNOBS = {
-    "depth": {"type": int, "default": 1},
-    "tuple-cap": {"type": int, "default": 2},
-    "open-cap": {"type": int, "default": fintop.DEFAULT_OPEN_CAP},
-    "subgroupoid-budget": {"type": int, "default": 4096},
+    "depth": {"type": _limit, "default": 1},
+    "tuple-cap": {"type": _limit, "default": 2},
+    "open-cap": {"type": _limit, "default": fintop.DEFAULT_OPEN_CAP},
+    "subgroupoid-budget": {"type": _limit, "default": 4096},
     "mode": {"choices": (*weq.MODES, "all"), "default": "all"},
 }
 

@@ -376,12 +376,10 @@ def fiber_product(f: ContinuousMap, g: ContinuousMap):
     Returns (space, projection to X, projection to Y)."""
     if f.codomain != g.codomain:
         raise InputError("fiber product needs a common codomain")
-    pts = frozenset(
-        (x, y)
-        for x in f.domain.points
-        for y in g.domain.points
-        if f.mapping[x] == g.mapping[y]
-    )
+    over = {}  # the points of g's domain by their image
+    for y in g.domain.points:
+        over.setdefault(g.mapping[y], []).append(y)
+    pts = frozenset((x, y) for x in f.domain.points for y in over.get(f.mapping[x], ()))
     min_open = {}
     for (x, y) in pts:
         ux, uy = f.domain.min_open(x), g.domain.min_open(y)

@@ -35,9 +35,13 @@ class TopGroupoid:
     u)-bi-orbit spaces by u.arrow_set) and "restriction" (subobject
     restrictions by (incl.arrow_set, u.arrow_set), cap checked on every
     read).
+
+    `out_of[x]` and `into[y]`, built with the structure maps, list the
+    arrows with source x and with target y in `arrows.points` order.
     """
 
-    __slots__ = ("objects", "arrows", "src", "tgt", "unit", "inv", "comp", "_cache")
+    __slots__ = ("objects", "arrows", "src", "tgt", "unit", "inv", "comp", "out_of", "into",
+                 "_cache")
 
     def __init__(self, objects: FinSpace, arrows: FinSpace, src, tgt, unit, inv, comp):
         self.objects = objects
@@ -50,6 +54,11 @@ class TopGroupoid:
         for (g, f), h in self.comp.items():
             if g not in arrows.points or f not in arrows.points or h not in arrows.points:
                 raise InputError("comp entry outside arrow set")
+        self.out_of = {x: [] for x in objects.points}
+        self.into = {x: [] for x in objects.points}
+        for a in arrows.points:
+            self.out_of[self.src.mapping[a]].append(a)
+            self.into[self.tgt.mapping[a]].append(a)
         self._cache = {}
 
     # -- structure ------------------------------------------------------
@@ -62,19 +71,12 @@ class TopGroupoid:
         return self.inv.mapping[a]
 
     def composable_pairs(self):
-        by_tgt = {}
-        for f in self.arrows.points:
-            by_tgt.setdefault(self.tgt.mapping[f], []).append(f)
         for g in self.arrows.points:
-            for f in by_tgt.get(self.src.mapping[g], ()):
+            for f in self.into[self.src.mapping[g]]:
                 yield g, f
 
     def arrows_between(self, x, y):
-        return [
-            a
-            for a in self.arrows.points
-            if self.src.mapping[a] == x and self.tgt.mapping[a] == y
-        ]
+        return [a for a in self.out_of[x] if self.tgt.mapping[a] == y]
 
     def is_open(self) -> bool:
         return fintop.is_open_map(self.src)
@@ -136,12 +138,8 @@ def validate_groupoid(g: TopGroupoid) -> list:
             out.append(f"unit law fails at {fmt_point(a)}")
         if g.comp[(i[a], a)] != e[s[a]] or g.comp[(a, i[a])] != e[t[a]]:
             out.append(f"inverse law fails at {fmt_point(a)}")
-    # associativity: (h o g) o f = h o (g o f) over composable triples,
-    # the h of each (g, f) read from the pairs (h, g) indexed by g
-    after = {}
-    for hh, gg in pairs:
-        after.setdefault(gg, []).append(hh)
-    bad = [(hh, gg, ff) for gg, ff in pairs for hh in after[gg]
+    # associativity: (h o g) o f = h o (g o f) over composable triples
+    bad = [(hh, gg, ff) for gg, ff in pairs for hh in g.out_of[t[gg]]
            if g.comp[(g.comp[(hh, gg)], ff)] != g.comp[(hh, g.comp[(gg, ff)])]]
     if bad:
         out.append(f"comp not associative at {fmt_point(min(bad, key=ckey))}")
@@ -306,12 +304,7 @@ def subgroupoid_closure(g: TopGroupoid, arrows) -> frozenset:
 def full_subgroupoid_on(g: TopGroupoid, objs) -> Subgroupoid:
     objs = frozenset(objs)
     return Subgroupoid(
-        g,
-        frozenset(
-            a
-            for a in g.arrows.points
-            if g.src.mapping[a] in objs and g.tgt.mapping[a] in objs
-        ),
+        g, frozenset(a for x in objs for a in g.out_of[x] if g.tgt.mapping[a] in objs)
     )
 
 
@@ -447,14 +440,13 @@ def iota_map(incl: Subgroupoid, u: Subgroupoid) -> ContinuousMap:
     the subgroupoid's objects, under (incl, u); codomain: bi-orbits of
     all arrows sourced in u's objects, under (ambient, u)."""
     amb = incl.ambient
-    s, t = amb.src.mapping, amb.tgt.mapping
     u0 = u.object_set
     y0 = incl.object_set
-    v_dom = frozenset(a for a in amb.arrows.points if s[a] in u0 and t[a] in y0)
+    v_dom = frozenset(a for x in u0 for a in amb.out_of[x] if amb.tgt.mapping[a] in y0)
     dom, _, _ = bi_orbit_space(amb, incl, u, v_dom)
     cod_cache = amb._cache.setdefault("iota_cod", {})
     if u.arrow_set not in cod_cache:
-        v_cod = frozenset(a for a in amb.arrows.points if s[a] in u0)
+        v_cod = frozenset(a for x in u0 for a in amb.out_of[x])
         cod_cache[u.arrow_set] = bi_orbit_space(amb, whole_subgroupoid(amb), u, v_cod)[:2]
     cod, q_cod = cod_cache[u.arrow_set]
     mapping = {c: q_cod.mapping[next(iter(c))] for c in dom.points}
@@ -471,11 +463,7 @@ def is_full(sg: Subgroupoid) -> bool:
 def is_replete(sg: Subgroupoid) -> bool:
     objs = sg.object_set
     amb = sg.ambient
-    return all(
-        amb.tgt.mapping[a] in objs
-        for a in amb.arrows.points
-        if amb.src.mapping[a] in objs
-    )
+    return all(amb.tgt.mapping[a] in objs for x in objs for a in amb.out_of[x])
 
 
 class ContinuousFunctor:
@@ -693,12 +681,11 @@ def _components_of(g: TopGroupoid):
     ckey-least object of its block and mapped to its identity."""
     s, t = g.src.mapping, g.tgt.mapping
     blocks = fintop.partition(g.objects.points, ((s[a], t[a]) for a in g.arrows.points))
-    trees = {min(b, key=ckey): {} for b in blocks}
-    for a in g.arrows.points:
-        if s[a] in trees:
-            trees[s[a]][t[a]] = a
-    for r, tree in trees.items():
-        tree[r] = g.unit.mapping[r]
+    trees = {}
+    for b in blocks:
+        r = min(b, key=ckey)
+        trees[r] = {t[a]: a for a in g.out_of[r]}
+        trees[r][r] = g.unit.mapping[r]
     return sorted(trees.items(), key=lambda rt: ckey(rt[0]))
 
 
@@ -720,7 +707,6 @@ def transformations(f: ContinuousFunctor, g: ContinuousFunctor, limit: int | Non
             cod.arrows_between(f.obj_map.mapping[r], g.obj_map.mapping[r])
         ):
             assignment = {}
-            ok = True
             for x, path in tree.items():
                 # naturality along the tree arrow forces the component
                 a = cod.comp[
@@ -730,15 +716,12 @@ def transformations(f: ContinuousFunctor, g: ContinuousFunctor, limit: int | Non
                     )
                 ]
                 assignment[x] = a
-            for al in dom.arrows.points:
-                x, y = dom.src.mapping[al], dom.tgt.mapping[al]
-                if x in assignment and y in assignment:
-                    lhs = cod.comp[(assignment[y], f.arr_map.mapping[al])]
-                    rhs = cod.comp[(g.arr_map.mapping[al], assignment[x])]
-                    if lhs != rhs:
-                        ok = False
-                        break
-            if ok:
+            if all(
+                cod.comp[(assignment[y], f.arr_map.mapping[al])]
+                == cod.comp[(g.arr_map.mapping[al], assignment[x])]
+                for x in assignment for al in dom.out_of[x]
+                if (y := dom.tgt.mapping[al]) in assignment
+            ):
                 choices.append(assignment)
         per_comp.append(choices)
     out = []

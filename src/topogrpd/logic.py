@@ -684,8 +684,9 @@ class ModelGroupoid:
     Construction checks every arrow before it composes any: its endpoints
     are members, its map is a bijection of the carriers and it preserves
     the constants and relations.  Only then are the structure tables `unit` (member
-    name to identity), `inv` and `comp` ((b, a) to b o a) built, once,
-    and the closure laws read from them.  Each stage raises one
+    name to identity), `inv`, `out_of` and `into` (member name to the arrows
+    with that source, with that target) and `comp` ((b, a) to b o a) built,
+    once, and the closure laws read from them.  Each stage raises one
     InputError naming all its violations in canonical order."""
 
     def __init__(self, signature: Signature, params, members, arrows):
@@ -707,10 +708,11 @@ class ModelGroupoid:
             raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
         self.unit = {im.name: identity_iso(im.model) for im in self.members}
         self.inv = {a: invert_iso(a) for a in self.arrows}
-        by_src = {}
-        for b in self.arrows:
-            by_src.setdefault(b.src, []).append(b)
-        self.comp = {(b, a): compose_isos(b, a) for a in self.arrows for b in by_src.get(a.tgt, ())}
+        self.out_of, self.into = {n: [] for n in self.by_name}, {n: [] for n in self.by_name}
+        for a in self.arrows:
+            self.out_of[a.src].append(a)
+            self.into[a.tgt].append(a)
+        self.comp = {(b, a): compose_isos(b, a) for a in self.arrows for b in self.out_of[a.tgt]}
         bad = [f"missing identity on {n}" for n, e in self.unit.items() if e not in self.arrows]
         bad += [f"arrows not closed under inverse at {a.src}->{a.tgt}"
                 for a in sorted((a for a in self.arrows if self.inv[a] not in self.arrows), key=ckey)]
@@ -861,6 +863,8 @@ class DefinableSets:
                 })
 
     def level(self, ctx_sorts, depth: int) -> dict:
+        if depth < 0:
+            raise InputError(f"formula depth {depth} is negative")
         ctx_sorts = tuple(ctx_sorts)
         key = (ctx_sorts, depth)
         if key in self._levels:
@@ -946,8 +950,8 @@ def _definable_subbasis(g: ModelGroupoid, ctx_sorts, points, depth, tuple_cap):
 def _arrow_subbasis(g: ModelGroupoid, obj_subbasis):
     subbasis = set()
     for b in obj_subbasis:
-        subbasis.add(frozenset(a for a in g.arrows if a.src in b))
-        subbasis.add(frozenset(a for a in g.arrows if a.tgt in b))
+        subbasis.add(frozenset(a for n in b for a in g.out_of[n]))
+        subbasis.add(frozenset(a for n in b for a in g.into[n]))
     params = sorted(g.params)
     for p in params:
         sp = g.params[p]
@@ -970,6 +974,8 @@ def logical_topologies(g: ModelGroupoid, depth: int,
     """Endow a model groupoid with the logical topologies at bounded
     depth, deepening until consecutive open families agree or the bound
     is hit; the achieved depth and stabilization flag are recorded."""
+    if depth < 0:
+        raise InputError(f"formula depth {depth} is negative")
     names = {n: (n, ()) for n in g.member_names()}
     achieved = 0
     stabilized = False
@@ -1018,12 +1024,9 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     total = fintop.generate_topology(total_pts, subbasis)
     proj = {pt: pt[0] for pt in total_pts}
     action = {}
-    for a in g.arrows:
-        sorts_of = ctx_sorts
-        for (n, tup) in total_pts:
-            if n == a.src:
-                moved = tuple(a.apply(s, e) for s, e in zip(sorts_of, tup))
-                action[(a, (n, tup))] = (a.tgt, moved)
+    for (n, tup) in total_pts:
+        for a in g.out_of[n]:
+            action[(a, (n, tup))] = (a.tgt, tuple(a.apply(s, e) for s, e in zip(ctx_sorts, tup)))
     return sheaf_mod.EquivariantSheaf(
         base, total, fintop.ContinuousMap(total, base.objects, proj, check=False),
         action,
@@ -1051,10 +1054,9 @@ def parameter_orbit(g: ModelGroupoid, ptuple) -> frozenset:
         if vals is not None:
             start.add((im.name, vals))
     out = set(start)
-    for a in g.arrows:
-        for (n, tup) in start:
-            if n == a.src:
-                out.add((a.tgt, tuple(a.apply(s, e) for s, e in zip(sorts_of, tup))))
+    for (n, tup) in start:
+        for a in g.out_of[n]:
+            out.add((a.tgt, tuple(a.apply(s, e) for s, e in zip(sorts_of, tup))))
     return frozenset(out)
 
 

@@ -64,17 +64,12 @@ def validate_sheaf(s: EquivariantSheaf) -> list:
     out = []
     base, total = s.base, s.total
     q = s.proj.mapping
-    sm, tm = base.src.mapping, base.tgt.mapping
+    tm = base.tgt.mapping
     if not s.proj.is_continuous():
         out.append("projection not continuous")
     elif not fintop.is_local_homeomorphism(s.proj):
         out.append("projection not a local homeomorphism")
-    pairs = {
-        (g, y)
-        for g in base.arrows.points
-        for y in total.points
-        if q[y] == sm[g]
-    }
+    pairs = {(g, y) for y in total.points for g in base.out_of[q[y]]}
     extra = sorted(set(s.action) - pairs, key=fintop.ckey)
     missing = sorted(pairs - set(s.action), key=fintop.ckey)
     if extra:
@@ -90,10 +85,7 @@ def validate_sheaf(s: EquivariantSheaf) -> list:
     if moved:
         # the composition law presupposes the projection law
         return out + [f"projection law fails at {fmt_point(min(moved, key=fintop.ckey))}"]
-    by_src = {}
-    for h in base.arrows.points:
-        by_src.setdefault(sm[h], []).append(h)
-    bad = [(h, g, y) for (g, y), z in s.action.items() for h in by_src.get(tm[g], ())
+    bad = [(h, g, y) for (g, y), z in s.action.items() for h in base.out_of[tm[g]]
            if s.action[(h, z)] != s.action[(base.comp[(h, g)], y)]]
     if bad:
         out.append(f"composition law fails at {fmt_point(min(bad, key=fintop.ckey))}")
@@ -127,18 +119,16 @@ def moerdijk_generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
         return cache[u.arrow_set]
     if not u.is_open():
         raise InputError("subgroupoid is not open")
-    s, t = x.src.mapping, x.tgt.mapping
-    u0 = u.object_set
-    v = frozenset(a for a in x.arrows.points if s[a] in u0)
+    t = x.tgt.mapping
+    v = frozenset(a for y in u.object_set for a in x.out_of[y])
     total, q, _ = grpd.bi_orbit_space(x, grpd.identity_subgroupoid(x), u, v)
     cls = q.mapping
     proj = {c: t[next(iter(c))] for c in total.points}
     action = {}
     for c in total.points:
         rep = next(iter(c))
-        for g in x.arrows.points:
-            if s[g] == t[rep]:
-                action[(g, c)] = cls[x.comp[(g, rep)]]
+        for g in x.out_of[t[rep]]:
+            action[(g, c)] = cls[x.comp[(g, rep)]]
     out = EquivariantSheaf(
         x, total, ContinuousMap(total, x.objects, proj, check=False), action
     )
@@ -156,13 +146,12 @@ def inverse_image(f: ContinuousFunctor, w: EquivariantSheaf) -> EquivariantSheaf
         raise InputError("sheaf lives on a different groupoid")
     total, pr1, _ = fintop.fiber_product(f.obj_map, w.proj)
     dom = f.dom
-    s, t = dom.src.mapping, dom.tgt.mapping
+    t = dom.tgt.mapping
     f1 = f.arr_map.mapping
     action = {}
     for (x, wp) in total.points:
-        for g in dom.arrows.points:
-            if s[g] == x:
-                action[(g, (x, wp))] = (t[g], w.action[(f1[g], wp)])
+        for g in dom.out_of[x]:
+            action[(g, (x, wp))] = (t[g], w.action[(f1[g], wp)])
     return EquivariantSheaf(dom, total, pr1, action)
 
 
@@ -218,10 +207,7 @@ def orbit_of_subset(s: EquivariantSheaf, subset) -> frozenset:
     if not v <= s.total.points:
         raise InputError("subset not contained in the total space")
     return frozenset(
-        s.action[(g, y)]
-        for y in v
-        for g in s.base.arrows.points
-        if s.base.src.mapping[g] == s.proj.mapping[y]
+        s.action[(g, y)] for y in v for g in s.base.out_of[s.proj.mapping[y]]
     ) | v
 
 

@@ -130,7 +130,7 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
     u0 = u.object_set
     y0 = incl.object_set
-    span = frozenset(a for a in amb.arrows.points if s[a] in u0 and t[a] in y0)
+    span = frozenset(a for x in u0 for a in amb.out_of[x] if t[a] in y0)
     span_space = amb.arrows.subspace(span)
     u0space = amb.objects.subspace(u0)
     u1_to, y1_from, span_from, realised = {}, {}, {}, {}

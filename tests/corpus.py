@@ -289,6 +289,28 @@ def graph_copies_doc(edges, size, names, arrows):
     }
 
 
+def ore_cospans(edges, size, k):
+    """Cospan documents of a composable pair whose composite needs a
+    non-identity Ore square: the weak-equivalence leg of the first adds
+    the cross isomorphisms of k copies M0.. of one graph, and the second
+    renames them to N0..  With a rigid graph the apex object spaces are
+    not T0, as the copies cannot be told apart."""
+    a, b = [f"M{i}" for i in range(k)], [f"N{i}" for i in range(k)]
+    carrier = {"V": {f"v{i}": f"v{i}" for i in range(size)}}
+
+    def ident(n):
+        return {"src": n, "tgt": n, "map": carrier}
+
+    plain = graph_copies_doc(edges, size, a, "identities")
+    copies = graph_copies_doc(edges, size, b, "identities")
+    first = {"source": plain, "target": plain, "apex": graph_copies_doc(edges, size, a, "all"),
+             "fwd": {"obj_map": {n: n for n in a}, "arr_map": [[ident(n), ident(n)] for n in a]}}
+    second = {"source": plain, "target": copies, "apex": copies,
+              "fwd": {"obj_map": dict(zip(a, b)),
+                      "arr_map": [[ident(m), ident(n)] for m, n in zip(a, b)]}}
+    return first, second
+
+
 def sober_eliminating_model_groupoids(rng: random.Random, count, depth=1,
                                       tuple_cap=2, max_models=3, max_size=3,
                                       max_tries=4000):

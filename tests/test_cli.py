@@ -46,16 +46,38 @@ MG_DOC = {
 }
 
 
+def cospan_doc():
+    ident = {"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}}
+    return {"source": MG_DOC, "target": MG_DOC, "apex": MG_DOC,
+            "fwd": {"obj_map": {"M1": "M1"}, "arr_map": [[ident, ident]]}}
+
+
+def functor_doc(n=2):
+    """The identity functor of the n-point discrete space groupoid."""
+    g = discrete_space_groupoid_doc(n)
+    ident = {p: p for p in g["objects"]["points"]}
+    return {"dom": g, "cod": g, "obj_map": ident, "arr_map": ident}
+
+
+# the fixture document each input flag of a command reads
+INPUT_DOCS = {"space": "space", "groupoid": "groupoid", "sub": "sub", "family": "family",
+              "models": "models", "input": "topology", "functor": "functor",
+              "first": "cospan", "second": "cospan", "left": "models", "right": "models"}
+
+
 @pytest.fixture
 def docs(tmp_path):
     paths = {}
     for name, doc in (
+        ("space", {"points": ["a"], "opens": [[], ["a"]]}),
         ("groupoid", ISO_PAIR_DOC),
         ("sub", {"arrows": ["ia"]}),
         ("whole", {"arrows": ["ia", "ib", "f", "g"]}),
         ("models", MG_DOC),
         ("topology", {"points": [0, 1, 2], "subbasis": [[0, 1], [1, 2]]}),
         ("family", {"subgroupoids": [["ia", "ib"]]}),
+        ("functor", functor_doc()),
+        ("cospan", cospan_doc()),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
@@ -161,22 +183,9 @@ def test_morita_search_cli(capsys, docs):
     assert "witness" in rep["result"]
 
 
-def test_compose_cli(capsys, tmp_path, docs):
-    cospan = {
-        "source": MG_DOC,
-        "target": MG_DOC,
-        "apex": MG_DOC,
-        "fwd": {
-            "obj_map": {"M1": "M1"},
-            "arr_map": [[
-                {"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}},
-                {"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}},
-            ]],
-        },
-    }
-    p = tmp_path / "cospan.json"
-    p.write_text(json.dumps(cospan))
-    code, rep = run(capsys, "compose", "--first", str(p), "--second", str(p), "--depth", "1")
+def test_compose_cli(capsys, docs):
+    code, rep = run(capsys, "compose", "--first", docs["cospan"], "--second", docs["cospan"],
+                    "--depth", "1")
     assert code == 0
     assert rep["result"]["cospan"]["certificate"]["answer"] == "yes"
 
@@ -231,10 +240,8 @@ def test_open_cap_reaches_check_commands(capsys, tmp_path, command, uncapped):
 
 
 def test_open_cap_reaches_factorize(capsys, tmp_path):
-    g = discrete_space_groupoid_doc(3)
-    ident = {p: p for p in g["objects"]["points"]}
     p = tmp_path / "functor.json"
-    p.write_text(json.dumps({"dom": g, "cod": g, "obj_map": ident, "arr_map": ident}))
+    p.write_text(json.dumps(functor_doc(3)))
     code, rep = run(capsys, "factorize", "--functor", str(p))
     assert code == 0
     code, rep = run(capsys, "factorize", "--functor", str(p), "--open-cap", "1")
@@ -305,6 +312,20 @@ def test_bad_command_line_is_an_error_report_with_exit_3(capsys, argv, message):
     assert code == 3
     assert message in rep["result"]["error"]
     assert rep["command"] is None and rep["inputs"] == {}
+
+
+@pytest.mark.parametrize("command,knob", [
+    (name, knob) for name, (_, _, knobs) in cli._TABLE.items() for knob in knobs.split()
+    if knob != "mode"
+])
+def test_a_negative_limit_is_an_error_report_with_exit_3(capsys, docs, command, knob):
+    # every input is given and readable, so only the flag can be at fault
+    argv = [command]
+    for flag in cli._TABLE[command][1].replace("?", "").split():
+        argv += [f"--{flag}", docs[INPUT_DOCS[flag]]]
+    code, rep = run(capsys, *argv, f"--{knob}", "-1")
+    assert code == 3
+    assert f"argument --{knob}: invalid int value: '-1'" in rep["result"]["error"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["weq-check", "--help"]])

@@ -8,9 +8,8 @@ to, and by cli.run (which reads --output for every command).
 import argparse
 import ast
 import inspect
-import json
 
-from test_cli import MG_DOC, discrete_space_groupoid_doc, docs, run  # noqa: F401
+from test_cli import INPUT_DOCS, docs, run  # noqa: F401
 from topogrpd import cli
 
 
@@ -77,23 +76,8 @@ def test_a_knob_a_command_does_not_read_exits_3(capsys):
     assert rejected == 24 + 12  # the 24 limit flags, and --mode off weq-check
 
 
-def cospan_doc():
-    ident = {"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}}
-    return {"source": MG_DOC, "target": MG_DOC, "apex": MG_DOC,
-            "fwd": {"obj_map": {"M1": "M1"}, "arr_map": [[ident, ident]]}}
-
-
-def test_options_hold_only_the_flags_a_command_reads(capsys, tmp_path, docs):  # noqa: F811
-    g = discrete_space_groupoid_doc(2)
-    ident = {p: p for p in g["objects"]["points"]}
-    for name, doc in (("functor", {"dom": g, "cod": g, "obj_map": ident, "arr_map": ident}),
-                      ("cospan", cospan_doc())):
-        p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(doc))
-        docs[name] = str(p)
-    inputs = {"space": None, "groupoid": "groupoid", "sub": "sub", "family": "family",
-              "models": "models", "input": "topology", "functor": "functor",
-              "first": "cospan", "second": "cospan", "left": "models", "right": "models"}
+def test_options_hold_only_the_flags_a_command_reads(capsys, docs):  # noqa: F811
+    inputs = dict(INPUT_DOCS, space=None)
     for name, parser in subparsers().items():
         argv = [name]
         for dest, flag in registered(parser).items():

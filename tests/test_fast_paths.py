@@ -8,7 +8,8 @@ Open families and subobject lattices are int bitmasks sorted into
 frozensets on output; the oracles search and compare frozensets.
 Definable-set extensions are int masks over `DefinableSets.index`;
 `oracles.DefinableSetsOracle` builds the same tables from frozensets
-and `logic._eval`.
+and `logic._eval`.  The arrow incidence `out_of`/`into` of a groupoid is
+compared with the source and target filters of all its arrows.
 """
 
 import json
@@ -93,6 +94,21 @@ def test_corpus_orders_match_the_recursive_key(corpus):
             family = [u.arrow_set for u in enumerate_family(g)]
             assert family == sorted(family, key=oracles.ckey_set_key)
     assert spaces > 300
+
+
+def test_incidence_lists_the_arrows_at_each_object_in_arrow_order(corpus):
+    for g in corpus:
+        arrows = list(g.arrows.points)
+        for x in g.objects.points:
+            assert g.out_of[x] == [a for a in arrows if g.src.mapping[a] == x]
+            assert g.into[x] == [a for a in arrows if g.tgt.mapping[a] == x]
+    rng = random.Random(SEED)
+    for _ in range(50):
+        mg = random_model_groupoid(rng)
+        arrows = list(mg.arrows)
+        for n in mg.by_name:
+            assert mg.out_of[n] == [a for a in arrows if a.src == n]
+            assert mg.into[n] == [a for a in arrows if a.tgt == n]
 
 
 def test_mask_lattices_and_restrictions_match_frozenset_references(corpus):

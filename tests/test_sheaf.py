@@ -51,6 +51,34 @@ def test_validate_stops_at_a_failing_projection_law():
     assert sheaf.validate_sheaf(s) == ["projection law fails at (f,p)"]
 
 
+class CountingMap(dict):
+    """A point map that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+    def get(self, x, default=None):
+        self.reads += 1
+        return super().get(x, default)
+
+
+def test_sheaf_constructions_read_each_source_a_bounded_number_of_times():
+    # 40 objects, 40 arrows: a scan of every arrow for every point reads
+    # the source map about 40 * 40 times per construction
+    g = grpd.space_groupoid(FinSpace.discrete(range(40)))
+    g.src.mapping = src = CountingMap(g.src.mapping)
+    gen = sheaf.moerdijk_generator(g, grpd.whole_subgroupoid(g))
+    pulled = sheaf.inverse_image(grpd.identity_functor(g), gen)
+    for s in (gen, pulled):
+        assert sheaf.validate_sheaf(s) == []
+        assert sheaf.orbit_of_subset(s, s.total.points) == s.total.points
+    assert len(gen.total) == len(pulled.total) == 40
+    assert src.reads <= 3 * (len(g.arrows) + len(gen.total) + len(pulled.total))
+
+
 def test_moerdijk_coset_sheaf():
     h = s3_subgroup()
     gen = sheaf.moerdijk_generator(S3, h)
