@@ -382,9 +382,9 @@ def fiber_product(f: ContinuousMap, g: ContinuousMap):
     pts = frozenset((x, y) for x in f.domain.points for y in over.get(f.mapping[x], ()))
     min_open = {}
     for (x, y) in pts:
-        ux, uy = f.domain.min_open(x), g.domain.min_open(y)
+        uy = g.domain.min_open(y)
         min_open[(x, y)] = frozenset(
-            (a, b) for (a, b) in pts if a in ux and b in uy
+            (a, b) for a in f.domain.min_open(x) for b in over.get(f.mapping[a], ()) if b in uy
         )
     p = FinSpace(pts, min_open, _check=False)
     pr1 = ContinuousMap(p, f.domain, {xy: xy[0] for xy in pts}, check=False)

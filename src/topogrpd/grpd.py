@@ -29,7 +29,8 @@ def _as_map(m, domain, codomain):
 class TopGroupoid:
     """A groupoid internal to finite spaces: arrows over objects.
 
-    `_cache` holds four memos of complete results derived from it:
+    `_cache` holds five memos of complete results derived from it:
+    "atoms" (the open atoms, budget checked on every read),
     "open_subgroupoids" (the open family, budget checked on every read),
     "moerdijk" (generator sheaves by u.arrow_set), "iota_cod" ((ambient,
     u)-bi-orbit spaces by u.arrow_set) and "restriction" (subobject
@@ -223,11 +224,10 @@ class Subgroupoid:
         return frozenset(self.ambient.src.mapping[a] for a in self.arrow_set)
 
     def validate(self) -> list:
-        out = []
         amb, arr = self.ambient, self.arrow_set
-        for a in sorted_points(arr):
-            if amb.inv.mapping[a] not in arr:
-                out.append(f"not closed under inv at {fmt_point(a)}")
+        inv = amb.inv.mapping
+        out = [f"not closed under inv at {fmt_point(a)}"
+               for a in sorted_points(a for a in arr if inv[a] not in arr)]
         bad = [p for p, h in amb.comp.items() if p[0] in arr and p[1] in arr and h not in arr]
         out += [f"not closed under comp at {fmt_point(p)}" for p in sorted(bad, key=ckey)]
         objs = self.object_set
@@ -316,10 +316,16 @@ def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
     return frozenset().union(*(b for b in blocks if not b.isdisjoint(objs)))
 
 
-def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
-    seen = {frozenset(), *atoms}
-    if len(seen) > budget:
+def within_budget(family, budget: int):
+    """The subgroupoid family, or BudgetExceeded when it has more than
+    `budget` members."""
+    if len(family) > budget:
         raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
+    return family
+
+
+def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
+    seen = within_budget({frozenset(), *atoms}, budget)
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -332,31 +338,40 @@ def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
                 if j not in seen:
                     seen.add(j)
                     nxt.append(j)
-                    if len(seen) > budget:
-                        raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
+                    within_budget(seen, budget)
         frontier = nxt
     return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows.points))]
 
 
-def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
-    """All subgroupoids whose arrow set is open, in canonical order.
+def open_atoms(g: TopGroupoid, budget: int = 4096):
+    """The atoms of the open family, in canonical order: the comp/inv
+    closures of the arrows' minimal neighbourhoods (the closure of an
+    open set stays open because an open groupoid has an open composition
+    map).  Every open subgroupoid is the union of the atoms of its
+    arrows.  There are at most as many atoms as arrows, and the empty
+    subgroupoid is not one.  Raises BudgetExceeded past `budget`."""
+    atoms = g._cache.get("atoms")
+    if atoms is None:
+        if not g.is_open():
+            raise InputError("groupoid is not open")
+        # arrows of a non-T0 arrow space share minimal opens: close each once
+        mins = {g.arrows.min_open(a) for a in g.arrows.points}
+        closed = {subgroupoid_closure(g, u) for u in mins}
+        atoms = [Subgroupoid(g, s) for s in sorted(closed, key=fintop.set_key(g.arrows.points))]
+        g._cache["atoms"] = atoms
+    return within_budget(atoms, budget)
 
-    Every open subgroupoid is a join of the comp/inv-closures of arrow
-    minimal neighbourhoods (the closure of an open set stays open because
-    an open groupoid has an open composition map), so the join-closure
-    of those atoms is the whole family.  Raises BudgetExceeded past
-    `budget`; callers must then raise the cap or supply an explicit
-    family.  Includes the empty subgroupoid.
+
+def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
+    """All subgroupoids whose arrow set is open, in canonical order: the
+    join-closure of the open atoms.  Raises BudgetExceeded past `budget`;
+    callers must then raise the cap or supply an explicit family.
+    Includes the empty subgroupoid.
     """
     subs = g._cache.get("open_subgroupoids")
     if subs is not None:
-        if len(subs) > budget:
-            raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
-        return subs
-    if not g.is_open():
-        raise InputError("groupoid is not open")
-    # arrows of a non-T0 arrow space share minimal opens: close each once
-    atoms = {subgroupoid_closure(g, u) for u in {g.arrows.min_open(a) for a in g.arrows.points}}
+        return within_budget(subs, budget)
+    atoms = [u.arrow_set for u in open_atoms(g, budget)]
     subs = _enumerate_join_closure(g, atoms, budget)
     for s in subs:
         if not s.is_open():  # pragma: no cover - guarded by openness precondition

@@ -763,6 +763,8 @@ class ModelGroupoid:
         """Canonically ordered parameter tuples up to the cap (sorted
         names; permutations and, unless requested, repetitions are
         absorbed by variable renaming in the formula)."""
+        if max_len < 0:
+            raise InputError(f"tuple cap {max_len} is negative")
         names = sorted(self.params)
         comb = combinations_with_replacement if with_replacement else combinations
         out = []

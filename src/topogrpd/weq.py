@@ -12,7 +12,9 @@ equivalence of sheaf topoi at finite scale:
 
 The routes provably coincide on finite open T0 groupoids, so any
 disagreement raises OracleDisagreement rather than returning a verdict.
-The universal quantifier ranges over all open subgroupoids by default; a
+The universal quantifier ranges over the open atoms by default (the
+comp/inv closures of the arrows' minimal neighbourhoods; README "Scope
+notes" shows why every open subgroupoid then passes too); a
 user-supplied family downgrades positive answers to "unknown".
 """
 
@@ -36,7 +38,7 @@ class Verdict:
 
     answer: str
     witnesses: tuple = ()
-    provenance: str = "exhaustive"
+    provenance: str = "atoms"
     details: tuple = ()
 
     def __post_init__(self):
@@ -62,10 +64,11 @@ def _sub_label(u: Subgroupoid):
 
 
 def resolve_family(g: TopGroupoid, family=None, budget: int = 4096):
-    """(list of open subgroupoids, provenance string)."""
+    """(list of open subgroupoids, provenance string); BudgetExceeded
+    when the family has more than `budget` members."""
     if family is None:
-        return grpd.enumerate_open_subgroupoids(g, budget=budget), "exhaustive"
-    fam = list(family)
+        return grpd.open_atoms(g, budget), "atoms"
+    fam = grpd.within_budget(list(family), budget)
     for u in fam:
         if u.ambient != g:
             raise InputError("family member belongs to a different groupoid")
@@ -172,18 +175,20 @@ def _for_all_members(incl: Subgroupoid, family, budget: int, check) -> Verdict:
     `check(u)` returns a witness dict when member u fails, None when it
     passes, or raises OracleDisagreement.  The first failing member gives
     a "no" whose witness names it; otherwise the answer is "yes" for the
-    exhaustive family and "unknown" for a user-supplied one.
+    atoms and "unknown" for a user-supplied family.  `details` records
+    how many members were walked.
     """
     bad = incl.validate()
     if bad:
         raise InputError("not a subgroupoid: " + "; ".join(bad))
     fam, provenance = resolve_family(incl.ambient, family, budget)
-    for u in fam:
+    for walked, u in enumerate(fam, 1):
         w = check(u)
         if w is not None:
             w = dict(w, open_subgroupoid=list(_sub_label(u)))
-            return Verdict("no", (tuple(sorted(w.items())),), provenance)
-    return Verdict("yes" if provenance == "exhaustive" else "unknown", (), provenance)
+            return Verdict("no", (tuple(sorted(w.items())),), provenance, (("members", walked),))
+    answer = "yes" if provenance == "atoms" else "unknown"
+    return Verdict(answer, (), provenance, (("members", len(fam)),))
 
 
 def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096,

@@ -159,6 +159,30 @@ def pair_groupoid(objects, mult, tag="") -> TopGroupoid:
     )
 
 
+def space_pair_groupoid(space: FinSpace, mult) -> TopGroupoid:
+    """The pair groupoid of a space with vertex group the group of `mult`:
+    arrows (y, x, h) from x to y, with minimal opens U_y x U_x x {h}.  It
+    is open (the source map is a projection), and T0 when the space is."""
+    els = sorted({a for (a, _) in mult}, key=fintop.ckey)
+    ident = next(e for e in els if all(mult[(e, x)] == x for x in els))
+    inv = {h: next(k for k in els if mult[(h, k)] == ident) for h in els}
+    pts = space.points
+    arrows = [(y, x, h) for y in pts for x in pts for h in els]
+    min_open = {(y, x, h): frozenset((b, a, h) for b in space.min_open(y)
+                                     for a in space.min_open(x))
+                for (y, x, h) in arrows}
+    return TopGroupoid(
+        space,
+        FinSpace(arrows, min_open),
+        {a: a[1] for a in arrows},
+        {a: a[0] for a in arrows},
+        {x: (x, x, ident) for x in pts},
+        {(y, x, h): (x, y, inv[h]) for (y, x, h) in arrows},
+        {((z, y, h2), (y, x, h1)): (z, x, mult[(h2, h1)])
+         for (z, y, h2) in arrows for x in pts for h1 in els},
+    )
+
+
 def disjoint_union_groupoids(parts) -> TopGroupoid:
     """Coproduct of discrete groupoids (points assumed disjoint)."""
     objs, arrs, src, tgt, unit, inv, comp = set(), set(), {}, {}, {}, {}, {}

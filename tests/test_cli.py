@@ -102,7 +102,9 @@ def test_validate_groupoid(capsys, docs):
 def test_weq_check_yes(capsys, docs):
     code, rep = run(capsys, "weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"])
     assert code == 0
-    assert rep["result"]["verdict"]["family"] == "exhaustive"
+    assert rep["result"]["verdict"]["family"] == "atoms"
+    # the atoms {ia}, {ib} and the whole groupoid, not the 5 open subgroupoids
+    assert rep["result"]["verdict"]["details"] == {"members": 3}
 
 
 def test_weq_check_user_family_unknown(capsys, docs):
@@ -135,11 +137,14 @@ def test_missing_file_exit_3(capsys):
 
 
 def test_budget_exit_4(capsys, docs):
-    code, rep = run(
-        capsys, "weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"],
-        "--subgroupoid-budget", "2",
-    )
+    """The budget bounds the members walked: the input has 3 atoms (and 5
+    open subgroupoids), so a budget of 2 is exceeded and 3 is not."""
+    check = ("weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"])
+    code, rep = run(capsys, *check, "--subgroupoid-budget", "2")
     assert code == 4
+    assert "subgroupoid family exceeds budget 2" in json.dumps(rep)
+    code, _ = run(capsys, *check, "--subgroupoid-budget", "3")
+    assert code == 0
 
 
 def test_topology_command(capsys, docs):

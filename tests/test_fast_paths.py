@@ -9,7 +9,10 @@ frozensets on output; the oracles search and compare frozensets.
 Definable-set extensions are int masks over `DefinableSets.index`;
 `oracles.DefinableSetsOracle` builds the same tables from frozensets
 and `logic._eval`.  The arrow incidence `out_of`/`into` of a groupoid is
-compared with the source and target filters of all its arrows.
+compared with the source and target filters of all its arrows.  The
+verdicts quantify over the open atoms; `oracles.exhaustive_answer` runs
+the same checks over the whole open-subgroupoid family.  The fibre
+product's minimal opens are compared with the pairwise construction.
 """
 
 import json
@@ -20,13 +23,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import topogrpd
-from corpus import graph_copies_doc, groupoid_corpus, random_model_groupoid, rigid_graphs
+from corpus import (
+    SMALL_GROUPS,
+    graph_copies_doc,
+    groupoid_corpus,
+    random_model_groupoid,
+    random_space,
+    rigid_graphs,
+    space_pair_groupoid,
+)
 from test_acceptance import SEED
 from test_cli import MG_DOC, discrete_space_groupoid_doc
-from topogrpd import cli, fintop, grpd, jsonio, logic, sheaf
+from topogrpd import cli, fintop, grpd, jsonio, logic, sheaf, weq
 from topogrpd.errors import CapExceeded
 from topogrpd.fintop import FinSpace
 
@@ -281,3 +294,62 @@ def test_closure_matches_naive_fixpoint(corpus):
             assert closed == oracles.subgroupoid_closure_oracle(g, s)
             grown += closed != frozenset(s)
     assert grown > 1000
+
+
+def atoms_against_the_whole_family(g, inclusions):
+    """(decisions, "no" decisions) over the subgroupoid inclusions into g:
+    mode "all", each single mode and both criteria, under the atoms and
+    under the whole open family, which must answer alike.  Mode "all" of
+    the reference runs every mode on every member and raises on a split,
+    so its answer is each single mode's reference answer too."""
+    atoms = grpd.open_atoms(g)
+    decisions = noes = 0
+    for y in inclusions:
+        for decide, variants in ((weq.is_weak_equivalence, [{"mode": m} for m in ("all", *weq.MODES)]),
+                                 (weq.is_localic_surjection, [{}]), (weq.is_subtopos_inclusion, [{}])):
+            expected = oracles.exhaustive_answer(decide, y, **variants[0])
+            for kw in variants:
+                v = decide(y, **kw)
+                assert (v.answer, v.provenance) == (expected, "atoms"), (g, y, decide, kw)
+                members = dict(v.details)["members"]
+                if v.answer == "yes":
+                    assert members == len(atoms)
+                else:
+                    named = set(dict(v.witnesses[0])["open_subgroupoid"])
+                    assert named == {fintop.fmt_point(a) for a in atoms[members - 1].arrow_set}
+                decisions += 1
+                noes += v.answer == "no"
+    return decisions, noes
+
+
+def test_atoms_decide_as_the_whole_open_family():
+    decisions = noes = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        d, n = atoms_against_the_whole_family(g, grpd.enumerate_subgroupoids(g))
+        decisions += d
+        noes += n
+    assert noes >= 1000 and decisions - noes >= 1000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(sorted(SMALL_GROUPS)))
+def test_atoms_decide_as_the_whole_open_family_on_pair_groupoids_of_spaces(seed, group):
+    """Pair groupoids of random T0 spaces with a vertex group: arrow
+    topologies that are neither discrete nor identities only.  Only
+    subgroupoids that are open groupoids themselves are included, the
+    proven scope: outside it the routes can disagree."""
+    space = random_space(random.Random(seed), max_points=3)
+    mult = SMALL_GROUPS[group]
+    assume(fintop.is_t0(space) and len(space) ** 2 * len({a for a, _ in mult}) <= 12)
+    g = space_pair_groupoid(space, mult)
+    assert grpd.validate_groupoid(g) == []
+    inclusions = [y for y in grpd.enumerate_subgroupoids(g) if y.as_groupoid().is_open()]
+    atoms_against_the_whole_family(g, inclusions)
+
+
+def test_fiber_product_matches_the_pairwise_construction(corpus):
+    for g in corpus:
+        for f, h in ((g.src, g.tgt), (g.tgt, g.src), (g.src, g.src)):
+            space, pr1, pr2 = fintop.fiber_product(f, h)
+            assert space == oracles.fiber_product_oracle(f, h)
+            assert all(pr1(p) == p[0] and pr2(p) == p[1] for p in space.points)

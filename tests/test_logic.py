@@ -184,6 +184,14 @@ def test_a_negative_depth_is_an_input_error():
         g.engine().level((), -1)
 
 
+def test_a_negative_tuple_cap_is_an_input_error():
+    g = aut_groupoid()
+    with pytest.raises(InputError, match="tuple cap -1 is negative"):
+        logic.eliminates_parameters(g, 1, -1)
+    with pytest.raises(InputError, match="tuple cap -1 is negative"):
+        logic.logical_topologies(g, 1, -1)
+
+
 def test_derived_groupoids_always_valid_and_open():
     rng = random.Random(101)
     for g in sober_eliminating_model_groupoids(rng, 8, depth=1, tuple_cap=2):

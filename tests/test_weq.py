@@ -18,7 +18,7 @@ def test_verdict_invariants():
     with pytest.raises(InputError):
         Verdict("maybe")
     v = Verdict("yes")
-    assert bool(v) and v.to_json()["family"] == "exhaustive"
+    assert bool(v) and v.to_json()["family"] == "atoms"
 
 
 def test_skula_dense_orbits_examples():
