@@ -77,19 +77,18 @@ def _cmd_check(args, inputs):
     g = _valid_groupoid(args, inputs)
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
     fam = jsonio.family_from_json(_load(args.family, inputs), g) if args.family else None
-    limits = {"budget": args.subgroupoid_budget, "cap": args.open_cap}
     if args.command == "weq-check":
-        verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, **limits)
+        verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, cap=args.open_cap)
     elif args.command == "surjection-check":
-        verdict = weq.is_localic_surjection(sub, family=fam, **limits)
+        verdict = weq.is_localic_surjection(sub, family=fam, cap=args.open_cap)
     else:
-        verdict = weq.is_subtopos_inclusion(sub, family=fam, **limits)
+        verdict = weq.is_subtopos_inclusion(sub, family=fam, cap=args.open_cap)
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
 def _cmd_factorize(args, inputs):
     f = jsonio.functor_from_json(_load(args.functor, inputs))
-    fz = weq.factorize(f, budget=args.subgroupoid_budget, cap=args.open_cap)
+    fz = weq.factorize(f, cap=args.open_cap)
     answer = "yes" if fz.certificates_pass() else "no"
     result = {
         "answer": answer,
@@ -161,8 +160,8 @@ def _cmd_etale_complete(args, inputs):
 def _cmd_compose(args, inputs):
     fwd1, leg1 = jsonio.cospan_from_json(_load(args.first, inputs))
     fwd2, leg2 = jsonio.cospan_from_json(_load(args.second, inputs))
-    c1 = frac.make_cospan(fwd1, leg1, args.depth, args.tuple_cap, args.subgroupoid_budget)
-    c2 = frac.make_cospan(fwd2, leg2, args.depth, args.tuple_cap, args.subgroupoid_budget)
+    c1 = frac.make_cospan(fwd1, leg1, args.depth, args.tuple_cap)
+    c2 = frac.make_cospan(fwd2, leg2, args.depth, args.tuple_cap)
     out = frac.compose(c1, c2, budget=args.subgroupoid_budget)
     return {"cospan": jsonio.cospan_to_json(out)}, None
 
@@ -211,10 +210,10 @@ _KNOBS = {
 _TABLE = {
     "validate": (_cmd_validate, "space? groupoid? models?", "depth tuple-cap open-cap"),
     "topology": (_cmd_topology, "input", "open-cap"),
-    "weq-check": (_cmd_check, "groupoid sub family?", "mode subgroupoid-budget open-cap"),
-    "surjection-check": (_cmd_check, "groupoid sub family?", "subgroupoid-budget open-cap"),
-    "inclusion-check": (_cmd_check, "groupoid sub family?", "subgroupoid-budget open-cap"),
-    "factorize": (_cmd_factorize, "functor", "subgroupoid-budget open-cap"),
+    "weq-check": (_cmd_check, "groupoid sub family?", "mode open-cap"),
+    "surjection-check": (_cmd_check, "groupoid sub family?", "open-cap"),
+    "inclusion-check": (_cmd_check, "groupoid sub family?", "open-cap"),
+    "factorize": (_cmd_factorize, "functor", "open-cap"),
     "generators": (_cmd_generators, "groupoid sub?", "subgroupoid-budget open-cap"),
     "subobjects": (_cmd_subobjects, "groupoid sub", "open-cap"),
     "logical-topology": (_cmd_logical_topology, "models", "depth tuple-cap open-cap"),

@@ -112,11 +112,9 @@ class ModelInclusion:
         amb = self.ambient.derive(depth, tuple_cap)
         return Subgroupoid(amb.groupoid, self.sub.arrows)
 
-    def certificate(self, depth: int, tuple_cap: int, budget: int) -> Verdict:
+    def certificate(self, depth: int, tuple_cap: int) -> Verdict:
         """The weak-equivalence verdict of the derived inclusion, every route."""
-        return weq.is_weak_equivalence(
-            self.derived_subgroupoid(depth, tuple_cap), mode="all", budget=budget
-        )
+        return weq.is_weak_equivalence(self.derived_subgroupoid(depth, tuple_cap), mode="all")
 
     def as_model_functor(self) -> ModelFunctor:
         return ModelFunctor(
@@ -189,14 +187,13 @@ class CospanMorphism:
 
 
 def make_cospan(fwd: ModelFunctor, weq_leg: ModelInclusion, depth: int,
-                tuple_cap: int = logic.DEFAULT_TUPLE_CAP,
-                budget: int = 4096) -> CospanMorphism:
+                tuple_cap: int = logic.DEFAULT_TUPLE_CAP) -> CospanMorphism:
     """Certify and assemble a cospan; rejects legs that fail the
     weak-equivalence certificate."""
     if fwd.cod != weq_leg.ambient:
         raise InputError("forward leg and inclusion leg have different apexes")
     fwd.derived(depth, tuple_cap)
-    cert = weq_leg.certificate(depth, tuple_cap, budget)
+    cert = weq_leg.certificate(depth, tuple_cap)
     if cert.answer != "yes":
         raise CertificateError(
             f"weq certificate failed: {cert.answer} {cert.witnesses[:1]}"
@@ -245,7 +242,7 @@ def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
         )
     apex = merge_and_complete([phi.cod, psi.ambient], budget)
     psi2 = ModelInclusion(phi.cod, apex)
-    cert = psi2.certificate(depth, tuple_cap, budget)
+    cert = psi2.certificate(depth, tuple_cap)
     if cert.answer != "yes":
         raise CertificateError(
             f"completed leg fails weak-equivalence certificate: {cert.answer}"
@@ -270,7 +267,7 @@ def compose(f: CospanMorphism, g: CospanMorphism, budget: int = 4096) -> CospanM
     square = ore_complete(f.weq_leg, g.fwd, depth, tuple_cap, budget)
     fwd = compose_model_functors(square.phi2, f.fwd)
     leg = ModelInclusion(g.target, square.apex)
-    cert = leg.certificate(depth, tuple_cap, budget)
+    cert = leg.certificate(depth, tuple_cap)
     if cert.answer != "yes":
         raise CertificateError(
             f"composite weq leg fails certification: {cert.answer}"
@@ -320,8 +317,7 @@ class CospanIsoCertificate:
     leg_iso: ContinuousTransformation
 
 
-def _try_mediated(c_from: CospanMorphism, c_to: CospanMorphism, direction,
-                  budget: int):
+def _try_mediated(c_from: CospanMorphism, c_to: CospanMorphism, direction):
     depth = max(c_from.depth, c_to.depth)
     cap = max(c_from.tuple_cap, c_to.tuple_cap)
     if c_from.apex == c_to.apex:
@@ -332,7 +328,7 @@ def _try_mediated(c_from: CospanMorphism, c_to: CospanMorphism, direction,
             incl = ModelInclusion(c_from.apex, c_to.apex)
         except InputError:
             return None
-        cert = incl.certificate(depth, cap, budget)
+        cert = incl.certificate(depth, cap)
         if cert.answer != "yes":
             return None
         mediator, kind = incl.as_model_functor(), "inclusion"
@@ -351,15 +347,12 @@ def _try_mediated(c_from: CospanMorphism, c_to: CospanMorphism, direction,
     return CospanIsoCertificate(direction, kind, cert, fwd_isos[0], leg_isos[0])
 
 
-def cospans_isomorphic(c1: CospanMorphism, c2: CospanMorphism,
-                       budget: int = 4096):
+def cospans_isomorphic(c1: CospanMorphism, c2: CospanMorphism):
     """A certificate that the cospans present the same localized
     morphism, or None if the (sufficient, not complete) search fails."""
     if c1.source != c2.source or c1.target != c2.target:
         return None
-    return _try_mediated(c1, c2, "1->2", budget) or _try_mediated(
-        c2, c1, "2->1", budget
-    )
+    return _try_mediated(c1, c2, "1->2") or _try_mediated(c2, c1, "2->1")
 
 
 @dataclass(frozen=True)
@@ -403,8 +396,8 @@ def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
     for d in (depth, depth + 1):
         incl_x = ModelInclusion(x, apex)
         incl_y = ModelInclusion(y, apex)
-        vx = incl_x.certificate(d, tuple_cap, budget)
-        vy = incl_y.certificate(d, tuple_cap, budget)
+        vx = incl_x.certificate(d, tuple_cap)
+        vy = incl_y.certificate(d, tuple_cap)
         if vx.answer == "yes" and vy.answer == "yes":
             return MoritaResult(
                 Verdict("yes", (), f"merged-completion,depth={d}"),

@@ -30,7 +30,7 @@ class TopGroupoid:
     """A groupoid internal to finite spaces: arrows over objects.
 
     `_cache` holds five memos of complete results derived from it:
-    "atoms" (the open atoms, budget checked on every read),
+    "atoms" (the open atoms, at most one per arrow, so no limit),
     "open_subgroupoids" (the open family, budget checked on every read),
     "moerdijk" (generator sheaves by u.arrow_set), "iota_cod" ((ambient,
     u)-bi-orbit spaces by u.arrow_set) and "restriction" (subobject
@@ -316,20 +316,16 @@ def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
     return frozenset().union(*(b for b in blocks if not b.isdisjoint(objs)))
 
 
-def within_budget(family, budget: int):
-    """The subgroupoid family, or BudgetExceeded when it has more than
-    `budget` members."""
-    if len(family) > budget:
-        raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
-    return family
-
-
 def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
-    seen = within_budget({frozenset(), *atoms}, budget)
+    """The join closure of the atoms and the empty set, in canonical
+    order; BudgetExceeded as soon as it has more than `budget` members."""
+    seen = {frozenset(), *atoms}
     frontier = list(seen)
     while frontier:
         nxt = []
         for s in frontier:
+            if len(seen) > budget:
+                raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
             for a in atoms:
                 # members are closed, so a known join needs no closure
                 if s | a in seen:
@@ -338,18 +334,17 @@ def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
                 if j not in seen:
                     seen.add(j)
                     nxt.append(j)
-                    within_budget(seen, budget)
         frontier = nxt
     return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows.points))]
 
 
-def open_atoms(g: TopGroupoid, budget: int = 4096):
+def open_atoms(g: TopGroupoid):
     """The atoms of the open family, in canonical order: the comp/inv
     closures of the arrows' minimal neighbourhoods (the closure of an
     open set stays open because an open groupoid has an open composition
     map).  Every open subgroupoid is the union of the atoms of its
     arrows.  There are at most as many atoms as arrows, and the empty
-    subgroupoid is not one.  Raises BudgetExceeded past `budget`."""
+    subgroupoid is not one."""
     atoms = g._cache.get("atoms")
     if atoms is None:
         if not g.is_open():
@@ -359,19 +354,20 @@ def open_atoms(g: TopGroupoid, budget: int = 4096):
         closed = {subgroupoid_closure(g, u) for u in mins}
         atoms = [Subgroupoid(g, s) for s in sorted(closed, key=fintop.set_key(g.arrows.points))]
         g._cache["atoms"] = atoms
-    return within_budget(atoms, budget)
+    return atoms
 
 
 def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
     """All subgroupoids whose arrow set is open, in canonical order: the
-    join-closure of the open atoms.  Raises BudgetExceeded past `budget`;
-    callers must then raise the cap or supply an explicit family.
+    join-closure of the open atoms.  Raises BudgetExceeded past `budget`.
     Includes the empty subgroupoid.
     """
     subs = g._cache.get("open_subgroupoids")
     if subs is not None:
-        return within_budget(subs, budget)
-    atoms = [u.arrow_set for u in open_atoms(g, budget)]
+        if len(subs) > budget:
+            raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
+        return subs
+    atoms = [u.arrow_set for u in open_atoms(g)]
     subs = _enumerate_join_closure(g, atoms, budget)
     for s in subs:
         if not s.is_open():  # pragma: no cover - guarded by openness precondition

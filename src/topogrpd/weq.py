@@ -63,12 +63,11 @@ def _sub_label(u: Subgroupoid):
     return tuple(fmt_point(a) for a in sorted_points(u.arrow_set))
 
 
-def resolve_family(g: TopGroupoid, family=None, budget: int = 4096):
-    """(list of open subgroupoids, provenance string); BudgetExceeded
-    when the family has more than `budget` members."""
+def resolve_family(g: TopGroupoid, family=None):
+    """(list of open subgroupoids, provenance string)."""
     if family is None:
-        return grpd.open_atoms(g, budget), "atoms"
-    fam = grpd.within_budget(list(family), budget)
+        return grpd.open_atoms(g), "atoms"
+    fam = list(family)
     for u in fam:
         if u.ambient != g:
             raise InputError("family member belongs to a different groupoid")
@@ -169,19 +168,31 @@ def has_source_determined_orbits(incl: Subgroupoid, u: Subgroupoid) -> bool:
 # -- verdicts ----------------------------------------------------------------
 
 
-def _for_all_members(incl: Subgroupoid, family, budget: int, check) -> Verdict:
+def _for_all_members(incl: Subgroupoid, family, check) -> Verdict:
     """The universal quantifier over the subgroupoid family.
 
     `check(u)` returns a witness dict when member u fails, None when it
     passes, or raises OracleDisagreement.  The first failing member gives
     a "no" whose witness names it; otherwise the answer is "yes" for the
     atoms and "unknown" for a user-supplied family.  `details` records
-    how many members were walked.
+    how many members were walked.  A subgroupoid that is not an open
+    groupoid itself is outside the proven scope and an input error.
     """
     bad = incl.validate()
     if bad:
         raise InputError("not a subgroupoid: " + "; ".join(bad))
-    fam, provenance = resolve_family(incl.ambient, family, budget)
+    amb, y0, y1 = incl.ambient, incl.object_set, incl.arrow_set
+    s = amb.src.mapping
+    # an open source map sends each minimal open onto a neighbourhood of its source
+    bad = [a for a in y1
+           if not amb.objects.min_open(s[a]) & y0 <= {s[b] for b in amb.arrows.min_open(a) & y1}]
+    if bad:
+        raise InputError(
+            f"subgroupoid is not an open groupoid: its source map is not open at arrow "
+            f"{fmt_point(sorted_points(bad)[0])}; the routes are only proven to coincide "
+            "on open T0 groupoids"
+        )
+    fam, provenance = resolve_family(amb, family)
     for walked, u in enumerate(fam, 1):
         w = check(u)
         if w is not None:
@@ -191,7 +202,7 @@ def _for_all_members(incl: Subgroupoid, family, budget: int, check) -> Verdict:
     return Verdict(answer, (), provenance, (("members", len(fam)),))
 
 
-def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096,
+def is_localic_surjection(incl: Subgroupoid, family=None,
                           cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Surjection criterion: Skula dense u-orbits for every open
     subgroupoid u, cross-checked against injectivity of the subobject
@@ -207,10 +218,10 @@ def is_localic_surjection(incl: Subgroupoid, family=None, budget: int = 4096,
             )
         return w
 
-    return _for_all_members(incl, family, budget, check)
+    return _for_all_members(incl, family, check)
 
 
-def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096,
+def is_subtopos_inclusion(incl: Subgroupoid, family=None,
                           cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Inclusion criterion: source determined orbits for every open
     subgroupoid, cross-checked against surjectivity of the subobject
@@ -226,7 +237,7 @@ def is_subtopos_inclusion(incl: Subgroupoid, family=None, budget: int = 4096,
             )
         return w
 
-    return _for_all_members(incl, family, budget, check)
+    return _for_all_members(incl, family, check)
 
 
 def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str, cap: int) -> bool:
@@ -240,7 +251,7 @@ def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str, cap: int) -> boo
 
 
 def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
-                        budget: int = 4096, cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
+                        cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Does the inclusion induce an equivalence of sheaf topoi?
 
     mode is one of "quasi-homeo", "two-condition", "subobject-oracle" or
@@ -264,7 +275,7 @@ def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
         detail = skula_witness(incl, u) or source_determined_witness(incl, u) or {}
         return dict(detail, mode=",".join(modes))
 
-    return _for_all_members(incl, family, budget, check)
+    return _for_all_members(incl, family, check)
 
 
 # -- surjection-inclusion factorization -------------------------------------
@@ -291,8 +302,7 @@ class Factorization:
         )
 
 
-def factorize(f: ContinuousFunctor, budget: int = 4096,
-              cap: int = fintop.DEFAULT_OPEN_CAP) -> Factorization:
+def factorize(f: ContinuousFunctor, cap: int = fintop.DEFAULT_OPEN_CAP) -> Factorization:
     """Factor a continuous functor through its full essential image.
 
     Returns the corestriction onto the full essential image and the full
@@ -312,6 +322,6 @@ def factorize(f: ContinuousFunctor, budget: int = 4096,
     img = grpd.image(f)
     img_in_fei = Subgroupoid(fei_grpd, img.arrow_set)
     surj = frozenset(f.obj_map.mapping.values()) == img.object_set
-    image_cert = is_localic_surjection(img_in_fei, budget=budget, cap=cap)
-    incl_cert = is_subtopos_inclusion(fei, budget=budget, cap=cap)
+    image_cert = is_localic_surjection(img_in_fei, cap=cap)
+    incl_cert = is_subtopos_inclusion(fei, cap=cap)
     return Factorization(first, fei, surj, image_cert, incl_cert)

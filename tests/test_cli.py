@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from corpus import SMALL_GROUPS, space_pair_groupoid
 from test_grpd import LOOP5_ROWS
 from topogrpd import cli, grpd, jsonio
+from topogrpd.fintop import FinSpace
 
 ISO_PAIR_DOC = {
     "objects": {"points": ["a", "b"], "opens": [[], ["a"], ["b"], ["a", "b"]]},
@@ -137,14 +139,46 @@ def test_missing_file_exit_3(capsys):
 
 
 def test_budget_exit_4(capsys, docs):
-    """The budget bounds the members walked: the input has 3 atoms (and 5
-    open subgroupoids), so a budget of 2 is exceeded and 3 is not."""
-    check = ("weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"])
-    code, rep = run(capsys, *check, "--subgroupoid-budget", "2")
+    """The budget bounds the open family `generators` lists: the input has
+    5 open subgroupoids, so a budget of 4 is exceeded and 5 is not."""
+    listing = ("generators", "--groupoid", docs["groupoid"])
+    code, rep = run(capsys, *listing, "--subgroupoid-budget", "4")
     assert code == 4
-    assert "subgroupoid family exceeds budget 2" in json.dumps(rep)
-    code, _ = run(capsys, *check, "--subgroupoid-budget", "3")
+    assert "subgroupoid family exceeds budget 4" in rep["result"]["error"]
+    code, rep = run(capsys, *listing, "--subgroupoid-budget", "5")
     assert code == 0
+    assert len(rep["result"]["generators"]) == 5
+
+
+def test_morita_search_budget_bounds_the_merged_apex(capsys, docs, tmp_path):
+    """Merging a model with a renamed copy gives an apex of 4 arrows (the
+    identity isomorphisms between and within M1 and M2)."""
+    right = json.loads(json.dumps(MG_DOC))
+    right["models"][0]["name"] = "M2"
+    p = tmp_path / "right.json"
+    p.write_text(json.dumps(right))
+    search = ("morita-search", "--left", docs["models"], "--right", str(p))
+    code, rep = run(capsys, *search, "--subgroupoid-budget", "3")
+    assert code == 4
+    assert rep["result"]["error"] == "merged groupoid has 4 arrows, budget 3"
+    code, rep = run(capsys, *search, "--subgroupoid-budget", "4")
+    assert code == 0
+    assert rep["result"]["answer"] == "yes"
+
+
+@pytest.mark.parametrize("command", ["weq-check", "surjection-check", "inclusion-check"])
+def test_a_subgroupoid_that_is_not_an_open_groupoid_exits_3(capsys, tmp_path, command):
+    """The pair groupoid of the 2-point space with minimal opens {0, 1}
+    and {1}, vertex group Z2: this subgroupoid's own source map is not
+    open, which is outside the scope where the routes provably agree."""
+    space = FinSpace([0, 1], {0: frozenset({0, 1}), 1: frozenset({1})})
+    g, sub = tmp_path / "g.json", tmp_path / "sub.json"
+    g.write_text(json.dumps(jsonio.groupoid_to_json(space_pair_groupoid(space, SMALL_GROUPS["Z2"]))))
+    sub.write_text(json.dumps({"arrows": ["(0,0,0)", "(0,1,1)", "(1,0,1)", "(1,1,0)"]}))
+    code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub))
+    assert code == 3
+    assert rep["result"]["error"].startswith("subgroupoid is not an open groupoid")
+    assert "proven to coincide on open T0 groupoids" in rep["result"]["error"]
 
 
 def test_topology_command(capsys, docs):

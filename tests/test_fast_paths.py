@@ -40,7 +40,7 @@ from corpus import (
 from test_acceptance import SEED
 from test_cli import MG_DOC, discrete_space_groupoid_doc
 from topogrpd import cli, fintop, grpd, jsonio, logic, sheaf, weq
-from topogrpd.errors import CapExceeded
+from topogrpd.errors import CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 
 
@@ -335,15 +335,22 @@ def test_atoms_decide_as_the_whole_open_family():
 @given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(sorted(SMALL_GROUPS)))
 def test_atoms_decide_as_the_whole_open_family_on_pair_groupoids_of_spaces(seed, group):
     """Pair groupoids of random T0 spaces with a vertex group: arrow
-    topologies that are neither discrete nor identities only.  Only
-    subgroupoids that are open groupoids themselves are included, the
-    proven scope: outside it the routes can disagree."""
+    topologies that are neither discrete nor identities only.  A
+    subgroupoid that is not an open groupoid itself is outside the proven
+    scope, where the routes can disagree: every verdict rejects it."""
     space = random_space(random.Random(seed), max_points=3)
     mult = SMALL_GROUPS[group]
     assume(fintop.is_t0(space) and len(space) ** 2 * len({a for a, _ in mult}) <= 12)
     g = space_pair_groupoid(space, mult)
     assert grpd.validate_groupoid(g) == []
-    inclusions = [y for y in grpd.enumerate_subgroupoids(g) if y.as_groupoid().is_open()]
+    inclusions = []
+    for y in grpd.enumerate_subgroupoids(g):
+        if y.as_groupoid().is_open():
+            inclusions.append(y)
+            continue
+        for decide in (weq.is_weak_equivalence, weq.is_localic_surjection, weq.is_subtopos_inclusion):
+            with pytest.raises(InputError, match="not an open groupoid"):
+                decide(y)
     atoms_against_the_whole_family(g, inclusions)
 
 
