@@ -63,31 +63,36 @@ def _cmd_topology(args, inputs):
     return {"space": jsonio.space_to_json(space, cap=args.open_cap)}, None
 
 
-def _valid_groupoid(args, inputs):
-    """The --groupoid document, rejected unless it is an open topological groupoid."""
-    g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
+def _open_groupoid(g, where=""):
+    """g, rejected unless it is an open topological groupoid."""
     bad = grpd.validate_groupoid(g)
     if bad:
-        raise InputError("not an open topological groupoid: " + "; ".join(bad))
+        raise InputError(where + "not an open topological groupoid: " + "; ".join(bad))
     return g
+
+
+def _valid_groupoid(args, inputs):
+    """The --groupoid document, rejected unless it is an open topological groupoid."""
+    return _open_groupoid(jsonio.groupoid_from_json(_load(args.groupoid, inputs)))
 
 
 def _cmd_check(args, inputs):
     """weq-check, surjection-check and inclusion-check, on a valid groupoid."""
     g = _valid_groupoid(args, inputs)
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
-    fam = jsonio.family_from_json(_load(args.family, inputs), g) if args.family else None
     if args.command == "weq-check":
-        verdict = weq.is_weak_equivalence(sub, family=fam, mode=args.mode, cap=args.open_cap)
+        verdict = weq.is_weak_equivalence(sub, mode=args.mode, cap=args.open_cap)
     elif args.command == "surjection-check":
-        verdict = weq.is_localic_surjection(sub, family=fam, cap=args.open_cap)
+        verdict = weq.is_localic_surjection(sub, cap=args.open_cap)
     else:
-        verdict = weq.is_subtopos_inclusion(sub, family=fam, cap=args.open_cap)
+        verdict = weq.is_subtopos_inclusion(sub, cap=args.open_cap)
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
 def _cmd_factorize(args, inputs):
     f = jsonio.functor_from_json(_load(args.functor, inputs))
+    _open_groupoid(f.dom, "functor dom: ")
+    _open_groupoid(f.cod, "functor cod: ")
     fz = weq.factorize(f, cap=args.open_cap)
     answer = "yes" if fz.certificates_pass() else "no"
     result = {
@@ -210,9 +215,9 @@ _KNOBS = {
 _TABLE = {
     "validate": (_cmd_validate, "space? groupoid? models?", "depth tuple-cap open-cap"),
     "topology": (_cmd_topology, "input", "open-cap"),
-    "weq-check": (_cmd_check, "groupoid sub family?", "mode open-cap"),
-    "surjection-check": (_cmd_check, "groupoid sub family?", "open-cap"),
-    "inclusion-check": (_cmd_check, "groupoid sub family?", "open-cap"),
+    "weq-check": (_cmd_check, "groupoid sub", "mode open-cap"),
+    "surjection-check": (_cmd_check, "groupoid sub", "open-cap"),
+    "inclusion-check": (_cmd_check, "groupoid sub", "open-cap"),
     "factorize": (_cmd_factorize, "functor", "open-cap"),
     "generators": (_cmd_generators, "groupoid sub?", "subgroupoid-budget open-cap"),
     "subobjects": (_cmd_subobjects, "groupoid sub", "open-cap"),

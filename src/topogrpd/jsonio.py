@@ -183,14 +183,6 @@ def subgroupoid_from_json(doc, ambient: TopGroupoid) -> Subgroupoid:
     return sub
 
 
-def family_from_json(doc, ambient: TopGroupoid):
-    doc = _object(doc, "family document", ("subgroupoids",))
-    return [
-        subgroupoid_from_json({"arrows": arrows}, ambient)
-        for arrows in _list(doc["subgroupoids"], "subgroupoids")
-    ]
-
-
 def functor_from_json(doc) -> ContinuousFunctor:
     doc = _object(doc, "functor document", ("dom", "cod", "obj_map", "arr_map"))
     for key in ("obj_map", "arr_map"):

@@ -12,10 +12,10 @@ equivalence of sheaf topoi at finite scale:
 
 The routes provably coincide on finite open T0 groupoids, so any
 disagreement raises OracleDisagreement rather than returning a verdict.
-The universal quantifier ranges over the open atoms by default (the
-comp/inv closures of the arrows' minimal neighbourhoods; README "Scope
-notes" shows why every open subgroupoid then passes too); a
-user-supplied family downgrades positive answers to "unknown".
+The universal quantifier ranges over the open atoms (the comp/inv
+closures of the arrows' minimal neighbourhoods; README "Scope notes"
+shows why every open subgroupoid then passes too), so every verdict is
+a definitive yes or no.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import fintop, grpd, sheaf
 from .errors import InputError, OracleDisagreement
 from .fintop import fmt_point, sorted_points
-from .grpd import ContinuousFunctor, Subgroupoid, TopGroupoid
+from .grpd import ContinuousFunctor, Subgroupoid
 
 MODES = ("quasi-homeo", "two-condition", "subobject-oracle")
 
@@ -34,7 +34,7 @@ MODES = ("quasi-homeo", "two-condition", "subobject-oracle")
 class Verdict:
     """Outcome of a criterion: yes / no / unknown, with counterexample
     witnesses (minimal in canonical order) and the provenance of the
-    subgroupoid family or search bound that was used."""
+    quantified family ("atoms" for the weq criteria) or search bound."""
 
     answer: str
     witnesses: tuple = ()
@@ -61,21 +61,6 @@ class Verdict:
 
 def _sub_label(u: Subgroupoid):
     return tuple(fmt_point(a) for a in sorted_points(u.arrow_set))
-
-
-def resolve_family(g: TopGroupoid, family=None):
-    """(list of open subgroupoids, provenance string)."""
-    if family is None:
-        return grpd.open_atoms(g), "atoms"
-    fam = list(family)
-    for u in fam:
-        if u.ambient != g:
-            raise InputError("family member belongs to a different groupoid")
-        if not u.is_open():
-            raise InputError("family member is not an open subgroupoid")
-        if u.validate():
-            raise InputError("family member is not a subgroupoid")
-    return fam, "user"
 
 
 # -- the two orbit conditions, reduced to minimal neighbourhoods -----------
@@ -110,10 +95,6 @@ def skula_witness(incl: Subgroupoid, u: Subgroupoid):
                 "W_prime": sorted(fmt_point(z) for z in u0space.min_open(x)),
             }
     return None
-
-
-def has_skula_dense_orbits(incl: Subgroupoid, u: Subgroupoid) -> bool:
-    return skula_witness(incl, u) is None
 
 
 def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
@@ -161,22 +142,18 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     return None
 
 
-def has_source_determined_orbits(incl: Subgroupoid, u: Subgroupoid) -> bool:
-    return source_determined_witness(incl, u) is None
-
-
 # -- verdicts ----------------------------------------------------------------
 
 
-def _for_all_members(incl: Subgroupoid, family, check) -> Verdict:
-    """The universal quantifier over the subgroupoid family.
+def _for_all_members(incl: Subgroupoid, check) -> Verdict:
+    """The universal quantifier over the open atoms of the ambient.
 
-    `check(u)` returns a witness dict when member u fails, None when it
-    passes, or raises OracleDisagreement.  The first failing member gives
-    a "no" whose witness names it; otherwise the answer is "yes" for the
-    atoms and "unknown" for a user-supplied family.  `details` records
-    how many members were walked.  A subgroupoid that is not an open
-    groupoid itself is outside the proven scope and an input error.
+    `check(u)` returns a witness dict when atom u fails, None when it
+    passes, or raises OracleDisagreement.  The first failing atom gives
+    a "no" whose witness names it; otherwise the answer is "yes".
+    `details` records how many atoms were walked.  A subgroupoid that is
+    not an open groupoid itself is outside the proven scope and an input
+    error.
     """
     bad = incl.validate()
     if bad:
@@ -192,18 +169,16 @@ def _for_all_members(incl: Subgroupoid, family, check) -> Verdict:
             f"{fmt_point(sorted_points(bad)[0])}; the routes are only proven to coincide "
             "on open T0 groupoids"
         )
-    fam, provenance = resolve_family(amb, family)
-    for walked, u in enumerate(fam, 1):
+    atoms = grpd.open_atoms(amb)
+    for walked, u in enumerate(atoms, 1):
         w = check(u)
         if w is not None:
             w = dict(w, open_subgroupoid=list(_sub_label(u)))
-            return Verdict("no", (tuple(sorted(w.items())),), provenance, (("members", walked),))
-    answer = "yes" if provenance == "atoms" else "unknown"
-    return Verdict(answer, (), provenance, (("members", len(fam)),))
+            return Verdict("no", (tuple(sorted(w.items())),), details=(("members", walked),))
+    return Verdict("yes", details=(("members", len(atoms)),))
 
 
-def is_localic_surjection(incl: Subgroupoid, family=None,
-                          cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
+def is_localic_surjection(incl: Subgroupoid, cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Surjection criterion: Skula dense u-orbits for every open
     subgroupoid u, cross-checked against injectivity of the subobject
     restriction (OracleDisagreement on mismatch), whose lattices may hold
@@ -218,11 +193,10 @@ def is_localic_surjection(incl: Subgroupoid, family=None,
             )
         return w
 
-    return _for_all_members(incl, family, check)
+    return _for_all_members(incl, check)
 
 
-def is_subtopos_inclusion(incl: Subgroupoid, family=None,
-                          cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
+def is_subtopos_inclusion(incl: Subgroupoid, cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Inclusion criterion: source determined orbits for every open
     subgroupoid, cross-checked against surjectivity of the subobject
     restriction, whose lattices may hold at most `cap` elements."""
@@ -237,7 +211,7 @@ def is_subtopos_inclusion(incl: Subgroupoid, family=None,
             )
         return w
 
-    return _for_all_members(incl, family, check)
+    return _for_all_members(incl, check)
 
 
 def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str, cap: int) -> bool:
@@ -250,12 +224,12 @@ def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str, cap: int) -> boo
     raise InputError(f"unknown mode {mode!r}")
 
 
-def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
+def is_weak_equivalence(incl: Subgroupoid, mode: str = "all",
                         cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
     """Does the inclusion induce an equivalence of sheaf topoi?
 
     mode is one of "quasi-homeo", "two-condition", "subobject-oracle" or
-    "all"; with "all" every route is run on every family member and any
+    "all"; with "all" every route is run on every atom and any
     disagreement raises OracleDisagreement.  The subobject lattices may
     hold at most `cap` elements."""
     if mode != "all" and mode not in MODES:
@@ -275,7 +249,7 @@ def is_weak_equivalence(incl: Subgroupoid, family=None, mode: str = "all",
         detail = skula_witness(incl, u) or source_determined_witness(incl, u) or {}
         return dict(detail, mode=",".join(modes))
 
-    return _for_all_members(incl, family, check)
+    return _for_all_members(incl, check)
 
 
 # -- surjection-inclusion factorization -------------------------------------

@@ -1,11 +1,14 @@
 """Brute-force oracles, kept deliberately independent of the library's
 computation paths: quantifiers are run literally over materialised open
-families.  Only usable on small inputs."""
+families.  `exhaustive_answer` calls the library's public per-member
+routes, but quantifies them itself over the whole open-subgroupoid
+family, outside the verdicts' loop over the atoms.  Only usable on
+small inputs."""
 
 from itertools import combinations, product
 
-from topogrpd import fintop, grpd, logic
-from topogrpd.errors import CapExceeded
+from topogrpd import fintop, grpd, logic, sheaf, weq
+from topogrpd.errors import CapExceeded, OracleDisagreement
 from topogrpd.fintop import FinSpace
 
 
@@ -119,15 +122,39 @@ def fiber_product_oracle(f, g) -> FinSpace:
                           for (x, y) in pts})
 
 
-def exhaustive_answer(decide, incl, **kwargs) -> str:
+def exhaustive_answer(decide, incl, mode="all", cap=4096) -> str:
     """The answer of a weq criterion `decide` (is_weak_equivalence,
     is_localic_surjection or is_subtopos_inclusion) with its quantifier
     run over every open subgroupoid, the join-closed family, instead of
-    the atoms.  The library reads a passing user family as "unknown",
-    which here is the "yes" of the literal quantifier."""
-    family = grpd.enumerate_open_subgroupoids(incl.ambient)
-    answer = decide(incl, family=family, **kwargs).answer
-    return "yes" if answer == "unknown" else answer
+    the atoms.  Each member's routes come from the public per-member
+    functions, not from the library's loop; a split raises
+    OracleDisagreement.  "no" at the first failing member, else "yes"."""
+    if decide is weq.is_localic_surjection:
+        routes = {"skula-dense-orbits": lambda u: weq.skula_witness(incl, u) is None,
+                  "subobject injectivity":
+                      lambda u: sheaf.subobject_restriction(incl, u, cap).is_injective()}
+    elif decide is weq.is_subtopos_inclusion:
+        routes = {"source-determined-orbits":
+                      lambda u: weq.source_determined_witness(incl, u) is None,
+                  "subobject surjectivity":
+                      lambda u: sheaf.subobject_restriction(incl, u, cap).is_surjective()}
+    else:
+        assert decide is weq.is_weak_equivalence, decide
+        routes = {
+            "quasi-homeo": lambda u: fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u)),
+            "two-condition": lambda u: (weq.skula_witness(incl, u) is None
+                                        and weq.source_determined_witness(incl, u) is None),
+            "subobject-oracle": lambda u: sheaf.subobject_restriction(incl, u, cap).is_bijective(),
+        }
+        routes = routes if mode == "all" else {mode: routes[mode]}
+    for u in grpd.enumerate_open_subgroupoids(incl.ambient):
+        answers = {name: route(u) for name, route in routes.items()}
+        if len(set(answers.values())) > 1:
+            raise OracleDisagreement(f"routes split on {sorted(u.arrow_set, key=fintop.ckey)}: "
+                                     f"{answers}")
+        if not next(iter(answers.values())):
+            return "no"
+    return "yes"
 
 
 def source_determined_oracle(incl, u) -> bool:

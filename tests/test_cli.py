@@ -62,7 +62,7 @@ def functor_doc(n=2):
 
 
 # the fixture document each input flag of a command reads
-INPUT_DOCS = {"space": "space", "groupoid": "groupoid", "sub": "sub", "family": "family",
+INPUT_DOCS = {"space": "space", "groupoid": "groupoid", "sub": "sub",
               "models": "models", "input": "topology", "functor": "functor",
               "first": "cospan", "second": "cospan", "left": "models", "right": "models"}
 
@@ -109,13 +109,13 @@ def test_weq_check_yes(capsys, docs):
     assert rep["result"]["verdict"]["details"] == {"members": 3}
 
 
-def test_weq_check_user_family_unknown(capsys, docs):
-    code, rep = run(
-        capsys, "weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"],
-        "--family", docs["family"],
-    )
-    assert code == 2
-    assert rep["result"]["verdict"]["family"] == "user"
+@pytest.mark.parametrize("command", ["weq-check", "surjection-check", "inclusion-check"])
+def test_a_family_file_is_a_bad_command_line(capsys, docs, command):
+    """The verdicts quantify over the atoms only; a family flag is not read."""
+    code, rep = run(capsys, command, "--groupoid", docs["groupoid"], "--sub", docs["sub"],
+                    "--family", docs["family"])
+    assert code == 3
+    assert "unrecognized arguments: --family" in rep["result"]["error"]
 
 
 def test_surjection_and_inclusion_checks(capsys, docs):
@@ -402,6 +402,24 @@ def test_functor_between_groupoids_with_missing_comp_exits_3(capsys, tmp_path, s
     code, rep = run(capsys, "factorize", "--functor", str(p))
     assert (code, rep["result"]["error"]) == (
         3, "not a continuous functor: comp not preserved at (0,0); comp not preserved at (1,1)"
+    )
+
+
+@pytest.mark.parametrize("side", ["dom", "cod"])
+def test_functor_between_invalid_groupoids_exits_3(capsys, tmp_path, side):
+    """A discrete object space under an indiscrete arrow space: src and
+    tgt are not continuous.  dom: both sides are invalid, and the domain
+    is named first; cod: only the codomain is invalid."""
+    valid = discrete_space_groupoid_doc(2)
+    invalid = dict(valid, arrows={"points": ["0", "1"], "opens": [[], ["0", "1"]]})
+    ident = {p: p for p in valid["objects"]["points"]}
+    doc = {"dom": invalid if side == "dom" else valid, "cod": invalid,
+           "obj_map": ident, "arr_map": ident}
+    p = tmp_path / "functor.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, "factorize", "--functor", str(p))
+    assert (code, rep["result"]["error"]) == (
+        3, f"functor {side}: not an open topological groupoid: src not continuous; tgt not continuous"
     )
 
 

@@ -11,7 +11,8 @@ Definable-set extensions are int masks over `DefinableSets.index`;
 and `logic._eval`.  The arrow incidence `out_of`/`into` of a groupoid is
 compared with the source and target filters of all its arrows.  The
 verdicts quantify over the open atoms; `oracles.exhaustive_answer` runs
-the same checks over the whole open-subgroupoid family.  The fibre
+the public per-member routes over the whole open-subgroupoid family, in
+a loop of its own.  The fibre
 product's minimal opens are compared with the pairwise construction.
 """
 
