@@ -405,10 +405,13 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
 
     Returns (space of bi-orbits, quotient map from the subspace on v,
     inclusion of that subspace into the arrow space), realizing the
-    subquotient diagram arrows <- v ->> bi-orbits.  The actions are
-    indexed once (right arrows by target, left arrows by source), and
-    the pass that feeds their pairs to the partition raises
-    BistabilityError at the first composite that leaves v.
+    subquotient diagram arrows <- v ->> bi-orbits.  Each block is
+    enumerated from one representative a as {c o a o b : c in left, b in
+    right}, which needs `left` and `right` to be subgroupoids, closed
+    under composition and inverses; every caller in the package passes
+    atoms, the whole groupoid, identities or a validated inclusion.  A
+    block that leaves v raises BistabilityError naming the `ckey`-least
+    pair whose composite leaves v.
     """
     v = frozenset(v)
     if not v <= x.arrows.points:
@@ -421,25 +424,25 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
     by_src = {}
     for c in left.arrow_set:
         by_src.setdefault(s[c], []).append(c)
-
-    def actions():
-        for a in v:
-            for b in by_tgt.get(s[a], ()):
-                h = x.comp[(a, b)]
-                if h not in v:
-                    raise BistabilityError(
-                        f"v not stable under pre-composition at {fmt_point((a, b))}")
-                yield a, h
-            for c in by_src.get(t[a], ()):
-                h = x.comp[(c, a)]
-                if h not in v:
-                    raise BistabilityError(
-                        f"v not stable under post-composition at {fmt_point((c, a))}")
-                yield a, h
-
-    space, quot = fintop.quotient_space(sub, fintop.partition(v, actions()))
-    incl = ContinuousMap(sub, x.arrows, {a: a for a in v}, check=False)
-    return space, quot, incl
+    # composites equal v's points without being the same objects; blocks
+    # hold v's own, so lookups of the points in the quotient hit by identity
+    canon = {a: a for a in v}  # also the inclusion of the subspace on v
+    blocks, covered = [], set()
+    for a in v:
+        if a in covered:
+            continue
+        orbit = {x.comp[(a, b)] for b in by_tgt.get(s[a], ())} or {a}
+        block = {x.comp[(c, h)] for c in by_src.get(t[a], ()) for h in orbit} or orbit
+        if not block <= v:
+            bad = [((h, b), "pre") for h in v for b in by_tgt.get(s[h], ()) if x.comp[(h, b)] not in v]
+            bad += [((c, h), "post") for h in v for c in by_src.get(t[h], ()) if x.comp[(c, h)] not in v]
+            pair, side = min(bad, key=lambda e: ckey(e[0]))
+            raise BistabilityError(f"v not stable under {side}-composition at {fmt_point(pair)}")
+        block = {canon[h] for h in block}
+        covered |= block
+        blocks.append(block)
+    space, quot = fintop.quotient_space(sub, blocks)
+    return space, quot, ContinuousMap(sub, x.arrows, canon, check=False)
 
 
 def iota_map(incl: Subgroupoid, u: Subgroupoid) -> ContinuousMap:

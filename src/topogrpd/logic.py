@@ -1130,9 +1130,26 @@ def is_ultrahomogeneous(m: FinModel, depth: int,
 
 def all_isos_between_members(members) -> frozenset:
     """Every isomorphism between the indexed models `members` (a
-    ModelGroupoid is read as its members)."""
-    models = [im.model for im in getattr(members, "members", members)]
-    return frozenset(a for m in models for n in models for a in model_isomorphisms(m, n))
+    ModelGroupoid is read as its members), from one representative r per
+    isomorphism class: each member m, tested against the representatives
+    found so far, keeps one isomorphism a_m: r -> m, and the isomorphisms
+    m -> n are the a_n o c o a_m^-1 for c in Aut(r)."""
+    classes = []  # (r, Aut(r), the a_m of the members of its class)
+    for im in getattr(members, "members", members):
+        for r, _, isos in classes:
+            found = model_isomorphisms(r, im.model)
+            if found:
+                isos.append(found[0])
+                break
+        else:
+            autos = automorphisms(im.model)
+            classes.append((im.model, autos, [autos[0]]))
+    out = set()
+    for _, autos, isos in classes:
+        inverses = [invert_iso(a) for a in isos]
+        for bc in (compose_isos(b, c) for b in isos for c in autos):
+            out.update(compose_isos(bc, a_inv) for a_inv in inverses)
+    return frozenset(out)
 
 
 def etale_completion(g: ModelGroupoid) -> ModelGroupoid:

@@ -8,8 +8,8 @@ small inputs."""
 from itertools import combinations, product
 
 from topogrpd import fintop, grpd, logic, sheaf, weq
-from topogrpd.errors import CapExceeded, OracleDisagreement
-from topogrpd.fintop import FinSpace
+from topogrpd.errors import BistabilityError, CapExceeded, OracleDisagreement
+from topogrpd.fintop import ContinuousMap, FinSpace
 
 
 def opens_of(space, cap=4096):
@@ -155,6 +155,48 @@ def exhaustive_answer(decide, incl, mode="all", cap=4096) -> str:
         if not next(iter(answers.values())):
             return "no"
     return "yes"
+
+
+def bi_orbit_space_oracle(x, left, right, v):
+    """The bi-orbit space by union-find: every action pair (a, a o b) for
+    b in `right` into s(a), and (a, c o a) for c in `left` out of t(a),
+    for every a in v, is fed to `fintop.partition`; BistabilityError at
+    the first composite that leaves v.  Same (space, quotient map,
+    inclusion) as `grpd.bi_orbit_space`."""
+    v = frozenset(v)
+    s, t = x.src.mapping, x.tgt.mapping
+    sub = x.arrows.subspace(v)
+    by_tgt = {}
+    for b in right.arrow_set:
+        by_tgt.setdefault(t[b], []).append(b)
+    by_src = {}
+    for c in left.arrow_set:
+        by_src.setdefault(s[c], []).append(c)
+
+    def actions():
+        for a in v:
+            for b in by_tgt.get(s[a], ()):
+                h = x.comp[(a, b)]
+                if h not in v:
+                    raise BistabilityError(
+                        f"v not stable under pre-composition at {fintop.fmt_point((a, b))}")
+                yield a, h
+            for c in by_src.get(t[a], ()):
+                h = x.comp[(c, a)]
+                if h not in v:
+                    raise BistabilityError(
+                        f"v not stable under post-composition at {fintop.fmt_point((c, a))}")
+                yield a, h
+
+    space, quot = fintop.quotient_space(sub, fintop.partition(v, actions()))
+    return space, quot, ContinuousMap(sub, x.arrows, {a: a for a in v}, check=False)
+
+
+def all_isos_between_members_oracle(members) -> frozenset:
+    """Every isomorphism between the indexed models `members` by a
+    permutation search for each ordered pair of members."""
+    models = [im.model for im in getattr(members, "members", members)]
+    return frozenset(a for m in models for n in models for a in logic.model_isomorphisms(m, n))
 
 
 def source_determined_oracle(incl, u) -> bool:

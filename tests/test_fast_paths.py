@@ -14,6 +14,11 @@ verdicts quantify over the open atoms; `oracles.exhaustive_answer` runs
 the public per-member routes over the whole open-subgroupoid family, in
 a loop of its own.  The fibre
 product's minimal opens are compared with the pairwise construction.
+`grpd.bi_orbit_space` enumerates each bi-orbit from one representative;
+`oracles.bi_orbit_space_oracle` feeds every action pair to the
+union-find.  `logic.all_isos_between_members` composes through one
+representative per isomorphism class;
+`oracles.all_isos_between_members_oracle` searches every ordered pair.
 """
 
 import json
@@ -30,6 +35,8 @@ from hypothesis import strategies as st
 import oracles
 import topogrpd
 from corpus import (
+    GRAPH,
+    POINTED,
     SMALL_GROUPS,
     graph_copies_doc,
     groupoid_corpus,
@@ -41,8 +48,9 @@ from corpus import (
 from test_acceptance import SEED
 from test_cli import MG_DOC, discrete_space_groupoid_doc
 from topogrpd import cli, fintop, grpd, jsonio, logic, sheaf, weq
-from topogrpd.errors import CapExceeded, InputError
+from topogrpd.errors import BistabilityError, CapExceeded, InputError
 from topogrpd.fintop import FinSpace
+from topogrpd.logic import FinModel, IndexedModel
 
 
 def random_id(rng, depth=2):
@@ -361,3 +369,87 @@ def test_fiber_product_matches_the_pairwise_construction(corpus):
             space, pr1, pr2 = fintop.fiber_product(f, h)
             assert space == oracles.fiber_product_oracle(f, h)
             assert all(pr1(p) == p[0] and pr2(p) == p[1] for p in space.points)
+
+
+def test_bi_orbits_match_the_union_find():
+    """For every pair (L, R) of subgroupoids of S3 and of a 30-groupoid
+    corpus, on all arrows, on a union of some reference bi-orbits (stable)
+    and on a random arrow set (mostly unstable): the same space and maps
+    as the union-find, or BistabilityError on both sides."""
+    rng = random.Random(0)
+    s3 = grpd.group_groupoid({a for a, _ in SMALL_GROUPS["S3"]}, SMALL_GROUPS["S3"])
+    merged = stable = unstable = 0
+    for g in [s3, *groupoid_corpus(random.Random(0), 30)]:
+        arrows = fintop.sorted_points(g.arrows.points)
+        subs = grpd.enumerate_subgroupoids(g)
+        for left in subs:
+            for right in subs:
+                ref, _, _ = oracles.bi_orbit_space_oracle(g, left, right, g.arrows.points)
+                merged += len(ref) < len(arrows)
+                for v in (g.arrows.points,
+                          frozenset().union(*(b for b in fintop.sorted_points(ref.points)
+                                              if rng.random() < 0.5)),
+                          frozenset(a for a in arrows if rng.random() < 0.5)):
+                    try:
+                        want = oracles.bi_orbit_space_oracle(g, left, right, v)
+                    except BistabilityError:
+                        with pytest.raises(BistabilityError):
+                            grpd.bi_orbit_space(g, left, right, v)
+                        unstable += 1
+                        continue
+                    space, quot, incl = grpd.bi_orbit_space(g, left, right, v)
+                    assert space == want[0] and quot.mapping == want[1].mapping
+                    assert quot.domain == want[1].domain and quot.codomain == space
+                    assert incl.mapping == want[2].mapping and incl.domain == want[2].domain
+                    stable += 1
+    assert merged >= 800 and stable >= 3000 and unstable >= 700, (merged, stable, unstable)
+
+
+def model_corpus_member_lists():
+    """Member lists from the model corpus: the members of 100 random
+    model groupoids, and 100 pools of two to five members drawn across
+    those of one signature (copies included), renamed apart."""
+    rng = random.Random(SEED)
+    groupoids = [random_model_groupoid(rng) for _ in range(100)]
+    lists = [list(mg.members) for mg in groupoids]
+    by_sig = {}
+    for mg in groupoids:
+        by_sig.setdefault(mg.signature, []).extend((im, mg.params) for im in mg.members)
+    for i in range(100):
+        pool = by_sig[rng.choice([GRAPH, POINTED])]
+        members = []
+        for j in range(rng.randint(2, 5)):
+            im, params = rng.choice(pool)
+            m = im.model
+            renamed = FinModel(f"P{i}_{j}", m.signature, m.carriers, m.relations, m.constants)
+            members.append(IndexedModel(renamed, im.indexing, params))
+        lists.append(members)
+    return lists
+
+
+def test_all_isos_between_members_match_the_pairwise_search():
+    several_classes = nontrivial_autos = mixed_sizes = 0
+    for members in model_corpus_member_lists():
+        assert logic.all_isos_between_members(members) == \
+            oracles.all_isos_between_members_oracle(members)
+        models = [im.model for im in members]
+        reps = []
+        for m in models:
+            if not any(logic.model_isomorphisms(r, m) for r in reps):
+                reps.append(m)
+        several_classes += len(reps) >= 2
+        nontrivial_autos += sum(len(logic.automorphisms(m)) > 1 for m in models)
+        mixed_sizes += len({len(m.carriers["V"]) for m in models}) > 1
+    assert several_classes >= 100 and nontrivial_autos >= 60 and mixed_sizes >= 80, (
+        several_classes, nontrivial_autos, mixed_sizes)
+
+
+def test_all_isos_between_members_across_signatures_is_an_input_error():
+    graph = FinModel("G", GRAPH, {"V": ["v0"]}, {"E": [("v0", "v0")]})
+    pointed = FinModel("P", POINTED, {"V": ["v0"]}, {"E": [("v0", "v0")], "P": [("v0",)]})
+    params = {"p0": "V"}
+    for order in ((graph, graph, pointed), (pointed, graph)):
+        members = [IndexedModel(m, {"p0": "v0"}, params) for m in order]
+        for all_isos in (logic.all_isos_between_members, oracles.all_isos_between_members_oracle):
+            with pytest.raises(InputError, match="^models over different signatures$"):
+                all_isos(members)

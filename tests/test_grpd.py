@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,33 @@ def test_bi_orbit_bistability_error():
     h = Subgroupoid(g, grpd.subgroupoid_closure(g, {(1, 0, 2)}))
     with pytest.raises(BistabilityError):
         grpd.bi_orbit_space(g, h, h, frozenset({(1, 0, 2)}))
+
+
+BISTABILITY_SCRIPT = """
+from corpus import SMALL_GROUPS, pair_groupoid
+from topogrpd import fintop, grpd
+from topogrpd.errors import BistabilityError
+g = pair_groupoid(["a", "b"], SMALL_GROUPS["S3"])
+whole = grpd.whole_subgroupoid(g)
+try:
+    grpd.bi_orbit_space(g, whole, whole, fintop.sorted_points(g.arrows.points)[:5])
+except BistabilityError as e:
+    print(e)
+"""
+
+
+def test_bistability_error_names_the_least_pair_under_every_hash_seed():
+    """Five arrows of the pair groupoid of S3 on {a, b}, under the whole
+    groupoid on both sides: the error names the `ckey`-least pair whose
+    composite leaves v, whatever the set order."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH"))))
+    texts = {subprocess.run([sys.executable, "-c", BISTABILITY_SCRIPT], capture_output=True,
+                            text=True, timeout=120, check=True,
+                            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)).stdout
+             for seed in range(1, 6)}
+    assert texts == {"v not stable under pre-composition at ((a,a,(0,1,2)),(a,a,(2,1,0)))\n"}
 
 
 def test_iota_map_examples():

@@ -178,7 +178,6 @@ def test_mode_agreement_on_random_corpus():
 def test_conjunction_decomposition():
     rng = random.Random(73)
     for g in groupoid_corpus(rng, 12):
-        fam = grpd.enumerate_open_subgroupoids(g, budget=512)
         for y in grpd.enumerate_subgroupoids(g, budget=512)[:10]:
             w = weq.is_weak_equivalence(y, mode="quasi-homeo").answer == "yes"
             s = weq.is_localic_surjection(y).answer == "yes"
