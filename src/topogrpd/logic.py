@@ -26,7 +26,9 @@ models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import and_, or_
 from typing import NamedTuple
 
 from . import fintop
@@ -582,11 +584,13 @@ def identity_iso(m: FinModel) -> Iso:
 
 
 def compose_isos(b: Iso, a: Iso) -> Iso:
-    """b o a (a first)."""
+    """b o a (a first).  a.map is sorted and names each (sort, element)
+    once, so the composite's triples, built in a.map's order, are sorted
+    too."""
     if a.tgt != b.src:
         raise InputError("isomorphisms not composable")
     lookup = {(s, x): y for s, x, y in b.map}
-    return Iso(a.src, b.tgt, tuple(sorted((s, x, lookup[(s, y)]) for s, x, y in a.map)))
+    return Iso(a.src, b.tgt, tuple((s, x, lookup[(s, y)]) for s, x, y in a.map))
 
 
 def invert_iso(a: Iso) -> Iso:
@@ -686,8 +690,9 @@ class ModelGroupoid:
     the constants and relations.  Only then are the structure tables `unit` (member
     name to identity), `inv`, `out_of` and `into` (member name to the arrows
     with that source, with that target) and `comp` ((b, a) to b o a) built,
-    once, and the closure laws read from them.  Each stage raises one
-    InputError naming all its violations in canonical order."""
+    once, each value the very object in `arrows` where it is one, and the
+    closure laws read from them.  Each stage raises one InputError naming
+    all its violations in canonical order."""
 
     def __init__(self, signature: Signature, params, members, arrows):
         self.signature = signature
@@ -706,13 +711,15 @@ class ModelGroupoid:
         faults = {a: f for a in self.arrows if (f := self._arrow_fault(a))}
         if faults:
             raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
-        self.unit = {im.name: identity_iso(im.model) for im in self.members}
-        self.inv = {a: invert_iso(a) for a in self.arrows}
+        own = {a: a for a in self.arrows}.get
+        self.unit = {im.name: own(e := identity_iso(im.model), e) for im in self.members}
+        self.inv = {a: own(i := invert_iso(a), i) for a in self.arrows}
         self.out_of, self.into = {n: [] for n in self.by_name}, {n: [] for n in self.by_name}
         for a in self.arrows:
             self.out_of[a.src].append(a)
             self.into[a.tgt].append(a)
-        self.comp = {(b, a): compose_isos(b, a) for a in self.arrows for b in self.out_of[a.tgt]}
+        self.comp = {(b, a): own(ba := compose_isos(b, a), ba)
+                     for a in self.arrows for b in self.out_of[a.tgt]}
         bad = [f"missing identity on {n}" for n, e in self.unit.items() if e not in self.arrows]
         bad += [f"arrows not closed under inverse at {a.src}->{a.tgt}"
                 for a in sorted((a for a in self.arrows if self.inv[a] not in self.arrows), key=ckey)]
@@ -834,35 +841,45 @@ class DefinableSets:
         return self._indexes[ctx_sorts]
 
     def _atoms(self, ctx_sorts):
-        """(atom, extension) pairs, the extension found by looking each
-        tuple up in the models' constants and relation tables."""
+        """(atom, extension) pairs, in a fixed order.  A row of a model is
+        a tuple followed by the constants' values, and pos[p][e] is the
+        mask of the model's rows holding e at position p; an extension is
+        an OR of ANDs of these masks, each AND started from the model's
+        full row mask.  Same-named members share bits: masks are ORed."""
         sig = self.signature
         index = self.index(ctx_sorts)
         consts = [c for c, _ in sig.constants]
-        # a term is a position in a tuple followed by the constants' values
+        # a term is a position in a row
         terms_by_sort = {}
         for i, s in enumerate(ctx_sorts):
             terms_by_sort.setdefault(s, []).append((Var(f"x{i + 1}"), i))
         for j, (c, s) in enumerate(sig.constants):
             terms_by_sort.setdefault(s, []).append((Const(c), len(ctx_sorts) + j))
-        rows = [
-            (m, 1 << index[(m.name, tup)], tup + tuple(m.constants[c] for c in consts))
-            for m in self.models for tup in _tuples(m, ctx_sorts)
-        ]
+        masks = []  # (model, its full row mask, pos)
+        for m in self.models:
+            full, pos = 0, [{} for _ in ctx_sorts]
+            for tup in _tuples(m, ctx_sorts):
+                bit = 1 << index[(m.name, tup)]
+                full |= bit
+                for p, e in enumerate(tup):
+                    pos[p][e] = pos[p].get(e, 0) | bit
+            masks.append((m, full, pos + [{m.constants[c]: full} for c in consts]))
         yield Top(), (1 << len(index)) - 1
         yield Bot(), 0
         for s in sig.sorts:
             ts = terms_by_sort.get(s, [])
             for i, (a, p) in enumerate(ts):
                 for b, q in ts[i + 1:]:
-                    yield Eq(a, b), sum({bit for _, bit, vals in rows if vals[p] == vals[q]})
+                    yield Eq(a, b), reduce(or_, (
+                        mask & pos[q].get(e, 0) for _, _, pos in masks for e, mask in pos[p].items()
+                    ), 0)
         for rname, arity in sorted(sig.relation_arities.items()):
             for args in product(*(terms_by_sort.get(s, []) for s in arity)):
                 at = [p for _, p in args]
-                yield Rel(rname, tuple(t for t, _ in args)), sum({
-                    bit for m, bit, vals in rows
-                    if tuple(map(vals.__getitem__, at)) in m.relations[rname]
-                })
+                yield Rel(rname, tuple(t for t, _ in args)), reduce(or_, (
+                    reduce(and_, (pos[p].get(e, 0) for p, e in zip(at, row)), full)
+                    for m, full, pos in masks for row in m.relations[rname]
+                ), 0)
 
     def level(self, ctx_sorts, depth: int) -> dict:
         if depth < 0:
@@ -944,30 +961,35 @@ def _definable_subbasis(g: ModelGroupoid, ctx_sorts, points, depth, tuple_cap):
         index = eng.index(sorts)
         bits = [(pt, index[(n, tup + vals)]) for pt, (n, tup) in points.items()
                 if (vals := g.interp_tuple(n, ptuple)) is not None]
-        for ext in eng.level(sorts, depth):
+        sel = reduce(or_, (1 << bit for _, bit in bits), 0)
+        for ext in {ext & sel for ext in eng.level(sorts, depth)}:
             subbasis.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
     return subbasis
 
 
-def _arrow_subbasis(g: ModelGroupoid, obj_subbasis):
-    subbasis = set()
+def _transports(g: ModelGroupoid):
+    """The parameter transports {a : a(p) = q}, one set of arrows for each
+    pair (p, q) of parameters of one sort, empty where no arrow takes the
+    element p names in its source to the one q names in its target."""
+    naming = {}  # (member name, sort, element) -> the parameters naming it
+    for im in g.members:
+        for p, s in g.params.items():
+            if (e := im.interp(p)) is not None:
+                naming.setdefault((im.name, s, e), []).append(p)
+    transports = {(p, q): set() for p, s in g.params.items() for q, t in g.params.items() if s == t}
+    for a in g.arrows:
+        for s, x, y in a.map:
+            for p in naming.get((a.src, s, x), ()):
+                for q in naming.get((a.tgt, s, y), ()):
+                    transports[(p, q)].add(a)
+    return {frozenset(t) for t in transports.values()}
+
+
+def _arrow_subbasis(g: ModelGroupoid, obj_subbasis, transports):
+    subbasis = set(transports)
     for b in obj_subbasis:
         subbasis.add(frozenset(a for n in b for a in g.out_of[n]))
         subbasis.add(frozenset(a for n in b for a in g.into[n]))
-    params = sorted(g.params)
-    for p in params:
-        sp = g.params[p]
-        for q in params:
-            if g.params[q] != sp:
-                continue
-            transport = frozenset(
-                a
-                for a in g.arrows
-                if (x := g.by_name[a.src].interp(p)) is not None
-                and (y := g.by_name[a.tgt].interp(q)) is not None
-                and a.apply(sp, x) == y
-            )
-            subbasis.add(transport)
     return subbasis
 
 
@@ -983,9 +1005,10 @@ def logical_topologies(g: ModelGroupoid, depth: int,
     stabilized = False
     spaces = None
     prev = None
+    transports = _transports(g)
     for d in range(0, depth + 1):
         obj_sub = _definable_subbasis(g, (), names, d, tuple_cap)
-        arr_sub = _arrow_subbasis(g, obj_sub)
+        arr_sub = _arrow_subbasis(g, obj_sub, transports)
         obj_space = fintop.generate_topology(names, obj_sub)
         arr_space = fintop.generate_topology(g.arrows, arr_sub)
         if prev is not None and (obj_space, arr_space) == prev:

@@ -107,7 +107,10 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     the open neighbourhood W demanded for an arrow can be taken minimal
     as well.  The arrows realised from V, theta o eta o zeta with theta
     included, eta in V and zeta in u, form one set, built once per
-    distinct V; every gamma sourced in W must lie in it.
+    distinct V; every gamma sourced in W must lie in it.  Whether some
+    gamma fails does not depend on the order of the search, so it runs in
+    set order, and only a failing call repeats it in canonical order to
+    name the minimal (alpha, V, gamma).
     """
     amb = incl.ambient
     s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
@@ -116,30 +119,38 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     span = frozenset(a for x in u0 for a in amb.out_of[x] if t[a] in y0)
     span_space = amb.arrows.subspace(span)
     u0space = amb.objects.subspace(u0)
-    u1_to, y1_from, span_from, realised = {}, {}, {}, {}
+    u1_to, y1_from, realised = {}, {}, {}
     for zeta in u.arrow_set:
         u1_to.setdefault(t[zeta], []).append(zeta)
     for theta in incl.arrow_set:
         y1_from.setdefault(s[theta], []).append(theta)
-    # every admissible gamma (source in w, a subset of u0; target in y0) is in span
-    span_sorted = sorted_points(span)
-    for a in span_sorted:
-        span_from.setdefault(s[a], []).append(a)
-    for alpha in span_sorted:
-        v = span_space.min_open(alpha)
-        if v not in realised:
-            realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
-                           for zeta in u1_to.get(s[eta], ()) for theta in y1_from.get(t[eta], ())}
-        for x2 in sorted_points(u0space.min_open(s[alpha])):
-            for gamma in span_from.get(x2, ()):
-                if gamma not in realised[v]:
-                    return {
-                        "kind": "source-determined-orbit",
-                        "arrow": fmt_point(alpha),
-                        "V": sorted(fmt_point(a) for a in v),
-                        "gamma": fmt_point(gamma),
-                    }
-    return None
+
+    def first_failure(span_order, order):
+        # every admissible gamma (source in w, a subset of u0; target in y0) is in span
+        span_from = {}
+        for a in span_order:
+            span_from.setdefault(s[a], []).append(a)
+        for alpha in span_order:
+            v = span_space.min_open(alpha)
+            if v not in realised:
+                realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
+                               for zeta in u1_to.get(s[eta], ())
+                               for theta in y1_from.get(t[eta], ())}
+            for x2 in order(u0space.min_open(s[alpha])):
+                for gamma in span_from.get(x2, ()):
+                    if gamma not in realised[v]:
+                        return alpha, v, gamma
+        return None
+
+    if first_failure(span, iter) is None:
+        return None
+    alpha, v, gamma = first_failure(sorted_points(span), sorted_points)
+    return {
+        "kind": "source-determined-orbit",
+        "arrow": fmt_point(alpha),
+        "V": sorted(fmt_point(a) for a in v),
+        "gamma": fmt_point(gamma),
+    }
 
 
 # -- verdicts ----------------------------------------------------------------

@@ -482,3 +482,41 @@ class DefinableSetsOracle:
                 add(proj, logic.Exists(f"x{len(ctx_sorts) + 1}", s, ast))
         self._levels[key] = table
         return table
+
+
+def logical_topologies_oracle(g, depth, tuple_cap):
+    """The logical topologies with one frozenset decoded per extension of
+    each level, and with each parameter transport found by an `Iso.apply`
+    scan of all arrows for its (p, q) pair, redone at every depth.
+    (object space, arrow space, achieved depth, stabilized, transports),
+    as in `logic.logical_topologies`."""
+    eng = g.engine()
+    names = {n: (n, ()) for n in g.member_names()}
+    params = sorted(g.params)
+    spaces, achieved, stabilized = None, 0, False
+    for d in range(depth + 1):
+        obj_sub = set()
+        for ptuple in g.param_tuples(tuple_cap):
+            index = eng.index(tuple(g.params[p] for p in ptuple))
+            bits = [(pt, index[(n, tup + vals)]) for pt, (n, tup) in names.items()
+                    if (vals := g.interp_tuple(n, ptuple)) is not None]
+            for ext in eng.level(tuple(g.params[p] for p in ptuple), d):
+                obj_sub.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
+        transports = {
+            frozenset(a for a in g.arrows
+                      if (x := g.by_name[a.src].interp(p)) is not None
+                      and (y := g.by_name[a.tgt].interp(q)) is not None
+                      and a.apply(g.params[p], x) == y)
+            for p in params for q in params if g.params[p] == g.params[q]
+        }
+        arr_sub = set(transports)
+        for b in obj_sub:
+            arr_sub.add(frozenset(a for a in g.arrows if a.src in b))
+            arr_sub.add(frozenset(a for a in g.arrows if a.tgt in b))
+        found = (fintop.generate_topology(names, obj_sub),
+                 fintop.generate_topology(g.arrows, arr_sub))
+        if found == spaces:
+            stabilized = True
+            break
+        spaces, achieved = found, d
+    return (*spaces, achieved, stabilized, transports)

@@ -19,6 +19,9 @@ product's minimal opens are compared with the pairwise construction.
 union-find.  `logic.all_isos_between_members` composes through one
 representative per isomorphism class;
 `oracles.all_isos_between_members_oracle` searches every ordered pair.
+`logic.logical_topologies` finds the parameter transports in one pass
+over the arrows; `oracles.logical_topologies_oracle` scans all arrows
+for each (p, q) pair at every depth.
 """
 
 import json
@@ -270,6 +273,16 @@ def model_families():
         logic.FinModel("L", sig, {"A": [0], "B": ["b", "d"]}, {"R": [(0, "d")]}, {"c": 0}),
     ]
     out.append((sig, two_sorted, [(), ("A",), ("B",), ("A", "B"), ("B", "A")]))
+    # a nullary relation that holds in one member only, two constants of
+    # one sort (so a constant-only equality) and a member with no B
+    sig = logic.make_signature(["A", "B"], {"N": (), "R": ("A", "B")}, {"c": "A", "d": "A"})
+    edge_cases = [
+        logic.FinModel("K", sig, {"A": [0, 1], "B": ["b"]}, {"N": [()], "R": [(0, "b")]},
+                       {"c": 1, "d": 0}),
+        logic.FinModel("L", sig, {"A": [0, 1], "B": []}, {}, {"c": 0, "d": 0}),
+        logic.FinModel("P", sig, {"A": [0], "B": ["b", "e"]}, {"R": [(0, "e")]}, {"c": 0, "d": 0}),
+    ]
+    out.append((sig, edge_cases, [(), ("A",), ("B",), ("A", "A"), ("A", "B"), ("B", "B")]))
     return out
 
 
@@ -289,6 +302,39 @@ def test_definable_levels_match_the_frozenset_reference():
                     levels += isinstance(got, list) and len(got) > 4
                     capped += isinstance(got, tuple)
     assert levels > 300 and capped > 150
+
+
+def model_groupoids_with_copies():
+    """The model groupoids of the corpus, and copies of rigid and of
+    symmetric graphs with identity arrows and with all isomorphisms."""
+    rng = random.Random(SEED)
+    groupoids = [random_model_groupoid(rng) for _ in range(200)]
+    symmetric = [[["v0", "v1"], ["v1", "v0"]], []]
+    for edges, size in [(e, 3) for e in rng.sample(rigid_graphs(3), 2)] + [(e, 2) for e in symmetric]:
+        for arrows in ("identities", "all"):
+            groupoids.append(jsonio.model_groupoid_from_json(
+                graph_copies_doc(edges, size, ["M0", "M1", "M2"], arrows)))
+    return groupoids
+
+
+def test_logical_topologies_match_the_per_pair_transport_scan():
+    """Object and arrow spaces, achieved depth and the stabilized flag at
+    depths 0-2 and tuple caps 0-2, against transports rescanned for each
+    (p, q) pair at every depth and one frozenset per extension."""
+    cases = moving = 0
+    for g in model_groupoids_with_copies():
+        for depth in range(3):
+            for cap in range(3):
+                got = g.derive(depth, cap)
+                obj, arr, achieved, stabilized, transports = \
+                    oracles.logical_topologies_oracle(g, depth, cap)
+                assert (got.objects, got.arrows) == (obj, arr)
+                assert (got.depth, got.stabilized) == (achieved, stabilized)
+                preimages = {frozenset(a for a in g.arrows if getattr(a, end) in o)
+                             for o in obj.opens() for end in ("src", "tgt")}
+                moving += any(t and t not in preimages for t in transports)
+                cases += 1
+    assert cases == 9 * 208 and moving > 180, moving
 
 
 def test_closure_matches_naive_fixpoint(corpus):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpus import random_formula_ast, sober_eliminating_model_groupoids
+from corpus import random_formula_ast, random_model_groupoid, sober_eliminating_model_groupoids
 from topogrpd import grpd, logic, sheaf, weq
 from topogrpd.errors import FormulaError, InputError
 from topogrpd.fintop import FinSpace
@@ -439,15 +439,46 @@ def test_model_groupoid_validation():
     empty = ModelGroupoid(PURE, {"p": "S"}, [], [])
     assert len(empty.derive(1).objects) == 0
     # missing identity
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^missing identity on M$"):
         ModelGroupoid(
             PURE, {"p": "S", "q": "S"},
             [IndexedModel(m, {"p": "a", "q": "b"}, {"p": "S", "q": "S"})],
             [],
         )
+    # three copies of a one-element model, with some of the isomorphisms
+    copies = [IndexedModel(FinModel(n, PURE, {"S": {"a"}}), {"p": "a"}, {"p": "S"})
+              for n in ("M1", "M2", "M3")]
+    idents = [logic.identity_iso(im.model) for im in copies]
+
+    def iso(src, tgt):
+        return logic.Iso(src, tgt, (("S", "a", "a"),))
+
+    with pytest.raises(InputError, match="^arrows not closed under inverse at M1->M2$"):
+        ModelGroupoid(PURE, {"p": "S"}, copies, idents + [iso("M1", "M2")])
+    pairs = [iso("M1", "M2"), iso("M2", "M1"), iso("M2", "M3"), iso("M3", "M2")]
+    with pytest.raises(InputError, match="^arrows not closed under composition$"):
+        ModelGroupoid(PURE, {"p": "S"}, copies, idents + pairs)
     # non-surjective indexing
     with pytest.raises(InputError):
         IndexedModel(m, {"p": "a"}, {"p": "S"})
+
+
+def test_model_tables_hold_the_arrow_objects():
+    """Every value of `unit`, `inv` and `comp` is the very object in
+    `arrows`, and every composite's map is sorted."""
+    rng = random.Random(20240812)
+    groupoids = [random_model_groupoid(rng) for _ in range(100)]
+    groupoids += [logic.etale_completion(g) for g in groupoids]
+    moved = 0
+    for g in groupoids:
+        own = {a: a for a in g.arrows}
+        for table in (g.unit, g.inv, g.comp):
+            assert all(own[v] is v for v in table.values())
+        for b, a in g.comp:
+            ba = logic.compose_isos(b, a)
+            assert ba.map == tuple(sorted(ba.map))
+            moved += any(x != y for _, x, y in ba.map)
+    assert moved > 600, moved
 
 
 def test_an_arrow_that_moves_a_constant_is_not_an_isomorphism():
