@@ -10,9 +10,10 @@ FinSpace.opens() lists the open family, capped at DEFAULT_OPEN_CAP sets,
 built on int bitmasks by `union_closure` and ordered by `sets_in_order`.
 
 Points are opaque hashable ids; constructed spaces (quotients, fiber
-products) use frozensets and tuples of ids as points.  Sets of points
-are ordered by `set_key`: by size, then by sorted canonical point keys
-`ckey`, ranking the points once per sort, for reproducible output.
+products) use frozensets and tuples of ids as points.  Each space sorts
+its points by the canonical key `ckey` at most once (`FinSpace.order`),
+and sets of its points are ordered by `set_key`: by size, then by the
+sorted ranks of their points in that order, for reproducible output.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ def sorted_points(items):
     return sorted(items, key=ckey)
 
 
-def set_key(points):
-    """Key for subsets of `points`: size, then the sorted `ckey` ranks of their points."""
-    rank = {x: i for i, x in enumerate(sorted_points(points))}
+def set_key(space):
+    """Key for sets of a space's points: size, then the sorted ranks of
+    their points in the space's `order`."""
+    rank = {x: i for i, x in enumerate(space.order())}
     return lambda s: (len(s), sorted([rank[x] for x in s]))
 
 
@@ -65,10 +67,11 @@ def union_closure(gens, cap: int) -> set:
     return fam
 
 
-def sets_in_order(masks, points) -> tuple:
-    """Masks over `points` (bit i is points[i]) as frozensets, in `set_key` order."""
+def sets_in_order(masks, points, space) -> tuple:
+    """Masks over `points` (bit i is points[i]) as frozensets, in the
+    `set_key` order of `space`, whose points they are."""
     sets = [frozenset(p for i, p in enumerate(points) if m >> i & 1) for m in masks]
-    return tuple(sorted(sets, key=set_key(points)))
+    return tuple(sorted(sets, key=set_key(space)))
 
 
 def fmt_point(x) -> str:
@@ -89,12 +92,13 @@ class FinSpace:
     arises this way.
     """
 
-    __slots__ = ("points", "_min", "_opens", "_hash")
+    __slots__ = ("points", "_min", "_opens", "_order", "_hash")
 
     def __init__(self, points, min_open, _check=True):
         self.points = frozenset(points)
         self._min = {x: frozenset(min_open[x]) for x in self.points}
         self._opens = None
+        self._order = None
         self._hash = None
         if _check:
             if set(self._min) != self.points:
@@ -151,6 +155,12 @@ class FinSpace:
 
     # -- basic structure ------------------------------------------------
 
+    def order(self) -> tuple:
+        """The points in `ckey` order, sorted on the first call only."""
+        if self._order is None:
+            self._order = tuple(sorted_points(self.points))
+        return self._order
+
     def min_open(self, x) -> frozenset:
         return self._min[x]
 
@@ -177,7 +187,7 @@ class FinSpace:
             return self._opens
         points = tuple(self.points)
         gens = map(masker(points), self._min.values())
-        self._opens = sets_in_order(union_closure(gens, cap), points)
+        self._opens = sets_in_order(union_closure(gens, cap), points, self)
         return self._opens
 
     def open_count(self, limit: int = DEFAULT_OPEN_CAP) -> int:

@@ -370,9 +370,8 @@ def _separating_sentence(apex: ModelGroupoid, x: ModelGroupoid, y: ModelGroupoid
     eng = apex.engine()
     xs = {im.name for im in x.members}
     ys = {im.name for im in y.members}
-    names = [n for n, _ in eng.index(())]
     for ext, ast in eng.level((), depth).items():
-        holds = {n for bit, n in enumerate(names) if ext >> bit & 1}
+        holds = {n for n, _ in eng.decode((), ext)}
         if holds & (xs | ys) == xs or holds & (xs | ys) == ys:
             if holds & (xs | ys) not in (set(), xs | ys):
                 return logic.print_formula(ast)

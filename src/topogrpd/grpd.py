@@ -113,13 +113,11 @@ def validate_groupoid(g: TopGroupoid) -> list:
     for name, m in (("src", g.src), ("tgt", g.tgt), ("unit", g.unit), ("inv", g.inv)):
         if not m.is_continuous():
             out.append(f"{name} not continuous")
-    for x in sorted_points(objects.points):
-        ex = e[x]
-        if s[ex] != x or t[ex] != x:
-            out.append(f"unit endpoints wrong at {fmt_point(x)}")
-    for a in sorted_points(arrows.points):
-        if s[i[a]] != t[a] or t[i[a]] != s[a]:
-            out.append(f"inv endpoints wrong at {fmt_point(a)}")
+    # each check scans in set order and sorts only its failures
+    out += [f"unit endpoints wrong at {fmt_point(x)}" for x in sorted_points(
+        x for x in objects.points if s[e[x]] != x or t[e[x]] != x)]
+    out += [f"inv endpoints wrong at {fmt_point(a)}" for a in sorted_points(
+        a for a in arrows.points if s[i[a]] != t[a] or t[i[a]] != s[a])]
     pairs = set(g.composable_pairs())
     extra = sorted(set(g.comp) - pairs, key=ckey)
     missing = sorted(pairs - set(g.comp), key=ckey)
@@ -134,10 +132,14 @@ def validate_groupoid(g: TopGroupoid) -> list:
         if s[h] != s[ff] or t[h] != t[gg]:
             out.append(f"comp endpoints wrong at {fmt_point((gg, ff))}")
             return out
-    for a in sorted_points(arrows.points):
-        if g.comp[(a, e[s[a]])] != a or g.comp[(e[t[a]], a)] != a:
+    unit_bad = {a for a in arrows.points
+                if g.comp[(a, e[s[a]])] != a or g.comp[(e[t[a]], a)] != a}
+    inv_bad = {a for a in arrows.points
+               if g.comp[(i[a], a)] != e[s[a]] or g.comp[(a, i[a])] != e[t[a]]}
+    for a in sorted_points(unit_bad | inv_bad):
+        if a in unit_bad:
             out.append(f"unit law fails at {fmt_point(a)}")
-        if g.comp[(i[a], a)] != e[s[a]] or g.comp[(a, i[a])] != e[t[a]]:
+        if a in inv_bad:
             out.append(f"inverse law fails at {fmt_point(a)}")
     # associativity: (h o g) o f = h o (g o f) over composable triples
     bad = [(hh, gg, ff) for gg, ff in pairs for hh in g.out_of[t[gg]]
@@ -335,7 +337,7 @@ def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
                     seen.add(j)
                     nxt.append(j)
         frontier = nxt
-    return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows.points))]
+    return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows))]
 
 
 def open_atoms(g: TopGroupoid):
@@ -352,7 +354,7 @@ def open_atoms(g: TopGroupoid):
         # arrows of a non-T0 arrow space share minimal opens: close each once
         mins = {g.arrows.min_open(a) for a in g.arrows.points}
         closed = {subgroupoid_closure(g, u) for u in mins}
-        atoms = [Subgroupoid(g, s) for s in sorted(closed, key=fintop.set_key(g.arrows.points))]
+        atoms = [Subgroupoid(g, s) for s in sorted(closed, key=fintop.set_key(g.arrows))]
         g._cache["atoms"] = atoms
     return atoms
 
@@ -504,18 +506,21 @@ class ContinuousFunctor:
             out.append("object map not continuous")
         if not self.arr_map.is_continuous():
             out.append("arrow map not continuous")
-        for a in sorted_points(dom.arrows.points):
+        # each check scans in set order and sorts only its failures, as
+        # set order depends on the hash seed
+        broken_laws = {}
+        for a in dom.arrows.points:
             if cod.src.mapping[f1[a]] != f0[dom.src.mapping[a]]:
-                out.append(f"src not preserved at {fmt_point(a)}")
+                broken_laws.setdefault(a, []).append("src")
             if cod.tgt.mapping[f1[a]] != f0[dom.tgt.mapping[a]]:
-                out.append(f"tgt not preserved at {fmt_point(a)}")
+                broken_laws.setdefault(a, []).append("tgt")
             if f1[dom.inv.mapping[a]] != cod.inv.mapping[f1[a]]:
-                out.append(f"inv not preserved at {fmt_point(a)}")
-        for x in sorted_points(dom.objects.points):
-            if f1[dom.unit.mapping[x]] != cod.unit.mapping[f0[x]]:
-                out.append(f"unit not preserved at {fmt_point(x)}")
-        # a comp that is not total is reported here, not raised; the
-        # failing pairs are sorted, as set order depends on the hash seed
+                broken_laws.setdefault(a, []).append("inv")
+        out += [f"{law} not preserved at {fmt_point(a)}"
+                for a in sorted_points(broken_laws) for law in broken_laws[a]]
+        out += [f"unit not preserved at {fmt_point(x)}" for x in sorted_points(
+            x for x in dom.objects.points if f1[dom.unit.mapping[x]] != cod.unit.mapping[f0[x]])]
+        # a comp that is not total is reported here, not raised
         broken = [(g, f) for (g, f) in dom.composable_pairs()
                   if (h := dom.comp.get((g, f))) is None
                   or f1[h] != cod.comp.get((f1[g], f1[f]))]

@@ -109,12 +109,14 @@ def topology_from_json(doc) -> FinSpace:
     return fintop.generate_topology(points, _coerce_sets(doc["subbasis"], points, "subbasis"))
 
 
-def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP):
+def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP, label=None):
+    """The points in the space's `order` and the opens, each point as
+    `label[p]` (default: `fmt_point` of each point, once)."""
+    if label is None:
+        label = {p: fmt_point(p) for p in space.points}
     return {
-        "points": [fmt_point(p) for p in sorted_points(space.points)],
-        "opens": [
-            sorted(fmt_point(p) for p in o) for o in space.opens(cap=cap)
-        ],
+        "points": [label[p] for p in space.order()],
+        "opens": [sorted(label[p] for p in o) for o in space.opens(cap=cap)],
     }
 
 
@@ -154,23 +156,22 @@ def groupoid_from_json(doc) -> TopGroupoid:
 
 
 def groupoid_to_json(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
-    def plain(m):
-        return {
-            fmt_point(k): fmt_point(v)
-            for k, v in sorted(m.mapping.items(), key=lambda kv: fintop.ckey(kv[0]))
-        }
+    """Each object and arrow is labelled once; the labels are built in
+    the spaces' `order`, which lists each map in the order of its domain."""
+    obj = {x: fmt_point(x) for x in g.objects.order()}
+    arr = {a: fmt_point(a) for a in g.arrows.order()}
+
+    def plain(m, dom, cod):
+        return {dom[k]: cod[m.mapping[k]] for k in dom}
 
     return {
-        "objects": space_to_json(g.objects, cap),
-        "arrows": space_to_json(g.arrows, cap),
-        "src": {"map": plain(g.src)},
-        "tgt": {"map": plain(g.tgt)},
-        "unit": {"map": plain(g.unit)},
-        "inv": {"map": plain(g.inv)},
-        "comp": sorted(
-            [fmt_point(f), fmt_point(gg), fmt_point(h)]
-            for (gg, f), h in g.comp.items()
-        ),
+        "objects": space_to_json(g.objects, cap, obj),
+        "arrows": space_to_json(g.arrows, cap, arr),
+        "src": {"map": plain(g.src, arr, obj)},
+        "tgt": {"map": plain(g.tgt, arr, obj)},
+        "unit": {"map": plain(g.unit, obj, arr)},
+        "inv": {"map": plain(g.inv, arr, arr)},
+        "comp": sorted([arr[f], arr[gg], arr[h]] for (gg, f), h in g.comp.items()),
     }
 
 
@@ -205,18 +206,12 @@ def functor_from_json(doc) -> ContinuousFunctor:
 
 
 def sheaf_to_json(s, cap: int = fintop.DEFAULT_OPEN_CAP):
+    """Each point of the total space is labelled once, in its `order`."""
+    total = {y: fmt_point(y) for y in s.total.order()}
     return {
-        "total": space_to_json(s.total, cap),
-        "proj": {
-            fmt_point(y): fmt_point(v)
-            for y, v in sorted(
-                s.proj.mapping.items(), key=lambda kv: fintop.ckey(kv[0])
-            )
-        },
-        "action": sorted(
-            [fmt_point(g), fmt_point(y), fmt_point(z)]
-            for (g, y), z in s.action.items()
-        ),
+        "total": space_to_json(s.total, cap, total),
+        "proj": {total[y]: fmt_point(s.proj.mapping[y]) for y in total},
+        "action": sorted([fmt_point(g), total[y], total[z]] for (g, y), z in s.action.items()),
     }
 
 

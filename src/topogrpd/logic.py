@@ -805,47 +805,72 @@ class ModelGroupoid:
 # -- semantic enumeration of definable sets ----------------------------------
 
 
-def _tuples(m: FinModel, ctx_sorts):
-    """Tuples of a model over the context, in the product order of its sorted carriers."""
-    return product(*(fintop.sorted_points(m.carriers[s]) for s in ctx_sorts))
-
-
 class DefinableSets:
     """Depth-stratified enumeration of definable sets, synchronised
     across a family of models.
 
+    Models of equal structure (the same carriers, relations and
+    constants; the name plays no part) satisfy the same formulas at the
+    same tuples, so the engine works on one representative per class of
+    equal structure, the first model of the class.  `rep` maps each
+    model name to its representative's name and `members` each
+    representative's name to the names of its class.  Two different
+    models under one name are an InputError; the same model twice is one
+    member.
+
     level(ctx_sorts, depth) maps each realised extension to one canonical
     formula AST of depth <= depth in the context x1:s1, ..., xk:sk.  An
     extension is an int mask over index(ctx_sorts): bit i stands for the
-    i-th (model name, tuple) pair.  Masks are decoded into pairs only
-    where an extension leaves the engine.
+    i-th (representative name, tuple) pair.  Masks are decoded into
+    (model name, tuple) pairs only where an extension leaves the engine.
     """
 
     def __init__(self, signature: Signature, models, budget=DEFAULT_FORMULA_BUDGET):
         self.signature = signature
-        self.models = list(models)
         self.budget = budget
+        self.rep, self.members = {}, {}
+        self._carriers = []  # (representative, its carriers in `ckey` order)
+        first_of, structure_of = {}, {}  # structure -> representative; name -> structure
+        for m in models:
+            structure = (tuple(m.carriers.values()), tuple(m.relations.values()),
+                         tuple(m.constants[c] for c, _ in signature.constants))
+            if structure_of.setdefault(m.name, structure) != structure:
+                raise InputError(f"two different models named {m.name}")
+            if m.name in self.rep:
+                continue
+            r = first_of.setdefault(structure, m)
+            if r is m:
+                self.members[m.name] = []
+                self._carriers.append((m, {s: fintop.sorted_points(c) for s, c in m.carriers.items()}))
+            self.rep[m.name] = r.name
+            self.members[r.name].append(m.name)
         self._levels = {}
         self._indexes = {}
 
     def index(self, ctx_sorts) -> dict:
-        """{(model name, tuple): bit}, in enumeration order (models in
-        order, tuples of sorted carriers); same-named members share bits."""
+        """{(representative name, tuple): bit}, in enumeration order
+        (representatives in order, tuples in the product order of their
+        sorted carriers)."""
         ctx_sorts = tuple(ctx_sorts)
         if ctx_sorts not in self._indexes:
-            index = {}
-            for m in self.models:
-                for tup in _tuples(m, ctx_sorts):
-                    index.setdefault((m.name, tup), len(index))
-            self._indexes[ctx_sorts] = index
+            pairs = ((r.name, tup) for r, carriers in self._carriers
+                     for tup in product(*(carriers[s] for s in ctx_sorts)))
+            self._indexes[ctx_sorts] = {pair: bit for bit, pair in enumerate(pairs)}
         return self._indexes[ctx_sorts]
 
+    def decode(self, ctx_sorts, ext) -> frozenset:
+        """The (model name, tuple) pairs of an extension: each bit's
+        representative stands for every member of its class."""
+        return frozenset((n, tup) for (r, tup), bit in self.index(ctx_sorts).items()
+                         if ext >> bit & 1 for n in self.members[r])
+
     def _atoms(self, ctx_sorts):
-        """(atom, extension) pairs, in a fixed order.  A row of a model is
-        a tuple followed by the constants' values, and pos[p][e] is the
-        mask of the model's rows holding e at position p; an extension is
-        an OR of ANDs of these masks, each AND started from the model's
-        full row mask.  Same-named members share bits: masks are ORed."""
+        """(atom, extension) pairs, in a fixed order.  A row of a
+        representative is a tuple followed by the constants' values, and
+        pos[p][e] is the mask of its rows holding e at position p; an
+        extension is an OR over the representatives of ORs of ANDs of
+        these masks, each AND started from the representative's full row
+        mask."""
         sig = self.signature
         index = self.index(ctx_sorts)
         consts = [c for c, _ in sig.constants]
@@ -855,15 +880,15 @@ class DefinableSets:
             terms_by_sort.setdefault(s, []).append((Var(f"x{i + 1}"), i))
         for j, (c, s) in enumerate(sig.constants):
             terms_by_sort.setdefault(s, []).append((Const(c), len(ctx_sorts) + j))
-        masks = []  # (model, its full row mask, pos)
-        for m in self.models:
+        masks = []  # (representative, its full row mask, pos)
+        for r, carriers in self._carriers:
             full, pos = 0, [{} for _ in ctx_sorts]
-            for tup in _tuples(m, ctx_sorts):
-                bit = 1 << index[(m.name, tup)]
+            for tup in product(*(carriers[s] for s in ctx_sorts)):
+                bit = 1 << index[(r.name, tup)]
                 full |= bit
                 for p, e in enumerate(tup):
                     pos[p][e] = pos[p].get(e, 0) | bit
-            masks.append((m, full, pos + [{m.constants[c]: full} for c in consts]))
+            masks.append((r, full, pos + [{r.constants[c]: full} for c in consts]))
         yield Top(), (1 << len(index)) - 1
         yield Bot(), 0
         for s in sig.sorts:
@@ -878,9 +903,8 @@ class DefinableSets:
                 at = [p for _, p in args]
                 yield Rel(rname, tuple(t for t, _ in args)), reduce(or_, (
                     reduce(and_, (pos[p].get(e, 0) for p, e in zip(at, row)), full)
-                    for m, full, pos in masks for row in m.relations[rname]
+                    for r, full, pos in masks for row in r.relations[rname]
                 ), 0)
-
     def level(self, ctx_sorts, depth: int) -> dict:
         if depth < 0:
             raise InputError(f"formula depth {depth} is negative")
@@ -923,10 +947,21 @@ class DefinableSets:
         return table
 
     def lookup(self, ctx_sorts, depth, ext):
-        """Canonical formula with the given extension, or None."""
-        index, ext = self.index(ctx_sorts), set(ext)
-        mask = sum(1 << index[pair] for pair in ext) if ext <= index.keys() else None
-        return self.level(tuple(ctx_sorts), depth).get(mask)
+        """Canonical formula whose extension is the set `ext` of (model
+        name, tuple) pairs, or None.  It is None too where `ext` differs
+        between the members of a class, which no formula cuts out."""
+        table, index = self.level(tuple(ctx_sorts), depth), self.index(ctx_sorts)
+        tuples = {n: set() for n in self.rep}
+        for n, tup in ext:
+            if (self.rep.get(n), tup) not in index:
+                return None
+            tuples[n].add(tup)
+        mask = 0
+        for r, names in self.members.items():
+            if any(tuples[n] != tuples[r] for n in names):
+                return None
+            mask |= sum(1 << index[(r, tup)] for tup in tuples[r])
+        return table.get(mask)
 
 
 # -- logical topologies -------------------------------------------------------
@@ -959,7 +994,7 @@ def _definable_subbasis(g: ModelGroupoid, ctx_sorts, points, depth, tuple_cap):
     for ptuple in g.param_tuples(tuple_cap):
         sorts = ctx_sorts + tuple(g.params[p] for p in ptuple)
         index = eng.index(sorts)
-        bits = [(pt, index[(n, tup + vals)]) for pt, (n, tup) in points.items()
+        bits = [(pt, index[(eng.rep[n], tup + vals)]) for pt, (n, tup) in points.items()
                 if (vals := g.interp_tuple(n, ptuple)) is not None]
         sel = reduce(or_, (1 << bit for _, bit in bits), 0)
         for ext in {ext & sel for ext in eng.level(sorts, depth)}:
@@ -1042,7 +1077,7 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     names = [v for v, _ in formula.context]
     total_pts = set()
     for im in g.members:
-        for tup in _tuples(im.model, ctx_sorts):
+        for tup in product(*(im.model.carriers[s] for s in ctx_sorts)):
             if _eval(im.model, formula.ast, dict(zip(names, tup))):
                 total_pts.add((im.name, tup))
     subbasis = _definable_subbasis(g, ctx_sorts, {pt: pt for pt in total_pts}, depth, tuple_cap)

@@ -223,7 +223,7 @@ class SubobjectLattice:
     @property
     def elements(self) -> tuple:
         """The subsets as frozensets, smallest-first in `fintop.set_key` order."""
-        return fintop.sets_in_order(self.masks, self.points)
+        return fintop.sets_in_order(self.masks, self.points, self.sheaf.total)
 
     def __contains__(self, subset):
         return frozenset(subset) in self.elements

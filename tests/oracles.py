@@ -484,24 +484,36 @@ class DefinableSetsOracle:
         return table
 
 
+def members_oracle(g):
+    """A `DefinableSetsOracle` over every member of the model groupoid g."""
+    return DefinableSetsOracle(g.signature, [im.model for im in g.members])
+
+
+def definable_subbasis_oracle(ref, g, ctx_sorts, points, depth, tuple_cap):
+    """The sets of `points` (each mapped to its (member name, tuple)
+    pair) that the frozenset extensions of `ref` cut out at `depth` in the
+    context ctx_sorts, with parameter tuples up to tuple_cap."""
+    subbasis = set()
+    for ptuple in g.param_tuples(tuple_cap):
+        pairs = [(pt, (n, tup + vals)) for pt, (n, tup) in points.items()
+                 if (vals := g.interp_tuple(n, ptuple)) is not None]
+        for ext in ref.level(ctx_sorts + tuple(g.params[p] for p in ptuple), depth):
+            subbasis.add(frozenset(pt for pt, pair in pairs if pair in ext))
+    return subbasis
+
+
 def logical_topologies_oracle(g, depth, tuple_cap):
-    """The logical topologies with one frozenset decoded per extension of
-    each level, and with each parameter transport found by an `Iso.apply`
-    scan of all arrows for its (p, q) pair, redone at every depth.
-    (object space, arrow space, achieved depth, stabilized, transports),
-    as in `logic.logical_topologies`."""
-    eng = g.engine()
+    """The logical topologies from the frozenset extensions of
+    `DefinableSetsOracle` over every member, and with each parameter
+    transport found by an `Iso.apply` scan of all arrows for its (p, q)
+    pair, redone at every depth.  (object space, arrow space, achieved
+    depth, stabilized, transports), as in `logic.logical_topologies`."""
+    ref = members_oracle(g)
     names = {n: (n, ()) for n in g.member_names()}
     params = sorted(g.params)
     spaces, achieved, stabilized = None, 0, False
     for d in range(depth + 1):
-        obj_sub = set()
-        for ptuple in g.param_tuples(tuple_cap):
-            index = eng.index(tuple(g.params[p] for p in ptuple))
-            bits = [(pt, index[(n, tup + vals)]) for pt, (n, tup) in names.items()
-                    if (vals := g.interp_tuple(n, ptuple)) is not None]
-            for ext in eng.level(tuple(g.params[p] for p in ptuple), d):
-                obj_sub.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
+        obj_sub = definable_subbasis_oracle(ref, g, (), names, d, tuple_cap)
         transports = {
             frozenset(a for a in g.arrows
                       if (x := g.by_name[a.src].interp(p)) is not None
@@ -520,3 +532,81 @@ def logical_topologies_oracle(g, depth, tuple_cap):
             break
         spaces, achieved = found, d
     return (*spaces, achieved, stabilized, transports)
+
+
+def definable_sheaf_total_oracle(g, formula, depth, tuple_cap):
+    """The total space of `logic.definable_sheaf`: every member's tuples
+    that satisfy the formula under `logic._eval`, with the topology of
+    `definable_subbasis_oracle`."""
+    ctx_sorts = tuple(s for _, s in formula.context)
+    names = [v for v, _ in formula.context]
+    points = {(im.name, tup) for im in g.members
+              for tup in product(*(im.model.carriers[s] for s in ctx_sorts))
+              if logic._eval(im.model, formula.ast, dict(zip(names, tup)))}
+    subbasis = definable_subbasis_oracle(members_oracle(g), g, ctx_sorts,
+                                         {pt: pt for pt in points}, depth, tuple_cap)
+    return fintop.generate_topology(points, subbasis)
+
+
+def parameter_witnesses_oracle(g, depth, tuple_cap):
+    """{parameter tuple: the printed formula of `DefinableSetsOracle`
+    whose extension is the tuple's orbit, or None}, for the non-empty
+    tuples `logic.eliminates_parameters` tries."""
+    ref = members_oracle(g)
+    out = {}
+    for ptuple in g.param_tuples(tuple_cap, with_replacement=True):
+        if ptuple:
+            level = ref.level(tuple(g.params[p] for p in ptuple), depth)
+            ast = level.get(logic.parameter_orbit(g, ptuple))
+            out[ptuple] = None if ast is None else logic.print_formula(ast)
+    return out
+
+
+def separating_sentence_oracle(apex, x, y, depth):
+    """`frac._separating_sentence` over the frozenset extensions of
+    `DefinableSetsOracle`: the first sentence, in level order, holding on
+    exactly one side's members."""
+    xs, ys = {im.name for im in x.members}, {im.name for im in y.members}
+    for ext, ast in members_oracle(apex).level((), depth).items():
+        holds = {n for n, _ in ext} & (xs | ys)
+        if holds in (xs, ys) and holds not in (set(), xs | ys):
+            return logic.print_formula(ast)
+    return None
+
+
+def space_to_json_oracle(space):
+    """`jsonio.space_to_json` with every point labelled where it occurs."""
+    return {
+        "points": [fintop.fmt_point(p) for p in fintop.sorted_points(space.points)],
+        "opens": [sorted(fintop.fmt_point(p) for p in o) for o in space.opens()],
+    }
+
+
+def groupoid_to_json_oracle(g):
+    """`jsonio.groupoid_to_json` with every point labelled where it
+    occurs and each map sorted by the `ckey` of its keys."""
+    def plain(m):
+        return {fintop.fmt_point(k): fintop.fmt_point(v)
+                for k, v in sorted(m.mapping.items(), key=lambda kv: fintop.ckey(kv[0]))}
+
+    return {
+        "objects": space_to_json_oracle(g.objects),
+        "arrows": space_to_json_oracle(g.arrows),
+        "src": {"map": plain(g.src)},
+        "tgt": {"map": plain(g.tgt)},
+        "unit": {"map": plain(g.unit)},
+        "inv": {"map": plain(g.inv)},
+        "comp": sorted([fintop.fmt_point(f), fintop.fmt_point(gg), fintop.fmt_point(h)]
+                       for (gg, f), h in g.comp.items()),
+    }
+
+
+def sheaf_to_json_oracle(s):
+    """`jsonio.sheaf_to_json` with every point labelled where it occurs."""
+    return {
+        "total": space_to_json_oracle(s.total),
+        "proj": {fintop.fmt_point(y): fintop.fmt_point(v)
+                 for y, v in sorted(s.proj.mapping.items(), key=lambda kv: fintop.ckey(kv[0]))},
+        "action": sorted([fintop.fmt_point(g), fintop.fmt_point(y), fintop.fmt_point(z)]
+                         for (g, y), z in s.action.items()),
+    }

@@ -6,9 +6,14 @@ recomputes the recursive `ckey` of every point of every set.
 target; `oracles.subgroupoid_closure_oracle` is the naive fixpoint.
 Open families and subobject lattices are int bitmasks sorted into
 frozensets on output; the oracles search and compare frozensets.
-Definable-set extensions are int masks over `DefinableSets.index`;
+Definable-set extensions are int masks over `DefinableSets.index`, one
+bit per (representative of a class of equal structure, tuple);
 `oracles.DefinableSetsOracle` builds the same tables from frozensets
-and `logic._eval`.  The arrow incidence `out_of`/`into` of a groupoid is
+and `logic._eval` over every member, and the logical topologies,
+parameter elimination, definable sheaves and separating sentences are
+recomputed from it.  Each space sorts its points once and the JSON
+writers label each point once; the references sort and label every
+occurrence.  The arrow incidence `out_of`/`into` of a groupoid is
 compared with the source and target filters of all its arrows.  The
 verdicts quantify over the open atoms; `oracles.exhaustive_answer` runs
 the public per-member routes over the whole open-subgroupoid family, in
@@ -50,7 +55,7 @@ from corpus import (
 )
 from test_acceptance import SEED
 from test_cli import MG_DOC, discrete_space_groupoid_doc
-from topogrpd import cli, fintop, grpd, jsonio, logic, sheaf, weq
+from topogrpd import cli, fintop, frac, grpd, jsonio, logic, sheaf, weq
 from topogrpd.errors import BistabilityError, CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.logic import FinModel, IndexedModel
@@ -84,7 +89,7 @@ def test_set_key_orders_as_the_recursive_key():
     for _ in range(300):
         points = list({random_id(rng) for _ in range(rng.randrange(1, 7))})
         subsets = [frozenset(x for x in points if rng.random() < 0.5) for _ in range(30)]
-        assert sorted(subsets, key=fintop.set_key(points)) == sorted(
+        assert sorted(subsets, key=fintop.set_key(FinSpace.discrete(points))) == sorted(
             subsets, key=oracles.ckey_set_key
         )
         space = fintop.generate_topology(points, subsets[:3])
@@ -119,6 +124,28 @@ def test_corpus_orders_match_the_recursive_key(corpus):
             family = [u.arrow_set for u in enumerate_family(g)]
             assert family == sorted(family, key=oracles.ckey_set_key)
     assert spaces > 300
+
+
+def test_cached_orders_and_labels_match_the_per_occurrence_reference(corpus):
+    """Each space's cached `order` is its sorted points, and the groupoid
+    and sheaf documents, which label each point once, equal (in their
+    key order too) documents that label every occurrence: on the corpus,
+    its generator sheaves and the derived groupoids of model groupoids,
+    whose arrows are nested isomorphisms."""
+    derived = [g.derive(1, 1).groupoid for g in model_groupoids_with_copies()[::10]]
+    sheaves = 0
+    for g in list(corpus) + derived:
+        for space in (g.objects, g.arrows):
+            assert space.order() == tuple(fintop.sorted_points(space.points))
+            assert space.order() is space.order()
+        got, ref = jsonio.groupoid_to_json(g), oracles.groupoid_to_json_oracle(g)
+        assert json.dumps(got) == json.dumps(ref)
+        atoms = grpd.open_atoms(g) if g.is_open() else []
+        for u in atoms[:2]:
+            gen = sheaf.moerdijk_generator(g, u)
+            assert json.dumps(jsonio.sheaf_to_json(gen)) == json.dumps(oracles.sheaf_to_json_oracle(gen))
+            sheaves += 1
+    assert len(derived) > 20 and sheaves > 500, (len(derived), sheaves)
 
 
 def test_incidence_lists_the_arrows_at_each_object_in_arrow_order(corpus):
@@ -236,11 +263,8 @@ def decoded_level(eng, ctx_sorts, depth):
     try:
         if isinstance(eng, oracles.DefinableSetsOracle):
             return list(eng.level(ctx_sorts, depth).items())
-        pairs = list(eng.index(ctx_sorts))
-        return [
-            (frozenset(p for bit, p in enumerate(pairs) if ext >> bit & 1), ast)
-            for ext, ast in eng.level(ctx_sorts, depth).items()
-        ]
+        return [(eng.decode(ctx_sorts, ext), ast)
+                for ext, ast in eng.level(ctx_sorts, depth).items()]
     except CapExceeded as e:
         return str(e), sorted(eng._levels)
 
@@ -283,6 +307,11 @@ def model_families():
         logic.FinModel("P", sig, {"A": [0], "B": ["b", "e"]}, {"R": [(0, "e")]}, {"c": 0, "d": 0}),
     ]
     out.append((sig, edge_cases, [(), ("A",), ("B",), ("A", "A"), ("A", "B"), ("B", "B")]))
+    # members that differ in a constant only, and one structure under two names
+    sig = logic.make_signature(["A"], {"R": ("A",)}, {"c": "A"})
+    constants = [logic.FinModel(n, sig, {"A": [0, 1]}, {"R": [(0,)]}, {"c": c})
+                 for n, c in (("K", 0), ("L", 1), ("K2", 0))]
+    out.append((sig, constants, [(), ("A",), ("A", "A")]))
     return out
 
 
@@ -335,6 +364,161 @@ def test_logical_topologies_match_the_per_pair_transport_scan():
                 moving += any(t and t not in preimages for t in transports)
                 cases += 1
     assert cases == 9 * 208 and moving > 180, moving
+
+
+# the etale-completion document of the CI console-script step: A and B are
+# one structure (the symmetric edge pair) indexed oppositely, C another
+ABC_MODELS = [
+    {"name": "A", "carriers": {"V": ["v0", "v1"]}, "relations": {"E": [["v0", "v1"], ["v1", "v0"]]},
+     "indexing": {"p0": "v0", "p1": "v1"}},
+    {"name": "B", "carriers": {"V": ["v0", "v1"]}, "relations": {"E": [["v0", "v1"], ["v1", "v0"]]},
+     "indexing": {"p0": "v1", "p1": "v0"}},
+    {"name": "C", "carriers": {"V": ["v0", "v1"]}, "relations": {"E": [["v0", "v1"]]},
+     "indexing": {"p0": "v0", "p1": "v1"}},
+]
+
+
+def abc_groupoid(arrows):
+    ident = [{"src": m["name"], "tgt": m["name"], "map": {"V": {"v0": "v0", "v1": "v1"}}}
+             for m in ABC_MODELS]
+    return jsonio.model_groupoid_from_json({
+        "signature": {"sorts": ["V"], "relations": {"E": ["V", "V"]}},
+        "params": {"p0": "V", "p1": "V"}, "models": ABC_MODELS,
+        "arrows": "all" if arrows == "all" else ident})
+
+
+def with_renamed_copies(g, prefix, keep=True):
+    """g's members and arrows together with (or, unless `keep`, replaced
+    by) a copy of each under prefix + name, its indexing rotated by one
+    parameter, so that a copy is indexed differently from its original
+    wherever the indexing is not constant."""
+    params = sorted(g.params)
+    rotated = dict(zip(params, params[1:] + params[:1]))
+    copies = [IndexedModel(FinModel(prefix + im.name, g.signature, im.model.carriers,
+                                    im.model.relations, im.model.constants),
+                           {p: im.indexing[q] for p, q in rotated.items() if q in im.indexing},
+                           g.params)
+              for im in g.members]
+    arrows = {logic.Iso(prefix + a.src, prefix + a.tgt, a.map) for a in g.arrows}
+    if keep:
+        return logic.ModelGroupoid(g.signature, g.params, [*g.members, *copies], g.arrows | arrows)
+    return logic.ModelGroupoid(g.signature, g.params, copies, arrows)
+
+
+def shared_structure_groupoids():
+    """Model groupoids with one structure under several names and
+    indexings: the A/B/C document, copies of rigid graphs whose indexings
+    are rotations of each other, and corpus groupoids with renamed,
+    re-indexed copies of their members (`models + renamed`)."""
+    rng = random.Random(SEED)
+    out = [abc_groupoid("identities"), abc_groupoid("all")]
+    for edges in rng.sample(rigid_graphs(3), 3):
+        for arrows in ("identities", "all"):
+            doc = graph_copies_doc(edges, 3, ["M0", "M1", "M2"], arrows)
+            for shift, m in enumerate(doc["models"]):
+                m["indexing"] = {f"p{i}": f"v{(i + shift) % 3}" for i in range(3)}
+            out.append(jsonio.model_groupoid_from_json(doc))
+    out += [with_renamed_copies(random_model_groupoid(rng), "N") for _ in range(40)]
+    return out
+
+
+def structure_classes(g):
+    """The member names of g grouped by equal carriers, relations and
+    constants, found by comparing the models themselves."""
+    classes = []
+    for im in g.members:
+        m = im.model
+        for cls in classes:
+            r = g.by_name[cls[0]].model
+            if (r.carriers, r.relations, r.constants) == (m.carriers, m.relations, m.constants):
+                cls.append(im.name)
+                break
+        else:
+            classes.append([im.name])
+    return classes
+
+
+def outcome(call, *args):
+    """What `call(*args)` returns, or the text of the CapExceeded it raises."""
+    try:
+        return call(*args)
+    except CapExceeded as e:
+        return str(e)
+
+
+def test_shared_structures_answer_as_the_per_member_references():
+    """Logical topologies, parameter elimination and definable sheaves
+    at depths 0-2 and tuple caps 0-2 on members that share a structure,
+    against references that enumerate every member's tuples; an orbit
+    that differs between the members of a class stays unknown."""
+    shared = indexed_apart = split = cases = 0
+    for g in shared_structure_groupoids():
+        classes = [c for c in structure_classes(g) if len(c) > 1]
+        shared += bool(classes)
+        indexed_apart += any(len({frozenset(g.by_name[n].indexing.items()) for n in c}) > 1
+                             for c in classes)
+        for depth in range(3):
+            for cap in range(3):
+                got = outcome(g.derive, depth, cap)
+                ref = outcome(oracles.logical_topologies_oracle, g, depth, cap)
+                if isinstance(got, str):
+                    assert got == ref
+                else:
+                    assert (got.objects, got.arrows, got.depth, got.stabilized) == ref[:4]
+                verdict = outcome(logic.eliminates_parameters, g, depth, cap)
+                formulas = outcome(oracles.parameter_witnesses_oracle, g, depth, cap)
+                if isinstance(verdict, str):
+                    assert verdict == formulas
+                    continue
+                found = {t: f for t, f in formulas.items() if f is not None}
+                if verdict.answer == "yes":
+                    assert {tuple(dict(w)["tuple"]): dict(w)["formula"]
+                            for w in verdict.witnesses} == found == formulas
+                else:
+                    assert [tuple(dict(w)["tuple"]) for w in verdict.witnesses] == \
+                        [t for t, f in formulas.items() if f is None]
+                    assert dict(verdict.details)["witnesses_found"] == len(found)
+                for ptuple, formula in formulas.items():
+                    orbit = logic.parameter_orbit(g, ptuple)
+                    if any(len({frozenset(tup for m, tup in orbit if m == n) for n in c}) > 1
+                           for c in classes):
+                        assert formula is None
+                        split += 1
+                cases += 1
+        for depth, cap in ((0, 0), (1, 1)):
+            for s in g.signature.sorts:
+                formulas = [logic.top_formula(g.signature, (s,))] + [
+                    logic.GeometricFormula(logic.Rel(r, tuple(logic.Var(f"x{i + 1}") for i in range(len(a)))),
+                                           tuple((f"x{i + 1}", t) for i, t in enumerate(a)), g.signature)
+                    for r, a in g.signature.relations]
+                for formula in formulas:
+                    total = logic.definable_sheaf(g, formula, depth, cap).total
+                    assert total == oracles.definable_sheaf_total_oracle(g, formula, depth, cap)
+    assert cases == 9 * 48, cases
+    assert shared == 48 and indexed_apart > 30 and split > 600, (indexed_apart, split)
+
+
+def test_morita_separating_sentences_match_the_per_member_reference():
+    """The sentence an unknown Morita search reports, against the first
+    one the frozenset levels of the merged apex give, on inputs whose
+    members share structures under several names and indexings."""
+    rng = random.Random(SEED)
+    groupoids = shared_structure_groupoids()
+    unknown = sentences = 0
+    for x in groupoids:
+        for y in rng.sample([h for h in groupoids if h.signature == x.signature], 2):
+            y = with_renamed_copies(y, "Y", keep=False)
+            try:
+                res = frac.morita_search(x, y, 1, 1)
+            except InputError:  # a derived groupoid that is not open
+                continue
+            if res.verdict.answer == "unknown":
+                apex = frac.merge_and_complete([x, y])
+                ref = oracles.separating_sentence_oracle(apex, x, y, 1)
+                assert dict(res.verdict.details).get("separating_sentence") == ref
+                unknown += 1
+                sentences += ref is not None
+    assert unknown > 40 and sentences > 20, (unknown, sentences)
 
 
 def test_closure_matches_naive_fixpoint(corpus):

@@ -192,6 +192,21 @@ def test_a_negative_tuple_cap_is_an_input_error():
         logic.logical_topologies(g, 1, -1)
 
 
+def test_two_different_models_under_one_name_are_an_input_error():
+    """Their rows would be ORed into one extension: E(x1, x2) would hold
+    of both (a, b) and (b, a) on "K", which neither model satisfies."""
+    forward = FinModel("K", GRAPH, {"V": {"a", "b"}}, {"E": {("a", "b")}})
+    backward = FinModel("K", GRAPH, {"V": {"a", "b"}}, {"E": {("b", "a")}})
+    with pytest.raises(InputError, match="two different models named K"):
+        logic.DefinableSets(GRAPH, [forward, backward])
+    # the same model twice is one member
+    twice = logic.DefinableSets(GRAPH, [forward, forward])
+    edge = logic.Rel("E", (logic.Var("x1"), logic.Var("x2")))
+    exts = {print_formula(ast): twice.decode(("V", "V"), ext)
+            for ext, ast in twice.level(("V", "V"), 0).items()}
+    assert exts[print_formula(edge)] == {("K", ("a", "b"))}
+
+
 def test_derived_groupoids_always_valid_and_open():
     rng = random.Random(101)
     for g in sober_eliminating_model_groupoids(rng, 8, depth=1, tuple_cap=2):
