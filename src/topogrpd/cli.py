@@ -81,11 +81,11 @@ def _cmd_check(args, inputs):
     g = _valid_groupoid(args, inputs)
     sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
     if args.command == "weq-check":
-        verdict = weq.is_weak_equivalence(sub, mode=args.mode, cap=args.open_cap)
+        verdict = weq.is_weak_equivalence(sub, mode=args.mode)
     elif args.command == "surjection-check":
-        verdict = weq.is_localic_surjection(sub, cap=args.open_cap)
+        verdict = weq.is_localic_surjection(sub)
     else:
-        verdict = weq.is_subtopos_inclusion(sub, cap=args.open_cap)
+        verdict = weq.is_subtopos_inclusion(sub)
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
@@ -93,7 +93,7 @@ def _cmd_factorize(args, inputs):
     f = jsonio.functor_from_json(_load(args.functor, inputs))
     _open_groupoid(f.dom, "functor dom: ")
     _open_groupoid(f.cod, "functor cod: ")
-    fz = weq.factorize(f, cap=args.open_cap)
+    fz = weq.factorize(f)
     answer = "yes" if fz.certificates_pass() else "no"
     result = {
         "answer": answer,
@@ -215,10 +215,10 @@ _KNOBS = {
 _TABLE = {
     "validate": (_cmd_validate, "space? groupoid? models?", "depth tuple-cap open-cap"),
     "topology": (_cmd_topology, "input", "open-cap"),
-    "weq-check": (_cmd_check, "groupoid sub", "mode open-cap"),
-    "surjection-check": (_cmd_check, "groupoid sub", "open-cap"),
-    "inclusion-check": (_cmd_check, "groupoid sub", "open-cap"),
-    "factorize": (_cmd_factorize, "functor", "open-cap"),
+    "weq-check": (_cmd_check, "groupoid sub", "mode"),
+    "surjection-check": (_cmd_check, "groupoid sub", ""),
+    "inclusion-check": (_cmd_check, "groupoid sub", ""),
+    "factorize": (_cmd_factorize, "functor", ""),
     "generators": (_cmd_generators, "groupoid sub?", "subgroupoid-budget open-cap"),
     "subobjects": (_cmd_subobjects, "groupoid sub", "open-cap"),
     "logical-topology": (_cmd_logical_topology, "models", "depth tuple-cap open-cap"),

@@ -34,8 +34,7 @@ class TopGroupoid:
     "open_subgroupoids" (the open family, budget checked on every read),
     "moerdijk" (generator sheaves by u.arrow_set), "iota_cod" ((ambient,
     u)-bi-orbit spaces by u.arrow_set) and "restriction" (subobject
-    restrictions by (incl.arrow_set, u.arrow_set), cap checked on every
-    read).
+    restriction verdicts by (incl.arrow_set, u.arrow_set)).
 
     `out_of[x]` and `into[y]`, built with the structure maps, list the
     arrows with source x and with target y in `arrows.points` order.

@@ -3,14 +3,16 @@
 A sheaf is a local homeomorphism onto the object space together with a
 continuous arrow action on its fibers.  Everything is stored
 extensionally: total spaces are finite, actions are tables.  The
-subobject lattices computed here are the independent oracle against
-which the weak-equivalence criteria are cross-checked.  They work on int
-bitmasks; only `SubobjectLattice.elements` sorts them into frozensets.
+restriction of generator subobjects is the independent oracle against
+which the weak-equivalence criteria are cross-checked.  It and the
+subobject lattices work on int masks of each point's smallest stable
+open; only `SubobjectLattice.elements` sorts masks into frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fintop, grpd
 from .errors import CapExceeded, InputError
@@ -23,7 +25,7 @@ class EquivariantSheaf:
     action, stored as a table on pairs (arrow g, point y) with
     proj(y) = src(g)."""
 
-    __slots__ = ("base", "total", "proj", "action", "_lattice")
+    __slots__ = ("base", "total", "proj", "action", "_nbhd", "_lattice")
 
     def __init__(self, base: TopGroupoid, total: FinSpace, proj, action):
         self.base = base
@@ -37,7 +39,7 @@ class EquivariantSheaf:
         for (g, y), z in self.action.items():
             if g not in base.arrows.points or y not in total.points or z not in total.points:
                 raise InputError("action entry outside sheaf data")
-        self._lattice = None
+        self._nbhd = self._lattice = None
 
     def act(self, g, y):
         return self.action[(g, y)]
@@ -226,85 +228,83 @@ class SubobjectLattice:
         return fintop.sets_in_order(self.masks, self.points, self.sheaf.total)
 
     def __contains__(self, subset):
-        return frozenset(subset) in self.elements
+        s = frozenset(subset)
+        bit, _ = _neighbourhoods(self.sheaf)  # bit i is points[i]
+        return s <= self.sheaf.total.points and sum(bit[y] for y in s) in self.masks
 
     def __len__(self):
         return len(self.masks)
 
 
-def subobject_lattice(s: EquivariantSheaf, cap: int = fintop.DEFAULT_OPEN_CAP) -> SubobjectLattice:
-    """All action-stable open subsets of the total space.
+def _stable_masks(space: FinSpace, pairs, bit) -> dict:
+    """The smallest action-stable open around each point of `space`, as a
+    mask of `bit`s: the union of the orbits (the blocks of `pairs`) in the
+    quotient's minimal neighbourhood of the point's orbit."""
+    q, cls = fintop.quotient_space(space, fintop.partition(space.points, pairs))
+    nb = {b: sum(bit[y] for c in q.min_open(b) for y in c) for b in q.points}
+    return {y: nb[b] for y, b in cls.mapping.items()}
 
-    These are the unions of the stable neighbourhoods of the orbits: the
-    union of the orbits in the quotient's minimal neighbourhood of an
-    orbit, one generator mask per orbit.  The result is kept on the
+
+def _neighbourhoods(s: EquivariantSheaf):
+    """(bit, nb): bit i for the i-th point of the total space, and the
+    mask of each point's smallest stable open; built once per sheaf."""
+    if s._nbhd is None:
+        bit = {y: 1 << i for i, y in enumerate(s.total.points)}
+        s._nbhd = bit, _stable_masks(s.total, ((y, z) for (_, y), z in s.action.items()), bit)
+    return s._nbhd
+
+
+def subobject_lattice(s: EquivariantSheaf, cap: int = fintop.DEFAULT_OPEN_CAP) -> SubobjectLattice:
+    """All action-stable open subsets of the total space: the unions of
+    the stable neighbourhoods of its points.  The result is kept on the
     sheaf, and `cap` is checked on every read.
     """
     if s._lattice is None:
-        points = tuple(s.total.points)
-        blocks = fintop.partition(points, ((y, z) for (_, y), z in s.action.items()))
-        q, _ = fintop.quotient_space(s.total, blocks)
-        stable = (frozenset().union(*q.min_open(c)) for c in q.points)
-        masks = fintop.union_closure(map(fintop.masker(points), stable), cap)
-        s._lattice = SubobjectLattice(s, points, frozenset(masks))
+        bit, nb = _neighbourhoods(s)
+        s._lattice = SubobjectLattice(s, tuple(bit), frozenset(fintop.union_closure(nb.values(), cap)))
     elif len(s._lattice) > cap:
         raise CapExceeded(f"open family exceeds cap {cap}")
     return s._lattice
 
 
-@dataclass(frozen=True)
-class SubobjectRestriction:
-    """The induced map on subobject lattices of a generator sheaf along a
-    subgroupoid inclusion: a subobject W of the generator is sent to its
-    trace on the pullback, computed by intersection on the underlying
-    orbit classes."""
+class Restriction(NamedTuple):
+    """Is the restriction of generator subobjects injective, surjective?"""
 
-    big: SubobjectLattice
-    small: SubobjectLattice
-    mapping: tuple  # pairs (mask in big, mask in small)
-
-    def is_injective(self) -> bool:
-        return len({v for _, v in self.mapping}) == len(self.mapping)
-
-    def is_surjective(self) -> bool:
-        return {v for _, v in self.mapping} == self.small.masks
+    injective: bool
+    surjective: bool
 
     def is_bijective(self) -> bool:
-        return self.is_injective() and self.is_surjective()
+        return self.injective and self.surjective
 
 
-def subobject_restriction(incl: Subgroupoid, u: Subgroupoid,
-                          cap: int = fintop.DEFAULT_OPEN_CAP) -> SubobjectRestriction:
-    """Restriction of generator subobjects along a subgroupoid inclusion.
+def subobject_restriction(incl: Subgroupoid, u: Subgroupoid) -> Restriction:
+    """Restriction r(W) = W ∩ P of the subobjects W of u's generator along
+    a subgroupoid inclusion, decided through its left adjoint.
 
-    The pullback of the generator of u along the inclusion has as points
-    the pairs (object of the subgroupoid, orbit class); a subobject W of
-    the generator maps to the pairs whose class lies in W, the OR of the
-    lift masks of W's classes.  The result is kept on the ambient
-    groupoid by both arrow sets, and `cap` is checked on every read.
+    The pullback of the generator along the inclusion is the subspace P
+    of generator points over the subgroupoid's objects, acted on by its
+    arrows.  r has the left adjoint g(V), the join of the generator's
+    stable neighbourhoods N(c) of the points c of V.  r is injective iff
+    g(r(N)) = N, and surjective iff r(g(N')) = N', for every stable
+    neighbourhood N of the generator and N' of P, as both composites
+    preserve joins.  g(r(N)) = N iff N is N(c) for some c in P, and
+    g(N'(c)) = N(c), so these read off the neighbourhood masks (README
+    "Scope notes").  The result is kept on the ambient groupoid by both
+    arrow sets.
     """
     amb = incl.ambient
     if u.ambient != amb:
         raise InputError("subgroupoids of different groupoids")
     cache = amb._cache.setdefault("restriction", {})
     key = (incl.arrow_set, u.arrow_set)
-    out = cache.get(key)
-    if out is not None:
-        if max(len(out.big), len(out.small)) > cap:
-            raise CapExceeded(f"open family exceeds cap {cap}")
-        return out
-    gen = moerdijk_generator(amb, u)
-    pulled = inverse_image(incl.inclusion_functor(), gen)
-    big = subobject_lattice(gen, cap=cap)
-    small = subobject_lattice(pulled, cap=cap)
-    lift = dict.fromkeys(big.points, 0)  # disjoint masks of the points over each class
-    for j, (_, c) in enumerate(small.points):
-        lift[c] |= 1 << j
-    mapping = []
-    for w in big.masks:
-        image = sum(m for i, m in enumerate(lift.values()) if w >> i & 1)
-        if image not in small.masks:  # pragma: no cover - mathematically impossible
-            raise InputError("internal: restricted subobject not stable open")
-        mapping.append((w, image))
-    cache[key] = SubobjectRestriction(big, small, tuple(mapping))
+    if key not in cache:
+        gen = moerdijk_generator(amb, u)
+        bit, nb = _neighbourhoods(gen)
+        q, y0, y1 = gen.proj.mapping, incl.object_set, incl.arrow_set
+        p = [c for c in bit if q[c] in y0]
+        pmask = sum(bit[c] for c in p)
+        pairs = ((c, gen.action[(a, c)]) for c in p for a in amb.out_of[q[c]] if a in y1)
+        small = _stable_masks(gen.total.subspace(p), pairs, bit)
+        cache[key] = Restriction({nb[c] for c in p} == set(nb.values()),
+                                 all(small[c] == nb[c] & pmask for c in p))
     return cache[key]

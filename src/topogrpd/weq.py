@@ -7,8 +7,8 @@ equivalence of sheaf topoi at finite scale:
                         quasi-homeomorphism for every open subgroupoid;
   * two-condition    -- Skula-dense orbits (surjection side) and source
                         determined orbits (inclusion side) both hold;
-  * subobject-oracle -- the restriction of generator subobject lattices
-                        is a bijection.
+  * subobject-oracle -- the restriction of generator subobjects is a
+                        bijection, decided through its left adjoint.
 
 The routes provably coincide on finite open T0 groupoids, so any
 disagreement raises OracleDisagreement rather than returning a verdict.
@@ -189,15 +189,14 @@ def _for_all_members(incl: Subgroupoid, check) -> Verdict:
     return Verdict("yes", details=(("members", len(atoms)),))
 
 
-def is_localic_surjection(incl: Subgroupoid, cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
+def is_localic_surjection(incl: Subgroupoid) -> Verdict:
     """Surjection criterion: Skula dense u-orbits for every open
     subgroupoid u, cross-checked against injectivity of the subobject
-    restriction (OracleDisagreement on mismatch), whose lattices may hold
-    at most `cap` elements."""
+    restriction (OracleDisagreement on mismatch)."""
 
     def check(u):
         w = skula_witness(incl, u)
-        if (w is None) != sheaf.subobject_restriction(incl, u, cap).is_injective():
+        if (w is None) != sheaf.subobject_restriction(incl, u).injective:
             raise OracleDisagreement(
                 "skula-dense-orbits and subobject injectivity disagree on "
                 f"subgroupoid {_sub_label(u)}"
@@ -207,14 +206,14 @@ def is_localic_surjection(incl: Subgroupoid, cap: int = fintop.DEFAULT_OPEN_CAP)
     return _for_all_members(incl, check)
 
 
-def is_subtopos_inclusion(incl: Subgroupoid, cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
+def is_subtopos_inclusion(incl: Subgroupoid) -> Verdict:
     """Inclusion criterion: source determined orbits for every open
     subgroupoid, cross-checked against surjectivity of the subobject
-    restriction, whose lattices may hold at most `cap` elements."""
+    restriction."""
 
     def check(u):
         w = source_determined_witness(incl, u)
-        if (w is None) != sheaf.subobject_restriction(incl, u, cap).is_surjective():
+        if (w is None) != sheaf.subobject_restriction(incl, u).surjective:
             raise OracleDisagreement(
                 "source-determined-orbits and subobject surjectivity disagree on "
                 f"subgroupoid {_sub_label(u)}; the criteria are only proven to "
@@ -225,30 +224,28 @@ def is_subtopos_inclusion(incl: Subgroupoid, cap: int = fintop.DEFAULT_OPEN_CAP)
     return _for_all_members(incl, check)
 
 
-def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str, cap: int) -> bool:
+def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:
     if mode == "quasi-homeo":
         return fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u))
     if mode == "two-condition":
         return skula_witness(incl, u) is None and source_determined_witness(incl, u) is None
     if mode == "subobject-oracle":
-        return sheaf.subobject_restriction(incl, u, cap).is_bijective()
+        return sheaf.subobject_restriction(incl, u).is_bijective()
     raise InputError(f"unknown mode {mode!r}")
 
 
-def is_weak_equivalence(incl: Subgroupoid, mode: str = "all",
-                        cap: int = fintop.DEFAULT_OPEN_CAP) -> Verdict:
+def is_weak_equivalence(incl: Subgroupoid, mode: str = "all") -> Verdict:
     """Does the inclusion induce an equivalence of sheaf topoi?
 
     mode is one of "quasi-homeo", "two-condition", "subobject-oracle" or
     "all"; with "all" every route is run on every atom and any
-    disagreement raises OracleDisagreement.  The subobject lattices may
-    hold at most `cap` elements."""
+    disagreement raises OracleDisagreement."""
     if mode != "all" and mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     modes = MODES if mode == "all" else (mode,)
 
     def check(u):
-        answers = {m: _weq_one_mode(incl, u, m, cap) for m in modes}
+        answers = {m: _weq_one_mode(incl, u, m) for m in modes}
         if len(set(answers.values())) > 1:
             raise OracleDisagreement(
                 f"weak-equivalence modes disagree on subgroupoid {_sub_label(u)}: "
@@ -287,7 +284,7 @@ class Factorization:
         )
 
 
-def factorize(f: ContinuousFunctor, cap: int = fintop.DEFAULT_OPEN_CAP) -> Factorization:
+def factorize(f: ContinuousFunctor) -> Factorization:
     """Factor a continuous functor through its full essential image.
 
     Returns the corestriction onto the full essential image and the full
@@ -307,6 +304,6 @@ def factorize(f: ContinuousFunctor, cap: int = fintop.DEFAULT_OPEN_CAP) -> Facto
     img = grpd.image(f)
     img_in_fei = Subgroupoid(fei_grpd, img.arrow_set)
     surj = frozenset(f.obj_map.mapping.values()) == img.object_set
-    image_cert = is_localic_surjection(img_in_fei, cap=cap)
-    incl_cert = is_subtopos_inclusion(fei, cap=cap)
+    image_cert = is_localic_surjection(img_in_fei)
+    incl_cert = is_subtopos_inclusion(fei)
     return Factorization(first, fei, surj, image_cert, incl_cert)

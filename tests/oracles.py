@@ -5,6 +5,7 @@ routes, but quantifies them itself over the whole open-subgroupoid
 family, outside the verdicts' loop over the atoms.  Only usable on
 small inputs."""
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from topogrpd import fintop, grpd, logic, sheaf, weq
@@ -122,7 +123,7 @@ def fiber_product_oracle(f, g) -> FinSpace:
                           for (x, y) in pts})
 
 
-def exhaustive_answer(decide, incl, mode="all", cap=4096) -> str:
+def exhaustive_answer(decide, incl, mode="all") -> str:
     """The answer of a weq criterion `decide` (is_weak_equivalence,
     is_localic_surjection or is_subtopos_inclusion) with its quantifier
     run over every open subgroupoid, the join-closed family, instead of
@@ -132,19 +133,19 @@ def exhaustive_answer(decide, incl, mode="all", cap=4096) -> str:
     if decide is weq.is_localic_surjection:
         routes = {"skula-dense-orbits": lambda u: weq.skula_witness(incl, u) is None,
                   "subobject injectivity":
-                      lambda u: sheaf.subobject_restriction(incl, u, cap).is_injective()}
+                      lambda u: sheaf.subobject_restriction(incl, u).injective}
     elif decide is weq.is_subtopos_inclusion:
         routes = {"source-determined-orbits":
                       lambda u: weq.source_determined_witness(incl, u) is None,
                   "subobject surjectivity":
-                      lambda u: sheaf.subobject_restriction(incl, u, cap).is_surjective()}
+                      lambda u: sheaf.subobject_restriction(incl, u).surjective}
     else:
         assert decide is weq.is_weak_equivalence, decide
         routes = {
             "quasi-homeo": lambda u: fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u)),
             "two-condition": lambda u: (weq.skula_witness(incl, u) is None
                                         and weq.source_determined_witness(incl, u) is None),
-            "subobject-oracle": lambda u: sheaf.subobject_restriction(incl, u, cap).is_bijective(),
+            "subobject-oracle": lambda u: sheaf.subobject_restriction(incl, u).is_bijective(),
         }
         routes = routes if mode == "all" else {mode: routes[mode]}
     for u in grpd.enumerate_open_subgroupoids(incl.ambient):
@@ -403,6 +404,46 @@ def subobject_lattice_oracle(s):
     opens = unions_oracle(s.total.min_open(x) for x in s.total.points)
     stable = [o for o in opens if all(z in o for (_, y), z in s.action.items() if y in o)]
     return reference_sorted(stable, s.total.points)
+
+
+@dataclass(frozen=True)
+class SubobjectRestriction:
+    """The induced map on listed subobject lattices of a generator sheaf
+    along a subgroupoid inclusion: a subobject W of the generator is sent
+    to its trace on the pullback."""
+
+    big: sheaf.SubobjectLattice
+    small: sheaf.SubobjectLattice
+    mapping: tuple  # pairs (mask in big, mask in small)
+
+    def is_injective(self) -> bool:
+        return len({v for _, v in self.mapping}) == len(self.mapping)
+
+    def is_surjective(self) -> bool:
+        return {v for _, v in self.mapping} == self.small.masks
+
+    def is_bijective(self) -> bool:
+        return self.is_injective() and self.is_surjective()
+
+
+def subobject_restriction_oracle(incl, u, cap=4096) -> SubobjectRestriction:
+    """The restriction by listing both lattices: the generator of u is
+    pulled back along the inclusion functor (points (object, class)), and
+    each subobject W of the generator maps to the OR of the lift masks of
+    W's classes, which must be a subobject of the pullback."""
+    gen = sheaf.moerdijk_generator(incl.ambient, u)
+    pulled = sheaf.inverse_image(incl.inclusion_functor(), gen)
+    big = sheaf.subobject_lattice(gen, cap=cap)
+    small = sheaf.subobject_lattice(pulled, cap=cap)
+    lift = dict.fromkeys(big.points, 0)  # disjoint masks of the points over each class
+    for j, (_, c) in enumerate(small.points):
+        lift[c] |= 1 << j
+    mapping = []
+    for w in big.masks:
+        image = sum(m for i, m in enumerate(lift.values()) if w >> i & 1)
+        assert image in small.masks, "restricted subobject not stable open"
+        mapping.append((w, image))
+    return SubobjectRestriction(big, small, tuple(mapping))
 
 
 def restriction_oracle(big, small, pulled):

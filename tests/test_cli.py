@@ -265,6 +265,8 @@ def discrete_space_groupoid_doc(n):
     [("weq-check", 1), ("surjection-check", 1), ("inclusion-check", 0)],
 )
 def test_open_cap_reaches_check_commands(capsys, tmp_path, command, uncapped):
+    """The check commands list no lattice, so they read no cap: --open-cap
+    reaches them as a bad command line, and still caps `subobjects`."""
     g = tmp_path / "g.json"
     g.write_text(json.dumps(discrete_space_groupoid_doc(3)))
     sub = tmp_path / "sub.json"
@@ -272,20 +274,22 @@ def test_open_cap_reaches_check_commands(capsys, tmp_path, command, uncapped):
     code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub))
     assert code == uncapped
     code, rep = run(capsys, command, "--groupoid", str(g), "--sub", str(sub), "--open-cap", "1")
-    assert code == 4
-    assert "exceeds cap 1" in rep["result"]["error"]
+    assert code == 3
+    assert "unrecognized arguments: --open-cap 1" in rep["result"]["error"]
     code, rep = run(capsys, "subobjects", "--groupoid", str(g), "--sub", str(sub), "--open-cap", "1")
     assert code == 4
+    assert "exceeds cap 1" in rep["result"]["error"]
 
 
 def test_open_cap_reaches_factorize(capsys, tmp_path):
+    """factorize lists no lattice: --open-cap is a bad command line there."""
     p = tmp_path / "functor.json"
     p.write_text(json.dumps(functor_doc(3)))
     code, rep = run(capsys, "factorize", "--functor", str(p))
     assert code == 0
     code, rep = run(capsys, "factorize", "--functor", str(p), "--open-cap", "1")
-    assert code == 4
-    assert "exceeds cap 1" in rep["result"]["error"]
+    assert code == 3
+    assert "unrecognized arguments: --open-cap 1" in rep["result"]["error"]
 
 
 @pytest.mark.parametrize("bad", [0.5, True, None, [1], {"x": 1}])

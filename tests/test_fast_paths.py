@@ -21,7 +21,10 @@ a loop of its own.  The fibre
 product's minimal opens are compared with the pairwise construction.
 `grpd.bi_orbit_space` enumerates each bi-orbit from one representative;
 `oracles.bi_orbit_space_oracle` feeds every action pair to the
-union-find.  `logic.all_isos_between_members` composes through one
+union-find.  `sheaf.subobject_restriction` decides injectivity and
+surjectivity through the left adjoint on the generator's own points;
+`oracles.subobject_restriction_oracle` lists both lattices and maps
+every subobject.  `logic.all_isos_between_members` composes through one
 representative per isomorphism class;
 `oracles.all_isos_between_members_oracle` searches every ordered pair.
 `logic.logical_topologies` finds the parameter transports in one pass
@@ -48,6 +51,7 @@ from corpus import (
     SMALL_GROUPS,
     graph_copies_doc,
     groupoid_corpus,
+    random_discrete_groupoid,
     random_model_groupoid,
     random_space,
     rigid_graphs,
@@ -178,14 +182,100 @@ def test_mask_lattices_and_restrictions_match_frozenset_references(corpus):
             assert big[-1] in lat and big[-1] | {"not a point"} not in lat
             generators += len(big) > 2
             for y in subs:
+                pb = sheaf.inverse_image(y.inclusion_functor(), gen)
+                small = oracles.subobject_lattice_oracle(pb)
+                assert sheaf.subobject_lattice(pb).elements == tuple(small)
+                expected = oracles.restriction_oracle(big, small, pb)
                 r = sheaf.subobject_restriction(y, u)
-                small = oracles.subobject_lattice_oracle(r.small.sheaf)
-                assert r.small.elements == tuple(small)
-                expected = oracles.restriction_oracle(big, small, r.small.sheaf)
-                assert (r.is_injective(), r.is_surjective()) == expected
+                assert (r.injective, r.surjective) == expected
                 pulled += len(small) > 2
                 restrictions += expected != (True, True)
     assert generators > 1000 and pulled > 1000 and restrictions > 500
+
+
+def test_lattice_membership_agrees_with_the_listed_elements(corpus):
+    """`in` encodes a subset as a mask; on every generator lattice of the
+    corpus, each element and each set one point away from it is a member
+    exactly when it is listed, and a set with a non-point never is."""
+    misses = 0
+    for g in corpus:
+        for u in grpd.enumerate_open_subgroupoids(g):
+            lat = sheaf.subobject_lattice(sheaf.moerdijk_generator(g, u))
+            listed = set(lat.elements)
+            for e in listed:
+                assert e in lat and e | {"not a point"} not in lat
+                for x in lat.points:
+                    assert (e ^ {x} in lat) == (e ^ {x} in listed)
+                    misses += e ^ {x} not in listed
+    assert misses > 30000
+
+
+def restriction_cases(g, opens):
+    """(inclusions, non-injective, non-surjective) over the valid non-empty
+    subgroupoids y of g and the open subgroupoids u in `opens`: the
+    restriction through the adjoint against the lattice-listing reference
+    and against the frozenset lattices of the generator and its pullback."""
+    cases = noninj = nonsurj = 0
+    for u in opens:
+        big = None
+        for y in grpd.enumerate_subgroupoids(g):
+            if not y.arrow_set or y.validate():
+                continue
+            ref = oracles.subobject_restriction_oracle(y, u)
+            big = big or oracles.subobject_lattice_oracle(ref.big.sheaf)
+            small = oracles.subobject_lattice_oracle(ref.small.sheaf)
+            expected = oracles.restriction_oracle(big, small, ref.small.sheaf)
+            assert (ref.is_injective(), ref.is_surjective()) == expected
+            r = sheaf.subobject_restriction(y, u)
+            assert (r.injective, r.surjective) == expected, (g, y, u)
+            cases += 1
+            noninj += not r.injective
+            nonsurj += not r.surjective
+    return cases, noninj, nonsurj
+
+
+def test_restriction_through_the_adjoint_matches_the_listed_lattices():
+    cases = noninj = nonsurj = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        c, i, s = restriction_cases(g, grpd.open_atoms(g))
+        cases, noninj, nonsurj = cases + c, noninj + i, nonsurj + s
+    assert cases > 12000 and noninj >= 1500 and nonsurj >= 5000
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_restriction_through_the_adjoint_on_random_discrete_groupoids(seed):
+    """Every open subgroupoid, not only the atoms, as the generator's."""
+    g = random_discrete_groupoid(random.Random(seed), max_arrows=10)
+    assert restriction_cases(g, grpd.enumerate_open_subgroupoids(g))[0] > 0
+
+
+def star_groupoid(n):
+    """The space groupoid of point 0, whose minimal open is every point,
+    and n isolated points: the whole atom's generator lattices have
+    2^n + 1 elements."""
+    points = range(n + 1)
+    return grpd.space_groupoid(FinSpace(points, {x: frozenset({x} if x else points)
+                                                 for x in points}))
+
+
+def test_star_groupoids_are_decided_past_the_lattice_cap():
+    """At n = 12 the listed lattices exceed the default cap; the
+    reference with a raised cap bijects on every atom, and every verdict
+    answers "yes", also at n = 40."""
+    g = star_groupoid(12)
+    y = grpd.whole_subgroupoid(g)  # the atom of the identity of 0
+    with pytest.raises(CapExceeded):
+        oracles.subobject_restriction_oracle(y, y)
+    assert len(oracles.subobject_restriction_oracle(y, y, cap=2 ** 13).big) == 2 ** 12 + 1
+    for u in grpd.open_atoms(g):
+        ref = oracles.subobject_restriction_oracle(y, u, cap=2 ** 13)
+        assert ref.is_bijective() and sheaf.subobject_restriction(y, u).is_bijective()
+    for n in (12, 40):
+        y = grpd.whole_subgroupoid(star_groupoid(n))
+        verdicts = [weq.is_weak_equivalence(y, mode=m) for m in ("all", *weq.MODES)]
+        verdicts += [weq.is_localic_surjection(y), weq.is_subtopos_inclusion(y)]
+        assert [v.answer for v in verdicts] == ["yes"] * 6
 
 
 def test_join_closure_closes_each_new_join_once(monkeypatch):

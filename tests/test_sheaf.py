@@ -205,11 +205,20 @@ def test_subobject_lattice_examples():
     assert sheaf.subobject_lattice(two_orbits) is lat
 
 
+def restriction_and_reference(y, u):
+    """The lattice-listing reference restriction, checked to answer as
+    `sheaf.subobject_restriction` does."""
+    ref = oracles.subobject_restriction_oracle(y, u)
+    r = sheaf.subobject_restriction(y, u)
+    assert (r.injective, r.surjective) == (ref.is_injective(), ref.is_surjective())
+    return ref
+
+
 def test_subobject_restriction_examples():
     g = iso_pair()
     u = grpd.identity_subgroupoid(g)
     # ambient into itself: identity map of lattices
-    r0 = sheaf.subobject_restriction(grpd.whole_subgroupoid(g), u)
+    r0 = restriction_and_reference(grpd.whole_subgroupoid(g), u)
     assert r0.is_bijective()
     def decode(mask, points):
         return {p for i, p in enumerate(points) if mask >> i & 1}
@@ -219,15 +228,17 @@ def test_subobject_restriction_examples():
     # one endpoint of the iso pair: bijection (4-element lattices: two
     # action orbits upstairs and downstairs)
     y = grpd.full_subgroupoid_on(g, {"a"})
-    r = sheaf.subobject_restriction(y, u)
+    r = restriction_and_reference(y, u)
     assert len(r.big) == 4 and len(r.small) == 4
     assert r.is_bijective()
     # two non-isomorphic discrete objects: surjective but not injective
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
-    r2 = sheaf.subobject_restriction(
+    r2 = restriction_and_reference(
         grpd.full_subgroupoid_on(two, {"p"}), grpd.identity_subgroupoid(two)
     )
     assert not r2.is_injective() and r2.is_surjective()
+    with pytest.raises(InputError, match="subgroupoids of different groupoids"):
+        sheaf.subobject_restriction(grpd.whole_subgroupoid(two), u)
 
 
 def _discrete3():
@@ -239,17 +250,18 @@ def _generator():
     return sheaf.moerdijk_generator(g, grpd.whole_subgroupoid(g))
 
 
-def _restrict(g, **limit):
-    return sheaf.subobject_restriction(Subgroupoid(g, {0}), grpd.whole_subgroupoid(g), **limit)
+def _restrict(g):
+    return sheaf.subobject_restriction(Subgroupoid(g, {0}), grpd.whole_subgroupoid(g))
 
 
 # name -> (fresh object, call taking the limit as a keyword, that keyword);
-# each object exceeds a limit of 4 and fits the default one
+# each object exceeds a limit of 4 and fits the default one, except the
+# restriction, which lists no lattice and takes no limit
 WARM_COLD_CASES = {
     "opens": (lambda: FinSpace.discrete({0, 1, 2}), FinSpace.opens, "cap"),
     "open_subgroupoids": (_discrete3, grpd.enumerate_open_subgroupoids, "budget"),
     "subobject_lattice": (_generator, sheaf.subobject_lattice, "cap"),
-    "subobject_restriction": (_discrete3, _restrict, "cap"),
+    "subobject_restriction": (_discrete3, _restrict, None),
 }
 
 
@@ -264,8 +276,15 @@ def _limit_error(call):
 @pytest.mark.parametrize("case", list(WARM_COLD_CASES))
 def test_warm_read_under_smaller_limit_behaves_like_cold_call(case):
     """A memo filled under the default limit answers a call with a
-    smaller limit exactly as a cold call does: with the same error."""
+    smaller limit exactly as a cold call does: with the same error.  A
+    memo with no limit answers as a cold call on a fresh object does."""
     make, call, keyword = WARM_COLD_CASES[case]
+    if keyword is None:
+        warm = make()
+        first = call(warm)
+        assert call(warm) is first and first == call(make())
+        assert first == (False, True)  # one of three discrete points
+        return
     cold = _limit_error(lambda: call(make(), **{keyword: 4}))
     assert cold is not None
     warm = make()
