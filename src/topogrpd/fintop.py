@@ -96,13 +96,13 @@ class FinSpace:
 
     def __init__(self, points, min_open, _check=True):
         self.points = frozenset(points)
+        if _check and set(min_open) != self.points:
+            raise InputError("min_open domain differs from point set")
         self._min = {x: frozenset(min_open[x]) for x in self.points}
         self._opens = None
         self._order = None
         self._hash = None
         if _check:
-            if set(self._min) != self.points:
-                raise InputError("min_open domain differs from point set")
             for x, u in self._min.items():
                 if x not in u or not u <= self.points:
                     raise InputError(f"bad minimal neighbourhood at {fmt_point(x)}")
@@ -505,25 +505,3 @@ def is_local_homeomorphism(f: ContinuousMap) -> bool:
                         return False
     return True
 
-
-def validate_space(space: FinSpace, cap: int = DEFAULT_OPEN_CAP):
-    """Re-check the topology axioms on the materialised open family.
-
-    Returns a list of named violations (empty when valid).  Only usable
-    when the family fits under `cap`.
-    """
-    out = []
-    fam = set(space.opens(cap=cap))
-    if frozenset() not in fam:
-        out.append("missing empty set")
-    if space.points not in fam:
-        out.append("missing full set")
-    for a, b in combinations(fam, 2):
-        if a | b not in fam:
-            out.append("not closed under union")
-            break
-    for a, b in combinations(fam, 2):
-        if a & b not in fam:
-            out.append("not closed under intersection")
-            break
-    return out

@@ -211,18 +211,15 @@ class Subgroupoid:
     composition and inverses, with subspace topologies.  The object set is
     recovered as the source (equivalently target) image."""
 
-    __slots__ = ("ambient", "arrow_set", "_incl")
+    __slots__ = ("ambient", "arrow_set", "object_set", "_incl")
 
     def __init__(self, ambient: TopGroupoid, arrow_set):
         self.ambient = ambient
         self.arrow_set = frozenset(arrow_set)
         if not self.arrow_set <= ambient.arrows.points:
             raise InputError("arrow subset outside ambient arrows")
+        self.object_set = frozenset(ambient.src.mapping[a] for a in self.arrow_set)
         self._incl = None
-
-    @property
-    def object_set(self) -> frozenset:
-        return frozenset(self.ambient.src.mapping[a] for a in self.arrow_set)
 
     def validate(self) -> list:
         amb, arr = self.ambient, self.arrow_set

@@ -1,11 +1,12 @@
 """JSON schemas for spaces, groupoids, sheaves and model groupoids.
 
-Input point ids must be JSON strings or integers (not booleans); any
-other id is an InputError.  Output spaces whose points were constructed
-internally (orbit classes, pairs) are labelled with canonical strings
-via fmt_point.  JSON object keys are always strings; when a point set
-contains integers, keys are matched by int-coercion.  comp triples
-[f, g, h] mean h = g o f (f first).
+A space is written by its points' minimal opens and read from those or
+from every open.  Input point ids must be JSON strings or integers (not
+booleans); any other id is an InputError.  Output spaces whose points
+were constructed internally (orbit classes, pairs) are labelled with
+canonical strings via fmt_point.  JSON object keys are always strings;
+an integer point is matched by its decimal string ("1", not "01").
+comp triples [f, g, h] mean h = g o f (f first).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _coerce(raw, points):
             as_int = int(raw)
         except ValueError:
             as_int = None
-        if as_int in points:
+        if as_int in points and str(as_int) == raw:  # "01" is not 1: one key per point
             return as_int
     raise InputError(f"unknown point {raw!r}")
 
@@ -97,9 +98,16 @@ def _coerce_sets(raws, points, what):
 
 
 def space_from_json(doc) -> FinSpace:
-    doc = _object(doc, "space document", ("points", "opens"))
+    """A space from {"points": [...], "min_open": {p: [...]}}, as written
+    here, or from every open, {"points": [...], "opens": [[...], ...]}."""
+    doc = _object(doc, "space document", ("points",))
+    if ("min_open" in doc) == ("opens" in doc):
+        raise InputError("space document needs exactly one of 'min_open' and 'opens'")
     points = _point_set(doc["points"], "points")
-    return FinSpace.from_opens(points, _coerce_sets(doc["opens"], points, "opens"))
+    if "opens" in doc:
+        return FinSpace.from_opens(points, _coerce_sets(doc["opens"], points, "opens"))
+    min_open = _object(doc["min_open"], "min_open").items()
+    return FinSpace(points, {_coerce(k, points): _coerce_set(v, points, "min_open") for k, v in min_open})
 
 
 def topology_from_json(doc) -> FinSpace:
@@ -109,14 +117,14 @@ def topology_from_json(doc) -> FinSpace:
     return fintop.generate_topology(points, _coerce_sets(doc["subbasis"], points, "subbasis"))
 
 
-def space_to_json(space: FinSpace, cap: int = fintop.DEFAULT_OPEN_CAP, label=None):
-    """The points in the space's `order` and the opens, each point as
-    `label[p]` (default: `fmt_point` of each point, once)."""
+def space_to_json(space: FinSpace, label=None):
+    """The points in the space's `order` and the minimal open of each,
+    each point as `label[p]` (default: `fmt_point` of each point, once)."""
     if label is None:
         label = {p: fmt_point(p) for p in space.points}
     return {
         "points": [label[p] for p in space.order()],
-        "opens": [sorted(label[p] for p in o) for o in space.opens(cap=cap)],
+        "min_open": {label[p]: sorted(label[q] for q in space.min_open(p)) for p in space.order()},
     }
 
 
@@ -155,7 +163,7 @@ def groupoid_from_json(doc) -> TopGroupoid:
     )
 
 
-def groupoid_to_json(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
+def groupoid_to_json(g: TopGroupoid):
     """Each object and arrow is labelled once; the labels are built in
     the spaces' `order`, which lists each map in the order of its domain."""
     obj = {x: fmt_point(x) for x in g.objects.order()}
@@ -165,8 +173,8 @@ def groupoid_to_json(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
         return {dom[k]: cod[m.mapping[k]] for k in dom}
 
     return {
-        "objects": space_to_json(g.objects, cap, obj),
-        "arrows": space_to_json(g.arrows, cap, arr),
+        "objects": space_to_json(g.objects, obj),
+        "arrows": space_to_json(g.arrows, arr),
         "src": {"map": plain(g.src, arr, obj)},
         "tgt": {"map": plain(g.tgt, arr, obj)},
         "unit": {"map": plain(g.unit, obj, arr)},
@@ -205,11 +213,11 @@ def functor_from_json(doc) -> ContinuousFunctor:
     return f
 
 
-def sheaf_to_json(s, cap: int = fintop.DEFAULT_OPEN_CAP):
+def sheaf_to_json(s):
     """Each point of the total space is labelled once, in its `order`."""
     total = {y: fmt_point(y) for y in s.total.order()}
     return {
-        "total": space_to_json(s.total, cap, total),
+        "total": space_to_json(s.total, total),
         "proj": {total[y]: fmt_point(s.proj.mapping[y]) for y in total},
         "action": sorted([fmt_point(g), total[y], total[z]] for (g, y), z in s.action.items()),
     }

@@ -12,6 +12,7 @@ open; only `SubobjectLattice.elements` sorts masks into frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from . import fintop, grpd
@@ -236,21 +237,33 @@ class SubobjectLattice:
         return len(self.masks)
 
 
-def _stable_masks(space: FinSpace, pairs, bit) -> dict:
-    """The smallest action-stable open around each point of `space`, as a
-    mask of `bit`s: the union of the orbits (the blocks of `pairs`) in the
-    quotient's minimal neighbourhood of the point's orbit."""
-    q, cls = fintop.quotient_space(space, fintop.partition(space.points, pairs))
-    nb = {b: sum(bit[y] for c in q.min_open(b) for y in c) for b in q.points}
-    return {y: nb[b] for y, b in cls.mapping.items()}
+def _stable_masks(points, down, orbit, bit) -> dict:
+    """The smallest action-stable open around each of `points`, as a mask
+    of `bit`s: every point reached from it through minimal opens (`down`)
+    and orbits (`orbit`), which is the same mask for its whole orbit."""
+    out = {}
+    for y in points:
+        if y in out:
+            continue
+        mask, todo = bit[y], [y]
+        while todo:
+            x = todo.pop()
+            for z in chain(down(x), orbit(x)):
+                if not mask & bit[z]:
+                    mask |= bit[z]
+                    todo.append(z)
+        out.update(dict.fromkeys(orbit(y), mask))
+    return out
 
 
 def _neighbourhoods(s: EquivariantSheaf):
     """(bit, nb): bit i for the i-th point of the total space, and the
     mask of each point's smallest stable open; built once per sheaf."""
     if s._nbhd is None:
+        q, out_of = s.proj.mapping, s.base.out_of
         bit = {y: 1 << i for i, y in enumerate(s.total.points)}
-        s._nbhd = bit, _stable_masks(s.total, ((y, z) for (_, y), z in s.action.items()), bit)
+        s._nbhd = bit, _stable_masks(bit, s.total.min_open,
+                                     lambda y: [s.action[(g, y)] for g in out_of[q[y]]], bit)
     return s._nbhd
 
 
@@ -303,8 +316,8 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid) -> Restriction:
         q, y0, y1 = gen.proj.mapping, incl.object_set, incl.arrow_set
         p = [c for c in bit if q[c] in y0]
         pmask = sum(bit[c] for c in p)
-        pairs = ((c, gen.action[(a, c)]) for c in p for a in amb.out_of[q[c]] if a in y1)
-        small = _stable_masks(gen.total.subspace(p), pairs, bit)
+        small = _stable_masks(p, lambda c: [z for z in gen.total.min_open(c) if bit[z] & pmask],
+                              lambda c: [gen.action[(a, c)] for a in amb.out_of[q[c]] if a in y1], bit)
         cache[key] = Restriction({nb[c] for c in p} == set(nb.values()),
                                  all(small[c] == nb[c] & pmask for c in p))
     return cache[key]

@@ -617,9 +617,11 @@ def separating_sentence_oracle(apex, x, y, depth):
 
 def space_to_json_oracle(space):
     """`jsonio.space_to_json` with every point labelled where it occurs."""
+    order = fintop.sorted_points(space.points)
     return {
-        "points": [fintop.fmt_point(p) for p in fintop.sorted_points(space.points)],
-        "opens": [sorted(fintop.fmt_point(p) for p in o) for o in space.opens()],
+        "points": [fintop.fmt_point(p) for p in order],
+        "min_open": {fintop.fmt_point(p): sorted(fintop.fmt_point(q) for q in space.min_open(p))
+                     for p in order},
     }
 
 

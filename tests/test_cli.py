@@ -1,15 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from corpus import SMALL_GROUPS, space_pair_groupoid
+from corpus import SMALL_GROUPS, random_model_groupoid, space_pair_groupoid, t0_spaces_up_to
 from test_grpd import LOOP5_ROWS
 from topogrpd import cli, grpd, jsonio
-from topogrpd.fintop import FinSpace
+from topogrpd.fintop import FinSpace, fmt_point
 
 ISO_PAIR_DOC = {
     "objects": {"points": ["a", "b"], "opens": [[], ["a"], ["b"], ["a", "b"]]},
@@ -184,7 +185,7 @@ def test_a_subgroupoid_that_is_not_an_open_groupoid_exits_3(capsys, tmp_path, co
 def test_topology_command(capsys, docs):
     code, rep = run(capsys, "topology", "--input", docs["topology"])
     assert code == 0
-    assert ["1"] in rep["result"]["space"]["opens"]
+    assert ["1"] in rep["result"]["opens"]
 
 
 def test_generators_and_subobjects(capsys, docs):
@@ -290,6 +291,52 @@ def test_open_cap_reaches_factorize(capsys, tmp_path):
     code, rep = run(capsys, "factorize", "--functor", str(p), "--open-cap", "1")
     assert code == 3
     assert "unrecognized arguments: --open-cap 1" in rep["result"]["error"]
+
+
+def labelled_opens(space):
+    return sorted(sorted(fmt_point(p) for p in o) for o in space.opens())
+
+
+def test_spaces_round_trip_from_opens_through_min_open():
+    """opens -> min_open -> opens, on every T0 space of up to 5 points and
+    on the spaces of groupoids derived from the corpus's model groupoids
+    (whose arrows are isomorphisms), also inside their groupoid documents."""
+    rng = random.Random(0)
+    derived = [random_model_groupoid(rng).derive(1, 2).groupoid for _ in range(40)]
+    spaces = t0_spaces_up_to(5) + [s for g in derived for s in (g.objects, g.arrows)]
+    for space in spaces:
+        listed = jsonio.space_from_json({"points": [fmt_point(p) for p in space.order()],
+                                         "opens": labelled_opens(space)})
+        doc = json.loads(json.dumps(jsonio.space_to_json(listed)))
+        assert set(doc) == {"points", "min_open"}
+        back = jsonio.space_from_json(doc)
+        assert back == listed and labelled_opens(back) == labelled_opens(space)
+    for g in derived:
+        back = jsonio.groupoid_from_json(json.loads(json.dumps(jsonio.groupoid_to_json(g))))
+        assert [labelled_opens(s) for s in (back.objects, back.arrows)] == \
+            [labelled_opens(s) for s in (g.objects, g.arrows)]
+    assert sum(len(s.opens()) > 2 for s in spaces) > 100
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"points": ["a", "b"], "min_open": {"a": ["a"]}}, "min_open domain differs"),
+    ({"points": ["a"], "min_open": {"a": ["a"], "b": ["b"]}}, "unknown point 'b'"),
+    ({"points": ["a", "b"], "min_open": {"a": ["a", "b"], "b": ["b", "a"]}, "opens": []},
+     "exactly one of 'min_open' and 'opens'"),
+    ({"points": ["a"]}, "exactly one of 'min_open' and 'opens'"),
+    ({"points": [1, 2], "min_open": {"1": [1], "01": [1, 2], "2": [2]}}, "unknown point '01'"),
+    ({"points": ["a", "b"], "min_open": {"a": ["a", "b"], "b": ["b"]}}, None),
+    ({"points": [1, 2], "min_open": {"1": [1, 2], "2": [2]}}, None),
+], ids=["missing-key", "extra-key", "both-forms", "neither-form", "aliased-key", "valid",
+        "valid-int-points"])
+def test_validate_reads_a_min_open_space(capsys, tmp_path, doc, message):
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, "validate", "--space", str(p))
+    if message is None:
+        assert (code, rep["result"]["answer"]) == (0, "yes")
+    else:
+        assert code == 3 and message in rep["result"]["error"], rep["result"]
 
 
 @pytest.mark.parametrize("bad", [0.5, True, None, [1], {"x": 1}])

@@ -278,6 +278,20 @@ def test_star_groupoids_are_decided_past_the_lattice_cap():
         assert [v.answer for v in verdicts] == ["yes"] * 6
 
 
+@pytest.mark.parametrize("n", [12, 40])
+def test_star_groupoids_are_decided_from_files(tmp_path, capsys, n):
+    """The JSON writer lists no opens, so the check commands read the
+    star groupoids from files and answer "yes" on the whole subgroupoid."""
+    doc = jsonio.groupoid_to_json(star_groupoid(n))
+    g, sub = tmp_path / "g.json", tmp_path / "sub.json"
+    g.write_text(json.dumps(doc))
+    sub.write_text(json.dumps({"arrows": doc["arrows"]["points"]}))
+    for command in ("weq-check", "surjection-check", "inclusion-check"):
+        code = cli.run([command, "--groupoid", str(g), "--sub", str(sub)])
+        report = json.loads(capsys.readouterr().out)
+        assert (code, report["result"]["answer"]) == (0, "yes"), report["result"]
+
+
 def test_join_closure_closes_each_new_join_once(monkeypatch):
     calls = 0
     closure = grpd.subgroupoid_closure

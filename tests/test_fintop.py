@@ -236,13 +236,20 @@ def test_fiber_product_and_subspace_are_continuous():
 
 
 def test_validator_on_operation_outputs():
+    """Spaces built unchecked by the operations pass the checked constructor."""
     rng = random.Random(27)
     for _ in range(25):
         sp = random_space(rng)
-        assert fintop.validate_space(sp) == []
-        assert fintop.validate_space(fintop.skula_space(sp)) == []
         sub = frozenset(x for x in sp.points if rng.random() < 0.5)
-        assert fintop.validate_space(sp.subspace(sub)) == []
+        for out in (sp, fintop.skula_space(sp), sp.subspace(sub)):
+            assert FinSpace(out.points, {x: out.min_open(x) for x in out.points}, _check=True) == out
+
+
+def test_min_open_domain_must_be_the_point_set():
+    with pytest.raises(InputError, match="domain differs"):
+        FinSpace({0, 1}, {0: {0}})
+    with pytest.raises(InputError, match="domain differs"):
+        FinSpace({0}, {0: {0}, 5: {5}})
 
 
 def test_is_open_map():

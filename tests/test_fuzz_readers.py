@@ -14,14 +14,20 @@ from hypothesis import strategies as st
 from test_cli import (
     IDENTITY_MAP, ISO_MG_DOC, ISO_PAIR_DOC, discrete_space_groupoid_doc, iso_doc, members_on_ab,
 )
-from topogrpd import cli
+from topogrpd import cli, jsonio
 
 GROUPOID = discrete_space_groupoid_doc(2)
+# the same groupoid as written, each space by its minimal opens
+MIN_OPEN_PAIR_DOC = jsonio.groupoid_to_json(jsonio.groupoid_from_json(ISO_PAIR_DOC))
 IDENT = {p: p for p in GROUPOID["objects"]["points"]}
 
 # name -> (document, command line reading it from the path {doc}, other files)
 DOCUMENTS = {
     "groupoid": (ISO_PAIR_DOC, ["weq-check", "--groupoid", "{doc}", "--sub", "{sub}"]),
+    "min_open-groupoid": (MIN_OPEN_PAIR_DOC,
+                          ["weq-check", "--groupoid", "{doc}", "--sub", "{sub}"]),
+    "space": ({"points": ["a", "b"], "min_open": {"a": ["a"], "b": ["a", "b"]}},
+              ["validate", "--space", "{doc}"]),
     "model-groupoid": (ISO_MG_DOC, ["elim-params", "--models", "{doc}"]),
     "functor": ({"dom": GROUPOID, "cod": GROUPOID, "obj_map": IDENT, "arr_map": IDENT},
                 ["factorize", "--functor", "{doc}"]),
