@@ -18,8 +18,6 @@ sorted ranks of their points in that order, for reproducible output.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import CapExceeded, InputError
 
 DEFAULT_OPEN_CAP = 4096
@@ -130,7 +128,9 @@ class FinSpace:
 
     @classmethod
     def from_opens(cls, points, opens) -> "FinSpace":
-        """Build from an explicit open family, validating the topology axioms."""
+        """Build from an explicit open family, validating the topology axioms
+        in linear time: a family is a topology iff it holds each m(x), the
+        meet of its members around x, and every union of the m(x)."""
         pts = frozenset(points)
         fam = {frozenset(o) for o in opens}
         for o in fam:
@@ -138,20 +138,15 @@ class FinSpace:
                 raise InputError("open set not contained in points")
         if frozenset() not in fam or pts not in fam:
             raise InputError("opens must contain the empty set and the full set")
-        for a, b in combinations(fam, 2):
-            if a | b not in fam:
-                raise InputError("opens not closed under union")
-            if a & b not in fam:
-                raise InputError("opens not closed under intersection")
-        min_open = {
-            x: frozenset.intersection(*[o for o in fam if x in o]) for x in pts
-        }
-        space = cls(pts, min_open)
-        # defensive: the family must consist of unions of minimal neighbourhoods
-        for o in fam:
-            if not space.is_open(o):
-                raise InputError("open family inconsistent")  # pragma: no cover
-        return space
+        min_open = {x: frozenset.intersection(*[o for o in fam if x in o]) for x in pts}
+        if not fam.issuperset(min_open.values()):
+            raise InputError("opens not closed under intersection")
+        mask = masker(tuple(pts))
+        try:
+            union_closure(map(mask, min_open.values()), len(fam))
+        except CapExceeded:
+            raise InputError("opens not closed under union") from None
+        return cls(pts, min_open)
 
     # -- basic structure ------------------------------------------------
 

@@ -29,12 +29,7 @@ def _as_map(m, domain, codomain):
 class TopGroupoid:
     """A groupoid internal to finite spaces: arrows over objects.
 
-    `_cache` holds five memos of complete results derived from it:
-    "atoms" (the open atoms, at most one per arrow, so no limit),
-    "open_subgroupoids" (the open family, budget checked on every read),
-    "moerdijk" (generator sheaves by u.arrow_set), "iota_cod" ((ambient,
-    u)-bi-orbit spaces by u.arrow_set) and "restriction" (subobject
-    restriction verdicts by (incl.arrow_set, u.arrow_set)).
+    `_cache` holds the results kept by `memo`, listed in README "Caches".
 
     `out_of[x]` and `into[y]`, built with the structure maps, list the
     arrows with source x and with target y in `arrows.points` order.
@@ -60,6 +55,13 @@ class TopGroupoid:
             self.out_of[self.src.mapping[a]].append(a)
             self.into[self.tgt.mapping[a]].append(a)
         self._cache = {}
+
+    def memo(self, name: str, key, compute, *args):
+        """compute(*args) on the first call for (name, key), kept; a raise keeps nothing."""
+        table = self._cache.setdefault(name, {})
+        if key not in table:
+            table[key] = compute(*args)
+        return table[key]
 
     # -- structure ------------------------------------------------------
 
@@ -306,12 +308,17 @@ def full_subgroupoid_on(g: TopGroupoid, objs) -> Subgroupoid:
     )
 
 
+def _components(g: TopGroupoid) -> tuple:
+    """The connected components of g's objects, fintop.partition blocks."""
+    s, t = g.src.mapping, g.tgt.mapping
+    return g.memo("components", None, lambda: tuple(map(frozenset, fintop.partition(
+        g.objects.points, ((s[a], t[a]) for a in g.arrows.points)))))
+
+
 def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
     """All objects reachable from objs by arrows of g: the connected
     components that meet objs."""
-    s, t = g.src.mapping, g.tgt.mapping
-    blocks = fintop.partition(g.objects.points, ((s[a], t[a]) for a in g.arrows.points))
-    return frozenset().union(*(b for b in blocks if not b.isdisjoint(objs)))
+    return frozenset().union(*(b for b in _components(g) if not b.isdisjoint(objs)))
 
 
 def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
@@ -343,16 +350,15 @@ def open_atoms(g: TopGroupoid):
     map).  Every open subgroupoid is the union of the atoms of its
     arrows.  There are at most as many atoms as arrows, and the empty
     subgroupoid is not one."""
-    atoms = g._cache.get("atoms")
-    if atoms is None:
+    def build():
         if not g.is_open():
             raise InputError("groupoid is not open")
         # arrows of a non-T0 arrow space share minimal opens: close each once
         mins = {g.arrows.min_open(a) for a in g.arrows.points}
         closed = {subgroupoid_closure(g, u) for u in mins}
-        atoms = [Subgroupoid(g, s) for s in sorted(closed, key=fintop.set_key(g.arrows))]
-        g._cache["atoms"] = atoms
-    return atoms
+        return [Subgroupoid(g, s) for s in sorted(closed, key=fintop.set_key(g.arrows))]
+
+    return g.memo("atoms", None, build)
 
 
 def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
@@ -360,17 +366,16 @@ def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
     join-closure of the open atoms.  Raises BudgetExceeded past `budget`.
     Includes the empty subgroupoid.
     """
-    subs = g._cache.get("open_subgroupoids")
-    if subs is not None:
-        if len(subs) > budget:
-            raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
+    def build():
+        subs = _enumerate_join_closure(g, [u.arrow_set for u in open_atoms(g)], budget)
+        for s in subs:
+            if not s.is_open():  # pragma: no cover - guarded by openness precondition
+                raise InputError("internal: non-open subgroupoid generated")
         return subs
-    atoms = [u.arrow_set for u in open_atoms(g)]
-    subs = _enumerate_join_closure(g, atoms, budget)
-    for s in subs:
-        if not s.is_open():  # pragma: no cover - guarded by openness precondition
-            raise InputError("internal: non-open subgroupoid generated")
-    g._cache["open_subgroupoids"] = subs
+
+    subs = g.memo("open_subgroupoids", None, build)
+    if len(subs) > budget:
+        raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
     return subs
 
 
@@ -456,11 +461,8 @@ def iota_map(incl: Subgroupoid, u: Subgroupoid) -> ContinuousMap:
     y0 = incl.object_set
     v_dom = frozenset(a for x in u0 for a in amb.out_of[x] if amb.tgt.mapping[a] in y0)
     dom, _, _ = bi_orbit_space(amb, incl, u, v_dom)
-    cod_cache = amb._cache.setdefault("iota_cod", {})
-    if u.arrow_set not in cod_cache:
-        v_cod = frozenset(a for x in u0 for a in amb.out_of[x])
-        cod_cache[u.arrow_set] = bi_orbit_space(amb, whole_subgroupoid(amb), u, v_cod)[:2]
-    cod, q_cod = cod_cache[u.arrow_set]
+    cod, q_cod = amb.memo("iota_cod", u.arrow_set, lambda: bi_orbit_space(
+        amb, whole_subgroupoid(amb), u, frozenset(a for x in u0 for a in amb.out_of[x]))[:2])
     mapping = {c: q_cod.mapping[next(iter(c))] for c in dom.points}
     return ContinuousMap(dom, cod, mapping)
 
@@ -690,14 +692,13 @@ def whisker_along(a: ContinuousTransformation, h: ContinuousFunctor) -> Continuo
 
 
 def _components_of(g: TopGroupoid):
-    """Connected components of the underlying groupoid, blocks of
-    fintop.partition: list of (representative, {object: arrow from the
+    """Connected components of the underlying groupoid, the blocks of
+    `_components`: list of (representative, {object: arrow from the
     representative}) in ckey order of the representatives, each the
     ckey-least object of its block and mapped to its identity."""
-    s, t = g.src.mapping, g.tgt.mapping
-    blocks = fintop.partition(g.objects.points, ((s[a], t[a]) for a in g.arrows.points))
+    t = g.tgt.mapping
     trees = {}
-    for b in blocks:
+    for b in _components(g):
         r = min(b, key=ckey)
         trees[r] = {t[a]: a for a in g.out_of[r]}
         trees[r][r] = g.unit.mapping[r]

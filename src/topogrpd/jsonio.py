@@ -66,7 +66,12 @@ def _point_tuple(raws, what):
 
 
 def _point_set(raws, what):
-    return frozenset(_point_tuple(raws, what))
+    out = set()
+    for x in _point_tuple(raws, what):
+        if x in out:
+            raise InputError(f"{what}: point {x!r} is named twice")
+        out.add(x)
+    return frozenset(out)
 
 
 def _coerce(raw, points):
@@ -185,7 +190,8 @@ def groupoid_to_json(g: TopGroupoid):
 
 def subgroupoid_from_json(doc, ambient: TopGroupoid) -> Subgroupoid:
     doc = _object(doc, "subgroupoid document", ("arrows",))
-    sub = Subgroupoid(ambient, _coerce_set(doc["arrows"], ambient.arrows.points, "arrows"))
+    arrows = [_coerce(r, ambient.arrows.points) for r in _point_tuple(doc["arrows"], "arrows")]
+    sub = Subgroupoid(ambient, _point_set(arrows, "arrows"))
     bad = sub.validate()
     if bad:
         raise InputError("not a subgroupoid: " + "; ".join(bad))

@@ -780,9 +780,13 @@ class ModelGroupoid:
         return out
 
     def derive(self, depth: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> "DerivedGroupoid":
+        """logical_topologies(self, depth, tuple_cap), computed once; a held one that
+        stabilized at achieved depth a < depth is that value (deepening breaks at a + 1)."""
         key = (depth, tuple_cap)
         if key not in self._derived:
-            self._derived[key] = logical_topologies(self, depth, tuple_cap)
+            held = [d for (_, cap), d in self._derived.items()
+                    if cap == tuple_cap and d.stabilized and d.depth < depth]
+            self._derived[key] = held[0] if held else logical_topologies(self, depth, tuple_cap)
         return self._derived[key]
 
     def __eq__(self, other):

@@ -117,9 +117,10 @@ def moerdijk_generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
     acted on by post-composition."""
     if u.ambient != x:
         raise InputError("subgroupoid belongs to a different groupoid")
-    cache = x._cache.setdefault("moerdijk", {})
-    if u.arrow_set in cache:
-        return cache[u.arrow_set]
+    return x.memo("moerdijk", u.arrow_set, _generator, x, u)
+
+
+def _generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
     if not u.is_open():
         raise InputError("subgroupoid is not open")
     t = x.tgt.mapping
@@ -132,11 +133,9 @@ def moerdijk_generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
         rep = next(iter(c))
         for g in x.out_of[t[rep]]:
             action[(g, c)] = cls[x.comp[(g, rep)]]
-    out = EquivariantSheaf(
+    return EquivariantSheaf(
         x, total, ContinuousMap(total, x.objects, proj, check=False), action
     )
-    cache[u.arrow_set] = out
-    return out
 
 
 def inverse_image(f: ContinuousFunctor, w: EquivariantSheaf) -> EquivariantSheaf:
@@ -308,16 +307,16 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid) -> Restriction:
     amb = incl.ambient
     if u.ambient != amb:
         raise InputError("subgroupoids of different groupoids")
-    cache = amb._cache.setdefault("restriction", {})
-    key = (incl.arrow_set, u.arrow_set)
-    if key not in cache:
-        gen = moerdijk_generator(amb, u)
-        bit, nb = _neighbourhoods(gen)
-        q, y0, y1 = gen.proj.mapping, incl.object_set, incl.arrow_set
-        p = [c for c in bit if q[c] in y0]
-        pmask = sum(bit[c] for c in p)
-        small = _stable_masks(p, lambda c: [z for z in gen.total.min_open(c) if bit[z] & pmask],
-                              lambda c: [gen.action[(a, c)] for a in amb.out_of[q[c]] if a in y1], bit)
-        cache[key] = Restriction({nb[c] for c in p} == set(nb.values()),
-                                 all(small[c] == nb[c] & pmask for c in p))
-    return cache[key]
+    return amb.memo("restriction", (incl.arrow_set, u.arrow_set), _restriction, amb, incl, u)
+
+
+def _restriction(amb: TopGroupoid, incl: Subgroupoid, u: Subgroupoid) -> Restriction:
+    gen = moerdijk_generator(amb, u)
+    bit, nb = _neighbourhoods(gen)
+    q, y0, y1 = gen.proj.mapping, incl.object_set, incl.arrow_set
+    p = [c for c in bit if q[c] in y0]
+    pmask = sum(bit[c] for c in p)
+    small = _stable_masks(p, lambda c: [z for z in gen.total.min_open(c) if bit[z] & pmask],
+                          lambda c: [gen.action[(a, c)] for a in amb.out_of[q[c]] if a in y1], bit)
+    return Restriction({nb[c] for c in p} == set(nb.values()),
+                       all(small[c] == nb[c] & pmask for c in p))

@@ -16,6 +16,9 @@ The universal quantifier ranges over the open atoms (the comp/inv
 closures of the arrows' minimal neighbourhoods; README "Scope notes"
 shows why every open subgroupoid then passes too), so every verdict is
 a definitive yes or no.
+
+The verdicts share their per-(inclusion, atom) conditions, which are kept
+on the ambient: the three verdicts of an inclusion compute each once.
 """
 
 from __future__ import annotations
@@ -66,6 +69,15 @@ def _sub_label(u: Subgroupoid):
 # -- the two orbit conditions, reduced to minimal neighbourhoods -----------
 
 
+def _per_pair(name, body, incl: Subgroupoid, u: Subgroupoid):
+    """body(incl, u), kept on the ambient; a failing witness is the caller's own copy."""
+    amb = incl.ambient
+    if u.ambient != amb:
+        raise InputError("subgroupoids of different groupoids")
+    w = amb.memo(name, (incl.arrow_set, u.arrow_set), body, incl, u)
+    return w and {k: v.copy() if isinstance(v, list) else v for k, v in w.items()}
+
+
 def skula_witness(incl: Subgroupoid, u: Subgroupoid):
     """None when the inclusion has Skula dense u-orbits; otherwise the
     minimal counterexample (object x with opens W, W').
@@ -76,6 +88,10 @@ def skula_witness(incl: Subgroupoid, u: Subgroupoid):
     closure of the u-targets of x (else W' = min open of x and
     W = complement of that closure give a counterexample pair).
     """
+    return _per_pair("skula", _skula_witness, incl, u)
+
+
+def _skula_witness(incl: Subgroupoid, u: Subgroupoid):
     amb = incl.ambient
     u0 = u.object_set
     u0space = amb.objects.subspace(u0)
@@ -112,6 +128,10 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     set order, and only a failing call repeats it in canonical order to
     name the minimal (alpha, V, gamma).
     """
+    return _per_pair("source_determined", _source_determined_witness, incl, u)
+
+
+def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     amb = incl.ambient
     s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
     u0 = u.object_set
@@ -164,8 +184,21 @@ def _for_all_members(incl: Subgroupoid, check) -> Verdict:
     a "no" whose witness names it; otherwise the answer is "yes".
     `details` records how many atoms were walked.  A subgroupoid that is
     not an open groupoid itself is outside the proven scope and an input
-    error.
+    error; the ambient keeps the inclusions that passed that check.
     """
+    amb = incl.ambient
+    amb.memo("scope", incl.arrow_set, _check_scope, incl)
+    atoms = grpd.open_atoms(amb)
+    for walked, u in enumerate(atoms, 1):
+        w = check(u)
+        if w is not None:
+            w = dict(w, open_subgroupoid=list(_sub_label(u)))
+            return Verdict("no", (tuple(sorted(w.items())),), details=(("members", walked),))
+    return Verdict("yes", details=(("members", len(atoms)),))
+
+
+def _check_scope(incl: Subgroupoid):
+    """InputError unless the inclusion is a subgroupoid and an open groupoid."""
     bad = incl.validate()
     if bad:
         raise InputError("not a subgroupoid: " + "; ".join(bad))
@@ -180,48 +213,37 @@ def _for_all_members(incl: Subgroupoid, check) -> Verdict:
             f"{fmt_point(sorted_points(bad)[0])}; the routes are only proven to coincide "
             "on open T0 groupoids"
         )
-    atoms = grpd.open_atoms(amb)
-    for walked, u in enumerate(atoms, 1):
-        w = check(u)
-        if w is not None:
-            w = dict(w, open_subgroupoid=list(_sub_label(u)))
-            return Verdict("no", (tuple(sorted(w.items())),), details=(("members", walked),))
-    return Verdict("yes", details=(("members", len(atoms)),))
+
+
+def _cross_checked(incl: Subgroupoid, witness, side: str, names: str, note: str = "") -> Verdict:
+    """`witness` over the atoms, each answer cross-checked against the
+    `side` ("injective" or "surjective") of the subobject restriction."""
+
+    def check(u):
+        w = witness(incl, u)
+        if (w is None) != getattr(sheaf.subobject_restriction(incl, u), side):
+            raise OracleDisagreement(f"{names} disagree on subgroupoid {_sub_label(u)}{note}")
+        return w
+
+    return _for_all_members(incl, check)
 
 
 def is_localic_surjection(incl: Subgroupoid) -> Verdict:
     """Surjection criterion: Skula dense u-orbits for every open
     subgroupoid u, cross-checked against injectivity of the subobject
     restriction (OracleDisagreement on mismatch)."""
-
-    def check(u):
-        w = skula_witness(incl, u)
-        if (w is None) != sheaf.subobject_restriction(incl, u).injective:
-            raise OracleDisagreement(
-                "skula-dense-orbits and subobject injectivity disagree on "
-                f"subgroupoid {_sub_label(u)}"
-            )
-        return w
-
-    return _for_all_members(incl, check)
+    return _cross_checked(incl, skula_witness, "injective",
+                          "skula-dense-orbits and subobject injectivity")
 
 
 def is_subtopos_inclusion(incl: Subgroupoid) -> Verdict:
     """Inclusion criterion: source determined orbits for every open
     subgroupoid, cross-checked against surjectivity of the subobject
     restriction."""
-
-    def check(u):
-        w = source_determined_witness(incl, u)
-        if (w is None) != sheaf.subobject_restriction(incl, u).surjective:
-            raise OracleDisagreement(
-                "source-determined-orbits and subobject surjectivity disagree on "
-                f"subgroupoid {_sub_label(u)}; the criteria are only proven to "
-                "coincide on T0 groupoids, check the input before suspecting a bug"
-            )
-        return w
-
-    return _for_all_members(incl, check)
+    return _cross_checked(incl, source_determined_witness, "surjective",
+                          "source-determined-orbits and subobject surjectivity",
+                          "; the criteria are only proven to coincide on T0 groupoids, "
+                          "check the input before suspecting a bug")
 
 
 def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from topogrpd import fintop, grpd, logic, sheaf, weq
-from topogrpd.errors import BistabilityError, CapExceeded, OracleDisagreement
+from topogrpd.errors import BistabilityError, CapExceeded, InputError, OracleDisagreement
 from topogrpd.fintop import ContinuousMap, FinSpace
 
 
@@ -343,6 +343,23 @@ def generated_topology_oracle(points, subbasis) -> FinSpace:
                 opens.add(u)
                 frontier.append(u)
     return FinSpace.from_opens(points, opens)
+
+
+def from_opens_oracle(points, opens) -> FinSpace:
+    """`FinSpace.from_opens` by the literal axioms: every pair of opens
+    has its union and its intersection in the family."""
+    pts = frozenset(points)
+    fam = {frozenset(o) for o in opens}
+    if not all(o <= pts for o in fam):
+        raise InputError("open set not contained in points")
+    if frozenset() not in fam or pts not in fam:
+        raise InputError("opens must contain the empty set and the full set")
+    for a, b in combinations(fam, 2):
+        if a | b not in fam:
+            raise InputError("opens not closed under union")
+        if a & b not in fam:
+            raise InputError("opens not closed under intersection")
+    return FinSpace(pts, {x: frozenset.intersection(*[o for o in fam if x in o]) for x in pts})
 
 
 def ckey_set_key(s):

@@ -493,6 +493,37 @@ def test_point_sets_must_be_lists(capsys, tmp_path):
     assert (code, rep["result"]["error"]) == (3, "each of opens must be a list of point ids")
 
 
+INT_POINTS = {"points": [1, 2], "min_open": {"1": [1], "2": [2]}}
+INT_IDENT = {"map": {"1": 1, "2": 2}}
+INT_DISCRETE_DOC = {"objects": INT_POINTS, "arrows": INT_POINTS, "src": INT_IDENT,
+                    "tgt": INT_IDENT, "unit": INT_IDENT, "inv": INT_IDENT,
+                    "comp": [[1, 1, 1], [2, 2, 2]]}
+POINT_NAMED_TWICE = {
+    "space points": (("validate", "--space"), {"points": [1, 1, 2], "opens": [[], [1], [2], [1, 2]]},
+                     "points: point 1 is named twice"),
+    "model carrier": (("validate", "--models"), None, "carrier 'S': point 'a' is named twice"),
+    # "1" and 1 both read as the int arrow 1
+    "subgroupoid arrows": (("subobjects", "--sub"), {"arrows": ["1", 1]},
+                           "arrows: point 1 is named twice"),
+}
+
+
+@pytest.mark.parametrize("reader", list(POINT_NAMED_TWICE))
+def test_a_point_named_twice_is_an_input_error(capsys, tmp_path, reader):
+    """A document that names one point twice exits 3; it is not read as
+    the smaller set it would collapse to."""
+    argv, doc, error = POINT_NAMED_TWICE[reader]
+    if doc is None:
+        doc = dict(MG_DOC, models=[dict(MG_DOC["models"][0], carriers={"S": ["a", "b", "a"]})])
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(INT_DISCRETE_DOC))
+    extra = ("--groupoid", str(g)) if argv[0] == "subobjects" else ()
+    code, rep = run(capsys, *argv, str(p), *extra)
+    assert (code, rep["result"]["error"]) == (3, error)
+
+
 ISO_MG_DOC = dict(MG_DOC, arrows=[{"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}}])
 
 

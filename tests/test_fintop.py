@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -67,6 +69,42 @@ def test_from_opens_validates():
         FinSpace.from_opens({0, 1}, [{1}, {0, 1}])  # missing empty set
     with pytest.raises(InputError):
         FinSpace.from_opens({0, 1, 2}, [set(), {0}, {1}, {0, 1, 2}])  # no union
+
+
+def _from_opens_outcome(build, points, fam):
+    try:
+        return build(points, fam)
+    except InputError as e:
+        return str(e).split(" under ")[0]  # which pair fails first is set order
+
+
+def test_from_opens_accepts_and_rejects_as_the_pairwise_reference():
+    """On topologies, on topologies less one open or plus one set, and on
+    random families, the linear check answers as the pairwise reference
+    does, with an equal space when both accept."""
+    rng = random.Random(17)
+    outcomes = Counter()
+    for _ in range(600):
+        space = random_space(rng, max_points=5)
+        pts = sorted(space.points)
+        fam = list(space.opens())
+        extra = {p for p in pts if rng.random() < 0.5}
+        fam = rng.choice([fam, fam[:1] + fam[2:] if len(fam) > 2 else fam, fam + [extra],
+                          fam[:1] + fam[-1:] + [{p for p in pts if rng.random() < 0.5}
+                                                for _ in range(rng.randint(0, 6))]])
+        got = _from_opens_outcome(FinSpace.from_opens, pts, fam)
+        assert got == _from_opens_outcome(oracles.from_opens_oracle, pts, fam)
+        outcomes[got if isinstance(got, str) else "accepted"] += 1
+    assert set(outcomes) == {"accepted", "opens not closed"}, outcomes
+    assert min(outcomes.values()) >= 90, outcomes
+
+
+def test_from_opens_reads_a_12_point_discrete_space_in_well_under_a_second():
+    space = FinSpace.discrete(range(12))
+    opens = space.opens()
+    start = time.perf_counter()
+    assert FinSpace.from_opens(space.points, opens) == space
+    assert time.perf_counter() - start < 0.5
 
 
 def test_open_cap():

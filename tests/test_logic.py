@@ -176,6 +176,22 @@ def test_topology_stabilization_recorded():
     assert d.depth <= 2
 
 
+def test_a_stabilized_derivation_is_shared_by_every_deeper_depth():
+    """derive(d) for d above a held derivation's achieved depth returns
+    that derivation, which equals a cold derivation at d; derive(0),
+    which cannot see stabilization, stays its own."""
+    g = aut_groupoid()
+    d1 = g.derive(1)
+    assert d1.stabilized and d1.depth == 0
+    assert g.derive(2) is d1 and g.derive(5) is d1
+    cold = logic.logical_topologies(aut_groupoid(), 2)
+    assert (cold.objects, cold.arrows, cold.depth, cold.stabilized) == (
+        d1.objects, d1.arrows, d1.depth, d1.stabilized)
+    d0 = g.derive(0)
+    assert d0 is not d1 and not d0.stabilized
+    assert g.derive(2, tuple_cap=1) is not d1
+
+
 def test_a_negative_depth_is_an_input_error():
     g = aut_groupoid()
     with pytest.raises(InputError, match="depth -1 is negative"):

@@ -131,6 +131,71 @@ def test_two_condition_route_reads_no_bi_orbit_space(monkeypatch):
         weq.skula_witness(h, u)
         weq.source_determined_witness(h, u)
 
+THREE_VERDICTS = (lambda y: weq.is_weak_equivalence(y, mode="all"), weq.is_localic_surjection,
+                  weq.is_subtopos_inclusion)
+
+
+def test_three_verdicts_in_sequence_answer_as_each_alone():
+    """The verdicts share their per-pair conditions on the ambient: asked
+    in sequence, each gives the answer, witnesses and details it gives
+    alone on a freshly built ambient."""
+    noes = decided = 0
+    for g in groupoid_corpus(random.Random(0), 200):
+        for y in grpd.enumerate_subgroupoids(g):
+            together = [decide(y).to_json() for decide in THREE_VERDICTS]
+            for decide, got in zip(THREE_VERDICTS, together):
+                fresh = grpd.TopGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, g.inv, g.comp)
+                assert got == decide(Subgroupoid(fresh, y.arrow_set)).to_json()
+                decided += 1
+                noes += got["answer"] == "no"
+    assert noes >= 1500 and decided - noes >= 1400  # 1,682 and 1,495
+
+
+def test_a_second_round_of_the_three_verdicts_computes_no_condition(monkeypatch):
+    """Work guard: once the three verdicts of an inclusion have run, asking
+    them again computes no witness, scope check or orbit components."""
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or fn(*a))
+
+    for owner, name in ((weq, "_skula_witness"), (weq, "_source_determined_witness"),
+                        (fintop, "partition"), (Subgroupoid, "validate")):
+        counting(owner, name)
+    for y in (grpd.identity_subgroupoid(iso_pair()), grpd.whole_subgroupoid(iso_pair())):
+        rounds = []
+        for _ in range(2):
+            calls.clear()
+            rounds.append([decide(y).answer for decide in THREE_VERDICTS])
+            rounds.append(sorted(set(calls)))
+        assert rounds[1] == ["_skula_witness", "_source_determined_witness", "partition", "validate"]
+        assert rounds[2:] == [rounds[0], []]
+
+
+def test_a_returned_witness_is_the_callers_own_copy():
+    two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
+    g = iso_pair()
+    for condition, y, u in (
+        (weq.skula_witness, grpd.full_subgroupoid_on(two, {"p"}), grpd.identity_subgroupoid(two)),
+        (weq.source_determined_witness, grpd.identity_subgroupoid(g), grpd.whole_subgroupoid(g)),
+    ):
+        w = condition(y, u)
+        expected = {k: list(v) if isinstance(v, list) else v for k, v in w.items()}
+        for v in w.values():
+            if isinstance(v, list):
+                v.append("changed")
+        w["kind"] = "changed"
+        assert condition(y, u) == expected
+
+
+def test_a_condition_on_an_atom_of_another_groupoid_is_an_input_error():
+    two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
+    for condition in (weq.skula_witness, weq.source_determined_witness):
+        with pytest.raises(InputError, match="subgroupoids of different groupoids"):
+            condition(grpd.whole_subgroupoid(two), grpd.whole_subgroupoid(iso_pair()))
+
+
 def test_localic_surjection_examples():
     h = Subgroupoid(S3, grpd.subgroupoid_closure(S3, {(1, 0, 2)}))
     assert weq.is_localic_surjection(h).answer == "yes"
