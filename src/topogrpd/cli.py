@@ -1,7 +1,7 @@
 """Batch front end: JSON in, deterministic JSON report out.
 
 Exit codes: 0 ok / verdict-yes, 1 verdict-no, 2 verdict-unknown,
-3 input error, 4 budget or cap exceeded, 5 internal
+3 input error, 4 cap exceeded, 5 internal
 criterion-oracle disagreement.  Reports echo the sha256 of every input
 document and the tool version; identical inputs produce byte-identical
 reports (no timestamps, sorted keys, flag-only configuration).
@@ -15,7 +15,6 @@ import sys
 
 from . import __version__, fintop, frac, grpd, jsonio, logic, sheaf, weq
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     CertificateError,
     InputError,
@@ -114,7 +113,7 @@ def _cmd_generators(args, inputs):
         gen = sheaf.moerdijk_generator(g, u)
         return {"sheaf": jsonio.sheaf_to_json(gen)}, None
     out = []
-    for u in grpd.enumerate_open_subgroupoids(g, budget=args.subgroupoid_budget):
+    for u in grpd.enumerate_open_subgroupoids(g, cap=args.open_cap):
         gen = sheaf.moerdijk_generator(g, u)
         out.append(
             {
@@ -167,16 +166,14 @@ def _cmd_compose(args, inputs):
     fwd2, leg2 = jsonio.cospan_from_json(_load(args.second, inputs))
     c1 = frac.make_cospan(fwd1, leg1, args.depth, args.tuple_cap)
     c2 = frac.make_cospan(fwd2, leg2, args.depth, args.tuple_cap)
-    out = frac.compose(c1, c2, budget=args.subgroupoid_budget)
+    out = frac.compose(c1, c2)
     return {"cospan": jsonio.cospan_to_json(out)}, None
 
 
 def _cmd_morita_search(args, inputs):
     left = jsonio.model_groupoid_from_json(_load(args.left, inputs))
     right = jsonio.model_groupoid_from_json(_load(args.right, inputs))
-    res = frac.morita_search(
-        left, right, args.depth, args.tuple_cap, budget=args.subgroupoid_budget
-    )
+    res = frac.morita_search(left, right, args.depth, args.tuple_cap)
     result = {"verdict": res.verdict.to_json(), "answer": res.verdict.answer}
     if res.apex is not None:
         result["witness"] = {
@@ -207,7 +204,6 @@ _KNOBS = {
     "depth": {"type": _limit, "default": 1},
     "tuple-cap": {"type": _limit, "default": 2},
     "open-cap": {"type": _limit, "default": fintop.DEFAULT_OPEN_CAP},
-    "subgroupoid-budget": {"type": _limit, "default": 4096},
     "mode": {"choices": (*weq.MODES, "all"), "default": "all"},
 }
 
@@ -219,13 +215,13 @@ _TABLE = {
     "surjection-check": (_cmd_check, "groupoid sub", ""),
     "inclusion-check": (_cmd_check, "groupoid sub", ""),
     "factorize": (_cmd_factorize, "functor", ""),
-    "generators": (_cmd_generators, "groupoid sub?", "subgroupoid-budget"),
+    "generators": (_cmd_generators, "groupoid sub?", "open-cap"),
     "subobjects": (_cmd_subobjects, "groupoid sub", "open-cap"),
     "logical-topology": (_cmd_logical_topology, "models", "depth tuple-cap"),
     "elim-params": (_cmd_elim_params, "models", "depth tuple-cap"),
     "etale-complete": (_cmd_etale_complete, "models", "depth tuple-cap"),
-    "compose": (_cmd_compose, "first second", "depth tuple-cap subgroupoid-budget"),
-    "morita-search": (_cmd_morita_search, "left right", "depth tuple-cap subgroupoid-budget"),
+    "compose": (_cmd_compose, "first second", "depth tuple-cap"),
+    "morita-search": (_cmd_morita_search, "left right", "depth tuple-cap"),
 }
 
 
@@ -261,7 +257,7 @@ def run(argv=None) -> int:
         code = 0 if answer is None else _ANSWER_CODES[answer]
     except (InputError, NotModelPresented) as e:
         result, answer, code = {"error": str(e)}, None, 3
-    except (BudgetExceeded, CapExceeded) as e:
+    except CapExceeded as e:
         result, answer, code = {"error": str(e)}, None, 4
     except OracleDisagreement as e:
         result, answer, code = {"error": str(e)}, None, 5

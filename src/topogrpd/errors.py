@@ -17,11 +17,8 @@ class FormulaError(InputError):
 
 
 class CapExceeded(RuntimeError):
-    """An open-family or formula-family cap was hit while materialising."""
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration exceeded its caller-supplied budget."""
+    """A listed family outgrew its cap: opens, subobjects, (open)
+    subgroupoids or definable sets."""
 
 
 class BistabilityError(InputError):

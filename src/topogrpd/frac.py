@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from . import grpd, logic, weq
 from .errors import (
-    BudgetExceeded,
     CertificateError,
     InputError,
     NotModelPresented,
@@ -133,7 +132,7 @@ class ModelInclusion:
         return self.sub == other.sub and self.ambient == other.ambient
 
 
-def merge_and_complete(parts, budget: int = 4096) -> ModelGroupoid:
+def merge_and_complete(parts) -> ModelGroupoid:
     """Union of member models under the merged parameter set, with all
     isomorphisms between them (etale-completion style apex)."""
     parts = list(parts)
@@ -154,10 +153,6 @@ def merge_and_complete(parts, budget: int = 4096) -> ModelGroupoid:
                 raise InputError(f"member name clash at {im.name}")
     member_list = tuple(members[n] for n in sorted(members))
     arrows = logic.all_isos_between_members(member_list)
-    if len(arrows) > budget:
-        raise BudgetExceeded(
-            f"merged groupoid has {len(arrows)} arrows, budget {budget}"
-        )
     return ModelGroupoid(sig, params, member_list, arrows)
 
 
@@ -221,8 +216,7 @@ class OreSquare:
 
 
 def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
-                 tuple_cap: int = logic.DEFAULT_TUPLE_CAP,
-                 budget: int = 4096) -> OreSquare:
+                 tuple_cap: int = logic.DEFAULT_TUPLE_CAP) -> OreSquare:
     """Complete the span (psi: Y -> W weak equivalence, phi: Y -> X) to
     psi2: X -> V, phi2: W -> V with phi2 o psi isomorphic to psi2 o phi.
 
@@ -240,7 +234,7 @@ def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
             phi.cod, ident, phi,
             grpd.identity_transformation(phi.derived(depth, tuple_cap)), _IDENTITY_CERTIFICATE,
         )
-    apex = merge_and_complete([phi.cod, psi.ambient], budget)
+    apex = merge_and_complete([phi.cod, psi.ambient])
     psi2 = ModelInclusion(phi.cod, apex)
     cert = psi2.certificate(depth, tuple_cap)
     if cert.answer != "yes":
@@ -258,13 +252,13 @@ def ore_complete(psi: ModelInclusion, phi: ModelFunctor, depth: int,
     return OreSquare(apex, psi2, phi2, candidates[0], cert)
 
 
-def compose(f: CospanMorphism, g: CospanMorphism, budget: int = 4096) -> CospanMorphism:
+def compose(f: CospanMorphism, g: CospanMorphism) -> CospanMorphism:
     """Composite cospan source(f) -> target(g), with the middle span
     completed by ore_complete and the composite inclusion re-certified."""
     if f.target != g.source:
         raise InputError("cospans not composable")
     depth, tuple_cap = max(f.depth, g.depth), max(f.tuple_cap, g.tuple_cap)
-    square = ore_complete(f.weq_leg, g.fwd, depth, tuple_cap, budget)
+    square = ore_complete(f.weq_leg, g.fwd, depth, tuple_cap)
     fwd = compose_model_functors(square.phi2, f.fwd)
     leg = ModelInclusion(g.target, square.apex)
     cert = leg.certificate(depth, tuple_cap)
@@ -379,8 +373,7 @@ def _separating_sentence(apex: ModelGroupoid, x: ModelGroupoid, y: ModelGroupoid
 
 
 def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
-                  tuple_cap: int = logic.DEFAULT_TUPLE_CAP,
-                  budget: int = 4096) -> MoritaResult:
+                  tuple_cap: int = logic.DEFAULT_TUPLE_CAP) -> MoritaResult:
     """Search for a common groupoid receiving both inputs by certified
     weak-equivalence inclusions: the merged completion is tried at
     `depth` and at `depth + 1`.  Success is a definitive yes; exhaustion
@@ -389,7 +382,7 @@ def morita_search(x: ModelGroupoid, y: ModelGroupoid, depth: int,
         raise NotModelPresented("morita search across different signatures")
     evidence = []
     try:
-        apex = merge_and_complete([x, y], budget)
+        apex = merge_and_complete([x, y])
     except InputError as e:
         raise InputError(f"cannot merge inputs: {e}")
     for d in (depth, depth + 1):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import fintop
-from .errors import BistabilityError, BudgetExceeded, InputError
+from .errors import BistabilityError, CapExceeded, InputError
 from .fintop import ContinuousMap, FinSpace, ckey, fmt_point, sorted_points
 
 
@@ -274,6 +274,15 @@ class Subgroupoid:
         return f"Subgroupoid({len(self.arrow_set)} arrows)"
 
 
+def checked_subgroupoid(sub: Subgroupoid) -> Subgroupoid:
+    """sub, or an InputError naming its faults; the ambient keeps the
+    faults of each arrow set, so each is validated once."""
+    bad = sub.ambient.memo("subgroupoid", sub.arrow_set, sub.validate)
+    if bad:
+        raise InputError("not a subgroupoid: " + "; ".join(bad))
+    return sub
+
+
 def whole_subgroupoid(g: TopGroupoid) -> Subgroupoid:
     return Subgroupoid(g, g.arrows.points)
 
@@ -321,16 +330,16 @@ def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
     return frozenset().union(*(b for b in _components(g) if not b.isdisjoint(objs)))
 
 
-def _enumerate_join_closure(g: TopGroupoid, atoms, budget: int):
+def _enumerate_join_closure(g: TopGroupoid, atoms, cap: int):
     """The join closure of the atoms and the empty set, in canonical
-    order; BudgetExceeded as soon as it has more than `budget` members."""
+    order; CapExceeded as soon as it has more than `cap` members."""
     seen = {frozenset(), *atoms}
     frontier = list(seen)
     while frontier:
         nxt = []
         for s in frontier:
-            if len(seen) > budget:
-                raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
+            if len(seen) > cap:
+                raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
             for a in atoms:
                 # members are closed, so a known join needs no closure
                 if s | a in seen:
@@ -361,28 +370,28 @@ def open_atoms(g: TopGroupoid):
     return g.memo("atoms", None, build)
 
 
-def enumerate_open_subgroupoids(g: TopGroupoid, budget: int = 4096):
+def enumerate_open_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
     """All subgroupoids whose arrow set is open, in canonical order: the
-    join-closure of the open atoms.  Raises BudgetExceeded past `budget`.
+    join-closure of the open atoms.  Raises CapExceeded past `cap`.
     Includes the empty subgroupoid.
     """
     def build():
-        subs = _enumerate_join_closure(g, [u.arrow_set for u in open_atoms(g)], budget)
+        subs = _enumerate_join_closure(g, [u.arrow_set for u in open_atoms(g)], cap)
         for s in subs:
             if not s.is_open():  # pragma: no cover - guarded by openness precondition
                 raise InputError("internal: non-open subgroupoid generated")
         return subs
 
     subs = g.memo("open_subgroupoids", None, build)
-    if len(subs) > budget:
-        raise BudgetExceeded(f"subgroupoid family exceeds budget {budget}")
+    if len(subs) > cap:
+        raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
     return subs
 
 
-def enumerate_subgroupoids(g: TopGroupoid, budget: int = 4096):
+def enumerate_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
     """All subgroupoids (open or not), in canonical order."""
     atoms = {subgroupoid_closure(g, {a}) for a in g.arrows.points}
-    return _enumerate_join_closure(g, atoms, budget)
+    return _enumerate_join_closure(g, atoms, cap)
 
 
 # -- orbits and bi-orbits --------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from . import fintop, logic
+from . import fintop, grpd, logic
 from .errors import InputError
 from .fintop import FinSpace, fmt_point, sorted_points
 from .grpd import ContinuousFunctor, Subgroupoid, TopGroupoid
@@ -142,9 +142,9 @@ def groupoid_from_json(doc) -> TopGroupoid:
     arrows = space_from_json(doc["arrows"])
 
     def raw_map(d, dom, cod):
-        body = d.get("map", d) if isinstance(d, dict) else d
+        body = d.get("map") if isinstance(d, dict) else None
         if not isinstance(body, dict):
-            raise InputError("groupoid maps must be objects from point to point")
+            raise InputError('groupoid maps must be {"map": {point: point, ...}}')
         return {
             _coerce(k, dom.points): _coerce(v, cod.points) for k, v in body.items()
         }
@@ -191,11 +191,7 @@ def groupoid_to_json(g: TopGroupoid):
 def subgroupoid_from_json(doc, ambient: TopGroupoid) -> Subgroupoid:
     doc = _object(doc, "subgroupoid document", ("arrows",))
     arrows = [_coerce(r, ambient.arrows.points) for r in _point_tuple(doc["arrows"], "arrows")]
-    sub = Subgroupoid(ambient, _point_set(arrows, "arrows"))
-    bad = sub.validate()
-    if bad:
-        raise InputError("not a subgroupoid: " + "; ".join(bad))
-    return sub
+    return grpd.checked_subgroupoid(Subgroupoid(ambient, _point_set(arrows, "arrows")))
 
 
 def functor_from_json(doc) -> ContinuousFunctor:
@@ -290,7 +286,7 @@ def iso_from_json(doc, by_name) -> Iso:
             triples.append(
                 (sort, _carrier_coerce(a, src, sort), _carrier_coerce(b, tgt, sort))
             )
-    return Iso(doc["src"], doc["tgt"], tuple(sorted(triples)))
+    return logic.make_iso(doc["src"], doc["tgt"], triples)
 
 
 def iso_to_json(a: Iso):

@@ -560,7 +560,7 @@ def _eval(model, ast, env):
 class Iso(NamedTuple):
     """An isomorphism of models, used directly as an arrow point id.
 
-    map is a tuple of (sort, element, image) triples, sorted."""
+    map is a tuple of (sort, element, image) triples, in make_iso's order."""
 
     src: str
     tgt: str
@@ -573,12 +573,13 @@ class Iso(NamedTuple):
         raise InputError(f"element {e!r} not in isomorphism domain")
 
 
-def _iso_from_dict(src, tgt, assign):
-    return Iso(src, tgt, tuple(sorted(assign)))
+def make_iso(src, tgt, triples) -> Iso:
+    """The Iso of these triples, sorted by sort and the element's ckey."""
+    return Iso(src, tgt, tuple(sorted(triples, key=lambda t: (t[0], ckey(t[1])))))
 
 
 def identity_iso(m: FinModel) -> Iso:
-    return _iso_from_dict(
+    return make_iso(
         m.name, m.name, [(s, e, e) for s in m.signature.sorts for e in m.carriers[s]]
     )
 
@@ -594,7 +595,7 @@ def compose_isos(b: Iso, a: Iso) -> Iso:
 
 
 def invert_iso(a: Iso) -> Iso:
-    return Iso(a.tgt, a.src, tuple(sorted((s, y, x) for s, x, y in a.map)))
+    return make_iso(a.tgt, a.src, [(s, y, x) for s, x, y in a.map])
 
 
 def model_isomorphisms(m: FinModel, n: FinModel):
@@ -628,7 +629,7 @@ def model_isomorphisms(m: FinModel, n: FinModel):
                     break
         if ok:
             out.append(
-                _iso_from_dict(
+                make_iso(
                     m.name,
                     n.name,
                     [(s, e, assign[s][e]) for s in sorts for e in m.carriers[s]],

@@ -94,21 +94,20 @@ def skula_witness(incl: Subgroupoid, u: Subgroupoid):
 def _skula_witness(incl: Subgroupoid, u: Subgroupoid):
     amb = incl.ambient
     u0 = u.object_set
-    u0space = amb.objects.subspace(u0)
     ybar = grpd.object_orbit_closure(amb, incl.object_set)
-    s, t = amb.src.mapping, amb.tgt.mapping
+    s, t, min_open = amb.src.mapping, amb.tgt.mapping, amb.objects.min_open
     targets = {x: set() for x in u0}
     for a in u.arrow_set:
         targets[s[a]].add(t[a])
     for x in sorted_points(u0):
-        tx = frozenset(targets[x])
-        cl = u0space.closure(tx)
-        if not (u0space.min_open(x) & ybar & cl):
+        # the closure of x's u-targets in the subspace u0
+        cl = frozenset(z for z in u0 if not min_open(z).isdisjoint(targets[x]))
+        if not (min_open(x) & ybar & cl):
             return {
                 "kind": "skula-dense-orbits",
                 "object": fmt_point(x),
                 "W": sorted(fmt_point(z) for z in u0 - cl),
-                "W_prime": sorted(fmt_point(z) for z in u0space.min_open(x)),
+                "W_prime": sorted(fmt_point(z) for z in min_open(x) & u0),
             }
     return None
 
@@ -137,8 +136,6 @@ def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     u0 = u.object_set
     y0 = incl.object_set
     span = frozenset(a for x in u0 for a in amb.out_of[x] if t[a] in y0)
-    span_space = amb.arrows.subspace(span)
-    u0space = amb.objects.subspace(u0)
     u1_to, y1_from, realised = {}, {}, {}
     for zeta in u.arrow_set:
         u1_to.setdefault(t[zeta], []).append(zeta)
@@ -151,12 +148,12 @@ def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
         for a in span_order:
             span_from.setdefault(s[a], []).append(a)
         for alpha in span_order:
-            v = span_space.min_open(alpha)
+            v = amb.arrows.min_open(alpha) & span
             if v not in realised:
                 realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
                                for zeta in u1_to.get(s[eta], ())
                                for theta in y1_from.get(t[eta], ())}
-            for x2 in order(u0space.min_open(s[alpha])):
+            for x2 in order(amb.objects.min_open(s[alpha]) & u0):
                 for gamma in span_from.get(x2, ()):
                     if gamma not in realised[v]:
                         return alpha, v, gamma
@@ -199,9 +196,7 @@ def _for_all_members(incl: Subgroupoid, check) -> Verdict:
 
 def _check_scope(incl: Subgroupoid):
     """InputError unless the inclusion is a subgroupoid and an open groupoid."""
-    bad = incl.validate()
-    if bad:
-        raise InputError("not a subgroupoid: " + "; ".join(bad))
+    grpd.checked_subgroupoid(incl)
     amb, y0, y1 = incl.ambient, incl.object_set, incl.arrow_set
     s = amb.src.mapping
     # an open source map sends each minimal open onto a neighbourhood of its source

@@ -398,7 +398,7 @@ def random_functor(rng: random.Random, corpus):
     if kind == "identity":
         return grpd.identity_functor(g)
     if kind == "inclusion":
-        subs = grpd.enumerate_subgroupoids(g, budget=512)
+        subs = grpd.enumerate_subgroupoids(g, cap=512)
         subs = [s for s in subs if s.arrow_set]
         if not subs:
             return grpd.identity_functor(g)

@@ -32,7 +32,7 @@ def weq_corpus():
     corp = groupoid_corpus(rng, 500)
     pairs = []
     for g in corp:
-        for y in grpd.enumerate_subgroupoids(g, budget=4096):
+        for y in grpd.enumerate_subgroupoids(g, cap=4096):
             pairs.append((g, y))
     return corp, pairs
 

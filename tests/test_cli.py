@@ -140,31 +140,28 @@ def test_missing_file_exit_3(capsys):
 
 
 def test_budget_exit_4(capsys, docs):
-    """The budget bounds the open family `generators` lists: the input has
-    5 open subgroupoids, so a budget of 4 is exceeded and 5 is not."""
+    """The open-family cap bounds the open subgroupoids `generators` lists:
+    the input has 5, so a cap of 4 is exceeded and 5 is not."""
     listing = ("generators", "--groupoid", docs["groupoid"])
-    code, rep = run(capsys, *listing, "--subgroupoid-budget", "4")
+    code, rep = run(capsys, *listing, "--open-cap", "4")
     assert code == 4
-    assert "subgroupoid family exceeds budget 4" in rep["result"]["error"]
-    code, rep = run(capsys, *listing, "--subgroupoid-budget", "5")
+    assert "subgroupoid family exceeds cap 4" in rep["result"]["error"]
+    code, rep = run(capsys, *listing, "--open-cap", "5")
     assert code == 0
     assert len(rep["result"]["generators"]) == 5
 
 
-def test_morita_search_budget_bounds_the_merged_apex(capsys, docs, tmp_path):
-    """Merging a model with a renamed copy gives an apex of 4 arrows (the
-    identity isomorphisms between and within M1 and M2)."""
-    right = json.loads(json.dumps(MG_DOC))
-    right["models"][0]["name"] = "M2"
-    p = tmp_path / "right.json"
-    p.write_text(json.dumps(right))
-    search = ("morita-search", "--left", docs["models"], "--right", str(p))
-    code, rep = run(capsys, *search, "--subgroupoid-budget", "3")
-    assert code == 4
-    assert rep["result"]["error"] == "merged groupoid has 4 arrows, budget 3"
-    code, rep = run(capsys, *search, "--subgroupoid-budget", "4")
-    assert code == 0
-    assert rep["result"]["answer"] == "yes"
+@pytest.mark.parametrize("command", ["generators", "compose", "morita-search"])
+def test_the_subgroupoid_budget_flag_is_a_bad_command_line(capsys, docs, command):
+    """No command takes a subgroupoid budget: the only limit on a listed
+    family is --open-cap, and the merged apex of compose and
+    morita-search is polynomial in its arrows once they are listed."""
+    argv = [command]
+    for flag in cli._TABLE[command][1].replace("?", "").split():
+        argv += [f"--{flag}", docs[INPUT_DOCS[flag]]]
+    code, rep = run(capsys, *argv, "--subgroupoid-budget", "4096")
+    assert code == 3
+    assert "unrecognized arguments: --subgroupoid-budget 4096" in rep["result"]["error"]
 
 
 @pytest.mark.parametrize("command", ["weq-check", "surjection-check", "inclusion-check"])
@@ -663,3 +660,71 @@ def test_validate_names_the_least_non_associative_triple(tmp_path):
     code, out = runs[0]
     assert code == 1
     assert json.loads(out)["result"]["diagnostics"] == ["comp not associative at (1,1,2)"]
+
+
+def edge_model_doc(one, arrows):
+    """One model on the carrier {one, "a"} with the edge one -> "a", its
+    arrows "all" or the identity written out."""
+    return {
+        "signature": {"sorts": ["V"], "relations": {"E": ["V", "V"]}},
+        "params": {"p0": "V", "p1": "V"},
+        "models": [{"name": "A", "carriers": {"V": [one, "a"]}, "relations": {"E": [[one, "a"]]},
+                    "indexing": {"p0": one, "p1": "a"}}],
+        "arrows": arrows if arrows == "all"
+        else [{"src": "A", "tgt": "A", "map": {"V": {"1": one, "a": "a"}}}],
+    }
+
+
+@pytest.mark.parametrize("arrows", ["all", "identity"])
+@pytest.mark.parametrize("command,expected", [
+    ("validate", 0), ("etale-complete", 0), ("logical-topology", 0), ("elim-params", 2),
+])
+def test_a_carrier_of_integers_and_strings_reads_like_one_of_strings(
+        capsys, tmp_path, command, expected, arrows):
+    """Point 1 sorts before "a" as "1" does, so the report of the carrier
+    [1, "a"] is that of ["1", "a"], not a crash on 1 < "a"."""
+    outcomes = []
+    for one in (1, "1"):
+        p = tmp_path / f"models-{type(one).__name__}.json"
+        p.write_text(json.dumps(edge_model_doc(one, arrows)))
+        code, rep = run(capsys, command, "--models", str(p))
+        outcomes.append((code, rep["result"]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == expected
+
+
+def test_a_bare_map_exits_3(capsys, tmp_path):
+    """A groupoid map is {"map": {point: point}}; the bare object is not read."""
+    p = tmp_path / "groupoid.json"
+    p.write_text(json.dumps(dict(ISO_PAIR_DOC, src=ISO_PAIR_DOC["src"]["map"])))
+    code, rep = run(capsys, "validate", "--groupoid", str(p))
+    assert code == 3
+    assert rep["result"]["error"] == 'groupoid maps must be {"map": {point: point, ...}}'
+
+
+def test_a_point_named_map_reads(capsys, tmp_path):
+    doc = jsonio.groupoid_to_json(grpd.space_groupoid(FinSpace.discrete({"map", "x"})))
+    assert jsonio.groupoid_to_json(jsonio.groupoid_from_json(doc)) == doc
+    p = tmp_path / "groupoid.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, "validate", "--groupoid", str(p))
+    assert (code, rep["result"]["answer"]) == (0, "yes")
+
+
+@pytest.mark.parametrize("command", [
+    "weq-check", "surjection-check", "inclusion-check", "generators", "subobjects",
+])
+def test_a_sub_is_validated_once_and_a_non_subgroupoid_exits_3(
+        capsys, docs, tmp_path, monkeypatch, command):
+    """The reader and the verdicts' scope check share the ambient's memo."""
+    calls = []
+    validate = grpd.Subgroupoid.validate
+    monkeypatch.setattr(grpd.Subgroupoid, "validate",
+                        lambda self: calls.append(self.arrow_set) or validate(self))
+    code, _ = run(capsys, command, "--groupoid", docs["groupoid"], "--sub", docs["sub"])
+    assert (code, calls) == (0, [frozenset({"ia"})])
+    bad = tmp_path / "bad-sub.json"
+    bad.write_text(json.dumps({"arrows": ["f"]}))
+    code, rep = run(capsys, command, "--groupoid", docs["groupoid"], "--sub", str(bad))
+    assert (code, rep["result"]["error"]) == (3, "not a subgroupoid: not closed under inv at f; "
+                                              "object set differs between src and tgt images")

@@ -73,7 +73,7 @@ def test_a_knob_a_command_does_not_read_exits_3(capsys):
             assert code == 3
             assert f"unrecognized arguments: --{knob} {value}" in rep["result"]["error"]
             rejected += 1
-    assert rejected == 35 + 12  # the 35 limit flags, and --mode off weq-check
+    assert rejected == 24 + 12  # the 24 limit flags, and --mode off weq-check
 
 
 def test_options_hold_only_the_flags_a_command_reads(capsys, docs):  # noqa: F811

@@ -11,7 +11,7 @@ from corpus import (
     SMALL_GROUPS, graph_copies_doc, pair_groupoid, random_discrete_groupoid, rigid_graphs,
 )
 from topogrpd import fintop, grpd, jsonio
-from topogrpd.errors import BistabilityError, BudgetExceeded, InputError
+from topogrpd.errors import BistabilityError, CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
 
@@ -105,8 +105,8 @@ def test_each_distinct_minimal_neighbourhood_is_closed_once(monkeypatch):
 
 def test_subgroupoid_budget():
     g = grpd.space_groupoid(FinSpace.discrete(range(5)))
-    with pytest.raises(BudgetExceeded):
-        grpd.enumerate_open_subgroupoids(g, budget=5)
+    with pytest.raises(CapExceeded):
+        grpd.enumerate_open_subgroupoids(g, cap=5)
 
 
 def test_orbit_space_examples():
@@ -210,8 +210,8 @@ def test_iota_always_continuous():
     rng = random.Random(31)
     for _ in range(12):
         g = random_discrete_groupoid(rng, max_arrows=8)
-        subs = grpd.enumerate_subgroupoids(g, budget=512)
-        opens = grpd.enumerate_open_subgroupoids(g, budget=512)
+        subs = grpd.enumerate_subgroupoids(g, cap=512)
+        opens = grpd.enumerate_open_subgroupoids(g, cap=512)
         for y in subs[:6]:
             for u in opens[:6]:
                 assert grpd.iota_map(y, u).is_continuous()
@@ -253,7 +253,7 @@ def test_full_essential_image_always_full_replete():
     rng = random.Random(37)
     for _ in range(15):
         g = random_discrete_groupoid(rng, max_arrows=10)
-        subs = [s for s in grpd.enumerate_subgroupoids(g, budget=512) if s.arrow_set]
+        subs = [s for s in grpd.enumerate_subgroupoids(g, cap=512) if s.arrow_set]
         if not subs:
             continue
         f = rng.choice(subs).inclusion_functor()
@@ -266,7 +266,7 @@ def test_subgroupoids_always_valid():
     rng = random.Random(41)
     for _ in range(10):
         g = random_discrete_groupoid(rng, max_arrows=10)
-        for s in grpd.enumerate_subgroupoids(g, budget=512):
+        for s in grpd.enumerate_subgroupoids(g, cap=512):
             assert s.validate() == []
             assert grpd.validate_groupoid(s.as_groupoid()) == []
 

@@ -6,7 +6,7 @@ import oracles
 from corpus import SMALL_GROUPS, random_discrete_groupoid
 from test_grpd import S3, Z2, iso_pair
 from topogrpd import fintop, grpd, sheaf, weq
-from topogrpd.errors import BudgetExceeded, CapExceeded, InputError
+from topogrpd.errors import CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
 
@@ -260,7 +260,7 @@ def _on_point_0(condition):
 # per-pair conditions, which list no lattice and take no limit
 WARM_COLD_CASES = {
     "opens": (lambda: FinSpace.discrete({0, 1, 2}), FinSpace.opens, "cap"),
-    "open_subgroupoids": (_discrete3, grpd.enumerate_open_subgroupoids, "budget"),
+    "open_subgroupoids": (_discrete3, grpd.enumerate_open_subgroupoids, "cap"),
     "subobject_lattice": (_generator, sheaf.subobject_lattice, "cap"),
     "subobject_restriction": (_discrete3, _on_point_0(sheaf.subobject_restriction), None),
     "skula_witness": (_discrete3, _on_point_0(weq.skula_witness), None),
@@ -279,7 +279,7 @@ COLD_VALUES = {
 def _limit_error(call):
     try:
         call()
-    except (BudgetExceeded, CapExceeded) as e:
+    except CapExceeded as e:
         return type(e), str(e)
     return None
 
@@ -312,8 +312,8 @@ def test_master_cross_check_restriction_vs_iota():
     rng = random.Random(53)
     for _ in range(10):
         g = random_discrete_groupoid(rng, max_arrows=10)
-        subs = grpd.enumerate_subgroupoids(g, budget=512)
-        opens = grpd.enumerate_open_subgroupoids(g, budget=512)
+        subs = grpd.enumerate_subgroupoids(g, cap=512)
+        opens = grpd.enumerate_open_subgroupoids(g, cap=512)
         for y in subs[: 8]:
             for u in opens[: 8]:
                 lhs = sheaf.subobject_restriction(y, u).is_bijective()
@@ -337,10 +337,10 @@ def test_all_constructed_sheaves_validate():
     rng = random.Random(59)
     for _ in range(8):
         g = random_discrete_groupoid(rng, max_arrows=10)
-        for u in grpd.enumerate_open_subgroupoids(g, budget=512)[:6]:
+        for u in grpd.enumerate_open_subgroupoids(g, cap=512)[:6]:
             gen = sheaf.moerdijk_generator(g, u)
             assert sheaf.validate_sheaf(gen) == []
-            subs = grpd.enumerate_subgroupoids(g, budget=512)
+            subs = grpd.enumerate_subgroupoids(g, cap=512)
             y = rng.choice(subs)
             pb = sheaf.inverse_image(y.inclusion_functor(), gen)
             assert sheaf.validate_sheaf(pb) == []

@@ -51,7 +51,7 @@ def test_source_determined_examples():
         }
         for orbit in orbits:
             fr = grpd.full_subgroupoid_on(gg, orbit)
-            for u in grpd.enumerate_open_subgroupoids(gg, budget=512)[:8]:
+            for u in grpd.enumerate_open_subgroupoids(gg, cap=512)[:8]:
                 assert weq.source_determined_witness(fr, u) is None
     # a non-replete inclusion failing the condition
     h = Subgroupoid(S3, grpd.subgroupoid_closure(S3, {(1, 0, 2)}))
@@ -67,8 +67,8 @@ def test_pointwise_criteria_match_literal_oracles():
     rng = random.Random(67)
     for _ in range(10):
         g = random_discrete_groupoid(rng, max_arrows=8)
-        subs = grpd.enumerate_subgroupoids(g, budget=256)
-        opens = grpd.enumerate_open_subgroupoids(g, budget=256)
+        subs = grpd.enumerate_subgroupoids(g, cap=256)
+        opens = grpd.enumerate_open_subgroupoids(g, cap=256)
         for y in subs[: 5]:
             for u in opens[: 5]:
                 assert (weq.skula_witness(y, u) is None) == oracles.skula_dense_orbits_oracle(y, u)
@@ -90,8 +90,8 @@ def test_source_determined_witness_sorts_only_the_span_and_neighbourhoods(monkey
     rng = random.Random(67)
     checked = 0
     for g in groupoid_corpus(rng, 20):
-        for y in grpd.enumerate_subgroupoids(g, budget=256)[:6]:
-            for u in grpd.enumerate_open_subgroupoids(g, budget=256)[:6]:
+        for y in grpd.enumerate_subgroupoids(g, cap=256)[:6]:
+            for u in grpd.enumerate_open_subgroupoids(g, cap=256)[:6]:
                 sorted_args.clear()
                 weq.source_determined_witness(y, u)
                 span = [a for a in g.arrows.points
@@ -234,7 +234,7 @@ def test_weak_equivalence_examples():
 def test_mode_agreement_on_random_corpus():
     rng = random.Random(71)
     for g in groupoid_corpus(rng, 20):
-        for y in grpd.enumerate_subgroupoids(g, budget=512):
+        for y in grpd.enumerate_subgroupoids(g, cap=512):
             # mode="all" of both raises OracleDisagreement on any mismatch
             v = weq.is_weak_equivalence(y, mode="all")
             assert v.answer == oracles.exhaustive_answer(weq.is_weak_equivalence, y)
@@ -243,7 +243,7 @@ def test_mode_agreement_on_random_corpus():
 def test_conjunction_decomposition():
     rng = random.Random(73)
     for g in groupoid_corpus(rng, 12):
-        for y in grpd.enumerate_subgroupoids(g, budget=512)[:10]:
+        for y in grpd.enumerate_subgroupoids(g, cap=512)[:10]:
             w = weq.is_weak_equivalence(y, mode="quasi-homeo").answer == "yes"
             s = weq.is_localic_surjection(y).answer == "yes"
             i = weq.is_subtopos_inclusion(y).answer == "yes"
@@ -269,7 +269,7 @@ def test_wideness_of_weak_equivalences():
     rng = random.Random(83)
     checked = 0
     for g in groupoid_corpus(rng, 25):
-        subs = grpd.enumerate_subgroupoids(g, budget=512)
+        subs = grpd.enumerate_subgroupoids(g, cap=512)
         passing = [
             y for y in subs
             if weq.is_weak_equivalence(y, mode="quasi-homeo").answer == "yes"
@@ -280,7 +280,7 @@ def test_wideness_of_weak_equivalences():
                 # the inner leg cannot be certified without an open ambient
                 continue
             for z_arrows in {
-                s.arrow_set for s in grpd.enumerate_subgroupoids(inner, budget=256)
+                s.arrow_set for s in grpd.enumerate_subgroupoids(inner, cap=256)
             }:
                 z_in_y = Subgroupoid(inner, z_arrows)
                 if weq.is_weak_equivalence(z_in_y, mode="quasi-homeo").answer != "yes":
