@@ -267,10 +267,15 @@ def run(argv=None) -> int:
     report["result"] = result
     text = jsonio.dumps(report)
     if args is not None and args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            return code
+        except OSError as e:
+            # an unwritable path is a bad input: the report goes to stdout
+            report["result"] = {"error": f"cannot write --output {args.output}: {e.strerror}"}
+            code, text = 3, jsonio.dumps(report)
+    sys.stdout.write(text)
     return code
 
 

@@ -117,11 +117,6 @@ class FinSpace:
         return cls(points, {x: frozenset([x]) for x in points}, _check=False)
 
     @classmethod
-    def indiscrete(cls, points) -> "FinSpace":
-        pts = frozenset(points)
-        return cls(pts, {x: pts for x in pts}, _check=False)
-
-    @classmethod
     def sierpinski(cls) -> "FinSpace":
         # 1 is the open point, 0 the closed one
         return cls({0, 1}, {0: frozenset({0, 1}), 1: frozenset({1})}, _check=False)
@@ -296,17 +291,6 @@ class ContinuousMap:
         return f"ContinuousMap({len(self.domain)} -> {len(self.codomain)} points)"
 
 
-def identity_map(space: FinSpace) -> ContinuousMap:
-    return ContinuousMap(space, space, {x: x for x in space.points}, check=False)
-
-
-def inclusion_map(subset, space: FinSpace) -> ContinuousMap:
-    """Inclusion of the subspace on `subset` into `space`."""
-    return ContinuousMap(
-        space.subspace(subset), space, {x: x for x in frozenset(subset)}, check=False
-    )
-
-
 def quotient_space(space: FinSpace, blocks):
     """Quotient of `space` by a partition, with the quotient topology.
 
@@ -364,15 +348,6 @@ def partition(points, pairs):
     for x in points:
         blocks.setdefault(find(x), set()).add(x)
     return list(blocks.values())
-
-
-def quotient_by_relation(space: FinSpace, pairs):
-    """Quotient by the equivalence relation generated by `pairs`."""
-    pairs = list(pairs)
-    for a, b in pairs:
-        if a not in space.points or b not in space.points:
-            raise InputError("relation pair outside point set")
-    return quotient_space(space, partition(space.points, pairs))
 
 
 def fiber_product(f: ContinuousMap, g: ContinuousMap):

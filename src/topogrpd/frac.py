@@ -10,9 +10,6 @@ merged parameters, all isomorphisms), the new inclusion is certified
 from scratch, and the comparison 2-cell of the Ore square is found by
 exhaustive natural-transformation search.  Identity-shaped spans
 short-circuit, which makes the unit laws hold on the nose.
-
-2-cells are restricted to cospans sharing an apex, with vertical
-composition only.
 """
 
 from __future__ import annotations
@@ -267,35 +264,6 @@ def compose(f: CospanMorphism, g: CospanMorphism) -> CospanMorphism:
             f"composite weq leg fails certification: {cert.answer}"
         )
     return CospanMorphism(fwd, leg, cert, depth, tuple_cap)
-
-
-@dataclass(frozen=True)
-class TwoCell:
-    """A 2-cell between cospans sharing an apex: a continuous
-    transformation between the derived forward legs."""
-
-    left: CospanMorphism
-    right: CospanMorphism
-    data: ContinuousTransformation
-
-
-def make_two_cell(left: CospanMorphism, right: CospanMorphism,
-                  data: ContinuousTransformation) -> TwoCell:
-    if left.apex != right.apex or left.source != right.source or left.target != right.target:
-        raise InputError("2-cells need cospans with a shared apex and feet")
-    depth, cap = left.depth, left.tuple_cap
-    if data.source != left.fwd.derived(depth, cap) or data.target != right.fwd.derived(depth, cap):
-        raise InputError("2-cell data does not match the forward legs")
-    bad = data.validate()
-    if bad:
-        raise InputError("; ".join(bad))
-    return TwoCell(left, right, data)
-
-
-def vertical_compose_cells(b: TwoCell, a: TwoCell) -> TwoCell:
-    if a.right != b.left:
-        raise InputError("2-cells not vertically composable")
-    return TwoCell(a.left, b.right, grpd.vertical_compose(b.data, a.data))
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,6 @@ class TopGroupoid:
 
     # -- structure ------------------------------------------------------
 
-    def compose(self, g, f):
-        """g o f (f first)."""
-        return self.comp[(g, f)]
-
-    def inverse(self, a):
-        return self.inv.mapping[a]
-
     def composable_pairs(self):
         for g in self.arrows.points:
             for f in self.into[self.src.mapping[g]]:
@@ -166,43 +159,6 @@ def space_groupoid(space: FinSpace) -> TopGroupoid:
     ident = {x: x for x in space.points}
     comp = {(x, x): x for x in space.points}
     return TopGroupoid(space, space, ident, ident, ident, ident, comp)
-
-
-def group_groupoid(elements, mult, arrow_space: FinSpace | None = None) -> TopGroupoid:
-    """A group as a one-object groupoid.
-
-    `mult` maps (g, h) to g*h; arrows get the discrete topology unless an
-    arrow space on the same point set is supplied.
-    """
-    elements = frozenset(elements)
-    obj = FinSpace.discrete({"*"})
-    arr = arrow_space if arrow_space is not None else FinSpace.discrete(elements)
-    if arr.points != elements:
-        raise InputError("arrow space must be on the group elements")
-    ident = None
-    for e in elements:
-        if all(mult[(e, x)] == x == mult[(x, e)] for x in elements):
-            ident = e
-            break
-    if ident is None:
-        raise InputError("no identity element")
-    invs = {}
-    for x in elements:
-        for y in elements:
-            if mult[(x, y)] == ident == mult[(y, x)]:
-                invs[x] = y
-                break
-    if set(invs) != set(elements):
-        raise InputError("missing inverses")
-    return TopGroupoid(
-        obj,
-        arr,
-        {x: "*" for x in elements},
-        {x: "*" for x in elements},
-        {"*": ident},
-        invs,
-        {(x, y): mult[(x, y)] for x in elements for y in elements},
-    )
 
 
 # -- subgroupoids ----------------------------------------------------------
@@ -330,28 +286,6 @@ def object_orbit_closure(g: TopGroupoid, objs) -> frozenset:
     return frozenset().union(*(b for b in _components(g) if not b.isdisjoint(objs)))
 
 
-def _enumerate_join_closure(g: TopGroupoid, atoms, cap: int):
-    """The join closure of the atoms and the empty set, in canonical
-    order; CapExceeded as soon as it has more than `cap` members."""
-    seen = {frozenset(), *atoms}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if len(seen) > cap:
-                raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
-            for a in atoms:
-                # members are closed, so a known join needs no closure
-                if s | a in seen:
-                    continue
-                j = subgroupoid_closure(g, s | a)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows))]
-
-
 def open_atoms(g: TopGroupoid):
     """The atoms of the open family, in canonical order: the comp/inv
     closures of the arrows' minimal neighbourhoods (the closure of an
@@ -372,11 +306,28 @@ def open_atoms(g: TopGroupoid):
 
 def enumerate_open_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
     """All subgroupoids whose arrow set is open, in canonical order: the
-    join-closure of the open atoms.  Raises CapExceeded past `cap`.
-    Includes the empty subgroupoid.
+    join closure of the open atoms and the empty subgroupoid.  Raises
+    CapExceeded as soon as the closure has more than `cap` members.
     """
     def build():
-        subs = _enumerate_join_closure(g, [u.arrow_set for u in open_atoms(g)], cap)
+        atoms = [u.arrow_set for u in open_atoms(g)]
+        seen = {frozenset(), *atoms}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for s in frontier:
+                if len(seen) > cap:
+                    raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
+                for a in atoms:
+                    # members are closed, so a known join needs no closure
+                    if s | a in seen:
+                        continue
+                    j = subgroupoid_closure(g, s | a)
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+            frontier = nxt
+        subs = [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows))]
         for s in subs:
             if not s.is_open():  # pragma: no cover - guarded by openness precondition
                 raise InputError("internal: non-open subgroupoid generated")
@@ -388,26 +339,7 @@ def enumerate_open_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_C
     return subs
 
 
-def enumerate_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
-    """All subgroupoids (open or not), in canonical order."""
-    atoms = {subgroupoid_closure(g, {a}) for a in g.arrows.points}
-    return _enumerate_join_closure(g, atoms, cap)
-
-
-# -- orbits and bi-orbits --------------------------------------------------
-
-
-def orbit_space(u: Subgroupoid):
-    """Quotient of the subgroupoid's object space by arrow reachability.
-
-    Returns (space of orbits, quotient map from the object subspace).
-    """
-    amb = u.ambient
-    objs = u.object_set
-    blocks = fintop.partition(
-        objs, ((amb.src.mapping[a], amb.tgt.mapping[a]) for a in u.arrow_set)
-    )
-    return fintop.quotient_space(amb.objects.subspace(objs), blocks)
+# -- bi-orbits ------------------------------------------------------------
 
 
 def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
@@ -476,17 +408,7 @@ def iota_map(incl: Subgroupoid, u: Subgroupoid) -> ContinuousMap:
     return ContinuousMap(dom, cod, mapping)
 
 
-# -- images, fullness, repleteness -----------------------------------------
-
-
-def is_full(sg: Subgroupoid) -> bool:
-    return sg.arrow_set == full_subgroupoid_on(sg.ambient, sg.object_set).arrow_set
-
-
-def is_replete(sg: Subgroupoid) -> bool:
-    objs = sg.object_set
-    amb = sg.ambient
-    return all(amb.tgt.mapping[a] in objs for x in objs for a in amb.out_of[x])
+# -- functors and transformations -------------------------------------------
 
 
 class ContinuousFunctor:
@@ -630,15 +552,6 @@ class ContinuousTransformation:
                 out.append(f"naturality fails at {fmt_point(al)}")
         return out
 
-    def inverse(self) -> "ContinuousTransformation":
-        cod = self.source.cod
-        return ContinuousTransformation(
-            self.target,
-            self.source,
-            {x: cod.inv.mapping[a] for x, a in self.component.mapping.items()},
-            check=False,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ContinuousTransformation):
             return NotImplemented
@@ -657,45 +570,6 @@ def identity_transformation(f: ContinuousFunctor) -> ContinuousTransformation:
         f,
         f,
         {x: f.cod.unit.mapping[f.obj_map.mapping[x]] for x in f.dom.objects.points},
-        check=False,
-    )
-
-
-def vertical_compose(b: ContinuousTransformation, a: ContinuousTransformation) -> ContinuousTransformation:
-    if a.target != b.source:
-        raise InputError("transformations not vertically composable")
-    cod = a.source.cod
-    return ContinuousTransformation(
-        a.source,
-        b.target,
-        {
-            x: cod.comp[(b.component.mapping[x], a.component.mapping[x])]
-            for x in a.source.dom.objects.points
-        },
-        check=False,
-    )
-
-
-def whisker_functor(k: ContinuousFunctor, a: ContinuousTransformation) -> ContinuousTransformation:
-    """k * a : k o F => k o G for a : F => G."""
-    if a.source.cod != k.dom:
-        raise InputError("whiskering mismatch")
-    return ContinuousTransformation(
-        compose_functors(k, a.source),
-        compose_functors(k, a.target),
-        {x: k.arr_map.mapping[a.component.mapping[x]] for x in a.component.mapping},
-        check=False,
-    )
-
-
-def whisker_along(a: ContinuousTransformation, h: ContinuousFunctor) -> ContinuousTransformation:
-    """a * h : F o h => G o h for a : F => G."""
-    if h.cod != a.source.dom:
-        raise InputError("whiskering mismatch")
-    return ContinuousTransformation(
-        compose_functors(a.source, h),
-        compose_functors(a.target, h),
-        {x: a.component.mapping[h.obj_map.mapping[x]] for x in h.dom.objects.points},
         check=False,
     )
 

@@ -156,6 +156,8 @@ def groupoid_from_json(doc) -> TopGroupoid:
         if not isinstance(triple, list) or len(triple) != 3:
             raise InputError("comp entries must be triples [f, g, h]")
         f, g, h = (_coerce(t, arrows.points) for t in triple)
+        if (g, f) in comp:
+            raise InputError(f"comp: the pair [{fmt_point(f)}, {fmt_point(g)}] is named twice")
         comp[(g, f)] = h
     return TopGroupoid(
         objects,

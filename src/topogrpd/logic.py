@@ -1098,12 +1098,6 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     )
 
 
-def top_formula(sig: Signature, ctx_sorts) -> GeometricFormula:
-    """Truth in the context x1:s1, ..., xk:sk."""
-    ctx = tuple((f"x{i + 1}", s) for i, s in enumerate(ctx_sorts))
-    return GeometricFormula(Top(), ctx, sig)
-
-
 def parameter_orbit(g: ModelGroupoid, ptuple) -> frozenset:
     """Orbit of the interpretations of a parameter tuple: the closure of
     the set of pairs (interpretation, model) under the arrow action,
@@ -1154,38 +1148,6 @@ def eliminates_parameters(g: ModelGroupoid, depth: int,
             details=(("witnesses_found", len(witnesses)),),
         )
     return Verdict("yes", tuple(witnesses), provenance)
-
-
-def is_ultrahomogeneous(m: FinModel, depth: int,
-                        tuple_cap: int = DEFAULT_TUPLE_CAP) -> Verdict:
-    """Are tuples of equal bounded-depth type automorphism-conjugate?
-
-    Bounded types make this approximate in both directions; the verdict
-    records the depth it was computed at."""
-    eng = DefinableSets(m.signature, [m])
-    autos = automorphisms(m)
-    provenance = f"depth={depth},tuple-cap={tuple_cap}"
-    for k in range(1, tuple_cap + 1):
-        for sorts_of in combinations_with_replacement(sorted(m.signature.sorts), k):
-            level = eng.level(sorts_of, depth)
-            fingerprints = {}
-            for (_, tup), bit in eng.index(sorts_of).items():
-                fp = tuple(ext >> bit & 1 for ext in level)
-                fingerprints.setdefault(fp, []).append(tup)
-            for group in fingerprints.values():
-                for t1, t2 in combinations(group, 2):
-                    if not any(
-                        tuple(a.apply(s, e) for s, e in zip(sorts_of, t1)) == t2
-                        for a in autos
-                    ):
-                        return Verdict(
-                            "no",
-                            ((("pair", (t1, t2)), ("sorts", tuple(sorts_of))),),
-                            provenance,
-                            details=(("approximate", "bounded-depth types"),),
-                        )
-    return Verdict("yes", (), provenance,
-                   details=(("approximate", "bounded-depth types"),))
 
 
 # -- etale completion ----------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import fintop, grpd
 from .errors import CapExceeded, InputError
 from .fintop import ContinuousMap, FinSpace, fmt_point, sorted_points
-from .grpd import ContinuousFunctor, ContinuousTransformation, Subgroupoid, TopGroupoid
+from .grpd import ContinuousFunctor, Subgroupoid, TopGroupoid
 
 
 class EquivariantSheaf:
@@ -41,9 +41,6 @@ class EquivariantSheaf:
             if g not in base.arrows.points or y not in total.points or z not in total.points:
                 raise InputError("action entry outside sheaf data")
         self._nbhd = self._lattice = None
-
-    def act(self, g, y):
-        return self.action[(g, y)]
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantSheaf):
@@ -101,16 +98,6 @@ def validate_sheaf(s: EquivariantSheaf) -> list:
     return out
 
 
-def terminal_sheaf(base: TopGroupoid) -> EquivariantSheaf:
-    """Total space = objects, projection = identity, action via targets."""
-    action = {
-        (g, base.src.mapping[g]): base.tgt.mapping[g] for g in base.arrows.points
-    }
-    return EquivariantSheaf(
-        base, base.objects, fintop.identity_map(base.objects), action
-    )
-
-
 def moerdijk_generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
     """The generating sheaf of an open subgroupoid: pre-composition orbits
     of arrows sourced in the subgroupoid's objects, projected by target,
@@ -155,62 +142,6 @@ def inverse_image(f: ContinuousFunctor, w: EquivariantSheaf) -> EquivariantSheaf
         for g in dom.out_of[x]:
             action[(g, (x, wp))] = (t[g], w.action[(f1[g], wp)])
     return EquivariantSheaf(dom, total, pr1, action)
-
-
-@dataclass(frozen=True)
-class SheafMorphism:
-    dom: EquivariantSheaf
-    cod: EquivariantSheaf
-    mapping: tuple  # sorted ((y, z) ...) pairs, a total map dom.total -> cod.total
-
-    def as_map(self) -> ContinuousMap:
-        return ContinuousMap(
-            self.dom.total, self.cod.total, dict(self.mapping), check=False
-        )
-
-    def validate(self) -> list:
-        out = []
-        m = dict(self.mapping)
-        if set(m) != set(self.dom.total.points):
-            return ["morphism not total"]
-        cm = self.as_map()
-        if not cm.is_continuous():
-            out.append("morphism not continuous")
-        for y, z in m.items():
-            if self.cod.proj.mapping[z] != self.dom.proj.mapping[y]:
-                out.append(f"projection not preserved at {fmt_point(y)}")
-        for (g, y), y2 in self.dom.action.items():
-            if self.cod.action[(g, m[y])] != m[y2]:
-                out.append(f"equivariance fails at {fmt_point((g, y))}")
-        return out
-
-
-def transformation_morphism(a: ContinuousTransformation, w: EquivariantSheaf) -> SheafMorphism:
-    """The sheaf morphism between the two pullbacks of w induced by a
-    continuous transformation: (x, w) |-> (x, a_x . w)."""
-    dom = inverse_image(a.source, w)
-    cod = inverse_image(a.target, w)
-    comp = a.component.mapping
-    mapping = tuple(
-        sorted(
-            (
-                ((x, wp), (x, w.action[(comp[x], wp)]))
-                for (x, wp) in dom.total.points
-            ),
-            key=lambda p: fintop.ckey(p[0]),
-        )
-    )
-    return SheafMorphism(dom, cod, mapping)
-
-
-def orbit_of_subset(s: EquivariantSheaf, subset) -> frozenset:
-    """Closure of a subset of the total space under the arrow action."""
-    v = frozenset(subset)
-    if not v <= s.total.points:
-        raise InputError("subset not contained in the total space")
-    return frozenset(
-        s.action[(g, y)] for y in v for g in s.base.out_of[s.proj.mapping[y]]
-    ) | v
 
 
 @dataclass(frozen=True)

@@ -242,13 +242,12 @@ def is_subtopos_inclusion(incl: Subgroupoid) -> Verdict:
 
 
 def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:
+    """One route's answer on u; `mode` is one of MODES, checked by the caller."""
     if mode == "quasi-homeo":
         return fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u))
     if mode == "two-condition":
         return skula_witness(incl, u) is None and source_determined_witness(incl, u) is None
-    if mode == "subobject-oracle":
-        return sheaf.subobject_restriction(incl, u).is_bijective()
-    raise InputError(f"unknown mode {mode!r}")
+    return sheaf.subobject_restriction(incl, u).is_bijective()
 
 
 def is_weak_equivalence(incl: Subgroupoid, mode: str = "all") -> Verdict:

@@ -4,14 +4,17 @@ Everything is seeded; regenerating with the same seed gives the same
 objects.  Groupoid generators mix categorically discrete groupoids on
 random finite spaces, topologically discrete algebraic groupoids built
 from pair-groupoid components, and logical-topology groupoids derived
-from small model groupoids."""
+from small model groupoids.  The builders below them (identity maps,
+group groupoids, all subgroupoids, the terminal sheaf, the true formula)
+serve only the tests."""
 
 import random
 from itertools import product
 
-from topogrpd import fintop, grpd, logic
-from topogrpd.fintop import FinSpace
-from topogrpd.grpd import TopGroupoid
+from topogrpd import fintop, grpd, logic, sheaf
+from topogrpd.errors import CapExceeded, InputError
+from topogrpd.fintop import ContinuousMap, FinSpace
+from topogrpd.grpd import Subgroupoid, TopGroupoid
 from topogrpd.logic import FinModel, IndexedModel, ModelGroupoid
 
 
@@ -25,6 +28,10 @@ def random_space(rng: random.Random, max_points=4) -> FinSpace:
     for _ in range(rng.randint(0, n + 1)):
         subbasis.append({p for p in points if rng.random() < 0.5})
     return fintop.generate_topology(points, subbasis)
+
+
+def identity_map(space: FinSpace) -> ContinuousMap:
+    return ContinuousMap(space, space, {x: x for x in space.points}, check=False)
 
 
 def all_posets(n: int):
@@ -133,6 +140,43 @@ SMALL_GROUPS = {
 # -- groupoids ----------------------------------------------------------------
 
 
+def group_groupoid(elements, mult, arrow_space: FinSpace | None = None) -> TopGroupoid:
+    """A group as a one-object groupoid.
+
+    `mult` maps (g, h) to g*h; arrows get the discrete topology unless an
+    arrow space on the same point set is supplied.
+    """
+    elements = frozenset(elements)
+    obj = FinSpace.discrete({"*"})
+    arr = arrow_space if arrow_space is not None else FinSpace.discrete(elements)
+    if arr.points != elements:
+        raise InputError("arrow space must be on the group elements")
+    ident = None
+    for e in elements:
+        if all(mult[(e, x)] == x == mult[(x, e)] for x in elements):
+            ident = e
+            break
+    if ident is None:
+        raise InputError("no identity element")
+    invs = {}
+    for x in elements:
+        for y in elements:
+            if mult[(x, y)] == ident == mult[(y, x)]:
+                invs[x] = y
+                break
+    if set(invs) != set(elements):
+        raise InputError("missing inverses")
+    return TopGroupoid(
+        obj,
+        arr,
+        {x: "*" for x in elements},
+        {x: "*" for x in elements},
+        {"*": ident},
+        invs,
+        {(x, y): mult[(x, y)] for x in elements for y in elements},
+    )
+
+
 def pair_groupoid(objects, mult, tag="") -> TopGroupoid:
     """Discrete groupoid with the given objects all isomorphic, vertex
     group the group of `mult`: arrows (x, y, h) from x to y."""
@@ -219,6 +263,41 @@ def random_discrete_groupoid(rng: random.Random, max_arrows=12) -> TopGroupoid:
     if not parts:
         parts = [pair_groupoid(["o0"], SMALL_GROUPS["1"], tag="c0")]
     return disjoint_union_groupoids(parts)
+
+
+# -- subgroupoids and sheaves -------------------------------------------------
+
+
+def enumerate_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
+    """All subgroupoids (open or not), in canonical order: the joins of
+    the single-arrow closures, the empty one included, added one closure
+    at a time.  Raises CapExceeded when there are more than `cap`."""
+    family = {frozenset()}
+    for a in {grpd.subgroupoid_closure(g, {x}) for x in g.arrows.points}:
+        # members are closed, so a known join needs no closure
+        family |= {s | a if s | a in family else grpd.subgroupoid_closure(g, s | a)
+                   for s in family}
+        if len(family) > cap:
+            raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
+    return [Subgroupoid(g, s) for s in sorted(family, key=fintop.set_key(g.arrows))]
+
+
+def is_full(sg: Subgroupoid) -> bool:
+    return sg.arrow_set == grpd.full_subgroupoid_on(sg.ambient, sg.object_set).arrow_set
+
+
+def is_replete(sg: Subgroupoid) -> bool:
+    objs = sg.object_set
+    amb = sg.ambient
+    return all(amb.tgt.mapping[a] in objs for x in objs for a in amb.out_of[x])
+
+
+def terminal_sheaf(base: TopGroupoid) -> sheaf.EquivariantSheaf:
+    """Total space = objects, projection = identity, action via targets."""
+    action = {
+        (g, base.src.mapping[g]): base.tgt.mapping[g] for g in base.arrows.points
+    }
+    return sheaf.EquivariantSheaf(base, base.objects, identity_map(base.objects), action)
 
 
 # -- model groupoids -----------------------------------------------------------
@@ -398,7 +477,7 @@ def random_functor(rng: random.Random, corpus):
     if kind == "identity":
         return grpd.identity_functor(g)
     if kind == "inclusion":
-        subs = grpd.enumerate_subgroupoids(g, cap=512)
+        subs = enumerate_subgroupoids(g, cap=512)
         subs = [s for s in subs if s.arrow_set]
         if not subs:
             return grpd.identity_functor(g)
@@ -433,6 +512,12 @@ def random_functor(rng: random.Random, corpus):
 
 
 # -- formulas -----------------------------------------------------------------
+
+
+def top_formula(sig, ctx_sorts) -> logic.GeometricFormula:
+    """Truth in the context x1:s1, ..., xk:sk."""
+    ctx = tuple((f"x{i + 1}", s) for i, s in enumerate(ctx_sorts))
+    return logic.GeometricFormula(logic.Top(), ctx, sig)
 
 
 def random_formula_ast(rng: random.Random, sig, ctx, depth):

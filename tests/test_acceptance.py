@@ -13,13 +13,18 @@ import pytest
 import groupcat
 import oracles
 from corpus import (
+    enumerate_subgroupoids,
+    group_groupoid,
     groupoid_corpus,
+    is_full,
+    is_replete,
     ore_cospans,
     random_formula_ast,
     random_functor,
     rigid_graphs,
     sober_eliminating_model_groupoids,
     t0_spaces_up_to,
+    top_formula,
 )
 from topogrpd import fintop, frac, grpd, jsonio, logic, sheaf, weq
 
@@ -32,7 +37,7 @@ def weq_corpus():
     corp = groupoid_corpus(rng, 500)
     pairs = []
     for g in corp:
-        for y in grpd.enumerate_subgroupoids(g, cap=4096):
+        for y in enumerate_subgroupoids(g, cap=4096):
             pairs.append((g, y))
     return corp, pairs
 
@@ -83,7 +88,7 @@ def test_criterion_3_moerdijk_generators_for_groups():
     for n in sorted(catalog):
         for table in catalog[n]:
             mult = groupcat.table_to_mult(table)
-            g = grpd.group_groupoid(range(n), mult)
+            g = group_groupoid(range(n), mult)
             for h_set in oracles.subgroups_oracle(frozenset(range(n)), mult):
                 h = grpd.Subgroupoid(g, h_set)
                 gen = sheaf.moerdijk_generator(g, h)
@@ -129,7 +134,7 @@ def test_criterion_4_full_replete_subtopos(weq_corpus):
                 *(o for i, o in enumerate(orbit_list) if mask >> i & 1)
             )
             fr = grpd.full_subgroupoid_on(g, objs)
-            assert grpd.is_full(fr) and grpd.is_replete(fr)
+            assert is_full(fr) and is_replete(fr)
             if weq.is_subtopos_inclusion(fr).answer != "yes":
                 failures += 1
             checked += 1
@@ -245,7 +250,7 @@ def test_criterion_8_definable_sheaf_pullback(model_corpus):
         sub = logic.ModelGroupoid(g.signature, g.params, sub_members, closed)
         incl = grpd.Subgroupoid(derived, frozenset(closed))
         for ctx_sorts in ((), (g.signature.sorts[0],)):
-            formula = logic.top_formula(g.signature, ctx_sorts)
+            formula = top_formula(g.signature, ctx_sorts)
             pulled = sheaf.inverse_image(
                 incl.inclusion_functor(), logic.definable_sheaf(g, formula, 1, 2)
             )

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from corpus import SMALL_GROUPS, random_model_groupoid, space_pair_groupoid, t0_spaces_up_to
+from corpus import (
+    SMALL_GROUPS, group_groupoid, random_model_groupoid, space_pair_groupoid, t0_spaces_up_to,
+)
 from test_grpd import LOOP5_ROWS
 from topogrpd import cli, grpd, jsonio
 from topogrpd.fintop import FinSpace, fmt_point
@@ -236,6 +238,22 @@ def test_reports_are_byte_identical(docs, tmp_path, capsys):
             "--output", str(out),
         ])
     assert out1.read_bytes() == out2.read_bytes()
+    # the file holds what stdout would, and stdout gets nothing
+    code, rep = run(capsys, "weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"])
+    assert json.loads(out1.read_text()) == rep
+    cli.run(["weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"], "--output", str(out1)])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_output_is_an_input_error(capsys, docs, tmp_path, where):
+    """An --output that cannot be written exits 3 with the report on
+    stdout, not a traceback with exit 1, which means "no"."""
+    out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    code, rep = run(capsys, "weq-check", "--groupoid", docs["groupoid"], "--sub", docs["sub"],
+                    "--output", str(out))
+    assert (code, rep["command"]) == (3, "weq-check")
+    assert rep["result"]["error"].startswith(f"cannot write --output {out}: ")
 
 
 def test_determinism_across_commands(capsys, docs):
@@ -495,6 +513,7 @@ INT_IDENT = {"map": {"1": 1, "2": 2}}
 INT_DISCRETE_DOC = {"objects": INT_POINTS, "arrows": INT_POINTS, "src": INT_IDENT,
                     "tgt": INT_IDENT, "unit": INT_IDENT, "inv": INT_IDENT,
                     "comp": [[1, 1, 1], [2, 2, 2]]}
+SIER_DOC = jsonio.groupoid_to_json(grpd.space_groupoid(FinSpace.sierpinski()))
 POINT_NAMED_TWICE = {
     "space points": (("validate", "--space"), {"points": [1, 1, 2], "opens": [[], [1], [2], [1, 2]]},
                      "points: point 1 is named twice"),
@@ -502,13 +521,17 @@ POINT_NAMED_TWICE = {
     # "1" and 1 both read as the int arrow 1
     "subgroupoid arrows": (("subobjects", "--sub"), {"arrows": ["1", 1]},
                            "arrows: point 1 is named twice"),
+    # read last-wins, the first triple's composite 0 o 0 = 1 would go unseen
+    "groupoid comp pair": (("validate", "--groupoid"),
+                           dict(SIER_DOC, comp=[["0", "0", "1"], *SIER_DOC["comp"]]),
+                           "comp: the pair [0, 0] is named twice"),
 }
 
 
 @pytest.mark.parametrize("reader", list(POINT_NAMED_TWICE))
 def test_a_point_named_twice_is_an_input_error(capsys, tmp_path, reader):
-    """A document that names one point twice exits 3; it is not read as
-    the smaller set it would collapse to."""
+    """A document that names one point, or one composable pair, twice
+    exits 3; it is not read as the smaller set it would collapse to."""
     argv, doc, error = POINT_NAMED_TWICE[reader]
     if doc is None:
         doc = dict(MG_DOC, models=[dict(MG_DOC["models"][0], carriers={"S": ["a", "b", "a"]})])
@@ -633,7 +656,7 @@ def one_object_groupoid_file(tmp_path, rows):
     els = [str(i) for i in range(len(rows))]
     mult = {(g, f): str(rows[int(g)][int(f)]) for g in els for f in els}
     p = tmp_path / "groupoid.json"
-    p.write_text(json.dumps(jsonio.groupoid_to_json(grpd.group_groupoid(els, mult))))
+    p.write_text(json.dumps(jsonio.groupoid_to_json(group_groupoid(els, mult))))
     return str(p)
 
 

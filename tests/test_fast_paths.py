@@ -49,13 +49,16 @@ from corpus import (
     GRAPH,
     POINTED,
     SMALL_GROUPS,
+    enumerate_subgroupoids,
     graph_copies_doc,
+    group_groupoid,
     groupoid_corpus,
     random_discrete_groupoid,
     random_model_groupoid,
     random_space,
     rigid_graphs,
     space_pair_groupoid,
+    top_formula,
 )
 from test_acceptance import SEED
 from test_cli import MG_DOC, discrete_space_groupoid_doc
@@ -124,7 +127,7 @@ def test_corpus_orders_match_the_recursive_key(corpus):
             opens = space.opens()
             assert list(opens) == oracles.opens_oracle(space)
             spaces += len(opens) > 2
-        for enumerate_family in (grpd.enumerate_open_subgroupoids, grpd.enumerate_subgroupoids):
+        for enumerate_family in (grpd.enumerate_open_subgroupoids, enumerate_subgroupoids):
             family = [u.arrow_set for u in enumerate_family(g)]
             assert family == sorted(family, key=oracles.ckey_set_key)
     assert spaces > 300
@@ -173,7 +176,7 @@ def test_mask_lattices_and_restrictions_match_frozenset_references(corpus):
     subgroupoid inclusion, against the frozenset references."""
     generators = pulled = restrictions = 0
     for i, g in enumerate(corpus):
-        subs = grpd.enumerate_subgroupoids(g) if i % 10 == 0 else []
+        subs = enumerate_subgroupoids(g) if i % 10 == 0 else []
         for u in grpd.enumerate_open_subgroupoids(g):
             gen = sheaf.moerdijk_generator(g, u)
             big = oracles.subobject_lattice_oracle(gen)
@@ -218,7 +221,7 @@ def restriction_cases(g, opens):
     cases = noninj = nonsurj = 0
     for u in opens:
         big = None
-        for y in grpd.enumerate_subgroupoids(g):
+        for y in enumerate_subgroupoids(g):
             if not y.arrow_set or y.validate():
                 continue
             ref = oracles.subobject_restriction_oracle(y, u)
@@ -591,7 +594,7 @@ def test_shared_structures_answer_as_the_per_member_references():
                 cases += 1
         for depth, cap in ((0, 0), (1, 1)):
             for s in g.signature.sorts:
-                formulas = [logic.top_formula(g.signature, (s,))] + [
+                formulas = [top_formula(g.signature, (s,))] + [
                     logic.GeometricFormula(logic.Rel(r, tuple(logic.Var(f"x{i + 1}") for i in range(len(a)))),
                                            tuple((f"x{i + 1}", t) for i, t in enumerate(a)), g.signature)
                     for r, a in g.signature.relations]
@@ -668,7 +671,7 @@ def atoms_against_the_whole_family(g, inclusions):
 def test_atoms_decide_as_the_whole_open_family():
     decisions = noes = 0
     for g in groupoid_corpus(random.Random(0), 500):
-        d, n = atoms_against_the_whole_family(g, grpd.enumerate_subgroupoids(g))
+        d, n = atoms_against_the_whole_family(g, enumerate_subgroupoids(g))
         decisions += d
         noes += n
     assert noes >= 1000 and decisions - noes >= 1000
@@ -687,7 +690,7 @@ def test_atoms_decide_as_the_whole_open_family_on_pair_groupoids_of_spaces(seed,
     g = space_pair_groupoid(space, mult)
     assert grpd.validate_groupoid(g) == []
     inclusions = []
-    for y in grpd.enumerate_subgroupoids(g):
+    for y in enumerate_subgroupoids(g):
         if y.as_groupoid().is_open():
             inclusions.append(y)
             continue
@@ -711,11 +714,11 @@ def test_bi_orbits_match_the_union_find():
     and on a random arrow set (mostly unstable): the same space and maps
     as the union-find, or BistabilityError on both sides."""
     rng = random.Random(0)
-    s3 = grpd.group_groupoid({a for a, _ in SMALL_GROUPS["S3"]}, SMALL_GROUPS["S3"])
+    s3 = group_groupoid({a for a, _ in SMALL_GROUPS["S3"]}, SMALL_GROUPS["S3"])
     merged = stable = unstable = 0
     for g in [s3, *groupoid_corpus(random.Random(0), 30)]:
         arrows = fintop.sorted_points(g.arrows.points)
-        subs = grpd.enumerate_subgroupoids(g)
+        subs = enumerate_subgroupoids(g)
         for left in subs:
             for right in subs:
                 ref, _, _ = oracles.bi_orbit_space_oracle(g, left, right, g.arrows.points)

@@ -5,12 +5,13 @@ from collections import Counter
 import pytest
 
 import oracles
-from corpus import random_space
+from corpus import identity_map, random_space
 from topogrpd import fintop
 from topogrpd.errors import CapExceeded, InputError
 from topogrpd.fintop import ContinuousMap, FinSpace
 
 SIER = FinSpace.sierpinski()
+INDISCRETE = FinSpace({0, 1}, {0: {0, 1}, 1: {0, 1}})
 
 
 def test_generate_topology_sierpinski():
@@ -116,14 +117,14 @@ def test_open_cap():
 
 def test_is_t0():
     assert fintop.is_t0(SIER)
-    assert not fintop.is_t0(FinSpace.indiscrete({0, 1}))
+    assert not fintop.is_t0(INDISCRETE)
     assert fintop.is_t0(FinSpace.discrete(range(5)))
     assert fintop.is_t0(FinSpace.discrete(set()))
 
 
 def test_is_sober_examples():
     assert fintop.is_sober(SIER)
-    assert not fintop.is_sober(FinSpace.indiscrete({0, 1}))
+    assert not fintop.is_sober(INDISCRETE)
     assert fintop.is_sober(FinSpace.discrete(set()))
 
 
@@ -159,8 +160,8 @@ def test_is_skula_dense_examples():
 
 
 def test_quasi_homeomorphism_examples():
-    assert fintop.is_quasi_homeomorphism(fintop.identity_map(SIER))
-    assert not fintop.is_quasi_homeomorphism(fintop.inclusion_map({1}, SIER))
+    assert fintop.is_quasi_homeomorphism(identity_map(SIER))
+    assert not fintop.is_quasi_homeomorphism(ContinuousMap(SIER.subspace({1}), SIER, {1: 1}))
     f = ContinuousMap(FinSpace.discrete({0, 1}), SIER, {0: 0, 1: 1})
     assert not fintop.is_quasi_homeomorphism(f)
 
@@ -172,7 +173,7 @@ def test_skula_dense_iff_inclusion_quasi_homeo():
         for _ in range(3):
             sub = frozenset(p for p in sp.points if rng.random() < 0.5)
             lhs = fintop.is_skula_dense(sub, sp)
-            assert lhs == fintop.is_quasi_homeomorphism(fintop.inclusion_map(sub, sp))
+            assert lhs == fintop.is_quasi_homeomorphism(ContinuousMap(sp.subspace(sub), sp, {x: x for x in sub}))
             assert lhs == oracles.skula_dense_oracle(sub, sp)
 
 
@@ -197,7 +198,7 @@ def test_quasi_homeo_matches_open_family_oracle():
 
 def test_local_homeomorphism_examples():
     one = FinSpace.discrete({"*"})
-    assert fintop.is_local_homeomorphism(fintop.identity_map(SIER))
+    assert fintop.is_local_homeomorphism(identity_map(SIER))
     cov = ContinuousMap(FinSpace.discrete({0, 1}), one, {0: "*", 1: "*"})
     assert fintop.is_local_homeomorphism(cov)
     const = ContinuousMap(SIER, one, {0: "*", 1: "*"})
@@ -229,7 +230,7 @@ def test_continuity_validation():
 
 def test_quotient_space_topology():
     # collapsing sierpinski to a point: indiscrete singleton
-    q, qm = fintop.quotient_by_relation(SIER, [(0, 1)])
+    q, qm = fintop.quotient_space(SIER, [{0, 1}])
     assert len(q) == 1 and qm.is_continuous()
     # identity partition returns a homeomorphic copy
     q2, qm2 = fintop.quotient_space(SIER, [{0}, {1}])
@@ -264,12 +265,12 @@ def test_fiber_product_and_subspace_are_continuous():
         sp = random_space(rng)
         if not sp.points:
             continue
-        f = fintop.identity_map(sp)
+        f = identity_map(sp)
         p, pr1, pr2 = fintop.fiber_product(f, f)
         assert pr1.is_continuous() and pr2.is_continuous()
         assert len(p) == len(sp)
         sub = frozenset(x for x in sp.points if rng.random() < 0.5)
-        incl = fintop.inclusion_map(sub, sp)
+        incl = ContinuousMap(sp.subspace(sub), sp, {x: x for x in sub})
         assert incl.is_continuous()
 
 
@@ -291,7 +292,7 @@ def test_min_open_domain_must_be_the_point_set():
 
 
 def test_is_open_map():
-    assert fintop.is_open_map(fintop.identity_map(SIER))
+    assert fintop.is_open_map(identity_map(SIER))
     # inclusion of the closed point is not open
-    assert not fintop.is_open_map(fintop.inclusion_map({0}, SIER))
-    assert fintop.is_open_map(fintop.inclusion_map({1}, SIER))
+    assert not fintop.is_open_map(ContinuousMap(SIER.subspace({0}), SIER, {0: 0}))
+    assert fintop.is_open_map(ContinuousMap(SIER.subspace({1}), SIER, {1: 1}))

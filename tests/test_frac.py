@@ -148,24 +148,6 @@ def test_compose_associativity_spot_check():
     assert cert is not None
 
 
-def test_two_cells_vertical_composition():
-    g = ident_groupoid("M1")
-    c = completion_cospan(g)
-    ident = grpd.identity_transformation(c.fwd.derived(1, 2))
-    cell = frac.make_two_cell(c, c, ident)
-    again = frac.vertical_compose_cells(cell, cell)
-    assert again.data.component == ident.component
-
-
-def test_two_cells_shared_apex_required():
-    g = copies_groupoid("M1", "M2")
-    c1 = completion_cospan(g)
-    c2 = identity_cospan(g, 1, 2)
-    assert c1.apex != c2.apex
-    with pytest.raises(InputError):
-        frac.make_two_cell(c1, c2, grpd.identity_transformation(c1.fwd.derived(1, 2)))
-
-
 def test_two_cell_full_faithfulness_at_finite_scale():
     """On etale-complete model groupoids, parallel functors that present
     the same localized morphism are linked by a continuous isomorphism

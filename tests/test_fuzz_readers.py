@@ -114,3 +114,23 @@ def test_an_iso_map_that_is_not_a_bijection_is_reported(tmp_path):
             code = cli.run(["elim-params", "--models", str(doc)])
         assert code == 3
         assert "map not a bijection of the carriers" in json.loads(out.getvalue())["result"]["error"]
+
+
+def test_a_composable_pair_named_twice_is_reported(tmp_path):
+    """Each comp triple of the iso pair repeated, naming any arrow as the
+    composite, ahead of itself: a bad document, whatever the composite."""
+    doc = tmp_path / "doc.json"
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": ["ia"]}))
+    arrows = ISO_PAIR_DOC["arrows"]["points"]
+    for i, (f, g, _) in enumerate(ISO_PAIR_DOC["comp"]):
+        for h in arrows:
+            comp = list(ISO_PAIR_DOC["comp"])
+            comp.insert(i, [f, g, h])
+            doc.write_text(json.dumps(dict(ISO_PAIR_DOC, comp=comp)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.run(["weq-check", "--groupoid", str(doc), "--sub", str(sub)])
+            assert code == 3
+            assert json.loads(out.getvalue())["result"]["error"] == (
+                f"comp: the pair [{f}, {g}] is named twice")

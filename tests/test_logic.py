@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from corpus import random_formula_ast, random_model_groupoid, sober_eliminating_model_groupoids
+from corpus import (
+    random_formula_ast, random_model_groupoid, sober_eliminating_model_groupoids,
+    terminal_sheaf, top_formula,
+)
 from topogrpd import grpd, logic, sheaf, weq
 from topogrpd.errors import FormulaError, InputError
 from topogrpd.fintop import FinSpace
@@ -249,7 +252,7 @@ def test_subgroupoid_topology_matches_own_logical_topology():
 
 def test_definable_sheaf_examples():
     g = aut_groupoid()
-    fT = logic.top_formula(PURE, ("S",))
+    fT = top_formula(PURE, ("S",))
     s = logic.definable_sheaf(g, fT, 1)
     assert len(s.total) == 2
     assert sheaf.validate_sheaf(s) == []
@@ -262,9 +265,9 @@ def test_definable_sheaf_examples():
 
 def test_definable_sheaf_empty_context_is_terminal():
     g = aut_groupoid()
-    fT = logic.top_formula(PURE, ())
+    fT = top_formula(PURE, ())
     s = logic.definable_sheaf(g, fT, 1)
-    term = sheaf.terminal_sheaf(g.derive(1).groupoid)
+    term = terminal_sheaf(g.derive(1).groupoid)
     assert {n for (n, _) in s.total.points} == set(term.total.points)
     assert len(s.total) == len(term.total)
     assert sheaf.validate_sheaf(s) == []
@@ -290,7 +293,7 @@ def test_definable_pullback_identity():
     sub = ModelGroupoid(PURE, g.params, g.members, [logic.identity_iso(two_elt())])
     amb = g.derive(1).groupoid
     incl = grpd.Subgroupoid(amb, sub.arrows)
-    fT = logic.top_formula(PURE, ("S",))
+    fT = top_formula(PURE, ("S",))
     pulled = sheaf.inverse_image(incl.inclusion_functor(), logic.definable_sheaf(g, fT, 1))
     own = logic.definable_sheaf(sub, fT, 1)
     pairing = {(x, w[1]) for (x, w) in pulled.total.points}
@@ -310,10 +313,10 @@ def test_parameter_orbit_examples():
     # identities-only: orbit = the interpretations themselves
     gid = ModelGroupoid(PURE, g.params, g.members, [logic.identity_iso(two_elt())])
     assert logic.parameter_orbit(gid, ("p",)) == frozenset({("M", ("a",))})
-    # idempotent and monotone via the sheaf-side closure operator
-    fT = logic.top_formula(PURE, ("S",))
+    # closed under the action of the truth sheaf on the same context
+    fT = top_formula(PURE, ("S",))
     s = logic.definable_sheaf(g, fT, 1)
-    assert sheaf.orbit_of_subset(s, orb) == orb
+    assert {s.action[(a, y)] for y in orb for a in s.base.out_of[s.proj.mapping[y]]} <= orb
 
 
 def all_indexed_models():
@@ -356,49 +359,6 @@ def test_eliminates_parameters_full_aut_top_witness():
     v = logic.eliminates_parameters(aut_groupoid(), 1, 1)
     assert v.answer == "yes"
     assert all(w[1][1] == "T" for w in v.witnesses)
-
-
-# -- ultrahomogeneity ------------------------------------------------------------
-
-
-def test_ultrahomogeneous_examples():
-    assert logic.is_ultrahomogeneous(two_elt(), 1, 2).answer == "yes"
-    # edge plus isolated vertex: verdict by exhaustive check
-    ei = FinModel("EI", GRAPH, {"V": {0, 1, 2}}, {"E": {(0, 1), (1, 0)}})
-    v = logic.is_ultrahomogeneous(ei, 2, 2)
-    brute = _ultra_brute(ei, 2, 2)
-    assert (v.answer == "yes") == brute
-    # two disjoint 3-cycles: automorphisms swap the cycles
-    c33 = FinModel(
-        "C33", GRAPH, {"V": set(range(6))},
-        {"E": {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}},
-    )
-    v2 = logic.is_ultrahomogeneous(c33, 1, 2)
-    assert (v2.answer == "yes") == _ultra_brute(c33, 1, 2)
-    assert dict(v2.details)["approximate"]
-
-
-def _ultra_brute(m, depth, cap):
-    """Brute force: same-bounded-type tuples are automorphism-linked."""
-    eng = logic.DefinableSets(m.signature, [m])
-    autos = logic.automorphisms(m)
-    for k in range(1, cap + 1):
-        for sorts in itertools.combinations_with_replacement(sorted(m.signature.sorts), k):
-            exts = list(eng.level(sorts, depth))
-            bit = eng.index(sorts)  # extensions are int masks over these pairs
-            pools = [sorted(m.carriers[s]) for s in sorts]
-            tuples = list(itertools.product(*pools))
-            for t1 in tuples:
-                for t2 in tuples:
-                    tp1 = [i for i, e in enumerate(exts) if e >> bit[(m.name, t1)] & 1]
-                    tp2 = [i for i, e in enumerate(exts) if e >> bit[(m.name, t2)] & 1]
-                    if tp1 == tp2:
-                        if not any(
-                            tuple(a.apply(s, e) for s, e in zip(sorts, t1)) == t2
-                            for a in autos
-                        ):
-                            return False
-    return True
 
 
 # -- etale completion -------------------------------------------------------------

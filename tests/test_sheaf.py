@@ -3,7 +3,10 @@ import random
 import pytest
 
 import oracles
-from corpus import SMALL_GROUPS, random_discrete_groupoid
+from corpus import (
+    SMALL_GROUPS, enumerate_subgroupoids, group_groupoid, random_discrete_groupoid,
+    terminal_sheaf,
+)
 from test_grpd import S3, Z2, iso_pair
 from topogrpd import fintop, grpd, sheaf, weq
 from topogrpd.errors import CapExceeded, InputError
@@ -16,8 +19,8 @@ def s3_subgroup():
 
 
 def test_validate_terminal_sheaf():
-    assert sheaf.validate_sheaf(sheaf.terminal_sheaf(S3)) == []
-    assert sheaf.validate_sheaf(sheaf.terminal_sheaf(iso_pair())) == []
+    assert sheaf.validate_sheaf(terminal_sheaf(S3)) == []
+    assert sheaf.validate_sheaf(terminal_sheaf(iso_pair())) == []
 
 
 def test_validate_detects_unit_violation():
@@ -34,7 +37,7 @@ def test_validate_detects_unit_violation():
 def test_validate_names_the_least_failing_composition():
     # Z3 acting on {u, v, w} with 1 swapping u and v, and 0 and 2 fixing
     # every point: six triples fail, the ckey-least being 1 . (2 . u)
-    z3 = grpd.group_groupoid(range(3), SMALL_GROUPS["Z3"])
+    z3 = group_groupoid(range(3), SMALL_GROUPS["Z3"])
     tot = FinSpace.discrete({"u", "v", "w"})
     act = {(g, y): y for g in (0, 2) for y in ("u", "v", "w")}
     act.update({(1, "u"): "v", (1, "v"): "u", (1, "w"): "w"})
@@ -74,7 +77,9 @@ def test_sheaf_constructions_read_each_source_a_bounded_number_of_times():
     pulled = sheaf.inverse_image(grpd.identity_functor(g), gen)
     for s in (gen, pulled):
         assert sheaf.validate_sheaf(s) == []
-        assert sheaf.orbit_of_subset(s, s.total.points) == s.total.points
+        # the action keeps the total space
+        assert {s.action[(a, y)] for y in s.total.points
+                for a in s.base.out_of[s.proj.mapping[y]]} <= s.total.points
     assert len(gen.total) == len(pulled.total) == 40
     assert src.reads <= 3 * (len(g.arrows) + len(gen.total) + len(pulled.total))
 
@@ -173,25 +178,11 @@ def test_inverse_image_functoriality():
     assert flat == set(composite.total.points)
 
 
-def test_transformation_morphism_examples():
-    tot = FinSpace.discrete({"u", "v"})
-    act = {(0, "u"): "u", (0, "v"): "v", (1, "u"): "v", (1, "v"): "u"}
-    shf = sheaf.EquivariantSheaf(Z2, tot, {p: "*" for p in ("u", "v")}, act)
-    idf = grpd.identity_functor(Z2)
-    ts = grpd.transformations(idf, idf)
-    ident = sheaf.transformation_morphism(ts[0], shf)
-    assert ident.validate() == []
-    assert all(y == z for (y, z) in ident.mapping)
-    swap = sheaf.transformation_morphism(ts[1], shf)
-    assert swap.validate() == []
-    assert any(y != z for (y, z) in swap.mapping)
-
-
 def test_subobject_lattice_examples():
     # terminal sheaf on a categorically discrete groupoid: lattice = opens
     s = FinSpace.sierpinski()
     g = grpd.space_groupoid(s)
-    lat = sheaf.subobject_lattice(sheaf.terminal_sheaf(g))
+    lat = sheaf.subobject_lattice(terminal_sheaf(g))
     assert set(lat.elements) == set(s.opens())
     # disjoint union of two orbits: boolean algebra on 2 orbits
     tot = FinSpace.discrete({"u", "v", "w", "x"})
@@ -312,25 +303,13 @@ def test_master_cross_check_restriction_vs_iota():
     rng = random.Random(53)
     for _ in range(10):
         g = random_discrete_groupoid(rng, max_arrows=10)
-        subs = grpd.enumerate_subgroupoids(g, cap=512)
+        subs = enumerate_subgroupoids(g, cap=512)
         opens = grpd.enumerate_open_subgroupoids(g, cap=512)
         for y in subs[: 8]:
             for u in opens[: 8]:
                 lhs = sheaf.subobject_restriction(y, u).is_bijective()
                 rhs = fintop.is_quasi_homeomorphism(grpd.iota_map(y, u))
                 assert lhs == rhs
-
-
-def test_orbit_of_subset_closure_axioms():
-    h = s3_subgroup()
-    gen = sheaf.moerdijk_generator(S3, h)
-    pts = sorted(gen.total.points, key=fintop.ckey)
-    v = frozenset(pts[:1])
-    orb = sheaf.orbit_of_subset(gen, v)
-    assert v <= orb
-    assert sheaf.orbit_of_subset(gen, orb) == orb
-    bigger = sheaf.orbit_of_subset(gen, frozenset(pts[:2]))
-    assert orb <= bigger
 
 
 def test_all_constructed_sheaves_validate():
@@ -340,7 +319,7 @@ def test_all_constructed_sheaves_validate():
         for u in grpd.enumerate_open_subgroupoids(g, cap=512)[:6]:
             gen = sheaf.moerdijk_generator(g, u)
             assert sheaf.validate_sheaf(gen) == []
-            subs = grpd.enumerate_subgroupoids(g, cap=512)
+            subs = enumerate_subgroupoids(g, cap=512)
             y = rng.choice(subs)
             pb = sheaf.inverse_image(y.inclusion_functor(), gen)
             assert sheaf.validate_sheaf(pb) == []

@@ -3,7 +3,9 @@ import random
 import pytest
 
 import oracles
-from corpus import groupoid_corpus, random_discrete_groupoid, random_functor
+from corpus import (
+    enumerate_subgroupoids, groupoid_corpus, random_discrete_groupoid, random_functor,
+)
 from test_grpd import S3, iso_pair
 from topogrpd import fintop, grpd, weq
 from topogrpd.errors import InputError, OracleDisagreement
@@ -38,7 +40,7 @@ def test_skula_dense_orbits_examples():
 def test_source_determined_examples():
     # subspace inclusions of categorically discrete groupoids: always true
     g = grpd.space_groupoid(FinSpace.sierpinski())
-    for sub in grpd.enumerate_subgroupoids(g):
+    for sub in enumerate_subgroupoids(g):
         for u in grpd.enumerate_open_subgroupoids(g):
             assert weq.source_determined_witness(sub, u) is None
     # full replete subgroupoid of any valid groupoid: always true
@@ -67,7 +69,7 @@ def test_pointwise_criteria_match_literal_oracles():
     rng = random.Random(67)
     for _ in range(10):
         g = random_discrete_groupoid(rng, max_arrows=8)
-        subs = grpd.enumerate_subgroupoids(g, cap=256)
+        subs = enumerate_subgroupoids(g, cap=256)
         opens = grpd.enumerate_open_subgroupoids(g, cap=256)
         for y in subs[: 5]:
             for u in opens[: 5]:
@@ -90,7 +92,7 @@ def test_source_determined_witness_sorts_only_the_span_and_neighbourhoods(monkey
     rng = random.Random(67)
     checked = 0
     for g in groupoid_corpus(rng, 20):
-        for y in grpd.enumerate_subgroupoids(g, cap=256)[:6]:
+        for y in enumerate_subgroupoids(g, cap=256)[:6]:
             for u in grpd.enumerate_open_subgroupoids(g, cap=256)[:6]:
                 sorted_args.clear()
                 weq.source_determined_witness(y, u)
@@ -109,7 +111,7 @@ def test_source_determined_witness_matches_the_nested_search():
     non_null = 0
     for g in groupoid_corpus(random.Random(0), 500):
         opens = grpd.enumerate_open_subgroupoids(g)
-        for y in grpd.enumerate_subgroupoids(g):
+        for y in enumerate_subgroupoids(g):
             for u in opens:
                 w = weq.source_determined_witness(y, u)
                 assert w == oracles.source_determined_witness_oracle(y, u)
@@ -141,7 +143,7 @@ def test_three_verdicts_in_sequence_answer_as_each_alone():
     alone on a freshly built ambient."""
     noes = decided = 0
     for g in groupoid_corpus(random.Random(0), 200):
-        for y in grpd.enumerate_subgroupoids(g):
+        for y in enumerate_subgroupoids(g):
             together = [decide(y).to_json() for decide in THREE_VERDICTS]
             for decide, got in zip(THREE_VERDICTS, together):
                 fresh = grpd.TopGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, g.inv, g.comp)
@@ -210,7 +212,7 @@ def test_localic_surjection_examples():
 def test_subtopos_inclusion_examples():
     # subspace of a space
     g = grpd.space_groupoid(FinSpace.sierpinski())
-    for sub in grpd.enumerate_subgroupoids(g):
+    for sub in enumerate_subgroupoids(g):
         assert weq.is_subtopos_inclusion(sub).answer == "yes"
     # full replete subgroupoid
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
@@ -234,7 +236,7 @@ def test_weak_equivalence_examples():
 def test_mode_agreement_on_random_corpus():
     rng = random.Random(71)
     for g in groupoid_corpus(rng, 20):
-        for y in grpd.enumerate_subgroupoids(g, cap=512):
+        for y in enumerate_subgroupoids(g, cap=512):
             # mode="all" of both raises OracleDisagreement on any mismatch
             v = weq.is_weak_equivalence(y, mode="all")
             assert v.answer == oracles.exhaustive_answer(weq.is_weak_equivalence, y)
@@ -243,7 +245,7 @@ def test_mode_agreement_on_random_corpus():
 def test_conjunction_decomposition():
     rng = random.Random(73)
     for g in groupoid_corpus(rng, 12):
-        for y in grpd.enumerate_subgroupoids(g, cap=512)[:10]:
+        for y in enumerate_subgroupoids(g, cap=512)[:10]:
             w = weq.is_weak_equivalence(y, mode="quasi-homeo").answer == "yes"
             s = weq.is_localic_surjection(y).answer == "yes"
             i = weq.is_subtopos_inclusion(y).answer == "yes"
@@ -269,7 +271,7 @@ def test_wideness_of_weak_equivalences():
     rng = random.Random(83)
     checked = 0
     for g in groupoid_corpus(rng, 25):
-        subs = grpd.enumerate_subgroupoids(g, cap=512)
+        subs = enumerate_subgroupoids(g, cap=512)
         passing = [
             y for y in subs
             if weq.is_weak_equivalence(y, mode="quasi-homeo").answer == "yes"
@@ -280,7 +282,7 @@ def test_wideness_of_weak_equivalences():
                 # the inner leg cannot be certified without an open ambient
                 continue
             for z_arrows in {
-                s.arrow_set for s in grpd.enumerate_subgroupoids(inner, cap=256)
+                s.arrow_set for s in enumerate_subgroupoids(inner, cap=256)
             }:
                 z_in_y = Subgroupoid(inner, z_arrows)
                 if weq.is_weak_equivalence(z_in_y, mode="quasi-homeo").answer != "yes":
