@@ -9,11 +9,13 @@ space (2^24 opens) that could never be materialised extensionally.
 FinSpace.opens() lists the open family, capped at DEFAULT_OPEN_CAP sets,
 built on int bitmasks by `union_closure` and ordered by `sets_in_order`.
 
-Points are opaque hashable ids; constructed spaces (quotients, fiber
-products) use frozensets and tuples of ids as points.  Each space sorts
-its points by the canonical key `ckey` at most once (`FinSpace.order`),
-and sets of its points are ordered by `set_key`: by size, then by the
-sorted ranks of their points in that order, for reproducible output.
+Points are opaque hashable ids; constructed spaces (generator total
+spaces, fiber products) use frozensets and tuples of ids as points.
+Quotients and the quasi-homeomorphism test work on int masks of point
+indices instead.  Each space sorts its points by the canonical key
+`ckey` at most once (`FinSpace.order`), and sets of its points are
+ordered by `set_key`: by size, then by the sorted ranks of their points
+in that order, for reproducible output.
 """
 
 from __future__ import annotations
@@ -268,13 +270,6 @@ class ContinuousMap:
             for y in self.domain.min_open(x)
         )
 
-    def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
-
-    def preimage(self, subset) -> frozenset:
-        s = frozenset(subset)
-        return frozenset(x for x, v in self.mapping.items() if v in s)
-
     def __eq__(self, other):
         if not isinstance(other, ContinuousMap):
             return NotImplemented
@@ -291,39 +286,46 @@ class ContinuousMap:
         return f"ContinuousMap({len(self.domain)} -> {len(self.codomain)} points)"
 
 
-def quotient_space(space: FinSpace, blocks):
-    """Quotient of `space` by a partition, with the quotient topology.
+def bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def quotient_space(space: FinSpace, cls: dict, k: int) -> list:
+    """Minimal opens of the quotient of the subspace on `cls`'s keys by
+    the partition `cls`, each of those points to its block index in
+    range(k), with the subspace-then-quotient topology.
 
     An open of the quotient is (the image of) a saturated open of the
-    domain.  Points of the quotient are the partition blocks as
-    frozensets.  Returns (quotient space, quotient map).
+    subspace, so block i's minimal open, an int mask of block indices,
+    holds every block reached from i through minimal opens of `space`
+    cut to the subspace.
     """
-    blocks = [frozenset(b) for b in blocks]
-    seen = set()
-    for b in blocks:
-        if not b or not b <= space.points or b & seen:
-            raise InputError("blocks must partition the point set")
-        seen |= b
-    if seen != space.points:
-        raise InputError("blocks must partition the point set")
-    cls = {x: b for b in blocks for x in b}
-    # one-step reachability: block of x sees every block meeting min_open(x)
-    step = {
-        b: frozenset(cls[z] for x in b for z in space.min_open(x)) for b in blocks
-    }
-    min_open = {}
-    for b in blocks:
-        reach = {b}
-        frontier = [b]
-        while frontier:
-            c = frontier.pop()
-            for d in step[c]:
-                if d not in reach:
-                    reach.add(d)
-                    frontier.append(d)
-        min_open[b] = frozenset(reach)
-    q = FinSpace(blocks, min_open, _check=False)
-    return q, ContinuousMap(space, q, cls, check=False)
+    step = [0] * k  # block i sees every block meeting a member's minimal open
+    meets = {}  # the blocks each distinct minimal open meets: points often share one
+    for x, i in cls.items():
+        u = space.min_open(x)
+        m = meets.get(u)
+        if m is None:
+            m = 0
+            for z in u:
+                j = cls.get(z)
+                if j is not None:
+                    m |= 1 << j
+            meets[u] = m
+        step[i] |= m
+    mins = []
+    for i in range(k):
+        reach, todo = 1 << i, step[i]
+        while todo := todo & ~reach:
+            j = (todo & -todo).bit_length() - 1
+            reach |= 1 << j
+            todo |= step[j]
+        mins.append(reach)
+    return mins
 
 
 def partition(points, pairs):
@@ -397,48 +399,30 @@ def is_sober(space: FinSpace) -> bool:
     return True
 
 
-def skula_space(space: FinSpace) -> FinSpace:
-    """Topology generated by the opens together with the closeds.
+def is_quasi_homeomorphism(f, dom_mins, cod_mins) -> bool:
+    """Does the open-preimage map of the point map `f` biject the opens
+    of the codomain onto those of the domain?
 
-    The minimal Skula neighbourhood of x is min_open(x) & closure{x}.
+    Points are indices: f[i] is the image of domain point i, and
+    dom_mins[i] and cod_mins[j] are minimal opens as int masks of
+    indices.  Injectivity is Skula density of the image; the Skula
+    neighbourhood of a point is the set of points with its minimal open,
+    so the image must meet each distinct minimal open.  Surjectivity
+    and continuity together say each domain minimal open is the
+    preimage of its image's minimal open.
     """
-    return FinSpace(
-        space.points,
-        {
-            x: space.min_open(x) & space.closure({x})
-            for x in space.points
-        },
-        _check=False,
-    )
-
-
-def is_skula_dense(subset, space: FinSpace) -> bool:
-    """Is `subset` dense in the Skula topology of `space`?
-
-    Coincides with is_quasi_homeomorphism of the subspace inclusion.
-    """
-    s = frozenset(subset)
-    if not s <= space.points:
-        raise InputError("subset not contained in points")
-    sk = skula_space(space)
-    return all(sk.min_open(x) & s for x in space.points)
-
-
-def is_quasi_homeomorphism(f: ContinuousMap) -> bool:
-    """Does the open-preimage map opens(cod) -> opens(dom) biject?
-
-    Injectivity of the preimage map is Skula density of the image;
-    surjectivity says the domain topology is exactly the preimage
-    topology, i.e. f reflects minimal neighbourhoods.
-    """
-    if not is_skula_dense(f.image(), f.codomain):
+    if {cod_mins[j] for j in f} != set(cod_mins):
         return False
-    m = f.mapping
-    for x in f.domain.points:
-        ufx = f.codomain.min_open(m[x])
-        for y in f.domain.points:
-            if m[y] in ufx and y not in f.domain.min_open(x):
-                return False
+    fibre = [0] * len(cod_mins)
+    for i, j in enumerate(f):
+        fibre[j] |= 1 << i
+    pre = {}
+    for i, j in enumerate(f):
+        m = cod_mins[j]
+        if m not in pre:
+            pre[m] = sum(fibre[b] for b in bits(m))
+        if pre[m] != dom_mins[i]:
+            return False
     return True
 
 

@@ -347,33 +347,29 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
     post-composition and right by pre-composition, with the
     subspace-then-quotient topology.
 
-    Returns (space of bi-orbits, quotient map from the subspace on v,
-    inclusion of that subspace into the arrow space), realizing the
-    subquotient diagram arrows <- v ->> bi-orbits.  Each block is
-    enumerated from one representative a as {c o a o b : c in left, b in
-    right}, which needs `left` and `right` to be subgroupoids, closed
-    under composition and inverses; every caller in the package passes
-    atoms, the whole groupoid, identities or a validated inclusion.  A
-    block that leaves v raises BistabilityError naming the `ckey`-least
-    pair whose composite leaves v.
+    Returns (cls, mins): cls sends each arrow of v to the index of its
+    bi-orbit, and mins[i] is bi-orbit i's minimal open as an int mask of
+    indices.  Each bi-orbit is enumerated from one representative a as
+    {c o a o b : c in left, b in right}, which needs `left` and `right`
+    to be subgroupoids, closed under composition and inverses; every
+    caller in the package passes atoms, the whole groupoid, identities
+    or a validated inclusion.  A bi-orbit that leaves v raises
+    BistabilityError naming the `ckey`-least pair whose composite leaves
+    v.
     """
     v = frozenset(v)
     if not v <= x.arrows.points:
         raise InputError("v not contained in the arrow set")
     s, t = x.src.mapping, x.tgt.mapping
-    sub = x.arrows.subspace(v)
     by_tgt = {}
     for b in right.arrow_set:
         by_tgt.setdefault(t[b], []).append(b)
     by_src = {}
     for c in left.arrow_set:
         by_src.setdefault(s[c], []).append(c)
-    # composites equal v's points without being the same objects; blocks
-    # hold v's own, so lookups of the points in the quotient hit by identity
-    canon = {a: a for a in v}  # also the inclusion of the subspace on v
-    blocks, covered = [], set()
+    cls, k = {}, 0
     for a in v:
-        if a in covered:
+        if a in cls:
             continue
         orbit = {x.comp[(a, b)] for b in by_tgt.get(s[a], ())} or {a}
         block = {x.comp[(c, h)] for c in by_src.get(t[a], ()) for h in orbit} or orbit
@@ -382,30 +378,32 @@ def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
             bad += [((c, h), "post") for h in v for c in by_src.get(t[h], ()) if x.comp[(c, h)] not in v]
             pair, side = min(bad, key=lambda e: ckey(e[0]))
             raise BistabilityError(f"v not stable under {side}-composition at {fmt_point(pair)}")
-        block = {canon[h] for h in block}
-        covered |= block
-        blocks.append(block)
-    space, quot = fintop.quotient_space(sub, blocks)
-    return space, quot, ContinuousMap(sub, x.arrows, canon, check=False)
+        cls.update(dict.fromkeys(block, k))
+        k += 1
+    return cls, fintop.quotient_space(x.arrows, cls, k)
 
 
-def iota_map(incl: Subgroupoid, u: Subgroupoid) -> ContinuousMap:
+def iota_map(incl: Subgroupoid, u: Subgroupoid):
     """The canonical comparison of bi-orbit spaces induced by a
     subgroupoid inclusion, sending each (sub, u)-bi-orbit of an arrow to
     its (ambient, u)-bi-orbit.
 
     Domain: bi-orbits of arrows sourced in u's objects and targeted in
     the subgroupoid's objects, under (incl, u); codomain: bi-orbits of
-    all arrows sourced in u's objects, under (ambient, u)."""
+    all arrows sourced in u's objects, under (ambient, u).  Returns
+    (f, dom_mins, cod_mins): f[i] is the codomain index of domain
+    bi-orbit i, and the minimal opens are those of `bi_orbit_space`."""
     amb = incl.ambient
     u0 = u.object_set
     y0 = incl.object_set
     v_dom = frozenset(a for x in u0 for a in amb.out_of[x] if amb.tgt.mapping[a] in y0)
-    dom, _, _ = bi_orbit_space(amb, incl, u, v_dom)
-    cod, q_cod = amb.memo("iota_cod", u.arrow_set, lambda: bi_orbit_space(
-        amb, whole_subgroupoid(amb), u, frozenset(a for x in u0 for a in amb.out_of[x]))[:2])
-    mapping = {c: q_cod.mapping[next(iter(c))] for c in dom.points}
-    return ContinuousMap(dom, cod, mapping)
+    dom_cls, dom_mins = bi_orbit_space(amb, incl, u, v_dom)
+    cod_cls, cod_mins = amb.memo("iota_cod", u.arrow_set, lambda: bi_orbit_space(
+        amb, whole_subgroupoid(amb), u, frozenset(a for x in u0 for a in amb.out_of[x])))
+    f = [0] * len(dom_mins)
+    for a, i in dom_cls.items():
+        f[i] = cod_cls[a]
+    return f, dom_mins, cod_mins
 
 
 # -- functors and transformations -------------------------------------------

@@ -303,9 +303,6 @@ class _Parser:
     def peek(self):
         return self.toks[self.pos][0]
 
-    def here(self):
-        return self.toks[self.pos][1]
-
     def next(self):
         tok = self.toks[self.pos]
         self.pos += 1
@@ -574,7 +571,15 @@ class Iso(NamedTuple):
 
 
 def make_iso(src, tgt, triples) -> Iso:
-    """The Iso of these triples, sorted by sort and the element's ckey."""
+    """The Iso of these triples, sorted by sort and the element's ckey:
+    naturally, which is that order and cheaper, when every element is an
+    int (not a bool) or a string and no sort mixes the two."""
+    triples = list(triples)
+    if {type(t[1]) for t in triples} <= {int, str}:
+        try:
+            return Iso(src, tgt, tuple(sorted(triples)))
+        except TypeError:
+            pass
     return Iso(src, tgt, tuple(sorted(triples, key=lambda t: (t[0], ckey(t[1])))))
 
 

@@ -112,14 +112,18 @@ def _generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
         raise InputError("subgroupoid is not open")
     t = x.tgt.mapping
     v = frozenset(a for y in u.object_set for a in x.out_of[y])
-    total, q, _ = grpd.bi_orbit_space(x, grpd.identity_subgroupoid(x), u, v)
-    cls = q.mapping
-    proj = {c: t[next(iter(c))] for c in total.points}
-    action = {}
-    for c in total.points:
-        rep = next(iter(c))
+    cls, mins = grpd.bi_orbit_space(x, grpd.identity_subgroupoid(x), u, v)
+    blocks = [[] for _ in mins]
+    for a, i in cls.items():
+        blocks[i].append(a)
+    points = [frozenset(b) for b in blocks]
+    total = FinSpace(points, {c: frozenset(points[j] for j in fintop.bits(m))
+                              for c, m in zip(points, mins)}, _check=False)
+    proj, action = {}, {}
+    for c, (rep, *_) in zip(points, blocks):
+        proj[c] = t[rep]
         for g in x.out_of[t[rep]]:
-            action[(g, c)] = cls[x.comp[(g, rep)]]
+            action[(g, c)] = points[cls[x.comp[(g, rep)]]]
     return EquivariantSheaf(
         x, total, ContinuousMap(total, x.objects, proj, check=False), action
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import fintop, grpd, sheaf
 from .errors import InputError, OracleDisagreement
-from .fintop import fmt_point, sorted_points
+from .fintop import ckey, fmt_point, sorted_points
 from .grpd import ContinuousFunctor, Subgroupoid
 
 MODES = ("quasi-homeo", "two-condition", "subobject-oracle")
@@ -99,17 +99,19 @@ def _skula_witness(incl: Subgroupoid, u: Subgroupoid):
     targets = {x: set() for x in u0}
     for a in u.arrow_set:
         targets[s[a]].add(t[a])
-    for x in sorted_points(u0):
-        # the closure of x's u-targets in the subspace u0
-        cl = frozenset(z for z in u0 if not min_open(z).isdisjoint(targets[x]))
-        if not (min_open(x) & ybar & cl):
-            return {
-                "kind": "skula-dense-orbits",
-                "object": fmt_point(x),
-                "W": sorted(fmt_point(z) for z in u0 - cl),
-                "W_prime": sorted(fmt_point(z) for z in min_open(x) & u0),
-            }
-    return None
+    # the closure of each object's u-targets in the subspace u0
+    cl = {x: frozenset(z for z in u0 if not min_open(z).isdisjoint(targets[x])) for x in u0}
+    # scanned in set order; only the failures are sorted, to name the least
+    bad = [x for x in u0 if not (min_open(x) & ybar & cl[x])]
+    if not bad:
+        return None
+    x = min(bad, key=ckey)
+    return {
+        "kind": "skula-dense-orbits",
+        "object": fmt_point(x),
+        "W": sorted(fmt_point(z) for z in u0 - cl[x]),
+        "W_prime": sorted(fmt_point(z) for z in min_open(x) & u0),
+    }
 
 
 def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
@@ -244,7 +246,7 @@ def is_subtopos_inclusion(incl: Subgroupoid) -> Verdict:
 def _weq_one_mode(incl: Subgroupoid, u: Subgroupoid, mode: str) -> bool:
     """One route's answer on u; `mode` is one of MODES, checked by the caller."""
     if mode == "quasi-homeo":
-        return fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u))
+        return fintop.is_quasi_homeomorphism(*grpd.iota_map(incl, u))
     if mode == "two-condition":
         return skula_witness(incl, u) is None and source_determined_witness(incl, u) is None
     return sheaf.subobject_restriction(incl, u).is_bijective()

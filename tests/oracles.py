@@ -20,11 +20,98 @@ def opens_of(space, cap=4096):
 def quasi_homeo_oracle(f) -> bool:
     """Literal check: the preimage map on explicit open families bijects."""
     dom_opens = set(opens_of(f.domain))
-    preimages = [f.preimage(o) for o in opens_of(f.codomain)]
-    return (
-        len(set(map(frozenset, preimages))) == len(preimages)
-        and set(map(frozenset, preimages)) == dom_opens
-    )
+    preimages = [frozenset(x for x, v in f.mapping.items() if v in o)
+                 for o in opens_of(f.codomain)]
+    return len(set(preimages)) == len(preimages) and set(preimages) == dom_opens
+
+
+def as_masks(f):
+    """A ContinuousMap as `fintop.is_quasi_homeomorphism` reads it: the
+    point map on indices in `order()`, and each space's minimal opens as
+    int masks of those indices."""
+    def indexed(space):
+        index = {x: i for i, x in enumerate(space.order())}
+        return index, [sum(1 << index[y] for y in space.min_open(x)) for x in space.order()]
+
+    dom_index, dom_mins = indexed(f.domain)
+    cod_index, cod_mins = indexed(f.codomain)
+    return [cod_index[f.mapping[x]] for x in f.domain.order()], dom_mins, cod_mins
+
+
+# -- the quasi-homeo route on FinSpace objects, the reference of the mask route
+
+
+def skula_space(space) -> FinSpace:
+    """Topology generated by the opens together with the closeds.
+
+    The minimal Skula neighbourhood of x is min_open(x) & closure{x}.
+    """
+    return FinSpace(space.points, {x: space.min_open(x) & space.closure({x})
+                                   for x in space.points}, _check=False)
+
+
+def is_skula_dense(subset, space) -> bool:
+    """Is `subset` dense in the Skula topology of `space`?"""
+    s = frozenset(subset)
+    if not s <= space.points:
+        raise InputError("subset not contained in points")
+    sk = skula_space(space)
+    return all(sk.min_open(x) & s for x in space.points)
+
+
+def is_quasi_homeomorphism(f) -> bool:
+    """Skula density of the image, and reflection of minimal
+    neighbourhoods, on a ContinuousMap."""
+    if not is_skula_dense(f.mapping.values(), f.codomain):
+        return False
+    m = f.mapping
+    for x in f.domain.points:
+        ufx = f.codomain.min_open(m[x])
+        for y in f.domain.points:
+            if m[y] in ufx and y not in f.domain.min_open(x):
+                return False
+    return True
+
+
+def quotient_space(space, blocks):
+    """Quotient of `space` by a partition, with the quotient topology:
+    points are the blocks as frozensets, and the minimal open of a block
+    is every block reached from it through minimal opens.  Returns
+    (quotient space, quotient map)."""
+    blocks = [frozenset(b) for b in blocks]
+    points = [x for b in blocks for x in b]
+    assert all(blocks) and len(points) == len(space.points) == len(set(points) & space.points)
+    cls = {x: b for b in blocks for x in b}
+    step = {b: {cls[z] for x in b for z in space.min_open(x)} for b in blocks}
+    min_open = {}
+    for b in blocks:
+        reach, frontier = {b}, [b]
+        while frontier:
+            for d in step[frontier.pop()] - reach:
+                reach.add(d)
+                frontier.append(d)
+        min_open[b] = frozenset(reach)
+    q = FinSpace(blocks, min_open, _check=False)
+    return q, ContinuousMap(space, q, cls, check=False)
+
+
+def iota_map_oracle(incl, u):
+    """The comparison map of `grpd.iota_map` between the bi-orbit spaces
+    of `bi_orbit_space_oracle`, as a ContinuousMap of quotient spaces."""
+    amb = incl.ambient
+    u0, y0 = u.object_set, incl.object_set
+    v_cod = frozenset(a for x in u0 for a in amb.out_of[x])
+    v_dom = frozenset(a for a in v_cod if amb.tgt.mapping[a] in y0)
+    dom, _, _ = bi_orbit_space_oracle(amb, incl, u, v_dom)
+    cod, q_cod, _ = bi_orbit_space_oracle(amb, grpd.whole_subgroupoid(amb), u, v_cod)
+    return ContinuousMap(dom, cod, {c: q_cod.mapping[next(iter(c))] for c in dom.points})
+
+
+def generator_total_oracle(x, u) -> FinSpace:
+    """The total space of u's Moerdijk generator: the pre-composition
+    orbits of the arrows out of u's objects, as a quotient space."""
+    v = frozenset(a for y in u.object_set for a in x.out_of[y])
+    return bi_orbit_space_oracle(x, grpd.identity_subgroupoid(x), u, v)[0]
 
 
 def skula_space_oracle(space) -> FinSpace:
@@ -113,6 +200,27 @@ def skula_dense_orbits_oracle(incl, u) -> bool:
     return True
 
 
+def skula_witness_oracle(incl, u):
+    """The Skula witness by a scan of u's objects in canonical order,
+    stopping at the first that fails.  Same witness dict (or None) as
+    weq.skula_witness."""
+    amb = incl.ambient
+    u0 = u.object_set
+    ybar = grpd.object_orbit_closure(amb, incl.object_set)
+    s, t, min_open = amb.src.mapping, amb.tgt.mapping, amb.objects.min_open
+    for x in fintop.sorted_points(u0):
+        targets = {t[a] for a in u.arrow_set if s[a] == x}
+        cl = frozenset(z for z in u0 if min_open(z) & targets)
+        if not (min_open(x) & ybar & cl):
+            return {
+                "kind": "skula-dense-orbits",
+                "object": fintop.fmt_point(x),
+                "W": sorted(fintop.fmt_point(z) for z in u0 - cl),
+                "W_prime": sorted(fintop.fmt_point(z) for z in min_open(x) & u0),
+            }
+    return None
+
+
 def fiber_product_oracle(f, g) -> FinSpace:
     """The fibre product space, each minimal open cut from all pairs."""
     pts = frozenset((x, y) for x in f.domain.points for y in g.domain.points
@@ -142,7 +250,7 @@ def exhaustive_answer(decide, incl, mode="all") -> str:
     else:
         assert decide is weq.is_weak_equivalence, decide
         routes = {
-            "quasi-homeo": lambda u: fintop.is_quasi_homeomorphism(grpd.iota_map(incl, u)),
+            "quasi-homeo": lambda u: fintop.is_quasi_homeomorphism(*grpd.iota_map(incl, u)),
             "two-condition": lambda u: (weq.skula_witness(incl, u) is None
                                         and weq.source_determined_witness(incl, u) is None),
             "subobject-oracle": lambda u: sheaf.subobject_restriction(incl, u).is_bijective(),
@@ -162,8 +270,9 @@ def bi_orbit_space_oracle(x, left, right, v):
     """The bi-orbit space by union-find: every action pair (a, a o b) for
     b in `right` into s(a), and (a, c o a) for c in `left` out of t(a),
     for every a in v, is fed to `fintop.partition`; BistabilityError at
-    the first composite that leaves v.  Same (space, quotient map,
-    inclusion) as `grpd.bi_orbit_space`."""
+    the first composite that leaves v.  Returns (space, quotient map
+    from the subspace on v, inclusion of that subspace into the arrow
+    space): the FinSpace form of `grpd.bi_orbit_space`."""
     v = frozenset(v)
     s, t = x.src.mapping, x.tgt.mapping
     sub = x.arrows.subspace(v)
@@ -189,7 +298,7 @@ def bi_orbit_space_oracle(x, left, right, v):
                         f"v not stable under post-composition at {fintop.fmt_point((c, a))}")
                 yield a, h
 
-    space, quot = fintop.quotient_space(sub, fintop.partition(v, actions()))
+    space, quot = quotient_space(sub, fintop.partition(v, actions()))
     return space, quot, ContinuousMap(sub, x.arrows, {a: a for a in v}, check=False)
 
 

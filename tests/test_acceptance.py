@@ -153,7 +153,7 @@ def test_criterion_5_discrete_groupoid_reduction():
     checked = 0
     for sp in spaces:
         # Skula oracle: the Skula space of a finite T0 space is discrete
-        assert fintop.skula_space(sp) == fintop.FinSpace.discrete(sp.points)
+        assert oracles.skula_space(sp) == fintop.FinSpace.discrete(sp.points)
         g = grpd.space_groupoid(sp)
         pts = sorted(sp.points, key=fintop.ckey)
         for mask in range(2 ** len(pts)):
@@ -161,7 +161,7 @@ def test_criterion_5_discrete_groupoid_reduction():
             v = weq.is_weak_equivalence(
                 grpd.full_subgroupoid_on(g, sub), mode="all"
             )
-            dense = fintop.is_skula_dense(sub, sp)
+            dense = oracles.is_skula_dense(sub, sp)
             assert (v.answer == "yes") == dense == (sub == sp.points)
             checked += 1
     print(

@@ -734,12 +734,63 @@ def test_bi_orbits_match_the_union_find():
                             grpd.bi_orbit_space(g, left, right, v)
                         unstable += 1
                         continue
-                    space, quot, incl = grpd.bi_orbit_space(g, left, right, v)
-                    assert space == want[0] and quot.mapping == want[1].mapping
-                    assert quot.domain == want[1].domain and quot.codomain == space
-                    assert incl.mapping == want[2].mapping and incl.domain == want[2].domain
+                    space, quot, _ = want
+                    cls, mins = grpd.bi_orbit_space(g, left, right, v)
+                    assert cls.keys() == quot.mapping.keys() and len(mins) == len(space)
+                    block = [quot.mapping[a] for a in sorted(cls, key=cls.get)]
+                    block = list(dict.fromkeys(block))  # bi-orbit i as a reference point
+                    assert all(block[cls[a]] == quot.mapping[a] for a in cls)
+                    assert all(space.min_open(block[i]) == {block[j] for j in fintop.bits(m)}
+                               for i, m in enumerate(mins))
                     stable += 1
     assert merged >= 800 and stable >= 3000 and unstable >= 700, (merged, stable, unstable)
+
+
+def test_quasi_homeo_route_matches_the_finspace_reference():
+    """On every subgroupoid x atom pair of the 500-groupoid corpus, the
+    mask route answers as the FinSpace route of `oracles`: union-find
+    bi-orbits, their FinSpace quotient and the Skula and reflection test
+    on a ContinuousMap.  Each atom's generator has the reference's total
+    space."""
+    pairs = yes = atoms = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        for u in grpd.open_atoms(g):
+            assert sheaf.moerdijk_generator(g, u).total == oracles.generator_total_oracle(g, u)
+            atoms += 1
+        for y in enumerate_subgroupoids(g):
+            for u in grpd.open_atoms(g):
+                got = fintop.is_quasi_homeomorphism(*grpd.iota_map(y, u))
+                assert got == oracles.is_quasi_homeomorphism(oracles.iota_map_oracle(y, u))
+                pairs += 1
+                yes += got
+    assert atoms >= 1200 and pairs >= 13_000 and 5_000 <= yes <= pairs - 8_000  # 1,203, 13,636 and 5,226
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), pulled_back=st.booleans())
+def test_quasi_homeo_on_masks_matches_the_open_family_oracle(seed, pulled_back):
+    """Random point maps between random spaces of up to 5 points, many
+    of them not T0, and most maps not surjective.  A pulled-back domain
+    carries the preimage topology of the codomain, refined by a random
+    subbasis, so its maps are continuous; other domains are random, and
+    some of their maps are not."""
+    rng = random.Random(seed)
+    cod = random_space(rng, max_points=5)
+    n = rng.randint(0, 5) if cod.points else 0
+    mapping = {x: rng.choice(sorted(cod.points)) for x in range(n)}
+    if pulled_back:
+        pre = [{x for x in mapping if mapping[x] in cod.min_open(y)} for y in cod.points]
+        extra = [{x for x in mapping if rng.random() < 0.5} for _ in range(rng.randint(0, 1))]
+        dom = fintop.generate_topology(mapping, pre + extra)
+    else:
+        dom = random_space(random.Random(seed + 1), max_points=n)
+        mapping = {x: mapping.get(x, 0) for x in dom.points} if cod.points else {}
+        assume(not dom.points or cod.points)
+    f = fintop.ContinuousMap(dom, cod, mapping, check=False)
+    got = fintop.is_quasi_homeomorphism(*oracles.as_masks(f))
+    assert got == oracles.quasi_homeo_oracle(f)
+    if f.is_continuous():
+        assert got == oracles.is_quasi_homeomorphism(f)
 
 
 def model_corpus_member_lists():

@@ -138,32 +138,43 @@ def test_sober_iff_t0_on_random_spaces_vs_oracle():
 
 
 def test_skula_space_examples():
-    assert fintop.skula_space(SIER) == FinSpace.discrete({0, 1})
+    assert oracles.skula_space(SIER) == FinSpace.discrete({0, 1})
     d = FinSpace.discrete(range(3))
-    assert fintop.skula_space(d) == d
+    assert oracles.skula_space(d) == d
 
 
 def test_skula_space_discrete_for_t0_and_matches_oracle():
     rng = random.Random(5)
     for _ in range(50):
         sp = random_space(rng)
-        sk = fintop.skula_space(sp)
+        sk = oracles.skula_space(sp)
         assert sk == oracles.skula_space_oracle(sp)
         if fintop.is_t0(sp):
             assert sk == FinSpace.discrete(sp.points)
 
 
 def test_is_skula_dense_examples():
-    assert fintop.is_skula_dense({0, 1}, SIER)
-    assert not fintop.is_skula_dense({1}, SIER)
-    assert not fintop.is_skula_dense(set(), FinSpace.discrete({0}))
+    assert oracles.is_skula_dense({0, 1}, SIER)
+    assert not oracles.is_skula_dense({1}, SIER)
+    assert not oracles.is_skula_dense(set(), FinSpace.discrete({0}))
+
+
+def is_quasi_homeomorphism(f: ContinuousMap) -> bool:
+    """The mask test on a ContinuousMap, checked against the FinSpace reference."""
+    got = fintop.is_quasi_homeomorphism(*oracles.as_masks(f))
+    assert got == oracles.is_quasi_homeomorphism(f)
+    return got
 
 
 def test_quasi_homeomorphism_examples():
-    assert fintop.is_quasi_homeomorphism(identity_map(SIER))
-    assert not fintop.is_quasi_homeomorphism(ContinuousMap(SIER.subspace({1}), SIER, {1: 1}))
+    assert is_quasi_homeomorphism(identity_map(SIER))
+    assert not is_quasi_homeomorphism(ContinuousMap(SIER.subspace({1}), SIER, {1: 1}))
     f = ContinuousMap(FinSpace.discrete({0, 1}), SIER, {0: 0, 1: 1})
-    assert not fintop.is_quasi_homeomorphism(f)
+    assert not is_quasi_homeomorphism(f)
+    # two indistinguishable points: hitting one of them is Skula dense
+    assert is_quasi_homeomorphism(ContinuousMap(INDISCRETE.subspace({0}), INDISCRETE, {0: 0}))
+    assert fintop.is_quasi_homeomorphism([], [], [])
+    assert not fintop.is_quasi_homeomorphism([], [], [1])
 
 
 def test_skula_dense_iff_inclusion_quasi_homeo():
@@ -172,8 +183,8 @@ def test_skula_dense_iff_inclusion_quasi_homeo():
         sp = random_space(rng)
         for _ in range(3):
             sub = frozenset(p for p in sp.points if rng.random() < 0.5)
-            lhs = fintop.is_skula_dense(sub, sp)
-            assert lhs == fintop.is_quasi_homeomorphism(ContinuousMap(sp.subspace(sub), sp, {x: x for x in sub}))
+            lhs = oracles.is_skula_dense(sub, sp)
+            assert lhs == is_quasi_homeomorphism(ContinuousMap(sp.subspace(sub), sp, {x: x for x in sub}))
             assert lhs == oracles.skula_dense_oracle(sub, sp)
 
 
@@ -193,7 +204,7 @@ def test_quasi_homeo_matches_open_family_oracle():
             f = ContinuousMap(dom, cod, mapping, check=False)
             if not f.is_continuous():
                 continue
-            assert fintop.is_quasi_homeomorphism(f) == oracles.quasi_homeo_oracle(f)
+            assert is_quasi_homeomorphism(f) == oracles.quasi_homeo_oracle(f)
 
 
 def test_local_homeomorphism_examples():
@@ -230,25 +241,29 @@ def test_continuity_validation():
 
 def test_quotient_space_topology():
     # collapsing sierpinski to a point: indiscrete singleton
-    q, qm = fintop.quotient_space(SIER, [{0, 1}])
-    assert len(q) == 1 and qm.is_continuous()
-    # identity partition returns a homeomorphic copy
-    q2, qm2 = fintop.quotient_space(SIER, [{0}, {1}])
-    assert len(q2.opens()) == 3
-    # saturated-open law: preimages of opens are exactly the saturated opens
+    assert fintop.quotient_space(SIER, {0: 0, 1: 0}, 1) == [0b1]
+    # identity partition returns a homeomorphic copy: 1 is the open point
+    assert fintop.quotient_space(SIER, {0: 0, 1: 1}, 2) == [0b11, 0b10]
+    # the subspace on the closed point alone
+    assert fintop.quotient_space(SIER, {0: 0}, 1) == [0b1]
+    # the FinSpace quotient of the subspace, and its saturated-open law:
+    # preimages of opens are opens of the subspace
     rng = random.Random(21)
-    for _ in range(30):
-        sp = random_space(rng)
-        if not sp.points:
-            continue
-        pts = sorted(sp.points)
-        blocks = {}
-        for p in pts:
-            blocks.setdefault(rng.randint(0, 2), set()).add(p)
-        q3, qm3 = fintop.quotient_space(sp, blocks.values())
-        assert qm3.is_continuous()
-        for o in q3.opens():
-            assert sp.is_open(qm3.preimage(o))
+    for _ in range(60):
+        sp = random_space(rng, max_points=6)
+        pts = [p for p in sorted(sp.points) if rng.random() < 0.8]
+        cls = {p: rng.randint(0, 2) for p in pts}
+        index = {i: k for k, i in enumerate(sorted(set(cls.values())))}
+        cls = {p: index[i] for p, i in cls.items()}
+        blocks = [frozenset(p for p in pts if cls[p] == k) for k in range(len(index))]
+        mins = fintop.quotient_space(sp, cls, len(blocks))
+        sub = sp.subspace(pts)
+        q, qm = oracles.quotient_space(sub, blocks)
+        assert qm.is_continuous()
+        assert [q.min_open(b) for b in blocks] == [
+            frozenset(blocks[j] for j in fintop.bits(m)) for m in mins]
+        for o in q.opens():
+            assert sub.is_open(frozenset(x for x, b in qm.mapping.items() if b in o))
 
 
 def test_partition():
@@ -280,7 +295,7 @@ def test_validator_on_operation_outputs():
     for _ in range(25):
         sp = random_space(rng)
         sub = frozenset(x for x in sp.points if rng.random() < 0.5)
-        for out in (sp, fintop.skula_space(sp), sp.subspace(sub)):
+        for out in (sp, oracles.skula_space(sp), sp.subspace(sub)):
             assert FinSpace(out.points, {x: out.min_open(x) for x in out.points}, _check=True) == out
 
 

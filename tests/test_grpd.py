@@ -113,19 +113,19 @@ def test_subgroupoid_budget():
 def test_bi_orbit_trivial_actors_is_subspace():
     g = iso_pair()
     triv = grpd.identity_subgroupoid(g)
-    sp, q, incl = grpd.bi_orbit_space(g, triv, triv, g.arrows.points)
-    assert incl.is_continuous() and q.is_continuous()
-    assert len(sp) == len(g.arrows.points)
+    cls, mins = grpd.bi_orbit_space(g, triv, triv, g.arrows.points)
+    assert set(cls) == g.arrows.points
     # singleton classes, discrete like the ambient arrows
-    assert all(len(c) == 1 for c in sp.points)
+    assert sorted(cls.values()) == list(range(len(g.arrows.points)))
+    assert mins == [1 << i for i in range(len(mins))]
 
 
 def test_bi_orbit_group_whole_by_subgroup():
     g = S3
     whole = grpd.whole_subgroupoid(g)
     h = Subgroupoid(g, grpd.subgroupoid_closure(g, {(1, 0, 2)}))
-    sp, _, _ = grpd.bi_orbit_space(g, whole, h, g.arrows.points)
-    assert len(sp) == 1
+    cls, mins = grpd.bi_orbit_space(g, whole, h, g.arrows.points)
+    assert set(cls.values()) == {0} and mins == [0b1]
 
 
 def test_bi_orbit_double_cosets_match_oracle():
@@ -135,13 +135,13 @@ def test_bi_orbit_double_cosets_match_oracle():
     subs = [s for s in enumerate_subgroupoids(g) if s.arrow_set]
     for _ in range(10):
         h, k = rng.choice(subs), rng.choice(subs)
-        sp, _, _ = grpd.bi_orbit_space(g, h, k, g.arrows.points)
+        cls, mins = grpd.bi_orbit_space(g, h, k, g.arrows.points)
         want = oracles.double_cosets_oracle(
             g.arrows.points, mult, h.arrow_set, k.arrow_set
         )
-        assert {frozenset(c) for c in sp.points} == want
+        assert {frozenset(a for a in cls if cls[a] == i) for i in range(len(mins))} == want
         # discrete, per the double-coset example
-        assert fintop.skula_space(sp) == FinSpace.discrete(sp.points)
+        assert mins == [1 << i for i in range(len(mins))]
 
 
 def test_bi_orbit_bistability_error():
@@ -182,19 +182,19 @@ def test_iota_map_examples():
     g = iso_pair()
     # Y = X: bijective quasi-homeomorphism
     m = grpd.iota_map(grpd.whole_subgroupoid(g), grpd.identity_subgroupoid(g))
-    assert fintop.is_quasi_homeomorphism(m)
+    assert fintop.is_quasi_homeomorphism(*m)
     # one endpoint of the iso pair
     y = grpd.full_subgroupoid_on(g, {"a"})
     m2 = grpd.iota_map(y, grpd.identity_subgroupoid(g))
-    assert fintop.is_quasi_homeomorphism(m2)
-    assert oracles.quasi_homeo_oracle(m2)
+    assert fintop.is_quasi_homeomorphism(*m2)
+    assert oracles.quasi_homeo_oracle(oracles.iota_map_oracle(y, grpd.identity_subgroupoid(g)))
     # two non-isomorphic objects
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
     m3 = grpd.iota_map(
         grpd.full_subgroupoid_on(two, {"p"}), grpd.identity_subgroupoid(two)
     )
-    assert not fintop.is_quasi_homeomorphism(m3)
-    assert len(m3.codomain.points) == 2
+    assert not fintop.is_quasi_homeomorphism(*m3)
+    assert len(m3[2]) == 2
 
 
 def test_iota_always_continuous():
@@ -205,7 +205,9 @@ def test_iota_always_continuous():
         opens = grpd.enumerate_open_subgroupoids(g, cap=512)
         for y in subs[:6]:
             for u in opens[:6]:
-                assert grpd.iota_map(y, u).is_continuous()
+                f, dom_mins, cod_mins = grpd.iota_map(y, u)
+                assert all(cod_mins[f[i]] >> f[j] & 1
+                           for i, m in enumerate(dom_mins) for j in fintop.bits(m))
 
 
 def test_image_and_full_essential_image():

@@ -9,7 +9,7 @@ from corpus import (
 )
 from topogrpd import grpd, logic, sheaf, weq
 from topogrpd.errors import FormulaError, InputError
-from topogrpd.fintop import FinSpace
+from topogrpd.fintop import FinSpace, ckey
 from topogrpd.logic import (
     FinModel,
     GeometricFormula,
@@ -481,3 +481,20 @@ def test_an_arrow_that_moves_a_constant_is_not_an_isomorphism():
     assert logic.automorphisms(m) == [logic.identity_iso(m)]
     with pytest.raises(InputError, match="arrow M->M not an isomorphism"):
         ModelGroupoid(sig, params, [im], [logic.identity_iso(m), swap])
+
+
+@pytest.mark.parametrize("carrier", [
+    [3, 10, 2, 0],
+    ["b", "a10", "a9", ""],
+    [(1, "b"), (1, "a"), (0,), (2, (1, 0)), ()],
+    [2, "a", 10, "10"],
+    [True, 1, 0, False, 2],
+], ids=["ints", "strings", "tuples", "ints-and-strings", "bools-and-ints"])
+def test_make_iso_orders_by_sort_and_ckey(carrier):
+    """The natural sort, where it is used, gives the (sort, ckey) order."""
+    rng = random.Random(5)
+    triples = [(s, e, e) for s in ("V", "A") for e in carrier]
+    for _ in range(5):
+        rng.shuffle(triples)
+        got = logic.make_iso("m", "m", triples).map
+        assert got == tuple(sorted(triples, key=lambda t: (t[0], ckey(t[1]))))

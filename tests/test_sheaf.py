@@ -308,7 +308,7 @@ def test_master_cross_check_restriction_vs_iota():
         for y in subs[: 8]:
             for u in opens[: 8]:
                 lhs = sheaf.subobject_restriction(y, u).is_bijective()
-                rhs = fintop.is_quasi_homeomorphism(grpd.iota_map(y, u))
+                rhs = fintop.is_quasi_homeomorphism(*grpd.iota_map(y, u))
                 assert lhs == rhs
 
 

@@ -7,7 +7,7 @@ from corpus import (
     enumerate_subgroupoids, groupoid_corpus, random_discrete_groupoid, random_functor,
 )
 from test_grpd import S3, iso_pair
-from topogrpd import fintop, grpd, weq
+from topogrpd import fintop, grpd, sheaf, weq
 from topogrpd.errors import InputError, OracleDisagreement
 from topogrpd.fintop import FinSpace
 from topogrpd.grpd import Subgroupoid
@@ -119,6 +119,21 @@ def test_source_determined_witness_matches_the_nested_search():
     assert non_null > 10_000
 
 
+def test_skula_witness_matches_the_canonical_scan():
+    """The set-order scan names the same least object, with the same W
+    and W', as a scan in canonical order, on every subgroupoid x
+    open-member pair of a seeded corpus."""
+    non_null = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        opens = grpd.enumerate_open_subgroupoids(g)
+        for y in enumerate_subgroupoids(g):
+            for u in opens:
+                w = weq.skula_witness(y, u)
+                assert w == oracles.skula_witness_oracle(y, u)
+                non_null += w is not None
+    assert non_null > 12_000, non_null  # 12,499 of 44,787
+
+
 def test_two_condition_route_reads_no_bi_orbit_space(monkeypatch):
     """The two-condition route stays independent of the quasi-homeo route."""
 
@@ -132,6 +147,24 @@ def test_two_condition_route_reads_no_bi_orbit_space(monkeypatch):
     for u in grpd.enumerate_open_subgroupoids(S3):
         weq.skula_witness(h, u)
         weq.source_determined_witness(h, u)
+
+def test_quasi_homeo_route_reads_no_subobject_or_orbit_condition(monkeypatch):
+    """The quasi-homeo route stays independent of the other two routes."""
+
+    def forbidden(*args):
+        raise AssertionError("the quasi-homeo route reached another route")
+
+    for owner, name in ((sheaf, "_stable_masks"), (sheaf, "subobject_restriction"),
+                        (weq, "skula_witness"), (weq, "source_determined_witness"),
+                        (weq, "_skula_witness"), (weq, "_source_determined_witness")):
+        monkeypatch.setattr(owner, name, forbidden)
+    answers = set()
+    for y in enumerate_subgroupoids(S3):
+        for u in grpd.enumerate_open_subgroupoids(S3):
+            answers.add(fintop.is_quasi_homeomorphism(*grpd.iota_map(y, u)))
+    assert answers == {True, False}
+    assert weq.is_weak_equivalence(grpd.whole_subgroupoid(S3), mode="quasi-homeo")
+
 
 THREE_VERDICTS = (lambda y: weq.is_weak_equivalence(y, mode="all"), weq.is_localic_surjection,
                   weq.is_subtopos_inclusion)
@@ -262,7 +295,7 @@ def test_discrete_groupoid_reduction():
         for mask in range(2 ** len(pts)):
             sub = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
             v = weq.is_weak_equivalence(grpd.full_subgroupoid_on(g, sub), mode="all")
-            dense = fintop.is_skula_dense(sub, sp)
+            dense = oracles.is_skula_dense(sub, sp)
             assert (v.answer == "yes") == dense == (sub == sp.points)
 
 
