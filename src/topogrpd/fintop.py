@@ -317,15 +317,27 @@ def quotient_space(space: FinSpace, cls: dict, k: int) -> list:
                     m |= 1 << j
             meets[u] = m
         step[i] |= m
-    mins = []
-    for i in range(k):
-        reach, todo = 1 << i, step[i]
-        while todo := todo & ~reach:
+    return reach(step, range(k))
+
+
+def reach(step, points) -> list:
+    """For each index i of `points`, the int mask of every index reached
+    from i through `step`, i included: step[j] is the mask of j's
+    successors, for each j reached.  A point reached whose mask is
+    already known adds that mask whole."""
+    done = {}
+    for i in points:
+        mask, todo = 1 << i, step[i]
+        while todo := todo & ~mask:
             j = (todo & -todo).bit_length() - 1
-            reach |= 1 << j
-            todo |= step[j]
-        mins.append(reach)
-    return mins
+            known = done.get(j)
+            if known is None:
+                mask |= 1 << j
+                todo |= step[j]
+            else:
+                mask |= known
+        done[i] = mask
+    return [done[i] for i in points]
 
 
 def partition(points, pairs):

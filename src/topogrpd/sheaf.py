@@ -4,15 +4,17 @@ A sheaf is a local homeomorphism onto the object space together with a
 continuous arrow action on its fibers.  Everything is stored
 extensionally: total spaces are finite, actions are tables.  The
 restriction of generator subobjects is the independent oracle against
-which the weak-equivalence criteria are cross-checked.  It and the
-subobject lattices work on int masks of each point's smallest stable
-open; only `SubobjectLattice.elements` sorts masks into frozensets.
+which the weak-equivalence criteria are cross-checked.  It reads the
+generator of an open subgroupoid on class indices, with each class's
+smallest stable open as an int mask, and builds no sheaf;
+`moerdijk_generator` is the sheaf of frozensets built from those
+indices.  The subobject lattices work on the same masks over a sheaf's
+points; only `SubobjectLattice.elements` sorts masks into frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from . import fintop, grpd
@@ -98,34 +100,59 @@ def validate_sheaf(s: EquivariantSheaf) -> list:
     return out
 
 
+class _Generator(NamedTuple):
+    """The generating sheaf of an open subgroupoid on class indices:
+    `cls` sends each arrow sourced in its objects to its pre-composition
+    class, class i has the representative arrow reps[i] and projects to
+    q[i], and mins[i] and nb[i] are its minimal open and its smallest
+    stable open, as int masks of class indices."""
+
+    cls: dict
+    reps: list
+    q: list
+    mins: list
+    nb: list
+
+
+def _generator(x: TopGroupoid, u: Subgroupoid) -> _Generator:
+    return x.memo("generator", u.arrow_set, _build_generator, x, u)
+
+
+def _build_generator(x: TopGroupoid, u: Subgroupoid) -> _Generator:
+    if not u.is_open():
+        raise InputError("subgroupoid is not open")
+    t, comp = x.tgt.mapping, x.comp
+    v = frozenset(a for y in u.object_set for a in x.out_of[y])
+    cls, mins = grpd.bi_orbit_space(x, grpd.identity_subgroupoid(x), u, v)
+    reps = [None] * len(mins)
+    for a, i in cls.items():
+        reps[i] = a
+    q = [t[a] for a in reps]
+    step = []  # class i steps into its minimal open and along its orbit
+    for m, a, y in zip(mins, reps, q):
+        for g in x.out_of[y]:
+            m |= 1 << cls[comp[(g, a)]]
+        step.append(m)
+    return _Generator(cls, reps, q, mins, fintop.reach(step, range(len(step))))
+
+
 def moerdijk_generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
     """The generating sheaf of an open subgroupoid: pre-composition orbits
     of arrows sourced in the subgroupoid's objects, projected by target,
     acted on by post-composition."""
     if u.ambient != x:
         raise InputError("subgroupoid belongs to a different groupoid")
-    return x.memo("moerdijk", u.arrow_set, _generator, x, u)
-
-
-def _generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
-    if not u.is_open():
-        raise InputError("subgroupoid is not open")
-    t = x.tgt.mapping
-    v = frozenset(a for y in u.object_set for a in x.out_of[y])
-    cls, mins = grpd.bi_orbit_space(x, grpd.identity_subgroupoid(x), u, v)
-    blocks = [[] for _ in mins]
-    for a, i in cls.items():
+    gen = _generator(x, u)
+    blocks = [[] for _ in gen.reps]
+    for a, i in gen.cls.items():
         blocks[i].append(a)
     points = [frozenset(b) for b in blocks]
     total = FinSpace(points, {c: frozenset(points[j] for j in fintop.bits(m))
-                              for c, m in zip(points, mins)}, _check=False)
-    proj, action = {}, {}
-    for c, (rep, *_) in zip(points, blocks):
-        proj[c] = t[rep]
-        for g in x.out_of[t[rep]]:
-            action[(g, c)] = points[cls[x.comp[(g, rep)]]]
+                              for c, m in zip(points, gen.mins)}, _check=False)
+    action = {(g, c): points[gen.cls[x.comp[(g, a)]]]
+              for c, a, y in zip(points, gen.reps, gen.q) for g in x.out_of[y]}
     return EquivariantSheaf(
-        x, total, ContinuousMap(total, x.objects, proj, check=False), action
+        x, total, ContinuousMap(total, x.objects, dict(zip(points, gen.q)), check=False), action
     )
 
 
@@ -171,33 +198,20 @@ class SubobjectLattice:
         return len(self.masks)
 
 
-def _stable_masks(points, down, orbit, bit) -> dict:
-    """The smallest action-stable open around each of `points`, as a mask
-    of `bit`s: every point reached from it through minimal opens (`down`)
-    and orbits (`orbit`), which is the same mask for its whole orbit."""
-    out = {}
-    for y in points:
-        if y in out:
-            continue
-        mask, todo = bit[y], [y]
-        while todo:
-            x = todo.pop()
-            for z in chain(down(x), orbit(x)):
-                if not mask & bit[z]:
-                    mask |= bit[z]
-                    todo.append(z)
-        out.update(dict.fromkeys(orbit(y), mask))
-    return out
-
-
 def _neighbourhoods(s: EquivariantSheaf):
     """(bit, nb): bit i for the i-th point of the total space, and the
-    mask of each point's smallest stable open; built once per sheaf."""
+    mask of each point's smallest stable open, every point reached from
+    it through minimal opens and the action; built once per sheaf."""
     if s._nbhd is None:
-        q, out_of = s.proj.mapping, s.base.out_of
+        q, out_of, action = s.proj.mapping, s.base.out_of, s.action
         bit = {y: 1 << i for i, y in enumerate(s.total.points)}
-        s._nbhd = bit, _stable_masks(bit, s.total.min_open,
-                                     lambda y: [s.action[(g, y)] for g in out_of[q[y]]], bit)
+        step = []
+        for y in bit:
+            m = sum(bit[z] for z in s.total.min_open(y))
+            for g in out_of[q[y]]:
+                m |= bit[action[(g, y)]]
+            step.append(m)
+        s._nbhd = bit, dict(zip(bit, fintop.reach(step, range(len(step)))))
     return s._nbhd
 
 
@@ -246,12 +260,16 @@ def subobject_restriction(incl: Subgroupoid, u: Subgroupoid) -> Restriction:
 
 
 def _restriction(amb: TopGroupoid, incl: Subgroupoid, u: Subgroupoid) -> Restriction:
-    gen = moerdijk_generator(amb, u)
-    bit, nb = _neighbourhoods(gen)
-    q, y0, y1 = gen.proj.mapping, incl.object_set, incl.arrow_set
-    p = [c for c in bit if q[c] in y0]
-    pmask = sum(bit[c] for c in p)
-    small = _stable_masks(p, lambda c: [z for z in gen.total.min_open(c) if bit[z] & pmask],
-                          lambda c: [gen.action[(a, c)] for a in amb.out_of[q[c]] if a in y1], bit)
-    return Restriction({nb[c] for c in p} == set(nb.values()),
-                       all(small[c] == nb[c] & pmask for c in p))
+    gen = _generator(amb, u)
+    y0, y1, nb = incl.object_set, incl.arrow_set, gen.nb
+    p = [i for i, y in enumerate(gen.q) if y in y0]
+    pmask = sum(1 << i for i in p)
+    step = {}  # P's minimal opens, and its orbits under the subgroupoid's arrows
+    for i in p:
+        m, a = gen.mins[i], gen.reps[i]
+        for g in amb.out_of[gen.q[i]]:
+            if g in y1:
+                m |= 1 << gen.cls[amb.comp[(g, a)]]
+        step[i] = m & pmask
+    return Restriction({nb[i] for i in p} == set(nb),
+                       all(m == nb[i] & pmask for i, m in zip(p, fintop.reach(step, p))))

@@ -114,6 +114,49 @@ def generator_total_oracle(x, u) -> FinSpace:
     return bi_orbit_space_oracle(x, grpd.identity_subgroupoid(x), u, v)[0]
 
 
+def generator_oracle(x, u):
+    """u's Moerdijk generator as a sheaf of frozensets: the total space of
+    `generator_total_oracle`, each class projected to the target of its
+    arrows, and g acting on class c as the class of g o a, for every a
+    in c."""
+    total = generator_total_oracle(x, u)
+    t = x.tgt.mapping
+    point = {a: c for c in total.points for a in c}
+    proj, action = {}, {}
+    for c in total.points:
+        (y,) = {t[a] for a in c}
+        proj[c] = y
+        for g in x.out_of[y]:
+            (action[(g, c)],) = {point[x.comp[(g, a)]] for a in c}
+    return sheaf.EquivariantSheaf(x, total, proj, action)
+
+
+def transformation_faults(t) -> list:
+    """Named faults of a transformation: a component map that is not
+    continuous, a component with the wrong source or target, and a
+    naturality square that is malformed or fails."""
+    out = []
+    if not t.component.is_continuous():
+        out.append("component map not continuous")
+    dom, cod = t.source.dom, t.source.cod
+    a = t.component.mapping
+    for x in fintop.sorted_points(dom.objects.points):
+        if cod.src.mapping[a[x]] != t.source.obj_map.mapping[x]:
+            out.append(f"component source wrong at {fintop.fmt_point(x)}")
+        if cod.tgt.mapping[a[x]] != t.target.obj_map.mapping[x]:
+            out.append(f"component target wrong at {fintop.fmt_point(x)}")
+    f1 = t.source.arr_map.mapping
+    g1 = t.target.arr_map.mapping
+    for al in fintop.sorted_points(dom.arrows.points):
+        x, y = dom.src.mapping[al], dom.tgt.mapping[al]
+        if (a[y], f1[al]) not in cod.comp or (g1[al], a[x]) not in cod.comp:
+            out.append(f"naturality square malformed at {fintop.fmt_point(al)}")
+            continue
+        if cod.comp[(a[y], f1[al])] != cod.comp[(g1[al], a[x])]:
+            out.append(f"naturality fails at {fintop.fmt_point(al)}")
+    return out
+
+
 def skula_space_oracle(space) -> FinSpace:
     """Skula topology by saturating opens and closeds."""
     opens = opens_of(space)

@@ -1,8 +1,10 @@
 import random
 import time
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from corpus import identity_map, random_space
@@ -264,6 +266,28 @@ def test_quotient_space_topology():
             frozenset(blocks[j] for j in fintop.bits(m)) for m in mins]
         for o in q.opens():
             assert sub.is_open(frozenset(x for x, b in qm.mapping.items() if b in o))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reach_is_a_breadth_first_search(data):
+    """Each start's mask is what a breadth-first search reaches through
+    the step table, also where the steps lead to indices that are not
+    starts, or to starts whose masks are found earlier or later."""
+    n = data.draw(st.integers(1, 12))
+    step = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=n, max_size=n))
+    points = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+
+    def bfs(i):
+        seen, todo = {i}, deque([i])
+        while todo:
+            for j in fintop.bits(step[todo.popleft()]):
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        return sum(1 << j for j in seen)
+
+    assert fintop.reach(step, points) == [bfs(i) for i in points]
 
 
 def test_partition():

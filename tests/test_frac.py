@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from corpus import sober_eliminating_model_groupoids
 from topogrpd import frac, grpd, logic, weq
 from topogrpd.errors import CertificateError, InputError, NotModelPresented
@@ -71,7 +72,7 @@ def test_ore_identity_span():
     c = identity_cospan(g, 1, 2)
     sq = frac.ore_complete(c.weq_leg, c.fwd, 1, 2)
     assert sq.apex == g
-    assert sq.iso.validate() == []
+    assert oracles.transformation_faults(sq.iso) == []
 
 
 def test_ore_completion_span():
@@ -83,7 +84,7 @@ def test_ore_completion_span():
     sq = frac.ore_complete(psi, psi.as_model_functor(), 1, 2)
     assert sq.apex.members == comp.members
     assert sq.certificate.answer == "yes"
-    assert sq.iso.validate() == []
+    assert oracles.transformation_faults(sq.iso) == []
 
 
 def test_ore_second_copy():
@@ -106,7 +107,7 @@ def test_ore_second_copy():
     names = {im.name for im in sq.apex.members}
     assert names == {"M1", "M2", "M3", "M4"}
     assert sq.certificate.answer == "yes"
-    assert sq.iso.validate() == []
+    assert oracles.transformation_faults(sq.iso) == []
 
 
 def test_compose_unit_laws():
@@ -172,7 +173,7 @@ def test_two_cell_full_faithfulness_at_finite_scale():
     found = grpd.transformations(idf, swap)
     assert len(found) >= 1
     for t in found:
-        assert t.validate() == []
+        assert oracles.transformation_faults(t) == []
 
 
 def test_morita_equal_inputs():
@@ -226,7 +227,7 @@ def test_ore_square_certified_on_generated_corpus():
             continue
         sq = frac.ore_complete(c.weq_leg, c.fwd, 1, 2)
         assert sq.certificate.answer == "yes"
-        assert sq.iso.validate() == []
+        assert oracles.transformation_faults(sq.iso) == []
         for mode in weq.MODES:
             v = weq.is_weak_equivalence(
                 sq.psi2.derived_subgroupoid(1, 2), mode=mode

@@ -154,7 +154,7 @@ def test_quasi_homeo_route_reads_no_subobject_or_orbit_condition(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the quasi-homeo route reached another route")
 
-    for owner, name in ((sheaf, "_stable_masks"), (sheaf, "subobject_restriction"),
+    for owner, name in ((sheaf, "_generator"), (sheaf, "subobject_restriction"),
                         (weq, "skula_witness"), (weq, "source_determined_witness"),
                         (weq, "_skula_witness"), (weq, "_source_determined_witness")):
         monkeypatch.setattr(owner, name, forbidden)
@@ -168,6 +168,27 @@ def test_quasi_homeo_route_reads_no_subobject_or_orbit_condition(monkeypatch):
 
 THREE_VERDICTS = (lambda y: weq.is_weak_equivalence(y, mode="all"), weq.is_localic_surjection,
                   weq.is_subtopos_inclusion)
+
+
+def test_the_three_verdicts_build_no_sheaf(monkeypatch):
+    """Work guard: the subobject route reads each generator on class
+    indices, so on the 500-groupoid corpus the three verdicts build no
+    `EquivariantSheaf` and call no `moerdijk_generator`."""
+
+    def forbidden(*args):
+        raise AssertionError("a verdict built a sheaf")
+
+    built = []
+    build = sheaf._build_generator
+    monkeypatch.setattr(sheaf, "_build_generator", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setattr(sheaf.EquivariantSheaf, "__init__", forbidden)
+    monkeypatch.setattr(sheaf, "moerdijk_generator", forbidden)
+    answers = []
+    for g in groupoid_corpus(random.Random(0), 500):
+        for y in enumerate_subgroupoids(g):
+            answers += [decide(y).answer for decide in THREE_VERDICTS]
+    yes, no = answers.count("yes"), answers.count("no")
+    assert yes >= 3900 and no >= 4500 and len(built) >= 1200, (yes, no, len(built))  # 3,926, 4,567, 1,203
 
 
 def test_three_verdicts_in_sequence_answer_as_each_alone():
