@@ -21,10 +21,6 @@ class CapExceeded(RuntimeError):
     subgroupoids or definable sets."""
 
 
-class BistabilityError(InputError):
-    """A bi-orbit arrow set is not stable under the chosen pre/post actions."""
-
-
 class NotModelPresented(InputError):
     """An operation requiring model-groupoid presentation got plain data."""
 

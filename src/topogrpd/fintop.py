@@ -239,14 +239,14 @@ def generate_topology(points, subbasis) -> FinSpace:
 class ContinuousMap:
     """A total point function between finite spaces.
 
-    Continuity (preimage of every open is open) is validated on
-    construction unless check=False; is_continuous() re-tests it, which
-    lets validators diagnose deliberately broken maps.
+    The constructor checks totality and the codomain, not continuity:
+    is_continuous() tests that, which lets validators diagnose
+    deliberately broken maps.
     """
 
     __slots__ = ("domain", "codomain", "mapping")
 
-    def __init__(self, domain: FinSpace, codomain: FinSpace, mapping, check=True):
+    def __init__(self, domain: FinSpace, codomain: FinSpace, mapping):
         self.domain = domain
         self.codomain = codomain
         self.mapping = dict(mapping)
@@ -255,8 +255,6 @@ class ContinuousMap:
         for v in self.mapping.values():
             if v not in codomain.points:
                 raise InputError("map value outside codomain")
-        if check and not self.is_continuous():
-            raise InputError("map is not continuous")
 
     def __call__(self, x):
         return self.mapping[x]
@@ -381,8 +379,8 @@ def fiber_product(f: ContinuousMap, g: ContinuousMap):
             (a, b) for a in f.domain.min_open(x) for b in over.get(f.mapping[a], ()) if b in uy
         )
     p = FinSpace(pts, min_open, _check=False)
-    pr1 = ContinuousMap(p, f.domain, {xy: xy[0] for xy in pts}, check=False)
-    pr2 = ContinuousMap(p, g.domain, {xy: xy[1] for xy in pts}, check=False)
+    pr1 = ContinuousMap(p, f.domain, {xy: xy[0] for xy in pts})
+    pr2 = ContinuousMap(p, g.domain, {xy: xy[1] for xy in pts})
     return p, pr1, pr2
 
 

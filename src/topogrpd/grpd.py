@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import fintop
-from .errors import BistabilityError, CapExceeded, InputError
+from .errors import CapExceeded, InputError
 from .fintop import ContinuousMap, FinSpace, ckey, fmt_point, sorted_points
 
 
@@ -23,7 +23,7 @@ def _as_map(m, domain, codomain):
         if m.domain != domain or m.codomain != codomain:
             raise InputError("structure map has wrong domain or codomain")
         return m
-    return ContinuousMap(domain, codomain, m, check=False)
+    return ContinuousMap(domain, codomain, m)
 
 
 class TopGroupoid:
@@ -141,9 +141,7 @@ def validate_groupoid(g: TopGroupoid) -> list:
     if bad:
         out.append(f"comp not associative at {fmt_point(min(bad, key=ckey))}")
     fp, _, _ = fintop.fiber_product(g.src, g.tgt)
-    comp_map = ContinuousMap(
-        fp, arrows, {(gg, ff): g.comp[(gg, ff)] for (gg, ff) in fp.points}, check=False
-    )
+    comp_map = ContinuousMap(fp, arrows, {(gg, ff): g.comp[(gg, ff)] for (gg, ff) in fp.points})
     if not comp_map.is_continuous():
         out.append("comp not continuous")
     if not fintop.is_open_map(g.src):
@@ -243,11 +241,6 @@ def whole_subgroupoid(g: TopGroupoid) -> Subgroupoid:
     return Subgroupoid(g, g.arrows.points)
 
 
-def identity_subgroupoid(g: TopGroupoid) -> Subgroupoid:
-    """Identities only, on all objects."""
-    return Subgroupoid(g, frozenset(g.unit.mapping.values()))
-
-
 def subgroupoid_closure(g: TopGroupoid, arrows) -> frozenset:
     """Closure of an arrow subset under composition and inverses; closed
     arrows are indexed by source and target to find composable partners."""
@@ -342,67 +335,61 @@ def enumerate_open_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_C
 # -- bi-orbits ------------------------------------------------------------
 
 
-def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid, v):
-    """Space of bi-orbits of the arrow set v, left acting by
-    post-composition and right by pre-composition, with the
-    subspace-then-quotient topology.
+def bi_orbit_space(x: TopGroupoid, left: Subgroupoid, right: Subgroupoid):
+    """The bi-orbit space L\\X(R0, L0)/R: the arrows from right's objects
+    to left's objects, left acting by post-composition and right by
+    pre-composition, with the subspace-then-quotient topology.  Both
+    actions keep an arrow in X(R0, L0).
 
-    Returns (cls, mins): cls sends each arrow of v to the index of its
-    bi-orbit, and mins[i] is bi-orbit i's minimal open as an int mask of
-    indices.  Each bi-orbit is enumerated from one representative a as
-    {c o a o b : c in left, b in right}, which needs `left` and `right`
-    to be subgroupoids, closed under composition and inverses; every
-    caller in the package passes atoms, the whole groupoid, identities
-    or a validated inclusion.  A bi-orbit that leaves v raises
-    BistabilityError naming the `ckey`-least pair whose composite leaves
-    v.
+    Returns (cls, mins): cls sends each arrow of X(R0, L0) to the index
+    of its bi-orbit, and mins[i] is bi-orbit i's minimal open as an int
+    mask of indices.  Each bi-orbit is enumerated from one
+    representative a as {c o a o b : c in left, b in right}, which needs
+    `left` and `right` to be subgroupoids, closed under composition and
+    inverses; `iota_map` passes a subgroupoid inclusion and an open
+    subgroupoid.
     """
-    v = frozenset(v)
-    if not v <= x.arrows.points:
-        raise InputError("v not contained in the arrow set")
-    s, t = x.src.mapping, x.tgt.mapping
-    by_tgt = {}
+    s, t, comp = x.src.mapping, x.tgt.mapping, x.comp
+    into, out = {}, {}  # right's arrows by target, left's by source
     for b in right.arrow_set:
-        by_tgt.setdefault(t[b], []).append(b)
-    by_src = {}
+        into.setdefault(t[b], []).append(b)
     for c in left.arrow_set:
-        by_src.setdefault(s[c], []).append(c)
+        out.setdefault(s[c], []).append(c)
     cls, k = {}, 0
-    for a in v:
-        if a in cls:
-            continue
-        orbit = {x.comp[(a, b)] for b in by_tgt.get(s[a], ())} or {a}
-        block = {x.comp[(c, h)] for c in by_src.get(t[a], ()) for h in orbit} or orbit
-        if not block <= v:
-            bad = [((h, b), "pre") for h in v for b in by_tgt.get(s[h], ()) if x.comp[(h, b)] not in v]
-            bad += [((c, h), "post") for h in v for c in by_src.get(t[h], ()) if x.comp[(c, h)] not in v]
-            pair, side = min(bad, key=lambda e: ckey(e[0]))
-            raise BistabilityError(f"v not stable under {side}-composition at {fmt_point(pair)}")
-        cls.update(dict.fromkeys(block, k))
-        k += 1
+    for y, bs in into.items():
+        for a in x.out_of[y]:
+            if a not in cls and t[a] in out:
+                orbit = [comp[(a, b)] for b in bs]
+                cls.update(dict.fromkeys((comp[(c, h)] for c in out[t[a]] for h in orbit), k))
+                k += 1
     return cls, fintop.quotient_space(x.arrows, cls, k)
 
 
 def iota_map(incl: Subgroupoid, u: Subgroupoid):
-    """The canonical comparison of bi-orbit spaces induced by a
-    subgroupoid inclusion, sending each (sub, u)-bi-orbit of an arrow to
-    its (ambient, u)-bi-orbit.
+    """The canonical comparison Y\\X(U0, Y0)/U -> X\\X(U0, X0)/U of
+    bi-orbit spaces induced by a subgroupoid inclusion Y of X, for a
+    subgroupoid U.
 
-    Domain: bi-orbits of arrows sourced in u's objects and targeted in
-    the subgroupoid's objects, under (incl, u); codomain: bi-orbits of
-    all arrows sourced in u's objects, under (ambient, u).  Returns
-    (f, dom_mins, cod_mins): f[i] is the codomain index of domain
-    bi-orbit i, and the minimal opens are those of `bi_orbit_space`."""
+    The domain is `bi_orbit_space(x, incl, u)`.  The codomain is the
+    orbit space U0/U, the quotient of u's object subspace by u's
+    connected components (README "Scope notes"), and the bi-orbit of an
+    arrow goes to the component of its source.  Returns (f, dom_mins,
+    cod_mins): f[i] is the component of domain bi-orbit i, and the
+    minimal opens are int masks of indices, as in `bi_orbit_space`.
+    `incl` and `u` must be subgroupoids."""
     amb = incl.ambient
-    u0 = u.object_set
-    y0 = incl.object_set
-    v_dom = frozenset(a for x in u0 for a in amb.out_of[x] if amb.tgt.mapping[a] in y0)
-    dom_cls, dom_mins = bi_orbit_space(amb, incl, u, v_dom)
-    cod_cls, cod_mins = amb.memo("iota_cod", u.arrow_set, lambda: bi_orbit_space(
-        amb, whole_subgroupoid(amb), u, frozenset(a for x in u0 for a in amb.out_of[x])))
+    s, t = amb.src.mapping, amb.tgt.mapping
+
+    def orbit_space():
+        blocks = fintop.partition(u.object_set, ((s[a], t[a]) for a in u.arrow_set))
+        comp = {y: i for i, b in enumerate(blocks) for y in b}
+        return comp, fintop.quotient_space(amb.objects, comp, len(blocks))
+
+    dom_cls, dom_mins = bi_orbit_space(amb, incl, u)
+    comp, cod_mins = amb.memo("iota_cod", u.arrow_set, orbit_space)
     f = [0] * len(dom_mins)
     for a, i in dom_cls.items():
-        f[i] = cod_cls[a]
+        f[i] = comp[s[a]]
     return f, dom_mins, cod_mins
 
 
@@ -600,7 +587,7 @@ def transformations(f: ContinuousFunctor, g: ContinuousFunctor, limit: int | Non
         component = {}
         for assignment in combo:
             component.update(assignment)
-        cm = ContinuousMap(dom.objects, cod.arrows, component, check=False)
+        cm = ContinuousMap(dom.objects, cod.arrows, component)
         if not cm.is_continuous():
             continue
         out.append(ContinuousTransformation(f, g, cm))

@@ -129,18 +129,6 @@ class Exists:
     body: object
 
 
-def depth(ast) -> int:
-    if isinstance(ast, (Top, Bot, Eq, Rel)):
-        return 0
-    if isinstance(ast, And):
-        return 1 + max(depth(ast.left), depth(ast.right))
-    if isinstance(ast, Or):
-        return 1 + max(depth(d) for d in ast.disjuncts)
-    if isinstance(ast, Exists):
-        return 1 + depth(ast.body)
-    raise InputError(f"not a formula node: {ast!r}")
-
-
 def free_vars(ast) -> frozenset:
     if isinstance(ast, (Top, Bot)):
         return frozenset()
@@ -1097,10 +1085,7 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     for (n, tup) in total_pts:
         for a in g.out_of[n]:
             action[(a, (n, tup))] = (a.tgt, tuple(a.apply(s, e) for s, e in zip(ctx_sorts, tup)))
-    return sheaf_mod.EquivariantSheaf(
-        base, total, fintop.ContinuousMap(total, base.objects, proj, check=False),
-        action,
-    )
+    return sheaf_mod.EquivariantSheaf(base, total, proj, action)
 
 
 def parameter_orbit(g: ModelGroupoid, ptuple) -> frozenset:

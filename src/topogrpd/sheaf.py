@@ -8,7 +8,10 @@ which the weak-equivalence criteria are cross-checked.  It reads the
 generator of an open subgroupoid on class indices, with each class's
 smallest stable open as an int mask, and builds no sheaf;
 `moerdijk_generator` is the sheaf of frozensets built from those
-indices.  The subobject lattices work on the same masks over a sheaf's
+indices.  The generator lists its pre-composition classes itself, from
+one representative each, and cuts them with `fintop.quotient_space`:
+it reads no bi-orbit code of `grpd`, so this route shares nothing with
+the quasi-homeo route.  The subobject lattices work on the same masks over a sheaf's
 points; only `SubobjectLattice.elements` sorts masks into frozensets.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import fintop, grpd
+from . import fintop
 from .errors import CapExceeded, InputError
 from .fintop import ContinuousMap, FinSpace, fmt_point, sorted_points
 from .grpd import ContinuousFunctor, Subgroupoid, TopGroupoid
@@ -34,8 +37,7 @@ class EquivariantSheaf:
         self.base = base
         self.total = total
         self.proj = proj if isinstance(proj, ContinuousMap) else ContinuousMap(
-            total, base.objects, proj, check=False
-        )
+            total, base.objects, proj)
         if self.proj.domain != total or self.proj.codomain != base.objects:
             raise InputError("projection has wrong domain or codomain")
         self.action = dict(action)
@@ -92,9 +94,7 @@ def validate_sheaf(s: EquivariantSheaf) -> list:
     if bad:
         out.append(f"composition law fails at {fmt_point(min(bad, key=fintop.ckey))}")
     fp, _, _ = fintop.fiber_product(base.src, s.proj)
-    act_map = ContinuousMap(
-        fp, total, {(g, y): s.action[(g, y)] for (g, y) in fp.points}, check=False
-    )
+    act_map = ContinuousMap(fp, total, {(g, y): s.action[(g, y)] for (g, y) in fp.points})
     if not act_map.is_continuous():
         out.append("action not continuous")
     return out
@@ -122,11 +122,16 @@ def _build_generator(x: TopGroupoid, u: Subgroupoid) -> _Generator:
     if not u.is_open():
         raise InputError("subgroupoid is not open")
     t, comp = x.tgt.mapping, x.comp
-    v = frozenset(a for y in u.object_set for a in x.out_of[y])
-    cls, mins = grpd.bi_orbit_space(x, grpd.identity_subgroupoid(x), u, v)
-    reps = [None] * len(mins)
-    for a, i in cls.items():
-        reps[i] = a
+    into = {}  # u's arrows by target
+    for b in u.arrow_set:
+        into.setdefault(t[b], []).append(b)
+    cls, reps = {}, []  # the class {a o b : b in u} of each arrow a out of u's objects
+    for y, bs in into.items():
+        for a in x.out_of[y]:
+            if a not in cls:
+                cls.update(dict.fromkeys((comp[(a, b)] for b in bs), len(reps)))
+                reps.append(a)
+    mins = fintop.quotient_space(x.arrows, cls, len(reps))
     q = [t[a] for a in reps]
     step = []  # class i steps into its minimal open and along its orbit
     for m, a, y in zip(mins, reps, q):
@@ -151,9 +156,7 @@ def moerdijk_generator(x: TopGroupoid, u: Subgroupoid) -> EquivariantSheaf:
                               for c, m in zip(points, gen.mins)}, _check=False)
     action = {(g, c): points[gen.cls[x.comp[(g, a)]]]
               for c, a, y in zip(points, gen.reps, gen.q) for g in x.out_of[y]}
-    return EquivariantSheaf(
-        x, total, ContinuousMap(total, x.objects, dict(zip(points, gen.q)), check=False), action
-    )
+    return EquivariantSheaf(x, total, dict(zip(points, gen.q)), action)
 
 
 def inverse_image(f: ContinuousFunctor, w: EquivariantSheaf) -> EquivariantSheaf:

@@ -5,8 +5,9 @@ objects.  Groupoid generators mix categorically discrete groupoids on
 random finite spaces, topologically discrete algebraic groupoids built
 from pair-groupoid components, and logical-topology groupoids derived
 from small model groupoids.  The builders below them (identity maps,
-group groupoids, all subgroupoids, the terminal sheaf, the true formula)
-serve only the tests."""
+group groupoids, all subgroupoids, the identity subgroupoid, the
+terminal sheaf, the true formula, a formula's depth) serve only the
+tests."""
 
 import random
 from itertools import product
@@ -31,7 +32,7 @@ def random_space(rng: random.Random, max_points=4) -> FinSpace:
 
 
 def identity_map(space: FinSpace) -> ContinuousMap:
-    return ContinuousMap(space, space, {x: x for x in space.points}, check=False)
+    return ContinuousMap(space, space, {x: x for x in space.points})
 
 
 def all_posets(n: int):
@@ -282,6 +283,11 @@ def enumerate_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
     return [Subgroupoid(g, s) for s in sorted(family, key=fintop.set_key(g.arrows))]
 
 
+def identity_subgroupoid(g: TopGroupoid) -> Subgroupoid:
+    """Identities only, on all objects."""
+    return Subgroupoid(g, frozenset(g.unit.mapping.values()))
+
+
 def is_full(sg: Subgroupoid) -> bool:
     return sg.arrow_set == grpd.full_subgroupoid_on(sg.ambient, sg.object_set).arrow_set
 
@@ -499,10 +505,7 @@ def random_functor(rng: random.Random, corpus):
                 x: rng.choice(fintop.sorted_points(g.objects.points))
                 for x in dom.objects.points
             }
-            obj_map = fintop.ContinuousMap(
-                dom.objects, g.objects, assign, check=False
-            )
-            if obj_map.is_continuous():
+            if fintop.ContinuousMap(dom.objects, g.objects, assign).is_continuous():
                 return grpd.ContinuousFunctor(
                     dom, g, assign,
                     {a: g.unit.mapping[assign[a]] for a in dom.arrows.points},
@@ -518,6 +521,19 @@ def top_formula(sig, ctx_sorts) -> logic.GeometricFormula:
     """Truth in the context x1:s1, ..., xk:sk."""
     ctx = tuple((f"x{i + 1}", s) for i, s in enumerate(ctx_sorts))
     return logic.GeometricFormula(logic.Top(), ctx, sig)
+
+
+def formula_depth(ast) -> int:
+    """The nesting depth of connectives and quantifiers in a formula AST."""
+    if isinstance(ast, (logic.Top, logic.Bot, logic.Eq, logic.Rel)):
+        return 0
+    if isinstance(ast, logic.And):
+        return 1 + max(formula_depth(ast.left), formula_depth(ast.right))
+    if isinstance(ast, logic.Or):
+        return 1 + max(formula_depth(d) for d in ast.disjuncts)
+    if isinstance(ast, logic.Exists):
+        return 1 + formula_depth(ast.body)
+    raise InputError(f"not a formula node: {ast!r}")
 
 
 def random_formula_ast(rng: random.Random, sig, ctx, depth):

@@ -8,8 +8,9 @@ small inputs."""
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from corpus import identity_subgroupoid
 from topogrpd import fintop, grpd, logic, sheaf, weq
-from topogrpd.errors import BistabilityError, CapExceeded, InputError, OracleDisagreement
+from topogrpd.errors import CapExceeded, InputError, OracleDisagreement
 from topogrpd.fintop import ContinuousMap, FinSpace
 
 
@@ -92,7 +93,7 @@ def quotient_space(space, blocks):
                 frontier.append(d)
         min_open[b] = frozenset(reach)
     q = FinSpace(blocks, min_open, _check=False)
-    return q, ContinuousMap(space, q, cls, check=False)
+    return q, ContinuousMap(space, q, cls)
 
 
 def iota_map_oracle(incl, u):
@@ -104,14 +105,16 @@ def iota_map_oracle(incl, u):
     v_dom = frozenset(a for a in v_cod if amb.tgt.mapping[a] in y0)
     dom, _, _ = bi_orbit_space_oracle(amb, incl, u, v_dom)
     cod, q_cod, _ = bi_orbit_space_oracle(amb, grpd.whole_subgroupoid(amb), u, v_cod)
-    return ContinuousMap(dom, cod, {c: q_cod.mapping[next(iter(c))] for c in dom.points})
+    f = ContinuousMap(dom, cod, {c: q_cod.mapping[next(iter(c))] for c in dom.points})
+    assert f.is_continuous()
+    return f
 
 
 def generator_total_oracle(x, u) -> FinSpace:
     """The total space of u's Moerdijk generator: the pre-composition
     orbits of the arrows out of u's objects, as a quotient space."""
     v = frozenset(a for y in u.object_set for a in x.out_of[y])
-    return bi_orbit_space_oracle(x, grpd.identity_subgroupoid(x), u, v)[0]
+    return bi_orbit_space_oracle(x, identity_subgroupoid(x), u, v)[0]
 
 
 def generator_oracle(x, u):
@@ -312,10 +315,12 @@ def exhaustive_answer(decide, incl, mode="all") -> str:
 def bi_orbit_space_oracle(x, left, right, v):
     """The bi-orbit space by union-find: every action pair (a, a o b) for
     b in `right` into s(a), and (a, c o a) for c in `left` out of t(a),
-    for every a in v, is fed to `fintop.partition`; BistabilityError at
-    the first composite that leaves v.  Returns (space, quotient map
-    from the subspace on v, inclusion of that subspace into the arrow
-    space): the FinSpace form of `grpd.bi_orbit_space`."""
+    for every a in v, is fed to `fintop.partition`; v must be stable
+    under both actions.  Returns (space, quotient map from the subspace
+    on v, inclusion of that subspace into the arrow space): the FinSpace
+    form of `grpd.bi_orbit_space` for v = X(R0, L0), and of the
+    codomain of `grpd.iota_map` for left the whole groupoid and v the
+    arrows out of right's objects."""
     v = frozenset(v)
     s, t = x.src.mapping, x.tgt.mapping
     sub = x.arrows.subspace(v)
@@ -328,21 +333,13 @@ def bi_orbit_space_oracle(x, left, right, v):
 
     def actions():
         for a in v:
-            for b in by_tgt.get(s[a], ()):
-                h = x.comp[(a, b)]
-                if h not in v:
-                    raise BistabilityError(
-                        f"v not stable under pre-composition at {fintop.fmt_point((a, b))}")
-                yield a, h
-            for c in by_src.get(t[a], ()):
-                h = x.comp[(c, a)]
-                if h not in v:
-                    raise BistabilityError(
-                        f"v not stable under post-composition at {fintop.fmt_point((c, a))}")
+            for h in [x.comp[(a, b)] for b in by_tgt.get(s[a], ())] + [
+                    x.comp[(c, a)] for c in by_src.get(t[a], ())]:
+                assert h in v, f"v not stable under the actions at {fintop.fmt_point(a)}"
                 yield a, h
 
     space, quot = quotient_space(sub, fintop.partition(v, actions()))
-    return space, quot, ContinuousMap(sub, x.arrows, {a: a for a in v}, check=False)
+    return space, quot, ContinuousMap(sub, x.arrows, {a: a for a in v})
 
 
 def all_isos_between_members_oracle(members) -> frozenset:

@@ -65,7 +65,7 @@ from corpus import (
 from test_acceptance import SEED
 from test_cli import MG_DOC, discrete_space_groupoid_doc
 from topogrpd import cli, fintop, frac, grpd, jsonio, logic, sheaf, weq
-from topogrpd.errors import BistabilityError, CapExceeded, InputError
+from topogrpd.errors import CapExceeded, InputError
 from topogrpd.fintop import FinSpace
 from topogrpd.logic import FinModel, IndexedModel
 
@@ -712,40 +712,57 @@ def test_fiber_product_matches_the_pairwise_construction(corpus):
 
 def test_bi_orbits_match_the_union_find():
     """For every pair (L, R) of subgroupoids of S3 and of a 30-groupoid
-    corpus, on all arrows, on a union of some reference bi-orbits (stable)
-    and on a random arrow set (mostly unstable): the same space and maps
-    as the union-find, or BistabilityError on both sides."""
-    rng = random.Random(0)
+    corpus, the bi-orbit space L\\X(R0, L0)/R has the same space and
+    maps as the union-find on the arrows from R's objects to L's."""
     s3 = group_groupoid({a for a, _ in SMALL_GROUPS["S3"]}, SMALL_GROUPS["S3"])
-    merged = stable = unstable = 0
+    pairs = spanned = merged = 0
     for g in [s3, *groupoid_corpus(random.Random(0), 30)]:
-        arrows = fintop.sorted_points(g.arrows.points)
+        s, t = g.src.mapping, g.tgt.mapping
         subs = enumerate_subgroupoids(g)
         for left in subs:
             for right in subs:
-                ref, _, _ = oracles.bi_orbit_space_oracle(g, left, right, g.arrows.points)
-                merged += len(ref) < len(arrows)
-                for v in (g.arrows.points,
-                          frozenset().union(*(b for b in fintop.sorted_points(ref.points)
-                                              if rng.random() < 0.5)),
-                          frozenset(a for a in arrows if rng.random() < 0.5)):
-                    try:
-                        want = oracles.bi_orbit_space_oracle(g, left, right, v)
-                    except BistabilityError:
-                        with pytest.raises(BistabilityError):
-                            grpd.bi_orbit_space(g, left, right, v)
-                        unstable += 1
-                        continue
-                    space, quot, _ = want
-                    cls, mins = grpd.bi_orbit_space(g, left, right, v)
-                    assert cls.keys() == quot.mapping.keys() and len(mins) == len(space)
-                    block = [quot.mapping[a] for a in sorted(cls, key=cls.get)]
-                    block = list(dict.fromkeys(block))  # bi-orbit i as a reference point
-                    assert all(block[cls[a]] == quot.mapping[a] for a in cls)
-                    assert all(space.min_open(block[i]) == {block[j] for j in fintop.bits(m)}
-                               for i, m in enumerate(mins))
-                    stable += 1
-    assert merged >= 800 and stable >= 3000 and unstable >= 700, (merged, stable, unstable)
+                v = frozenset(a for a in g.arrows.points
+                              if s[a] in right.object_set and t[a] in left.object_set)
+                space, quot, _ = oracles.bi_orbit_space_oracle(g, left, right, v)
+                cls, mins = grpd.bi_orbit_space(g, left, right)
+                assert cls.keys() == quot.mapping.keys() and len(mins) == len(space)
+                block = [quot.mapping[a] for a in sorted(cls, key=cls.get)]
+                block = list(dict.fromkeys(block))  # bi-orbit i as a reference point
+                assert all(block[cls[a]] == quot.mapping[a] for a in cls)
+                assert all(space.min_open(block[i]) == {block[j] for j in fintop.bits(m)}
+                           for i, m in enumerate(mins))
+                pairs += 1
+                spanned += bool(v)
+                merged += len(space) < len(v)
+    assert pairs >= 1300 and spanned >= 950 and merged >= 700, (pairs, spanned, merged)  # 1,310, 983, 734
+
+
+def test_iota_codomain_is_the_orbit_space():
+    """On every subgroupoid u of the 500-groupoid corpus, open or not,
+    the codomain of `iota_map` (U0/U, u's objects by u's connected
+    components) is the bi-orbit space X\\X(U0, X0)/U of the union-find
+    read through the source map: the same components and the same
+    minimal opens."""
+    subs = several = not_open = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        s, whole = g.src.mapping, grpd.whole_subgroupoid(g)
+        for u in enumerate_subgroupoids(g):
+            grpd.iota_map(whole, u)
+            comp, cod_mins = g.memo("iota_cod", u.arrow_set, pytest.fail)
+            v = frozenset(a for y in u.object_set for a in g.out_of[y])
+            space, quot, _ = oracles.bi_orbit_space_oracle(g, whole, u, v)
+            assert comp.keys() == u.object_set
+            block = {}  # component i as a reference point
+            assert all(block.setdefault(comp[s[a]], quot.mapping[a]) == quot.mapping[a] for a in v)
+            assert sorted(block) == list(range(len(cod_mins)))
+            assert len(set(block.values())) == len(cod_mins) == len(space)
+            assert all(space.min_open(block[i]) == {block[j] for j in fintop.bits(m)}
+                       for i, m in enumerate(cod_mins))
+            subs += 1
+            several += len(cod_mins) > 1
+            not_open += not u.is_open()
+    print(f"{subs} subgroupoids ({not_open} not open), {several} with more than one point in U0/U")
+    assert subs >= 2800 and several >= 1000 and not_open >= 200, (subs, several, not_open)  # 2,831, 1,024, 227
 
 
 def test_quasi_homeo_route_matches_the_finspace_reference():
@@ -800,7 +817,7 @@ def test_quasi_homeo_on_masks_matches_the_open_family_oracle(seed, pulled_back):
         dom = random_space(random.Random(seed + 1), max_points=n)
         mapping = {x: mapping.get(x, 0) for x in dom.points} if cod.points else {}
         assume(not dom.points or cod.points)
-    f = fintop.ContinuousMap(dom, cod, mapping, check=False)
+    f = fintop.ContinuousMap(dom, cod, mapping)
     got = fintop.is_quasi_homeomorphism(*oracles.as_masks(f))
     assert got == oracles.quasi_homeo_oracle(f)
     if f.is_continuous():

@@ -203,7 +203,7 @@ def test_quasi_homeo_matches_open_family_oracle():
             }
             if None in mapping.values():
                 continue
-            f = ContinuousMap(dom, cod, mapping, check=False)
+            f = ContinuousMap(dom, cod, mapping)
             if not f.is_continuous():
                 continue
             assert is_quasi_homeomorphism(f) == oracles.quasi_homeo_oracle(f)
@@ -228,17 +228,20 @@ def test_local_homeo_matches_exhaustive_oracle():
             if dom.points and not cod.points:
                 continue
             mapping = {x: rng.choice(sorted(cod.points)) for x in dom.points}
-            f = ContinuousMap(dom, cod, mapping, check=False)
+            f = ContinuousMap(dom, cod, mapping)
             if not f.is_continuous():
                 continue
             assert fintop.is_local_homeomorphism(f) == oracles.local_homeo_oracle(f)
 
 
 def test_continuity_validation():
-    with pytest.raises(InputError):
-        ContinuousMap(SIER, FinSpace.discrete({0, 1}), {0: 0, 1: 1})
+    # the constructor checks totality and the codomain; is_continuous checks continuity
+    assert not ContinuousMap(SIER, FinSpace.discrete({0, 1}), {0: 0, 1: 1}).is_continuous()
+    assert ContinuousMap(FinSpace.discrete({0, 1}), SIER, {0: 0, 1: 1}).is_continuous()
     with pytest.raises(InputError):
         ContinuousMap(SIER, SIER, {0: 0})  # not total
+    with pytest.raises(InputError):
+        ContinuousMap(SIER, SIER, {0: 0, 1: 2})  # outside the codomain
 
 
 def test_quotient_space_topology():

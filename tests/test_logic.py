@@ -4,7 +4,7 @@ import random
 import pytest
 
 from corpus import (
-    random_formula_ast, random_model_groupoid, sober_eliminating_model_groupoids,
+    formula_depth, random_formula_ast, random_model_groupoid, sober_eliminating_model_groupoids,
     terminal_sheaf, top_formula,
 )
 from topogrpd import grpd, logic, sheaf, weq
@@ -97,9 +97,9 @@ def test_well_sortedness():
 
 def test_depth():
     f = parse_formula("exists y. E(x,y)", GRAPH)
-    assert logic.depth(f.ast) == 1
-    assert logic.depth(parse_formula("T", GRAPH, ()).ast) == 0
-    assert logic.depth(parse_formula("T /\\ (T \\/ F)", GRAPH, ()).ast) == 2
+    assert formula_depth(f.ast) == 1
+    assert formula_depth(parse_formula("T", GRAPH, ()).ast) == 0
+    assert formula_depth(parse_formula("T /\\ (T \\/ F)", GRAPH, ()).ast) == 2
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -14,7 +14,9 @@ each named in README.md.
 The scan's blind spot: a method that shares its name with another
 definition (TopGroupoid.compose and frac.compose, say) is counted as
 called by every use of that other definition, so it can stay uncalled
-unnoticed.
+unnoticed.  So can a function named like a parameter, a local or a
+field: a `depth(ast)` in `logic` would count the `depth` parameters and
+the `DerivedGroupoid.depth` field as its callers.
 """
 
 import ast

@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 from corpus import (
-    SMALL_GROUPS, enumerate_subgroupoids, group_groupoid, random_discrete_groupoid,
-    terminal_sheaf,
+    SMALL_GROUPS, enumerate_subgroupoids, group_groupoid, identity_subgroupoid,
+    random_discrete_groupoid, terminal_sheaf,
 )
 from test_grpd import S3, Z2, iso_pair
 from topogrpd import fintop, grpd, sheaf, weq
@@ -99,7 +99,7 @@ def test_moerdijk_coset_sheaf():
 
 
 def test_moerdijk_trivial_subgroupoid():
-    gen = sheaf.moerdijk_generator(S3, grpd.identity_subgroupoid(S3))
+    gen = sheaf.moerdijk_generator(S3, identity_subgroupoid(S3))
     assert len(gen.total) == len(S3.arrows.points)
     assert sheaf.validate_sheaf(gen) == []
     # projection is the target map through singleton classes
@@ -141,7 +141,7 @@ def test_inverse_image_identity():
 def test_inverse_image_of_generator_is_restricted_biorbit_space():
     g = iso_pair()
     y = grpd.full_subgroupoid_on(g, {"a"})
-    u = grpd.identity_subgroupoid(g)
+    u = identity_subgroupoid(g)
     gen = sheaf.moerdijk_generator(g, u)
     pb = sheaf.inverse_image(y.inclusion_functor(), gen)
     assert sheaf.validate_sheaf(pb) == []
@@ -207,7 +207,7 @@ def restriction_and_reference(y, u):
 
 def test_subobject_restriction_examples():
     g = iso_pair()
-    u = grpd.identity_subgroupoid(g)
+    u = identity_subgroupoid(g)
     # ambient into itself: identity map of lattices
     r0 = restriction_and_reference(grpd.whole_subgroupoid(g), u)
     assert r0.is_bijective()
@@ -225,7 +225,7 @@ def test_subobject_restriction_examples():
     # two non-isomorphic discrete objects: surjective but not injective
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
     r2 = restriction_and_reference(
-        grpd.full_subgroupoid_on(two, {"p"}), grpd.identity_subgroupoid(two)
+        grpd.full_subgroupoid_on(two, {"p"}), identity_subgroupoid(two)
     )
     assert not r2.is_injective() and r2.is_surjective()
     with pytest.raises(InputError, match="subgroupoids of different groupoids"):

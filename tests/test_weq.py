@@ -4,7 +4,8 @@ import pytest
 
 import oracles
 from corpus import (
-    enumerate_subgroupoids, groupoid_corpus, random_discrete_groupoid, random_functor,
+    enumerate_subgroupoids, groupoid_corpus, identity_subgroupoid, random_discrete_groupoid,
+    random_functor,
 )
 from test_grpd import S3, iso_pair
 from topogrpd import fintop, grpd, sheaf, weq
@@ -34,7 +35,7 @@ def test_skula_dense_orbits_examples():
     # two non-isomorphic discrete objects, one excluded
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
     y = grpd.full_subgroupoid_on(two, {"p"})
-    assert weq.skula_witness(y, grpd.identity_subgroupoid(two)) is not None
+    assert weq.skula_witness(y, identity_subgroupoid(two)) is not None
 
 
 def test_source_determined_examples():
@@ -166,6 +167,26 @@ def test_quasi_homeo_route_reads_no_subobject_or_orbit_condition(monkeypatch):
     assert weq.is_weak_equivalence(grpd.whole_subgroupoid(S3), mode="quasi-homeo")
 
 
+def test_subobject_route_reads_no_bi_orbit_space(monkeypatch):
+    """The subobject route stays independent of the other two routes: its
+    generator lists its own classes, with no bi-orbit space."""
+
+    def forbidden(*args):
+        raise AssertionError("the subobject route reached another route")
+
+    for owner, name in ((grpd, "bi_orbit_space"), (grpd, "iota_map"),
+                        (fintop, "is_quasi_homeomorphism"),
+                        (weq, "_skula_witness"), (weq, "_source_determined_witness")):
+        monkeypatch.setattr(owner, name, forbidden)
+    injective = set()
+    for y in enumerate_subgroupoids(S3):
+        for u in grpd.enumerate_open_subgroupoids(S3):
+            injective.add(sheaf.subobject_restriction(y, u).injective)
+    assert injective == {True, False}
+    # on a "no" the verdict's witness reads the orbit conditions by design
+    assert weq.is_weak_equivalence(grpd.whole_subgroupoid(S3), mode="subobject-oracle")
+
+
 THREE_VERDICTS = (lambda y: weq.is_weak_equivalence(y, mode="all"), weq.is_localic_surjection,
                   weq.is_subtopos_inclusion)
 
@@ -219,7 +240,7 @@ def test_a_second_round_of_the_three_verdicts_computes_no_condition(monkeypatch)
     for owner, name in ((weq, "_skula_witness"), (weq, "_source_determined_witness"),
                         (fintop, "partition"), (Subgroupoid, "validate")):
         counting(owner, name)
-    for y in (grpd.identity_subgroupoid(iso_pair()), grpd.whole_subgroupoid(iso_pair())):
+    for y in (identity_subgroupoid(iso_pair()), grpd.whole_subgroupoid(iso_pair())):
         rounds = []
         for _ in range(2):
             calls.clear()
@@ -233,8 +254,8 @@ def test_a_returned_witness_is_the_callers_own_copy():
     two = grpd.space_groupoid(FinSpace.discrete({"p", "q"}))
     g = iso_pair()
     for condition, y, u in (
-        (weq.skula_witness, grpd.full_subgroupoid_on(two, {"p"}), grpd.identity_subgroupoid(two)),
-        (weq.source_determined_witness, grpd.identity_subgroupoid(g), grpd.whole_subgroupoid(g)),
+        (weq.skula_witness, grpd.full_subgroupoid_on(two, {"p"}), identity_subgroupoid(two)),
+        (weq.source_determined_witness, identity_subgroupoid(g), grpd.whole_subgroupoid(g)),
     ):
         w = condition(y, u)
         expected = {k: list(v) if isinstance(v, list) else v for k, v in w.items()}
