@@ -178,8 +178,8 @@ def _cmd_morita_search(args, inputs):
     if res.apex is not None:
         result["witness"] = {
             "apex": jsonio.model_groupoid_to_json(res.apex),
-            "left_arrows": [jsonio.iso_to_json(a) for a in sorted(res.left_leg.sub.arrows, key=fintop.ckey)],
-            "right_arrows": [jsonio.iso_to_json(a) for a in sorted(res.right_leg.sub.arrows, key=fintop.ckey)],
+            "left_arrows": [jsonio.iso_to_json(a) for a in res.left_leg.sub.order],
+            "right_arrows": [jsonio.iso_to_json(a) for a in res.right_leg.sub.order],
         }
     return result, res.verdict.answer
 

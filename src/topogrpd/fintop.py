@@ -47,8 +47,13 @@ def sorted_points(items):
 def set_key(space):
     """Key for sets of a space's points: size, then the sorted ranks of
     their points in the space's `order`."""
-    rank = {x: i for i, x in enumerate(space.order())}
+    rank = space.rank()
     return lambda s: (len(s), sorted([rank[x] for x in s]))
+
+
+def in_order(space, items) -> list:
+    """`items`, points of `space`, sorted in the space's `order`."""
+    return sorted(items, key=space.rank().__getitem__)
 
 
 def masker(points):
@@ -92,7 +97,7 @@ class FinSpace:
     arises this way.
     """
 
-    __slots__ = ("points", "_min", "_opens", "_order", "_hash")
+    __slots__ = ("points", "_min", "_opens", "_order", "_rank", "_hash")
 
     def __init__(self, points, min_open, _check=True):
         self.points = frozenset(points)
@@ -101,6 +106,7 @@ class FinSpace:
         self._min = {x: frozenset(min_open[x]) for x in self.points}
         self._opens = None
         self._order = None
+        self._rank = None
         self._hash = None
         if _check:
             for x, u in self._min.items():
@@ -148,10 +154,18 @@ class FinSpace:
     # -- basic structure ------------------------------------------------
 
     def order(self) -> tuple:
-        """The points in `ckey` order, sorted on the first call only."""
+        """The points in `ckey` order, sorted on the first call only.  The
+        arrow spaces of `logic.logical_topologies` are handed the model
+        groupoid's `order`, the same order read off carrier positions."""
         if self._order is None:
             self._order = tuple(sorted_points(self.points))
         return self._order
+
+    def rank(self) -> dict:
+        """Each point's index in `order`, on the first call only."""
+        if self._rank is None:
+            self._rank = {x: i for i, x in enumerate(self.order())}
+        return self._rank
 
     def min_open(self, x) -> frozenset:
         return self._min[x]
@@ -437,10 +451,10 @@ def is_quasi_homeomorphism(f, dom_mins, cod_mins) -> bool:
 
 
 def is_open_map(f: ContinuousMap) -> bool:
-    """Image of every open is open; enough to check minimal neighbourhoods."""
-    for x in f.domain.points:
-        img = frozenset(f.mapping[y] for y in f.domain.min_open(x))
-        if not f.codomain.is_open(img):
+    """Image of every open is open; enough to check each distinct minimal
+    neighbourhood once (points of a coarse space share one)."""
+    for u in set(f.domain._min.values()):
+        if not f.codomain.is_open(frozenset(f.mapping[y] for y in u)):
             return False
     return True
 

@@ -561,8 +561,8 @@ def transformations(f: ContinuousFunctor, g: ContinuousFunctor, limit: int | Non
     per_comp = []
     for r, tree in comps:
         choices = []
-        for c in sorted_points(
-            cod.arrows_between(f.obj_map.mapping[r], g.obj_map.mapping[r])
+        for c in fintop.in_order(
+            cod.arrows, cod.arrows_between(f.obj_map.mapping[r], g.obj_map.mapping[r])
         ):
             assignment = {}
             for x, path in tree.items():

@@ -346,7 +346,7 @@ def model_groupoid_to_json(g: ModelGroupoid):
         "signature": signature_to_json(g.signature),
         "params": dict(sorted(g.params.items())),
         "models": models,
-        "arrows": [iso_to_json(a) for a in sorted(g.arrows, key=fintop.ckey)],
+        "arrows": [iso_to_json(a) for a in g.order],
     }
 
 
@@ -383,14 +383,9 @@ def cospan_to_json(c):
         "apex": model_groupoid_to_json(c.apex),
         "fwd": {
             "obj_map": dict(sorted(c.fwd.obj_map.items())),
-            "arr_map": [
-                [iso_to_json(a), iso_to_json(b)]
-                for a, b in sorted(c.fwd.arr_map.items(), key=lambda kv: fintop.ckey(kv[0]))
-            ],
+            "arr_map": [[iso_to_json(a), iso_to_json(c.fwd.arr_map[a])] for a in c.source.order],
         },
-        "weq_leg": {
-            "arrows": [iso_to_json(a) for a in sorted(c.weq_leg.sub.arrows, key=fintop.ckey)]
-        },
+        "weq_leg": {"arrows": [iso_to_json(a) for a in c.target.order]},
         "certificate": c.certificate.to_json(),
     }
 

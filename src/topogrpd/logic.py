@@ -441,11 +441,23 @@ def _infer_context(ast, sig: Signature):
 # -- finite models -----------------------------------------------------------
 
 
+class Layout(NamedTuple):
+    """A model on carrier positions: its (sort, element) pairs in
+    `make_iso` order (sort names sorted, then `ckey` within a sort), the
+    position of each pair, the positions of the constants (in signature
+    order) and each relation's rows as tuples of positions."""
+
+    pairs: tuple
+    index: dict
+    consts: tuple
+    rows: dict
+
+
 class FinModel:
     """A finite structure: carriers per sort, relation and constant
     interpretations.  Elements must be strings or ints (canonical ids)."""
 
-    __slots__ = ("name", "signature", "carriers", "relations", "constants")
+    __slots__ = ("name", "signature", "carriers", "relations", "constants", "_layout")
 
     def __init__(self, name, signature: Signature, carriers, relations=None, constants=None):
         self.name = name
@@ -474,6 +486,21 @@ class FinModel:
         for e in self.elements():
             if not isinstance(e, (str, int)):
                 raise InputError("carrier elements must be strings or ints")
+        self._layout = None
+
+    def layout(self) -> Layout:
+        """The model's `Layout`, computed on the first call only."""
+        if self._layout is None:
+            pairs = tuple((s, e) for s in sorted(self.signature.sorts)
+                          for e in fintop.sorted_points(self.carriers[s]))
+            index = {p: i for i, p in enumerate(pairs)}
+            arities = self.signature.relation_arities
+            self._layout = Layout(
+                pairs, index,
+                tuple(index[(s, self.constants[c])] for c, s in self.signature.constants),
+                {r: frozenset(tuple(map(index.__getitem__, zip(arities[r], row))) for row in rows)
+                 for r, rows in self.relations.items()})
+        return self._layout
 
     def elements(self):
         return [e for s in self.signature.sorts for e in self.carriers[s]]
@@ -572,63 +599,53 @@ def make_iso(src, tgt, triples) -> Iso:
 
 
 def identity_iso(m: FinModel) -> Iso:
-    return make_iso(
-        m.name, m.name, [(s, e, e) for s in m.signature.sorts for e in m.carriers[s]]
-    )
+    return _iso(m, m, range(len(m.layout().pairs)))
 
 
-def compose_isos(b: Iso, a: Iso) -> Iso:
-    """b o a (a first).  a.map is sorted and names each (sort, element)
-    once, so the composite's triples, built in a.map's order, are sorted
-    too."""
-    if a.tgt != b.src:
-        raise InputError("isomorphisms not composable")
-    lookup = {(s, x): y for s, x, y in b.map}
-    return Iso(a.src, b.tgt, tuple((s, x, lookup[(s, y)]) for s, x, y in a.map))
+def _iso(m: FinModel, n: FinModel, p) -> Iso:
+    """The Iso m -> n at positions p: p[i] is the position in n of the
+    image of m's position i."""
+    pairs = n.layout().pairs
+    return Iso(m.name, n.name, tuple((s, x, pairs[j][1]) for (s, x), j in zip(m.layout().pairs, p)))
 
 
-def invert_iso(a: Iso) -> Iso:
-    return make_iso(a.tgt, a.src, [(s, y, x) for s, x, y in a.map])
+def _inverse(p) -> tuple:
+    q = [0] * len(p)
+    for i, j in enumerate(p):
+        q[j] = i
+    return tuple(q)
+
+
+def _preserves(p, m: Layout, n: Layout) -> bool:
+    """Do the positions p carry m's constants and relations onto n's?"""
+    return all(p[i] == j for i, j in zip(m.consts, n.consts)) and all(
+        frozenset(tuple(map(p.__getitem__, row)) for row in rows) == n.rows[r]
+        for r, rows in m.rows.items())
+
+
+def _iso_positions(m: FinModel, n: FinModel):
+    """The isomorphisms m -> n as position tuples, in increasing order:
+    a permutation of each sort's block of positions, the blocks in
+    layout order."""
+    if m.signature != n.signature:
+        raise InputError("models over different signatures")
+    blocks, start = [], 0
+    for s in sorted(m.signature.sorts):
+        k = len(m.carriers[s])
+        if k != len(n.carriers[s]):
+            return
+        blocks.append(permutations(range(start, start + k)))
+        start += k
+    lm, ln = m.layout(), n.layout()
+    for combo in product(*blocks):
+        p = sum(combo, ())
+        if _preserves(p, lm, ln):
+            yield p
 
 
 def model_isomorphisms(m: FinModel, n: FinModel):
     """All isomorphisms m -> n, in canonical order."""
-    if m.signature != n.signature:
-        raise InputError("models over different signatures")
-    sorts = m.signature.sorts
-    per_sort = []
-    for s in sorts:
-        a = fintop.sorted_points(m.carriers[s])
-        b = fintop.sorted_points(n.carriers[s])
-        if len(a) != len(b):
-            return []
-        per_sort.append((s, [dict(zip(a, perm)) for perm in permutations(b)]))
-    out = []
-    for combo in product(*(bs for _, bs in per_sort)):
-        assign = {s: d for (s, _), d in zip(per_sort, combo)}
-        ok = True
-        for cname, s in m.signature.constant_sorts.items():
-            if assign[s][m.constants[cname]] != n.constants[cname]:
-                ok = False
-                break
-        if ok:
-            for rname, arity in m.signature.relation_arities.items():
-                fwd = frozenset(
-                    tuple(assign[s][e] for s, e in zip(arity, row))
-                    for row in m.relations[rname]
-                )
-                if fwd != n.relations[rname]:
-                    ok = False
-                    break
-        if ok:
-            out.append(
-                make_iso(
-                    m.name,
-                    n.name,
-                    [(s, e, assign[s][e]) for s in sorts for e in m.carriers[s]],
-                )
-            )
-    return sorted(out, key=ckey)
+    return [_iso(m, n, p) for p in _iso_positions(m, n)]
 
 
 def automorphisms(m: FinModel):
@@ -680,13 +697,20 @@ class ModelGroupoid:
     included).  derive() endows it with the logical topologies.
 
     Construction checks every arrow before it composes any: its endpoints
-    are members, its map is a bijection of the carriers and it preserves
-    the constants and relations.  Only then are the structure tables `unit` (member
-    name to identity), `inv`, `out_of` and `into` (member name to the arrows
-    with that source, with that target) and `comp` ((b, a) to b o a) built,
-    once, each value the very object in `arrows` where it is one, and the
-    closure laws read from them.  Each stage raises one InputError naming
-    all its violations in canonical order."""
+    are members, its map is a bijection of the carriers listed in
+    `make_iso` order, and it preserves the constants and relations.  The
+    same pass reads the arrow's positions (`Layout`): p[i] is the position
+    in the target of the image of source position i.  Only then are the
+    structure tables `unit` (member name to identity), `inv`, `out_of` and
+    `into` (member name to the arrows with that source, with that target)
+    and `comp` ((b, a) to b o a, at positions pb[pa[i]]) built, once, from
+    the lookup of each arrow by its (source, target, positions), and the
+    closure laws read from them.  `order` lists the arrows sorted by
+    (source, target, positions), with the member names ranked in `ckey`
+    order: maps with one source list the same (sort, element) pairs, so
+    they first differ at an image's rank, and this is the `ckey` order of
+    the arrows.  Each stage raises one InputError naming all its
+    violations in canonical order."""
 
     def __init__(self, signature: Signature, params, members, arrows):
         self.signature = signature
@@ -702,48 +726,51 @@ class ModelGroupoid:
         self.arrows = frozenset(arrows)
         self._derived = {}
         self._engine = None
-        faults = {a: f for a in self.arrows if (f := self._arrow_fault(a))}
+        pos = {a: self._positions(a) for a in self.arrows}
+        faults = sorted((a for a, p in pos.items() if isinstance(p, str)), key=ckey)
         if faults:
-            raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
-        own = {a: a for a in self.arrows}.get
-        self.unit = {im.name: own(e := identity_iso(im.model), e) for im in self.members}
-        self.inv = {a: own(i := invert_iso(a), i) for a in self.arrows}
+            raise InputError("; ".join(pos[a] for a in faults))
+        rank = {n: i for i, n in enumerate(fintop.sorted_points(self.by_name))}
+        key = {a: (rank[a.src], rank[a.tgt], p) for a, p in pos.items()}
+        arrow = {k: a for a, k in key.items()}
+        self.order = tuple(arrow[k] for k in sorted(arrow))
+        self.unit = {n: arrow.get((rank[n], rank[n], tuple(range(len(im.model.layout().pairs)))))
+                     for n, im in self.by_name.items()}
+        self.inv = {a: arrow.get((j, i, _inverse(p))) for a, (i, j, p) in key.items()}
         self.out_of, self.into = {n: [] for n in self.by_name}, {n: [] for n in self.by_name}
         for a in self.arrows:
             self.out_of[a.src].append(a)
             self.into[a.tgt].append(a)
-        self.comp = {(b, a): own(ba := compose_isos(b, a), ba)
-                     for a in self.arrows for b in self.out_of[a.tgt]}
-        bad = [f"missing identity on {n}" for n, e in self.unit.items() if e not in self.arrows]
+        self.comp = {}
+        for a, (i, _, pa) in key.items():
+            for b in self.out_of[a.tgt]:
+                _, k, pb = key[b]
+                self.comp[(b, a)] = arrow.get((i, k, tuple(map(pb.__getitem__, pa))))
+        bad = [f"missing identity on {n}" for n, e in self.unit.items() if e is None]
         bad += [f"arrows not closed under inverse at {a.src}->{a.tgt}"
-                for a in sorted((a for a in self.arrows if self.inv[a] not in self.arrows), key=ckey)]
-        if not self.arrows.issuperset(self.comp.values()):
+                for a in self.order if self.inv[a] is None]
+        if None in self.comp.values():
             bad.append("arrows not closed under composition")
         if bad:
             raise InputError("; ".join(bad))
 
-    def _arrow_fault(self, a: Iso):
-        """Why `a` is not an isomorphism between members, or None."""
+    def _positions(self, a: Iso):
+        """The positions of `a`, or why it is not an isomorphism between
+        members."""
         if a.src not in self.by_name or a.tgt not in self.by_name:
             return f"arrow between non-members {a.src}->{a.tgt}"
-        m, n = self.by_name[a.src].model, self.by_name[a.tgt].model
-        sorts = self.signature.sorts
-        lookup = {(s, x): y for s, x, y in a.map}
-        images = {(s, y) for s, _, y in a.map}
-        if (len(lookup) != len(a.map) or len(images) != len(a.map)
-                or lookup.keys() != {(s, x) for s in sorts for x in m.carriers[s]}
-                or images != {(s, y) for s in sorts for y in n.carriers[s]}):
+        m, n = self.by_name[a.src].model.layout(), self.by_name[a.tgt].model.layout()
+        keys = tuple((s, x) for s, x, _ in a.map)
+        p = tuple(n.index.get((s, y), -1) for s, _, y in a.map)
+        onto = len(p) == len(n.pairs) == len(set(p)) and -1 not in p
+        total = keys == m.pairs or len(keys) == len(m.pairs) and set(keys) == set(m.pairs)
+        if not (onto and total):
             return f"arrow {a.src}->{a.tgt} map not a bijection of the carriers"
-        if any(lookup[(s, m.constants[c])] != n.constants[c] for c, s in self.signature.constants):
+        if keys != m.pairs:
+            return f"arrow {a.src}->{a.tgt} map {fintop.fmt_point(a.map)} not in make_iso order"
+        if not _preserves(p, m, n):
             return f"arrow {a.src}->{a.tgt} not an isomorphism"
-        for rname, arity in self.signature.relation_arities.items():
-            fwd = frozenset(
-                tuple(lookup[(s, e)] for s, e in zip(arity, row))
-                for row in m.relations[rname]
-            )
-            if fwd != n.relations[rname]:
-                return f"arrow {a.src}->{a.tgt} not an isomorphism"
-        return None
+        return p
 
     def member_names(self):
         return [im.name for im in self.members]
@@ -1053,6 +1080,7 @@ def logical_topologies(g: ModelGroupoid, depth: int,
         spaces = prev
         achieved = d
     obj_space, arr_space = spaces
+    arr_space._order = g.order  # the `ckey` order, read off positions
     src = {a: a.src for a in g.arrows}
     tgt = {a: a.tgt for a in g.arrows}
     grpd_obj = TopGroupoid(obj_space, arr_space, src, tgt, g.unit, g.inv, g.comp)
@@ -1147,23 +1175,25 @@ def all_isos_between_members(members) -> frozenset:
     """Every isomorphism between the indexed models `members` (a
     ModelGroupoid is read as its members), from one representative r per
     isomorphism class: each member m, tested against the representatives
-    found so far, keeps one isomorphism a_m: r -> m, and the isomorphisms
-    m -> n are the a_n o c o a_m^-1 for c in Aut(r)."""
-    classes = []  # (r, Aut(r), the a_m of the members of its class)
+    found so far, keeps the first isomorphism a_m: r -> m found, and the
+    isomorphisms m -> n are the a_n o c o a_m^-1 for c in Aut(r), composed
+    on positions."""
+    classes = []  # (r, Aut(r), (m, a_m) for the members m of its class), on positions
     for im in getattr(members, "members", members):
         for r, _, isos in classes:
-            found = model_isomorphisms(r, im.model)
-            if found:
-                isos.append(found[0])
+            p = next(_iso_positions(r, im.model), None)
+            if p is not None:
+                isos.append((im.model, p))
                 break
         else:
-            autos = automorphisms(im.model)
-            classes.append((im.model, autos, [autos[0]]))
+            autos = list(_iso_positions(im.model, im.model))
+            classes.append((im.model, autos, [(im.model, autos[0])]))
     out = set()
     for _, autos, isos in classes:
-        inverses = [invert_iso(a) for a in isos]
-        for bc in (compose_isos(b, c) for b in isos for c in autos):
-            out.update(compose_isos(bc, a_inv) for a_inv in inverses)
+        for m, pm in isos:
+            back = _inverse(pm)
+            for n, pn in isos:
+                out.update(_iso(m, n, tuple(pn[c[i]] for i in back)) for c in autos)
     return frozenset(out)
 
 
@@ -1183,7 +1213,8 @@ def is_etale_complete(g: ModelGroupoid, depth: int,
     elimination (bounded, may come back unknown)."""
     witnesses = []
     missing = all_isos_between_members(g.members) - g.arrows
-    for a in sorted(missing, key=ckey):
+    # a witness names only the endpoints, so their order is the canonical one
+    for a in sorted(missing, key=lambda a: (ckey(a.src), ckey(a.tgt))):
         witnesses.append((("kind", "missing-isomorphism"), ("src", a.src), ("tgt", a.tgt)))
     derived = g.derive(depth, tuple_cap)
     sober = fintop.is_sober(derived.objects)

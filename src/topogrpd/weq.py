@@ -63,7 +63,7 @@ class Verdict:
 
 
 def _sub_label(u: Subgroupoid):
-    return tuple(fmt_point(a) for a in sorted_points(u.arrow_set))
+    return tuple(fmt_point(a) for a in fintop.in_order(u.ambient.arrows, u.arrow_set))
 
 
 # -- the two orbit conditions, reduced to minimal neighbourhoods -----------
@@ -127,7 +127,9 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     distinct V; every gamma sourced in W must lie in it.  Whether some
     gamma fails does not depend on the order of the search, so it runs in
     set order, and only a failing call repeats it in canonical order to
-    name the minimal (alpha, V, gamma).
+    name the minimal (alpha, V, gamma).  Arrows that share their minimal
+    open and their source's share V and W, so a passed pair is tested
+    once; a failing one returns at once.
     """
     return _per_pair("source_determined", _source_determined_witness, incl, u)
 
@@ -135,6 +137,7 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
 def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     amb = incl.ambient
     s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
+    arrow_min, object_min = amb.arrows.min_open, amb.objects.min_open
     u0 = u.object_set
     y0 = incl.object_set
     span = frozenset(a for x in u0 for a in amb.out_of[x] if t[a] in y0)
@@ -144,26 +147,34 @@ def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     for theta in incl.arrow_set:
         y1_from.setdefault(s[theta], []).append(theta)
 
+    # the minimal opens (of alpha, of its source) whose V and W had no failing gamma
+    passed = set()
+
     def first_failure(span_order, order):
-        # every admissible gamma (source in w, a subset of u0; target in y0) is in span
+        # every admissible gamma (source in W, a subset of u0; target in y0) is in span
         span_from = {}
         for a in span_order:
             span_from.setdefault(s[a], []).append(a)
         for alpha in span_order:
-            v = amb.arrows.min_open(alpha) & span
-            if v not in realised:
-                realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
-                               for zeta in u1_to.get(s[eta], ())
-                               for theta in y1_from.get(t[eta], ())}
-            for x2 in order(amb.objects.min_open(s[alpha]) & u0):
+            mins = arrow_min(alpha), object_min(s[alpha])
+            if mins in passed:
+                continue
+            v = mins[0] & span
+            r = realised.get(v)
+            if r is None:
+                r = realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
+                                   for zeta in u1_to.get(s[eta], ())
+                                   for theta in y1_from.get(t[eta], ())}
+            for x2 in order(mins[1] & u0):
                 for gamma in span_from.get(x2, ()):
-                    if gamma not in realised[v]:
+                    if gamma not in r:
                         return alpha, v, gamma
+            passed.add(mins)
         return None
 
     if first_failure(span, iter) is None:
         return None
-    alpha, v, gamma = first_failure(sorted_points(span), sorted_points)
+    alpha, v, gamma = first_failure(fintop.in_order(amb.arrows, span), sorted_points)
     return {
         "kind": "source-determined-orbit",
         "arrow": fmt_point(alpha),

@@ -6,7 +6,7 @@ family, outside the verdicts' loop over the atoms.  Only usable on
 small inputs."""
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from corpus import identity_subgroupoid
 from topogrpd import fintop, grpd, logic, sheaf, weq
@@ -342,11 +342,70 @@ def bi_orbit_space_oracle(x, left, right, v):
     return space, quot, ContinuousMap(sub, x.arrows, {a: a for a in v})
 
 
+# -- isomorphisms on triple maps, the references of the position tables
+
+
+def compose_isos(b, a):
+    """b o a (a first), through a dict of b's triples."""
+    if a.tgt != b.src:
+        raise InputError("isomorphisms not composable")
+    lookup = {(s, x): y for s, x, y in b.map}
+    return logic.make_iso(a.src, b.tgt, [(s, x, lookup[(s, y)]) for s, x, y in a.map])
+
+
+def invert_iso(a):
+    return logic.make_iso(a.tgt, a.src, [(s, y, x) for s, x, y in a.map])
+
+
+def model_isomorphisms(m, n):
+    """All isomorphisms m -> n, by a search over the permutations of each
+    sort as dicts, sorted by `ckey`."""
+    if m.signature != n.signature:
+        raise InputError("models over different signatures")
+    sorts = m.signature.sorts
+    per_sort = []
+    for s in sorts:
+        a = fintop.sorted_points(m.carriers[s])
+        b = fintop.sorted_points(n.carriers[s])
+        if len(a) != len(b):
+            return []
+        per_sort.append([dict(zip(a, perm)) for perm in permutations(b)])
+    out = []
+    for combo in product(*per_sort):
+        assign = dict(zip(sorts, combo))
+        if any(assign[s][m.constants[c]] != n.constants[c]
+               for c, s in m.signature.constant_sorts.items()):
+            continue
+        if all(frozenset(tuple(assign[s][e] for s, e in zip(arity, row))
+                         for row in m.relations[r]) == n.relations[r]
+               for r, arity in m.signature.relation_arities.items()):
+            out.append(logic.make_iso(m.name, n.name, [(s, e, assign[s][e])
+                                                       for s in sorts for e in m.carriers[s]]))
+    return sorted(out, key=fintop.ckey)
+
+
+def model_groupoid_tables_oracle(g):
+    """`unit`, `inv` and `comp` of a model groupoid built from the triple
+    maps, and its arrows sorted by `ckey`."""
+    unit = {im.name: logic.make_iso(im.name, im.name, [(s, e, e) for s, c in im.model.carriers.items()
+                                                       for e in c])
+            for im in g.members}
+    inv = {a: invert_iso(a) for a in g.arrows}
+    comp = {(b, a): compose_isos(b, a) for a in g.arrows for b in g.arrows if b.src == a.tgt}
+    return unit, inv, comp, sorted(g.arrows, key=fintop.ckey)
+
+
 def all_isos_between_members_oracle(members) -> frozenset:
     """Every isomorphism between the indexed models `members` by a
     permutation search for each ordered pair of members."""
     models = [im.model for im in getattr(members, "members", members)]
-    return frozenset(a for m in models for n in models for a in logic.model_isomorphisms(m, n))
+    return frozenset(a for m in models for n in models for a in model_isomorphisms(m, n))
+
+
+def is_open_map_oracle(f) -> bool:
+    """The image of every point's minimal open is open."""
+    return all(f.codomain.is_open(frozenset(f.mapping[y] for y in f.domain.min_open(x)))
+               for x in f.domain.points)
 
 
 def source_determined_oracle(incl, u) -> bool:

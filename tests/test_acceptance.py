@@ -236,12 +236,12 @@ def test_criterion_8_definable_sheaf_pullback(model_corpus):
         while changed:
             changed = False
             for a in list(closed):
-                if logic.invert_iso(a) not in closed:
-                    closed.add(logic.invert_iso(a))
+                if oracles.invert_iso(a) not in closed:
+                    closed.add(oracles.invert_iso(a))
                     changed = True
                 for b in list(closed):
                     if b.src == a.tgt:
-                        c = logic.compose_isos(b, a)
+                        c = oracles.compose_isos(b, a)
                         if c not in closed:
                             closed.add(c)
                             changed = True

@@ -28,7 +28,11 @@ every subobject, and `oracles.generator_oracle` reads the generator's
 projection and action off every arrow of each class.
 `logic.all_isos_between_members` composes through one
 representative per isomorphism class;
-`oracles.all_isos_between_members_oracle` searches every ordered pair.
+`oracles.all_isos_between_members_oracle` searches every ordered pair,
+with `oracles.model_isomorphisms`, the dict-permutation search.
+`logic.ModelGroupoid` builds its tables and its arrow order on carrier
+positions; `oracles.model_groupoid_tables_oracle` composes and inverts
+triple maps and sorts by `ckey`.
 `logic.logical_topologies` finds the parameter transports in one pass
 over the arrows; `oracles.logical_topologies_oracle` scans all arrows
 for each (p, q) pair at every depth.
@@ -39,6 +43,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -55,6 +60,7 @@ from corpus import (
     graph_copies_doc,
     group_groupoid,
     groupoid_corpus,
+    ore_cospans,
     random_discrete_groupoid,
     random_model_groupoid,
     random_space,
@@ -67,7 +73,7 @@ from test_cli import MG_DOC, discrete_space_groupoid_doc
 from topogrpd import cli, fintop, frac, grpd, jsonio, logic, sheaf, weq
 from topogrpd.errors import CapExceeded, InputError
 from topogrpd.fintop import FinSpace
-from topogrpd.logic import FinModel, IndexedModel
+from topogrpd.logic import FinModel, IndexedModel, ModelGroupoid
 
 
 def random_id(rng, depth=2):
@@ -872,3 +878,126 @@ def test_all_isos_between_members_across_signatures_is_an_input_error():
         for all_isos in (logic.all_isos_between_members, oracles.all_isos_between_members_oracle):
             with pytest.raises(InputError, match="^models over different signatures$"):
                 all_isos(members)
+
+
+def multi_sort_members(rng):
+    """Copies of one random model over two or three sorts, declared in a
+    random order (often not alphabetical), with relations across sorts
+    and constants.  Each copy renames every sort by a random bijection
+    onto ints, strings or both; a further random model on the same sort
+    sizes, isomorphic or not, may join."""
+    sorts = rng.sample(["A", "B", "C"], rng.randint(2, 3))
+    relations = {f"R{i}": [rng.choice(sorts) for _ in range(rng.randint(1, 2))]
+                 for i in range(rng.randint(1, 2))}
+    sig = logic.make_signature(sorts, relations, {f"c{i}": rng.choice(sorts)
+                                                  for i in range(rng.randint(0, 2))})
+    sizes = {s: rng.randint(1, 3) for s in sorts}
+    pools = {"int": list(range(-2, 12)), "str": ["", "a", "a10", "a9", "b", "v0"]}
+    pools["both"] = pools["int"] + pools["str"]
+
+    def carriers():
+        return {s: rng.sample(pools[rng.choice(sorted(pools))], sizes[s]) for s in sorts}
+
+    def model(name, carrier):
+        rows = {r: [row for row in product(*(carrier[s] for s in arity)) if rng.random() < 0.4]
+                for r, arity in sig.relation_arities.items()}
+        return FinModel(name, sig, carrier, rows, {c: rng.choice(carrier[s])
+                                                   for c, s in sig.constant_sorts.items()})
+
+    def renamed(m, name):
+        carrier = carriers()
+        to = {s: dict(zip(rng.sample(sorted(m.carriers[s], key=fintop.ckey), sizes[s]), carrier[s]))
+              for s in sorts}
+        rows = {r: [tuple(to[s][e] for s, e in zip(sig.relation_arities[r], row)) for row in rs]
+                for r, rs in m.relations.items()}
+        return FinModel(name, sig, carrier, rows, {c: to[sig.constant_sorts[c]][e]
+                                                   for c, e in m.constants.items()})
+
+    base = model("M0", carriers())
+    models = [base] + [renamed(base, f"M{i}") for i in range(1, rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        models.append(model("X", carriers()))
+    params = {f"{s.lower()}{i}": s for s in sorts for i in range(sizes[s])}
+    return sig, params, [IndexedModel(m, {f"{s.lower()}{i}": e for s in sorts
+                                          for i, e in enumerate(sorted(m.carriers[s], key=fintop.ckey))},
+                                      params) for m in models]
+
+
+def assert_tables_match_the_triple_maps(g):
+    unit, inv, comp, order = oracles.model_groupoid_tables_oracle(g)
+    assert (g.unit, g.inv, g.comp, list(g.order)) == (unit, inv, comp, order)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), arrows=st.sampled_from(["all", "autos", "identities"]))
+def test_position_tables_on_multi_sort_signatures_match_the_triple_maps(seed, arrows):
+    """`model_isomorphisms` and `identity_iso` equal the dict-permutation
+    search, and `unit`, `inv`, `comp` and `order` of the model groupoid
+    equal the triple-map tables and the `ckey` order."""
+    sig, params, members = multi_sort_members(random.Random(seed))
+    models = [im.model for im in members]
+    for m in models:
+        assert [logic.identity_iso(m)] == oracles.model_isomorphisms(m, m)[:1]
+        for n in models:
+            assert logic.model_isomorphisms(m, n) == oracles.model_isomorphisms(m, n)
+    if arrows == "all":
+        isos = logic.all_isos_between_members(members)
+        assert isos == oracles.all_isos_between_members_oracle(members)
+    elif arrows == "autos":
+        isos = [a for m in models for a in logic.automorphisms(m)]
+    else:
+        isos = [logic.identity_iso(m) for m in models]
+    assert_tables_match_the_triple_maps(ModelGroupoid(sig, params, members, isos))
+
+
+def test_position_tables_of_the_model_corpus_match_the_triple_maps():
+    """On the model groupoids with copies and their etale completions."""
+    moving = 0
+    for g in model_groupoids_with_copies():
+        for h in (g, logic.etale_completion(g)):
+            assert_tables_match_the_triple_maps(h)
+            moving += len(h.arrows) > len(h.members)
+    assert moving > 150, moving
+
+
+def test_the_all_isos_oracle_reads_the_reference_search(monkeypatch):
+    lists = model_corpus_member_lists()[::10]
+    expected = [oracles.all_isos_between_members_oracle(members) for members in lists]
+
+    def forbidden(*args):
+        raise AssertionError("the reference reached the position search")
+
+    monkeypatch.setattr(logic, "model_isomorphisms", forbidden)
+    monkeypatch.setattr(logic, "_iso_positions", forbidden)
+    assert [oracles.all_isos_between_members_oracle(members) for members in lists] == expected
+
+
+def test_no_iso_reaches_the_recursive_key_in_compose_and_morita_search(tmp_path, monkeypatch):
+    """Model-groupoid arrows are ordered by their positions: one compose
+    and one morita-search op hand no Iso to `fintop.ckey`, under any
+    name a module binds it to."""
+    ckey, calls, isos = fintop.ckey, [], []
+
+    def spy(x):
+        calls.append(x)
+        if isinstance(x, logic.Iso):
+            isos.append(x)
+        return ckey(x)
+
+    for module in (fintop, grpd, weq, logic):
+        monkeypatch.setattr(module, "ckey", spy)
+    edges = rigid_graphs(3)[0]
+    first, second = ore_cospans(edges, 3, 2)
+    docs = {"first": first, "second": second,
+            "left": graph_copies_doc(edges, 3, ["M0", "M1"], "identities"),
+            "right": graph_copies_doc(edges, 3, ["N0", "N1"], "identities")}
+    path = {}
+    for name, doc in docs.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(doc))
+    out = str(tmp_path / "report.json")
+    assert cli.run(["compose", "--first", str(path["first"]), "--second", str(path["second"]),
+                    "--output", out]) == 0
+    assert cli.run(["morita-search", "--left", str(path["left"]), "--right", str(path["right"]),
+                    "--output", out]) == 0
+    assert calls and not isos, len(isos)

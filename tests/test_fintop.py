@@ -338,3 +338,20 @@ def test_is_open_map():
     # inclusion of the closed point is not open
     assert not fintop.is_open_map(ContinuousMap(SIER.subspace({0}), SIER, {0: 0}))
     assert fintop.is_open_map(ContinuousMap(SIER.subspace({1}), SIER, {1: 1}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), coarse=st.booleans())
+def test_is_open_map_once_per_minimal_open_matches_the_per_point_check(seed, coarse):
+    """Points that share a minimal open are checked once; the answer is
+    the per-point check's, on random maps of random spaces, coarse ones
+    (few subbasis sets, so many shared minimal opens) included."""
+    rng = random.Random(seed)
+    dom = random_space(rng, 6)
+    if coarse:
+        dom = fintop.generate_topology(dom.points, [{x for x in dom.points if rng.random() < 0.7}])
+    cod = random_space(rng, 4)
+    if not cod.points:
+        cod = FinSpace.discrete([0])
+    f = ContinuousMap(dom, cod, {x: rng.choice(sorted(cod.points)) for x in dom.points})
+    assert fintop.is_open_map(f) == oracles.is_open_map_oracle(f)
