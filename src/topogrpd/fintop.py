@@ -99,13 +99,17 @@ class FinSpace:
 
     __slots__ = ("points", "_min", "_opens", "_order", "_rank", "_hash")
 
-    def __init__(self, points, min_open, _check=True):
+    def __init__(self, points, min_open, _check=True, order=None):
         self.points = frozenset(points)
         if _check and set(min_open) != self.points:
             raise InputError("min_open domain differs from point set")
         self._min = {x: frozenset(min_open[x]) for x in self.points}
         self._opens = None
-        self._order = None
+        if order is not None:
+            order = tuple(order)
+            if len(order) != len(self.points) or frozenset(order) != self.points:
+                raise InputError("order does not list each point once")
+        self._order = order
         self._rank = None
         self._hash = None
         if _check:
@@ -154,9 +158,10 @@ class FinSpace:
     # -- basic structure ------------------------------------------------
 
     def order(self) -> tuple:
-        """The points in `ckey` order, sorted on the first call only.  The
-        arrow spaces of `logic.logical_topologies` are handed the model
-        groupoid's `order`, the same order read off carrier positions."""
+        """The points in `ckey` order: the `order` given on construction
+        (`logic.logical_topologies` gives a derived arrow space its model
+        groupoid's, read off carrier positions), else sorted on the first
+        call only."""
         if self._order is None:
             self._order = tuple(sorted_points(self.points))
         return self._order
@@ -230,10 +235,12 @@ class FinSpace:
         return f"FinSpace({len(self.points)} points)"
 
 
-def generate_topology(points, subbasis) -> FinSpace:
+def generate_topology(points, subbasis, order=None) -> FinSpace:
     """Smallest topology on `points` containing every subbasis member.
 
     Idempotent on an existing topology and monotone in the subbasis.
+    `order`, if given, is the points in `ckey` order, kept as the space's
+    `order`; it must list each point once.
     """
     pts = frozenset(points)
     fam = [frozenset(s) for s in subbasis]
@@ -247,7 +254,7 @@ def generate_topology(points, subbasis) -> FinSpace:
             if x in s:
                 u = u & s
         min_open[x] = u
-    return FinSpace(pts, min_open, _check=False)
+    return FinSpace(pts, min_open, _check=False, order=order)
 
 
 class ContinuousMap:

@@ -1070,7 +1070,7 @@ def logical_topologies(g: ModelGroupoid, depth: int,
         obj_sub = _definable_subbasis(g, (), names, d, tuple_cap)
         arr_sub = _arrow_subbasis(g, obj_sub, transports)
         obj_space = fintop.generate_topology(names, obj_sub)
-        arr_space = fintop.generate_topology(g.arrows, arr_sub)
+        arr_space = fintop.generate_topology(g.arrows, arr_sub, order=g.order)
         if prev is not None and (obj_space, arr_space) == prev:
             stabilized = True
             achieved = d - 1
@@ -1080,7 +1080,6 @@ def logical_topologies(g: ModelGroupoid, depth: int,
         spaces = prev
         achieved = d
     obj_space, arr_space = spaces
-    arr_space._order = g.order  # the `ckey` order, read off positions
     src = {a: a.src for a in g.arrows}
     tgt = {a: a.tgt for a in g.arrows}
     grpd_obj = TopGroupoid(obj_space, arr_space, src, tgt, g.unit, g.inv, g.comp)

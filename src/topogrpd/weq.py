@@ -127,9 +127,7 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     distinct V; every gamma sourced in W must lie in it.  Whether some
     gamma fails does not depend on the order of the search, so it runs in
     set order, and only a failing call repeats it in canonical order to
-    name the minimal (alpha, V, gamma).  Arrows that share their minimal
-    open and their source's share V and W, so a passed pair is tested
-    once; a failing one returns at once.
+    name the minimal (alpha, V, gamma).
     """
     return _per_pair("source_determined", _source_determined_witness, incl, u)
 
@@ -137,7 +135,6 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
 def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     amb = incl.ambient
     s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
-    arrow_min, object_min = amb.arrows.min_open, amb.objects.min_open
     u0 = u.object_set
     y0 = incl.object_set
     span = frozenset(a for x in u0 for a in amb.out_of[x] if t[a] in y0)
@@ -147,29 +144,21 @@ def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     for theta in incl.arrow_set:
         y1_from.setdefault(s[theta], []).append(theta)
 
-    # the minimal opens (of alpha, of its source) whose V and W had no failing gamma
-    passed = set()
-
     def first_failure(span_order, order):
-        # every admissible gamma (source in W, a subset of u0; target in y0) is in span
+        # every admissible gamma (source in w, a subset of u0; target in y0) is in span
         span_from = {}
         for a in span_order:
             span_from.setdefault(s[a], []).append(a)
         for alpha in span_order:
-            mins = arrow_min(alpha), object_min(s[alpha])
-            if mins in passed:
-                continue
-            v = mins[0] & span
-            r = realised.get(v)
-            if r is None:
-                r = realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
-                                   for zeta in u1_to.get(s[eta], ())
-                                   for theta in y1_from.get(t[eta], ())}
-            for x2 in order(mins[1] & u0):
+            v = amb.arrows.min_open(alpha) & span
+            if v not in realised:
+                realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
+                               for zeta in u1_to.get(s[eta], ())
+                               for theta in y1_from.get(t[eta], ())}
+            for x2 in order(amb.objects.min_open(s[alpha]) & u0):
                 for gamma in span_from.get(x2, ()):
-                    if gamma not in r:
+                    if gamma not in realised[v]:
                         return alpha, v, gamma
-            passed.add(mins)
         return None
 
     if first_failure(span, iter) is None:

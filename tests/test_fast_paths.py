@@ -951,11 +951,13 @@ def test_position_tables_on_multi_sort_signatures_match_the_triple_maps(seed, ar
 
 
 def test_position_tables_of_the_model_corpus_match_the_triple_maps():
-    """On the model groupoids with copies and their etale completions."""
+    """On the model groupoids with copies and their etale completions,
+    whose derived arrow spaces keep the `ckey` order they are handed."""
     moving = 0
     for g in model_groupoids_with_copies():
         for h in (g, logic.etale_completion(g)):
             assert_tables_match_the_triple_maps(h)
+            assert h.derive(0).groupoid.arrows.order() == tuple(sorted(h.arrows, key=fintop.ckey))
             moving += len(h.arrows) > len(h.members)
     assert moving > 150, moving
 

@@ -38,6 +38,15 @@ def test_generate_topology_rejects_bad_subbasis():
         fintop.generate_topology({0}, [{0, 1}])
 
 
+def test_a_given_order_lists_each_point_once():
+    sp = fintop.generate_topology({0, 1, 2}, [{1}], order=(2, 0, 1))
+    assert sp.order() == (2, 0, 1)
+    assert sp.rank() == {2: 0, 0: 1, 1: 2}
+    for order in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 2)):
+        with pytest.raises(InputError, match="order does not list each point once"):
+            fintop.generate_topology({0, 1, 2}, [{1}], order=order)
+
+
 def test_generate_topology_idempotent_and_monotone():
     rng = random.Random(7)
     for _ in range(40):
