@@ -39,6 +39,8 @@ def _load(path, inputs):
 
 
 def _cmd_validate(args, inputs):
+    if args.given and not args.models:
+        raise InputError(f"validate reads {' and '.join(args.given)} only with --models")
     diagnostics = []
     if args.space:  # the reader checks the min_open laws or the axioms of opens
         jsonio.space_from_json(_load(args.space, inputs))
@@ -178,8 +180,8 @@ def _cmd_morita_search(args, inputs):
     if res.apex is not None:
         result["witness"] = {
             "apex": jsonio.model_groupoid_to_json(res.apex),
-            "left_arrows": [jsonio.iso_to_json(a) for a in res.left_leg.sub.order],
-            "right_arrows": [jsonio.iso_to_json(a) for a in res.right_leg.sub.order],
+            "left_arrows": [jsonio.iso_to_json(a, left) for a in res.left_leg.sub.order],
+            "right_arrows": [jsonio.iso_to_json(a, right) for a in res.right_leg.sub.order],
         }
     return result, res.verdict.answer
 
@@ -190,6 +192,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+
+class _Knob(argparse.Action):
+    """Stores a knob's value and adds its flag to `args.given`, so that a
+    command can reject a knob it reads only with some input."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (option_string,)
 
 
 def _limit(text):
@@ -234,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags.split():
             p.add_argument("--" + flag.rstrip("?"), required=not flag.endswith("?"))
         for knob in knobs.split():
-            p.add_argument("--" + knob, **_KNOBS[knob])
+            p.add_argument("--" + knob, action=_Knob, **_KNOBS[knob])
         p.add_argument("--output", help="report path (default stdout)")
+        p.set_defaults(given=())
     return top
 
 
@@ -251,7 +263,7 @@ def run(argv=None) -> int:
         report["command"] = args.command
         report["options"] = {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("command", "output") and v is not None
+            if k not in ("command", "output", "given") and v is not None
         }
         result, answer = _TABLE[args.command][0](args, inputs)
         code = 0 if answer is None else _ANSWER_CODES[answer]

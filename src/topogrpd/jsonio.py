@@ -275,26 +275,31 @@ def _carrier_coerce(raw, model: FinModel, sort):
 
 
 def iso_from_json(doc, by_name) -> Iso:
+    """The Iso on the positions of the named models' layouts.  A map that
+    leaves out an element gives a tuple shorter than the source's
+    carriers, which `ModelGroupoid` rejects as no bijection."""
     doc = _object(doc, "isomorphism document", ("src", "tgt", "map"))
     if not all(isinstance(doc[k], str) and doc[k] in by_name for k in ("src", "tgt")):
         raise InputError("isomorphism between unknown models")
     src = by_name[doc["src"]].model
     tgt = by_name[doc["tgt"]].model
-    triples = []
+    at_src, at_tgt = src.layout().index, tgt.layout().index
+    image = {}  # source position -> target position
     for sort, assign in _object(doc["map"], "isomorphism map").items():
         if sort not in src.carriers:
             raise InputError(f"isomorphism map on undeclared sort {sort!r}")
         for a, b in _object(assign, f"isomorphism map of sort {sort!r}").items():
-            triples.append(
-                (sort, _carrier_coerce(a, src, sort), _carrier_coerce(b, tgt, sort))
-            )
-    return logic.make_iso(doc["src"], doc["tgt"], triples)
+            x, y = _carrier_coerce(a, src, sort), _carrier_coerce(b, tgt, sort)
+            image[at_src[(sort, x)]] = at_tgt[(sort, y)]
+    return Iso(doc["src"], doc["tgt"], tuple(image[i] for i in sorted(image)))
 
 
-def iso_to_json(a: Iso):
+def iso_to_json(a: Iso, g: ModelGroupoid):
+    """An arrow between members of `g`, its map read through their layouts."""
+    m, n = g.by_name[a.src].model.layout(), g.by_name[a.tgt].model.layout()
     by_sort = {}
-    for s, x, y in a.map:
-        by_sort.setdefault(s, {})[fmt_point(x)] = fmt_point(y)
+    for (s, x), j in zip(m.pairs, a.pos):
+        by_sort.setdefault(s, {})[fmt_point(x)] = fmt_point(n.pairs[j][1])
     return {"src": a.src, "tgt": a.tgt, "map": by_sort}
 
 
@@ -346,7 +351,7 @@ def model_groupoid_to_json(g: ModelGroupoid):
         "signature": signature_to_json(g.signature),
         "params": dict(sorted(g.params.items())),
         "models": models,
-        "arrows": [iso_to_json(a) for a in g.order],
+        "arrows": [iso_to_json(a, g) for a in g.order],
     }
 
 
@@ -383,9 +388,10 @@ def cospan_to_json(c):
         "apex": model_groupoid_to_json(c.apex),
         "fwd": {
             "obj_map": dict(sorted(c.fwd.obj_map.items())),
-            "arr_map": [[iso_to_json(a), iso_to_json(c.fwd.arr_map[a])] for a in c.source.order],
+            "arr_map": [[iso_to_json(a, c.source), iso_to_json(c.fwd.arr_map[a], c.apex)]
+                        for a in c.source.order],
         },
-        "weq_leg": {"arrows": [iso_to_json(a) for a in c.target.order]},
+        "weq_leg": {"arrows": [iso_to_json(a, c.target) for a in c.target.order]},
         "certificate": c.certificate.to_json(),
     }
 

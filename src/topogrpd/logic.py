@@ -442,10 +442,10 @@ def _infer_context(ast, sig: Signature):
 
 
 class Layout(NamedTuple):
-    """A model on carrier positions: its (sort, element) pairs in
-    `make_iso` order (sort names sorted, then `ckey` within a sort), the
-    position of each pair, the positions of the constants (in signature
-    order) and each relation's rows as tuples of positions."""
+    """A model on carrier positions: its (sort, element) pairs (sort names
+    sorted, then `ckey` within a sort), the position of each pair, the
+    positions of the constants (in signature order) and each relation's
+    rows as tuples of positions."""
 
     pairs: tuple
     index: dict
@@ -570,43 +570,17 @@ def _eval(model, ast, env):
 
 
 class Iso(NamedTuple):
-    """An isomorphism of models, used directly as an arrow point id.
-
-    map is a tuple of (sort, element, image) triples, in make_iso's order."""
+    """An isomorphism src -> tgt of the models so named, used directly as
+    an arrow point id: pos[i] is the position in tgt's `Layout` of the
+    image of src's position i."""
 
     src: str
     tgt: str
-    map: tuple
-
-    def apply(self, sort, e):
-        for s, a, b in self.map:
-            if s == sort and a == e:
-                return b
-        raise InputError(f"element {e!r} not in isomorphism domain")
-
-
-def make_iso(src, tgt, triples) -> Iso:
-    """The Iso of these triples, sorted by sort and the element's ckey:
-    naturally, which is that order and cheaper, when every element is an
-    int (not a bool) or a string and no sort mixes the two."""
-    triples = list(triples)
-    if {type(t[1]) for t in triples} <= {int, str}:
-        try:
-            return Iso(src, tgt, tuple(sorted(triples)))
-        except TypeError:
-            pass
-    return Iso(src, tgt, tuple(sorted(triples, key=lambda t: (t[0], ckey(t[1])))))
+    pos: tuple
 
 
 def identity_iso(m: FinModel) -> Iso:
-    return _iso(m, m, range(len(m.layout().pairs)))
-
-
-def _iso(m: FinModel, n: FinModel, p) -> Iso:
-    """The Iso m -> n at positions p: p[i] is the position in n of the
-    image of m's position i."""
-    pairs = n.layout().pairs
-    return Iso(m.name, n.name, tuple((s, x, pairs[j][1]) for (s, x), j in zip(m.layout().pairs, p)))
+    return Iso(m.name, m.name, tuple(range(len(m.layout().pairs))))
 
 
 def _inverse(p) -> tuple:
@@ -645,7 +619,7 @@ def _iso_positions(m: FinModel, n: FinModel):
 
 def model_isomorphisms(m: FinModel, n: FinModel):
     """All isomorphisms m -> n, in canonical order."""
-    return [_iso(m, n, p) for p in _iso_positions(m, n)]
+    return [Iso(m.name, n.name, p) for p in _iso_positions(m, n)]
 
 
 def automorphisms(m: FinModel):
@@ -697,18 +671,15 @@ class ModelGroupoid:
     included).  derive() endows it with the logical topologies.
 
     Construction checks every arrow before it composes any: its endpoints
-    are members, its map is a bijection of the carriers listed in
-    `make_iso` order, and it preserves the constants and relations.  The
-    same pass reads the arrow's positions (`Layout`): p[i] is the position
-    in the target of the image of source position i.  Only then are the
-    structure tables `unit` (member name to identity), `inv`, `out_of` and
-    `into` (member name to the arrows with that source, with that target)
-    and `comp` ((b, a) to b o a, at positions pb[pa[i]]) built, once, from
-    the lookup of each arrow by its (source, target, positions), and the
-    closure laws read from them.  `order` lists the arrows sorted by
-    (source, target, positions), with the member names ranked in `ckey`
-    order: maps with one source list the same (sort, element) pairs, so
-    they first differ at an image's rank, and this is the `ckey` order of
+    are members, its positions are a bijection of the carriers that keeps
+    each element in its sort, and it preserves the constants and
+    relations.  Only then are the structure tables `unit` (member name to
+    identity), `inv`, `out_of` and `into` (member name to the arrows with
+    that source, with that target) and `comp` ((b, a) to b o a, at
+    positions b.pos[a.pos[i]]) built, once, by looking each expected
+    `Iso` up among the arrows, and the closure laws read from them.
+    `order` lists the arrows sorted by (source, target, positions), with
+    the member names ranked in `ckey` order, which is the `ckey` order of
     the arrows.  Each stage raises one InputError naming all its
     violations in canonical order."""
 
@@ -726,26 +697,20 @@ class ModelGroupoid:
         self.arrows = frozenset(arrows)
         self._derived = {}
         self._engine = None
-        pos = {a: self._positions(a) for a in self.arrows}
-        faults = sorted((a for a, p in pos.items() if isinstance(p, str)), key=ckey)
+        faults = {a: f for a in self.arrows if (f := self._fault(a))}
         if faults:
-            raise InputError("; ".join(pos[a] for a in faults))
+            raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
         rank = {n: i for i, n in enumerate(fintop.sorted_points(self.by_name))}
-        key = {a: (rank[a.src], rank[a.tgt], p) for a, p in pos.items()}
-        arrow = {k: a for a, k in key.items()}
-        self.order = tuple(arrow[k] for k in sorted(arrow))
-        self.unit = {n: arrow.get((rank[n], rank[n], tuple(range(len(im.model.layout().pairs)))))
-                     for n, im in self.by_name.items()}
-        self.inv = {a: arrow.get((j, i, _inverse(p))) for a, (i, j, p) in key.items()}
+        self.order = tuple(sorted(self.arrows, key=lambda a: (rank[a.src], rank[a.tgt], a.pos)))
+        own = {a: a for a in self.arrows}
+        self.unit = {n: own.get(identity_iso(im.model)) for n, im in self.by_name.items()}
+        self.inv = {a: own.get(Iso(a.tgt, a.src, _inverse(a.pos))) for a in self.arrows}
         self.out_of, self.into = {n: [] for n in self.by_name}, {n: [] for n in self.by_name}
         for a in self.arrows:
             self.out_of[a.src].append(a)
             self.into[a.tgt].append(a)
-        self.comp = {}
-        for a, (i, _, pa) in key.items():
-            for b in self.out_of[a.tgt]:
-                _, k, pb = key[b]
-                self.comp[(b, a)] = arrow.get((i, k, tuple(map(pb.__getitem__, pa))))
+        self.comp = {(b, a): own.get(Iso(a.src, b.tgt, tuple(map(b.pos.__getitem__, a.pos))))
+                     for a in self.arrows for b in self.out_of[a.tgt]}
         bad = [f"missing identity on {n}" for n, e in self.unit.items() if e is None]
         bad += [f"arrows not closed under inverse at {a.src}->{a.tgt}"
                 for a in self.order if self.inv[a] is None]
@@ -754,26 +719,26 @@ class ModelGroupoid:
         if bad:
             raise InputError("; ".join(bad))
 
-    def _positions(self, a: Iso):
-        """The positions of `a`, or why it is not an isomorphism between
-        members."""
+    def _fault(self, a: Iso):
+        """Why `a` is not an isomorphism between members, or None."""
         if a.src not in self.by_name or a.tgt not in self.by_name:
             return f"arrow between non-members {a.src}->{a.tgt}"
         m, n = self.by_name[a.src].model.layout(), self.by_name[a.tgt].model.layout()
-        keys = tuple((s, x) for s, x, _ in a.map)
-        p = tuple(n.index.get((s, y), -1) for s, _, y in a.map)
-        onto = len(p) == len(n.pairs) == len(set(p)) and -1 not in p
-        total = keys == m.pairs or len(keys) == len(m.pairs) and set(keys) == set(m.pairs)
-        if not (onto and total):
+        k = len(n.pairs)
+        if not (len(a.pos) == len(m.pairs) == k == len(set(a.pos)) and all(
+                0 <= j < k and n.pairs[j][0] == s
+                for (s, _), j in zip(m.pairs, a.pos))):
             return f"arrow {a.src}->{a.tgt} map not a bijection of the carriers"
-        if keys != m.pairs:
-            return f"arrow {a.src}->{a.tgt} map {fintop.fmt_point(a.map)} not in make_iso order"
-        if not _preserves(p, m, n):
+        if not _preserves(a.pos, m, n):
             return f"arrow {a.src}->{a.tgt} not an isomorphism"
-        return p
 
     def member_names(self):
         return [im.name for im in self.members]
+
+    def image(self, a: Iso, sorts, tup) -> tuple:
+        """The image under `a` of the tuple `tup` of elements of `sorts`."""
+        m, n = self.by_name[a.src].model.layout(), self.by_name[a.tgt].model.layout()
+        return tuple(n.pairs[a.pos[m.index[(s, e)]]][1] for s, e in zip(sorts, tup))
 
     def engine(self) -> "DefinableSets":
         """The definable-set enumeration of the members."""
@@ -1031,16 +996,17 @@ def _transports(g: ModelGroupoid):
     """The parameter transports {a : a(p) = q}, one set of arrows for each
     pair (p, q) of parameters of one sort, empty where no arrow takes the
     element p names in its source to the one q names in its target."""
-    naming = {}  # (member name, sort, element) -> the parameters naming it
+    naming = {}  # (member name, position) -> the parameters naming it
     for im in g.members:
+        index = im.model.layout().index
         for p, s in g.params.items():
             if (e := im.interp(p)) is not None:
-                naming.setdefault((im.name, s, e), []).append(p)
+                naming.setdefault((im.name, index[(s, e)]), []).append(p)
     transports = {(p, q): set() for p, s in g.params.items() for q, t in g.params.items() if s == t}
     for a in g.arrows:
-        for s, x, y in a.map:
-            for p in naming.get((a.src, s, x), ()):
-                for q in naming.get((a.tgt, s, y), ()):
+        for i, j in enumerate(a.pos):
+            for p in naming.get((a.src, i), ()):
+                for q in naming.get((a.tgt, j), ()):
                     transports[(p, q)].add(a)
     return {frozenset(t) for t in transports.values()}
 
@@ -1111,7 +1077,7 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
     action = {}
     for (n, tup) in total_pts:
         for a in g.out_of[n]:
-            action[(a, (n, tup))] = (a.tgt, tuple(a.apply(s, e) for s, e in zip(ctx_sorts, tup)))
+            action[(a, (n, tup))] = (a.tgt, g.image(a, ctx_sorts, tup))
     return sheaf_mod.EquivariantSheaf(base, total, proj, action)
 
 
@@ -1132,7 +1098,7 @@ def parameter_orbit(g: ModelGroupoid, ptuple) -> frozenset:
     out = set(start)
     for (n, tup) in start:
         for a in g.out_of[n]:
-            out.add((a.tgt, tuple(a.apply(s, e) for s, e in zip(sorts_of, tup))))
+            out.add((a.tgt, g.image(a, sorts_of, tup)))
     return frozenset(out)
 
 
@@ -1192,7 +1158,7 @@ def all_isos_between_members(members) -> frozenset:
         for m, pm in isos:
             back = _inverse(pm)
             for n, pn in isos:
-                out.update(_iso(m, n, tuple(pn[c[i]] for i in back)) for c in autos)
+                out.update(Iso(m.name, n.name, tuple(pn[c[i]] for i in back)) for c in autos)
     return frozenset(out)
 
 

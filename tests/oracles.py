@@ -343,23 +343,55 @@ def bi_orbit_space_oracle(x, left, right, v):
 
 
 # -- isomorphisms on triple maps, the references of the position tables
+#
+# A triple map lists (sort, element, image) for every element of the
+# source, in the source's `carrier_pairs` order.  The references compose,
+# invert, enumerate and order triple maps, and only their results cross
+# to the library's `logic.Iso` on positions, through `to_iso`, with
+# positions counted in `carrier_pairs`, not read from `FinModel.layout`.
 
 
-def compose_isos(b, a):
+def carrier_pairs(m):
+    """m's (sort, element) pairs: sort names sorted, each carrier by `ckey`."""
+    return [(s, e) for s in sorted(m.signature.sorts) for e in fintop.sorted_points(m.carriers[s])]
+
+
+def models_of(g):
+    """{member name: model} of a model groupoid."""
+    return {im.name: im.model for im in g.members}
+
+
+def triple_map(a, models):
+    """The triple map of the `logic.Iso` a between `models` (name to model)."""
+    target = carrier_pairs(models[a.tgt])
+    return tuple((s, x, target[j][1]) for (s, x), j in zip(carrier_pairs(models[a.src]), a.pos))
+
+
+def to_iso(src, tgt, triples, models):
+    """The `logic.Iso` src -> tgt of a triple map: each image's position
+    among the target's pairs, in the order of the source's pairs."""
+    position = {pair: i for i, pair in enumerate(carrier_pairs(models[tgt]))}
+    image = {(s, x): y for s, x, y in triples}
+    return logic.Iso(src, tgt, tuple(position[(s, image[(s, x)])]
+                                     for s, x in carrier_pairs(models[src])))
+
+
+def compose_isos(b, a, models):
     """b o a (a first), through a dict of b's triples."""
     if a.tgt != b.src:
         raise InputError("isomorphisms not composable")
-    lookup = {(s, x): y for s, x, y in b.map}
-    return logic.make_iso(a.src, b.tgt, [(s, x, lookup[(s, y)]) for s, x, y in a.map])
+    lookup = {(s, x): y for s, x, y in triple_map(b, models)}
+    return to_iso(a.src, b.tgt, [(s, x, lookup[(s, y)]) for s, x, y in triple_map(a, models)],
+                  models)
 
 
-def invert_iso(a):
-    return logic.make_iso(a.tgt, a.src, [(s, y, x) for s, x, y in a.map])
+def invert_iso(a, models):
+    return to_iso(a.tgt, a.src, [(s, y, x) for s, x, y in triple_map(a, models)], models)
 
 
 def model_isomorphisms(m, n):
     """All isomorphisms m -> n, by a search over the permutations of each
-    sort as dicts, sorted by `ckey`."""
+    sort as dicts, their triple maps sorted by `ckey`."""
     if m.signature != n.signature:
         raise InputError("models over different signatures")
     sorts = m.signature.sorts
@@ -379,20 +411,22 @@ def model_isomorphisms(m, n):
         if all(frozenset(tuple(assign[s][e] for s, e in zip(arity, row))
                          for row in m.relations[r]) == n.relations[r]
                for r, arity in m.signature.relation_arities.items()):
-            out.append(logic.make_iso(m.name, n.name, [(s, e, assign[s][e])
-                                                       for s in sorts for e in m.carriers[s]]))
-    return sorted(out, key=fintop.ckey)
+            out.append(tuple((s, e, assign[s][e]) for s, e in carrier_pairs(m)))
+    models = {m.name: m, n.name: n}
+    return [to_iso(m.name, n.name, t, models) for t in sorted(out, key=fintop.ckey)]
 
 
 def model_groupoid_tables_oracle(g):
     """`unit`, `inv` and `comp` of a model groupoid built from the triple
-    maps, and its arrows sorted by `ckey`."""
-    unit = {im.name: logic.make_iso(im.name, im.name, [(s, e, e) for s, c in im.model.carriers.items()
-                                                       for e in c])
-            for im in g.members}
-    inv = {a: invert_iso(a) for a in g.arrows}
-    comp = {(b, a): compose_isos(b, a) for a in g.arrows for b in g.arrows if b.src == a.tgt}
-    return unit, inv, comp, sorted(g.arrows, key=fintop.ckey)
+    maps, and its arrows sorted by `ckey` of (source, target, triple map)."""
+    models = models_of(g)
+    unit = {n: to_iso(n, n, [(s, e, e) for s, e in carrier_pairs(m)], models)
+            for n, m in models.items()}
+    inv = {a: invert_iso(a, models) for a in g.arrows}
+    comp = {(b, a): compose_isos(b, a, models)
+            for a in g.arrows for b in g.arrows if b.src == a.tgt}
+    order = sorted(g.arrows, key=lambda a: fintop.ckey((a.src, a.tgt, triple_map(a, models))))
+    return unit, inv, comp, order
 
 
 def all_isos_between_members_oracle(members) -> frozenset:
@@ -771,10 +805,12 @@ def definable_subbasis_oracle(ref, g, ctx_sorts, points, depth, tuple_cap):
 def logical_topologies_oracle(g, depth, tuple_cap):
     """The logical topologies from the frozenset extensions of
     `DefinableSetsOracle` over every member, and with each parameter
-    transport found by an `Iso.apply` scan of all arrows for its (p, q)
-    pair, redone at every depth.  (object space, arrow space, achieved
-    depth, stabilized, transports), as in `logic.logical_topologies`."""
+    transport found by a scan of the triple maps of all arrows for its
+    (p, q) pair, redone at every depth.  (object space, arrow space,
+    achieved depth, stabilized, transports), as in
+    `logic.logical_topologies`."""
     ref = members_oracle(g)
+    maps = {a: {(s, x): y for s, x, y in triple_map(a, models_of(g))} for a in g.arrows}
     names = {n: (n, ()) for n in g.member_names()}
     params = sorted(g.params)
     spaces, achieved, stabilized = None, 0, False
@@ -784,7 +820,7 @@ def logical_topologies_oracle(g, depth, tuple_cap):
             frozenset(a for a in g.arrows
                       if (x := g.by_name[a.src].interp(p)) is not None
                       and (y := g.by_name[a.tgt].interp(q)) is not None
-                      and a.apply(g.params[p], x) == y)
+                      and maps[a][(g.params[p], x)] == y)
             for p in params for q in params if g.params[p] == g.params[q]
         }
         arr_sub = set(transports)

@@ -232,16 +232,17 @@ def test_criterion_8_definable_sheaf_pullback(model_corpus):
         keep = {a for a in arrows if rng.random() < 0.6}
         keep |= {logic.identity_iso(im.model) for im in g.members}
         closed = set(keep)
+        models = oracles.models_of(g)
         changed = True
         while changed:
             changed = False
             for a in list(closed):
-                if oracles.invert_iso(a) not in closed:
-                    closed.add(oracles.invert_iso(a))
+                if oracles.invert_iso(a, models) not in closed:
+                    closed.add(oracles.invert_iso(a, models))
                     changed = True
                 for b in list(closed):
                     if b.src == a.tgt:
-                        c = oracles.compose_isos(b, a)
+                        c = oracles.compose_isos(b, a, models)
                         if c not in closed:
                             closed.add(c)
                             changed = True

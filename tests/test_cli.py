@@ -612,8 +612,8 @@ def iso_doc(src, tgt, assign):
 IDENTITY_MAP = {"a": "a", "b": "b"}
 
 
-@pytest.mark.parametrize("assign", [{"a": "a"}, {"a": "a", "b": "a"}],
-                         ids=["partial", "two-elements-one-image"])
+@pytest.mark.parametrize("assign", [{"a": "a"}, {"a": "a", "b": "a"}, {}],
+                         ids=["partial", "two-elements-one-image", "empty"])
 def test_an_iso_map_that_is_not_a_bijection_exits_3_under_every_hash_seed(tmp_path, assign):
     """Arrows are checked before any is composed, so a map that is not a
     bijection never reaches composition, whatever the set order."""

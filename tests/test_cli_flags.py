@@ -87,3 +87,18 @@ def test_options_hold_only_the_flags_a_command_reads(capsys, docs):  # noqa: F81
         assert code in (0, 2), (name, rep["result"])
         assert set(rep["options"]) == set(registered(parser)) - {"output", "space"}
         assert set(rep["options"]) <= args_read(cli._TABLE[name][0])
+
+
+def test_validate_reads_depth_and_tuple_cap_only_with_models(capsys, docs):  # noqa: F811
+    """Only the model groupoid is derived at a depth and tuple cap; given
+    without --models, the two knobs are a bad command line."""
+    for inputs in (["--space", docs["space"]], ["--groupoid", docs["groupoid"]]):
+        code, rep = run(capsys, "validate", *inputs, "--depth", "7", "--tuple-cap", "9")
+        assert (code, rep["result"]) == (
+            3, {"error": "validate reads --depth and --tuple-cap only with --models"})
+        code, rep = run(capsys, "validate", *inputs, "--tuple-cap", "2")
+        assert (code, rep["result"]) == (3, {"error": "validate reads --tuple-cap only with --models"})
+        code, rep = run(capsys, "validate", *inputs)
+        assert code == 0
+    code, rep = run(capsys, "validate", "--models", docs["models"], "--depth", "0", "--tuple-cap", "1")
+    assert code == 0 and (rep["options"]["depth"], rep["options"]["tuple_cap"]) == (0, 1)

@@ -32,7 +32,8 @@ representative per isomorphism class;
 with `oracles.model_isomorphisms`, the dict-permutation search.
 `logic.ModelGroupoid` builds its tables and its arrow order on carrier
 positions; `oracles.model_groupoid_tables_oracle` composes and inverts
-triple maps and sorts by `ckey`.
+triple maps and sorts them by `ckey`, crossing to positions only at its
+boundary.
 `logic.logical_topologies` finds the parameter transports in one pass
 over the arrows; `oracles.logical_topologies_oracle` scans all arrows
 for each (p, q) pair at every depth.
@@ -514,7 +515,7 @@ def with_renamed_copies(g, prefix, keep=True):
                            {p: im.indexing[q] for p, q in rotated.items() if q in im.indexing},
                            g.params)
               for im in g.members]
-    arrows = {logic.Iso(prefix + a.src, prefix + a.tgt, a.map) for a in g.arrows}
+    arrows = {logic.Iso(prefix + a.src, prefix + a.tgt, a.pos) for a in g.arrows}
     if keep:
         return logic.ModelGroupoid(g.signature, g.params, [*g.members, *copies], g.arrows | arrows)
     return logic.ModelGroupoid(g.signature, g.params, copies, arrows)
@@ -948,6 +949,75 @@ def test_position_tables_on_multi_sort_signatures_match_the_triple_maps(seed, ar
     else:
         isos = [logic.identity_iso(m) for m in models]
     assert_tables_match_the_triple_maps(ModelGroupoid(sig, params, members, isos))
+
+
+def model_groupoid_doc(sig, params, members, arrows, rng):
+    """A document of these members and arrows, with every carrier, relation,
+    member list and map listed in a random order, the maps written from the
+    triple-map reference, their images as the raw elements."""
+    models = {im.name: im.model for im in members}
+
+    def shuffled(items):
+        return rng.sample(list(items), len(items))
+
+    def iso(a):
+        by_sort = {}
+        for s, x, y in shuffled(oracles.triple_map(a, models)):
+            by_sort.setdefault(s, {})[fintop.fmt_point(x)] = y
+        return {"src": a.src, "tgt": a.tgt, "map": by_sort}
+
+    return {
+        "signature": {"sorts": list(sig.sorts), "relations": {r: list(a) for r, a in sig.relations},
+                      "constants": dict(sig.constants)},
+        "params": params,
+        "models": [{"name": im.name, "carriers": {s: shuffled(c) for s, c in im.model.carriers.items()},
+                    "relations": {r: [list(row) for row in shuffled(rows)]
+                                  for r, rows in im.model.relations.items()},
+                    "constants": im.model.constants, "indexing": im.indexing}
+                   for im in shuffled(members)],
+        "arrows": [iso(a) for a in shuffled(arrows)],
+    }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), arrows=st.sampled_from(["all", "autos", "identities"]))
+def test_model_groupoid_documents_round_trip_on_multi_sort_signatures(seed, arrows):
+    """Read, the document's arrows are the reference's isomorphisms; written,
+    they are the reference's triple maps, in its `ckey` order; and the
+    written document is a fixed point of reading and writing where each
+    carrier's labels sort as its elements do.  The writer labels every
+    element by its string, so an int carrier comes back as strings, and
+    the first rewrite reorders one whose labels sort otherwise (10 before
+    9, -1 before -2); the rewritten document is fixed."""
+    rng = random.Random(seed)
+    sig, params, members = multi_sort_members(rng)
+    models = {im.name: im.model for im in members}
+    if arrows == "all":
+        isos = oracles.all_isos_between_members_oracle(members)
+    else:
+        autos = [oracles.model_isomorphisms(m, m) for m in models.values()]
+        isos = frozenset(a for found in autos for a in (found if arrows == "autos" else found[:1]))
+    g = jsonio.model_groupoid_from_json(model_groupoid_doc(sig, params, members, isos, rng))
+    assert g.arrows == isos
+    written = jsonio.model_groupoid_to_json(g)
+    order = oracles.model_groupoid_tables_oracle(g)[3]
+    assert written["arrows"] == [
+        {"src": a.src, "tgt": a.tgt,
+         "map": {s: {fintop.fmt_point(x): fintop.fmt_point(y) for t, x, y in
+                     oracles.triple_map(a, models) if t == s} for s in sorted(sig.sorts)}}
+        for a in order]
+
+    def reread(doc):
+        back = jsonio.model_groupoid_from_json(json.loads(jsonio.dumps(doc)))
+        return back, jsonio.model_groupoid_to_json(back)
+
+    first, rewritten = reread(written)
+    second, fixed = reread(rewritten)
+    assert (second, fixed) == (first, rewritten)
+    if all([fintop.fmt_point(e) for e in fintop.sorted_points(c)]
+           == fintop.sorted_points(fintop.fmt_point(e) for e in c)
+           for m in models.values() for c in m.carriers.values()):
+        assert rewritten == written
 
 
 def test_position_tables_of_the_model_corpus_match_the_triple_maps():

@@ -164,11 +164,12 @@ def test_two_cell_full_faithfulness_at_finite_scale():
     (sigma,) = cross
     swap_obj = {"M1": "M2", "M2": "M1"}
     swap_arr = {}
-    inv_sigma = oracles.invert_iso(sigma)
+    models = oracles.models_of(comp)
+    inv_sigma = oracles.invert_iso(sigma, models)
     for a in comp.arrows:
         left = sigma if a.tgt == "M1" else inv_sigma
         right = inv_sigma if a.src == "M1" else sigma
-        swap_arr[a] = oracles.compose_isos(left, oracles.compose_isos(a, right))
+        swap_arr[a] = oracles.compose_isos(left, oracles.compose_isos(a, right, models), models)
     swap = grpd.ContinuousFunctor(derived, derived, swap_obj, swap_arr)
     found = grpd.transformations(idf, swap)
     assert len(found) >= 1

@@ -131,9 +131,9 @@ def test_model_isomorphisms_examples():
     assert logic.model_isomorphisms(c2, a2) == []
     assert logic.identity_iso(m) in logic.automorphisms(m)
     # composition and inversion sanity
-    autos = logic.automorphisms(m)
+    autos, models = logic.automorphisms(m), {"M": m}
     for a in autos:
-        assert oracles.compose_isos(oracles.invert_iso(a), a) == logic.identity_iso(m)
+        assert oracles.compose_isos(oracles.invert_iso(a, models), a, models) == logic.identity_iso(m)
 
 
 # -- logical topologies --------------------------------------------------------
@@ -443,7 +443,7 @@ def test_model_groupoid_validation():
     idents = [logic.identity_iso(im.model) for im in copies]
 
     def iso(src, tgt):
-        return logic.Iso(src, tgt, (("S", "a", "a"),))
+        return logic.Iso(src, tgt, (0,))
 
     with pytest.raises(InputError, match="^arrows not closed under inverse at M1->M2$"):
         ModelGroupoid(PURE, {"p": "S"}, copies, idents + [iso("M1", "M2")])
@@ -457,7 +457,7 @@ def test_model_groupoid_validation():
 
 def test_model_tables_hold_the_arrow_objects():
     """Every value of `unit`, `inv` and `comp` is the very object in
-    `arrows`, and every composite's map is sorted."""
+    `arrows`."""
     rng = random.Random(20240812)
     groupoids = [random_model_groupoid(rng) for _ in range(100)]
     groupoids += [logic.etale_completion(g) for g in groupoids]
@@ -466,9 +466,9 @@ def test_model_tables_hold_the_arrow_objects():
         own = {a: a for a in g.arrows}
         for table in (g.unit, g.inv, g.comp):
             assert all(own[v] is v for v in table.values())
+        models = oracles.models_of(g)
         for ba in g.comp.values():
-            assert ba.map == tuple(sorted(ba.map))
-            moved += any(x != y for _, x, y in ba.map)
+            moved += any(x != y for _, x, y in oracles.triple_map(ba, models))
     assert moved > 600, moved
 
 
@@ -477,26 +477,33 @@ def test_an_arrow_that_moves_a_constant_is_not_an_isomorphism():
     m = FinModel("M", sig, {"S": {"a", "b"}}, {}, {"c": "a"})
     params = {"p": "S", "q": "S"}
     im = IndexedModel(m, {"p": "a", "q": "b"}, params)
-    swap = logic.Iso("M", "M", (("S", "a", "b"), ("S", "b", "a")))
+    swap = logic.Iso("M", "M", (1, 0))
     assert logic.automorphisms(m) == [logic.identity_iso(m)]
     with pytest.raises(InputError, match="arrow M->M not an isomorphism"):
         ModelGroupoid(sig, params, [im], [logic.identity_iso(m), swap])
 
 
-def test_an_arrow_whose_map_is_not_in_make_iso_order_is_named():
-    """Arrows are looked up by their positions, read off the map in
-    `make_iso` order, so the swap of the 2-cycle listed in another order
-    is an input error naming that map, not a failed closure law."""
-    m = FinModel("A", GRAPH, {"V": {"a", "b"}}, {"E": {("a", "b"), ("b", "a")}})
-    params = {"p": "V", "q": "V"}
-    im = IndexedModel(m, {"p": "a", "q": "b"}, params)
-    swap = logic.Iso("A", "A", (("V", "b", "a"), ("V", "a", "b")))
+@pytest.mark.parametrize("sig,carriers,pos", [
+    (PURE, {"S": ["a", "b"]}, (0,)),
+    (PURE, {"S": ["a", "b"]}, (0, 1, 0)),
+    (PURE, {"S": ["a", "b"]}, (1, 1)),
+    (PURE, {"S": ["a", "b"]}, (0, 2)),
+    (PURE, {"S": ["a", "b"]}, (-1, 0)),
+    (logic.make_signature(["A", "B"]), {"A": ["a"], "B": ["b"]}, (1, 0)),
+], ids=["too-short", "too-long", "repeated-position", "past-the-end", "negative", "swaps-two-sorts"])
+def test_a_hand_built_arrow_that_is_no_bijection_of_the_carriers_is_named(sig, carriers, pos):
+    """An arrow's positions must be a bijection of the carriers that keeps
+    each sort: too few or too many images, one image twice, an image
+    outside the target's positions, or one in another sort's block, which
+    no map of a sort's carrier could say, is named.  The last swaps the
+    one-element sorts A and B, and with no relations or constants nothing
+    else would catch it."""
+    m = FinModel("M", sig, carriers)
+    params = {f"p{i}": s for i, (s, _) in enumerate(m.layout().pairs)}
+    im = IndexedModel(m, {p: e for p, (_, e) in zip(params, m.layout().pairs)}, params)
     with pytest.raises(InputError) as err:
-        ModelGroupoid(GRAPH, params, [im], [logic.identity_iso(m), swap])
-    assert str(err.value) == "arrow A->A map ((V,b,a),(V,a,b)) not in make_iso order"
-    canonical = logic.make_iso("A", "A", swap.map)
-    g = ModelGroupoid(GRAPH, params, [im], [logic.identity_iso(m), canonical])
-    assert g.inv[canonical] is canonical and g.order == (logic.identity_iso(m), canonical)
+        ModelGroupoid(sig, params, [im], [logic.identity_iso(m), logic.Iso("M", "M", pos)])
+    assert str(err.value) == "arrow M->M map not a bijection of the carriers"
 
 
 @pytest.mark.parametrize("carrier", [
@@ -507,10 +514,21 @@ def test_an_arrow_whose_map_is_not_in_make_iso_order_is_named():
     [True, 1, 0, False, 2],
 ], ids=["ints", "strings", "tuples", "ints-and-strings", "bools-and-ints"])
 def test_make_iso_orders_by_sort_and_ckey(carrier):
-    """The natural sort, where it is used, gives the (sort, ckey) order."""
+    """The (sort, ckey) order that triple maps were sorted in is the order
+    of `FinModel.layout().pairs`: the sorts by name, not in their declared
+    order, and each carrier by `ckey`, whatever order it is given in;
+    `index` is each pair's position.  A carrier of tuples is refused
+    before any layout is made."""
+    sig = logic.make_signature(["V", "A"])
     rng = random.Random(5)
-    triples = [(s, e, e) for s in ("V", "A") for e in carrier]
     for _ in range(5):
-        rng.shuffle(triples)
-        got = logic.make_iso("m", "m", triples).map
-        assert got == tuple(sorted(triples, key=lambda t: (t[0], ckey(t[1]))))
+        listed = {s: rng.sample(carrier, len(carrier)) for s in sig.sorts}
+        if any(isinstance(e, tuple) for e in carrier):
+            with pytest.raises(InputError, match="^carrier elements must be strings or ints$"):
+                FinModel("m", sig, listed)
+            continue
+        m = FinModel("m", sig, listed)
+        layout = m.layout()
+        assert layout.pairs == tuple(sorted(((s, e) for s in sig.sorts for e in m.carriers[s]),
+                                            key=lambda t: (t[0], ckey(t[1]))))
+        assert layout.index == {pair: i for i, pair in enumerate(layout.pairs)}
