@@ -25,30 +25,45 @@ from .errors import (
 _ANSWER_CODES = {"yes": 0, "no": 1, "unknown": 2}
 
 
-def _load(path, inputs):
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}")
-    inputs[path] = {"path": path, "sha256": jsonio.digest(raw)}
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+class _Reader:
+    """One command's reads: the path and digest of each input file, and
+    the memo its model-groupoid and cospan documents are read through,
+    which lives as long as the command."""
+
+    def __init__(self):
+        self.inputs = {}
+        self.memo = []
+
+    def load(self, path):
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as e:
+            raise InputError(f"cannot read {path}: {e}")
+        self.inputs[path] = {"path": path, "sha256": jsonio.digest(raw)}
+        try:
+            return json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+
+    def models(self, path):
+        return jsonio.model_groupoid_from_json(self.load(path), self.memo)
+
+    def cospan(self, path):
+        return jsonio.cospan_from_json(self.load(path), self.memo)
 
 
-def _cmd_validate(args, inputs):
+def _cmd_validate(args, read):
     if args.given and not args.models:
         raise InputError(f"validate reads {' and '.join(args.given)} only with --models")
     diagnostics = []
     if args.space:  # the reader checks the min_open laws or the axioms of opens
-        jsonio.space_from_json(_load(args.space, inputs))
+        jsonio.space_from_json(read.load(args.space))
     if args.groupoid:
-        g = jsonio.groupoid_from_json(_load(args.groupoid, inputs))
+        g = jsonio.groupoid_from_json(read.load(args.groupoid))
         diagnostics += grpd.validate_groupoid(g)
     if args.models:
-        mg = jsonio.model_groupoid_from_json(_load(args.models, inputs))
+        mg = read.models(args.models)
         diagnostics += grpd.validate_groupoid(
             mg.derive(args.depth, args.tuple_cap).groupoid
         )
@@ -58,8 +73,8 @@ def _cmd_validate(args, inputs):
     return {"diagnostics": diagnostics, "answer": answer}, answer
 
 
-def _cmd_topology(args, inputs):
-    space = jsonio.topology_from_json(_load(args.input, inputs))
+def _cmd_topology(args, read):
+    space = jsonio.topology_from_json(read.load(args.input))
     opens = [sorted(fintop.fmt_point(p) for p in o) for o in space.opens(cap=args.open_cap)]
     return {"space": jsonio.space_to_json(space), "opens": opens}, None
 
@@ -72,15 +87,15 @@ def _open_groupoid(g, where=""):
     return g
 
 
-def _valid_groupoid(args, inputs):
+def _valid_groupoid(args, read):
     """The --groupoid document, rejected unless it is an open topological groupoid."""
-    return _open_groupoid(jsonio.groupoid_from_json(_load(args.groupoid, inputs)))
+    return _open_groupoid(jsonio.groupoid_from_json(read.load(args.groupoid)))
 
 
-def _cmd_check(args, inputs):
+def _cmd_check(args, read):
     """weq-check, surjection-check and inclusion-check, on a valid groupoid."""
-    g = _valid_groupoid(args, inputs)
-    sub = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
+    g = _valid_groupoid(args, read)
+    sub = jsonio.subgroupoid_from_json(read.load(args.sub), g)
     if args.command == "weq-check":
         verdict = weq.is_weak_equivalence(sub, mode=args.mode)
     elif args.command == "surjection-check":
@@ -90,8 +105,8 @@ def _cmd_check(args, inputs):
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
-def _cmd_factorize(args, inputs):
-    f = jsonio.functor_from_json(_load(args.functor, inputs))
+def _cmd_factorize(args, read):
+    f = jsonio.functor_from_json(read.load(args.functor))
     _open_groupoid(f.dom, "functor dom: ")
     _open_groupoid(f.cod, "functor cod: ")
     fz = weq.factorize(f)
@@ -108,10 +123,10 @@ def _cmd_factorize(args, inputs):
     return result, answer
 
 
-def _cmd_generators(args, inputs):
-    g = _valid_groupoid(args, inputs)
+def _cmd_generators(args, read):
+    g = _valid_groupoid(args, read)
     if args.sub:
-        u = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
+        u = jsonio.subgroupoid_from_json(read.load(args.sub), g)
         gen = sheaf.moerdijk_generator(g, u)
         return {"sheaf": jsonio.sheaf_to_json(gen)}, None
     out = []
@@ -126,16 +141,16 @@ def _cmd_generators(args, inputs):
     return {"generators": out, "family": "exhaustive"}, None
 
 
-def _cmd_subobjects(args, inputs):
-    g = _valid_groupoid(args, inputs)
-    u = jsonio.subgroupoid_from_json(_load(args.sub, inputs), g)
+def _cmd_subobjects(args, read):
+    g = _valid_groupoid(args, read)
+    u = jsonio.subgroupoid_from_json(read.load(args.sub), g)
     gen = sheaf.moerdijk_generator(g, u)
     lat = sheaf.subobject_lattice(gen, cap=args.open_cap)
     return {"lattice": jsonio.lattice_to_json(lat)}, None
 
 
-def _cmd_logical_topology(args, inputs):
-    mg = jsonio.model_groupoid_from_json(_load(args.models, inputs))
+def _cmd_logical_topology(args, read):
+    mg = read.models(args.models)
     derived = mg.derive(args.depth, args.tuple_cap)
     return {
         "groupoid": jsonio.groupoid_to_json(derived.groupoid),
@@ -144,37 +159,37 @@ def _cmd_logical_topology(args, inputs):
     }, None
 
 
-def _cmd_elim_params(args, inputs):
-    mg = jsonio.model_groupoid_from_json(_load(args.models, inputs))
+def _cmd_elim_params(args, read):
+    mg = read.models(args.models)
     verdict = logic.eliminates_parameters(mg, args.depth, args.tuple_cap)
     return {"verdict": verdict.to_json(), "answer": verdict.answer}, verdict.answer
 
 
-def _cmd_etale_complete(args, inputs):
-    mg = jsonio.model_groupoid_from_json(_load(args.models, inputs))
+def _cmd_etale_complete(args, read):
+    mg = read.models(args.models)
     completed = logic.etale_completion(mg)
-    again = logic.etale_completion(completed)
     input_check = logic.is_etale_complete(mg, args.depth, args.tuple_cap)
     return {
         "completion": jsonio.model_groupoid_to_json(completed),
         "added_arrows": len(completed.arrows) - len(mg.arrows),
         "input_complete": input_check.to_json(),
-        "idempotent": again.arrows == completed.arrows,
+        # every arrow of `completed` was checked when it was built
+        "idempotent": logic.all_isos_between_members(completed) == completed.arrows,
     }, None
 
 
-def _cmd_compose(args, inputs):
-    fwd1, leg1 = jsonio.cospan_from_json(_load(args.first, inputs))
-    fwd2, leg2 = jsonio.cospan_from_json(_load(args.second, inputs))
+def _cmd_compose(args, read):
+    fwd1, leg1 = read.cospan(args.first)
+    fwd2, leg2 = read.cospan(args.second)
     c1 = frac.make_cospan(fwd1, leg1, args.depth, args.tuple_cap)
     c2 = frac.make_cospan(fwd2, leg2, args.depth, args.tuple_cap)
     out = frac.compose(c1, c2)
     return {"cospan": jsonio.cospan_to_json(out)}, None
 
 
-def _cmd_morita_search(args, inputs):
-    left = jsonio.model_groupoid_from_json(_load(args.left, inputs))
-    right = jsonio.model_groupoid_from_json(_load(args.right, inputs))
+def _cmd_morita_search(args, read):
+    left = read.models(args.left)
+    right = read.models(args.right)
     res = frac.morita_search(left, right, args.depth, args.tuple_cap)
     result = {"verdict": res.verdict.to_json(), "answer": res.verdict.answer}
     if res.apex is not None:
@@ -256,7 +271,7 @@ _PARSER = build_parser()
 
 
 def run(argv=None) -> int:
-    args, inputs = None, {}
+    args, read = None, _Reader()
     report = {"command": None, "tool_version": __version__, "options": {}}
     try:
         args = _PARSER.parse_args(argv)
@@ -265,7 +280,7 @@ def run(argv=None) -> int:
             k: v for k, v in sorted(vars(args).items())
             if k not in ("command", "output", "given") and v is not None
         }
-        result, answer = _TABLE[args.command][0](args, inputs)
+        result, answer = _TABLE[args.command][0](args, read)
         code = 0 if answer is None else _ANSWER_CODES[answer]
     except (InputError, NotModelPresented) as e:
         result, answer, code = {"error": str(e)}, None, 3
@@ -275,7 +290,7 @@ def run(argv=None) -> int:
         result, answer, code = {"error": str(e)}, None, 5
     except CertificateError as e:
         result, answer, code = {"error": str(e)}, None, 1
-    report["inputs"] = inputs
+    report["inputs"] = read.inputs
     report["result"] = result
     text = jsonio.dumps(report)
     if args is not None and args.output:

@@ -22,6 +22,7 @@ from .logic import (
     FinModel,
     IndexedModel,
     Iso,
+    MemberFamily,
     ModelGroupoid,
     Signature,
 )
@@ -59,15 +60,15 @@ def _point_id(raw):
     return raw
 
 
-def _point_tuple(raws, what):
+def _point_tuple(raws, what, read=_point_id):
     if not isinstance(raws, list):
         raise InputError(f"{what} must be a list of point ids")
-    return tuple(_point_id(r) for r in raws)
+    return tuple(map(read, raws))
 
 
-def _point_set(raws, what):
+def _point_set(raws, what, read=_point_id):
     out = set()
-    for x in _point_tuple(raws, what):
+    for x in _point_tuple(raws, what, read):
         if x in out:
             raise InputError(f"{what}: point {x!r} is named twice")
         out.add(x)
@@ -253,7 +254,22 @@ def signature_to_json(sig: Signature):
     }
 
 
+def _label(raw):
+    """A model element read as the label the writer gives it: an integer
+    is its decimal string, so 1 and "1" name one element."""
+    return str(_point_id(raw))
+
+
+def _element(raw, model: FinModel, sort):
+    """The element of `sort` in `model` that `raw` labels."""
+    x = _label(raw)
+    if x not in model.carriers[sort]:
+        raise InputError(f"unknown point {raw!r}")
+    return x
+
+
 def model_from_json(doc, sig: Signature) -> FinModel:
+    """A model whose elements are all labels, as `_label` reads them."""
     doc = _object(doc, "model document", ("name", "carriers"))
     if not isinstance(doc["name"], str):
         raise InputError("model name must be a string")
@@ -263,15 +279,11 @@ def model_from_json(doc, sig: Signature) -> FinModel:
     return FinModel(
         doc["name"],
         sig,
-        {s: _point_set(v, f"carrier {s!r}") for s, v in carriers.items()},
-        {n: [_point_tuple(r, f"each row of {n}") for r in _list(rows, f"relation {n}")]
+        {s: _point_set(v, f"carrier {s!r}", _label) for s, v in carriers.items()},
+        {n: [_point_tuple(r, f"each row of {n}", _label) for r in _list(rows, f"relation {n}")]
          for n, rows in relations.items()},
-        {c: _point_id(v) for c, v in constants.items()},
+        {c: _label(v) for c, v in constants.items()},
     )
-
-
-def _carrier_coerce(raw, model: FinModel, sort):
-    return _coerce(raw, model.carriers[sort])
 
 
 def iso_from_json(doc, by_name) -> Iso:
@@ -289,7 +301,7 @@ def iso_from_json(doc, by_name) -> Iso:
         if sort not in src.carriers:
             raise InputError(f"isomorphism map on undeclared sort {sort!r}")
         for a, b in _object(assign, f"isomorphism map of sort {sort!r}").items():
-            x, y = _carrier_coerce(a, src, sort), _carrier_coerce(b, tgt, sort)
+            x, y = _element(a, src, sort), _element(b, tgt, sort)
             image[at_src[(sort, x)]] = at_tgt[(sort, y)]
     return Iso(doc["src"], doc["tgt"], tuple(image[i] for i in sorted(image)))
 
@@ -303,8 +315,7 @@ def iso_to_json(a: Iso, g: ModelGroupoid):
     return {"src": a.src, "tgt": a.tgt, "map": by_sort}
 
 
-def model_groupoid_from_json(doc) -> ModelGroupoid:
-    doc = _object(doc, "model-groupoid document", ("signature", "params", "models", "arrows"))
+def _member_family(doc) -> MemberFamily:
     sig = signature_from_json(doc["signature"])
     params = _object(doc["params"], "params")
     for p, s in params.items():
@@ -318,14 +329,40 @@ def model_groupoid_from_json(doc) -> ModelGroupoid:
             if p not in params:
                 raise InputError(f"parameter {p} not declared")
         members.append(IndexedModel(
-            model, {p: _carrier_coerce(e, model, params[p]) for p, e in indexing.items()}, params
+            model, {p: _element(e, model, params[p]) for p, e in indexing.items()}, params
         ))
-    by_name = {im.name: im for im in members}
+    return MemberFamily(sig, params, members)
+
+
+def _members_of(doc):
+    return doc["signature"], doc["params"], doc["models"]
+
+
+def _same(a, b) -> bool:
+    """Are a and b the same JSON value?  `==` is quick to say no; the JSON
+    texts then tell 1 from 1.0 and from true, which `==` equates."""
+    return a == b and json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def model_groupoid_from_json(doc, memo=None) -> ModelGroupoid:
+    """The model groupoid of a document.  `memo`, the list of (document,
+    groupoid) pairs that the reads of one command share, gives equal
+    documents one ModelGroupoid and documents with equal signature,
+    params and models one MemberFamily; a document read first, or alone,
+    is compared with nothing."""
+    doc = _object(doc, "model-groupoid document", ("signature", "params", "models", "arrows"))
+    memo = [] if memo is None else memo
+    for seen, g in memo:
+        if _same(doc, seen):
+            return g
+    family = next((g.family for seen, g in memo if _same(_members_of(doc), _members_of(seen))),
+                  None) or _member_family(doc)
     if doc["arrows"] == "all":
-        arrows = logic.all_isos_between_members(members)
+        arrows = logic.all_isos_between_members(family.members)
     else:
-        arrows = frozenset(iso_from_json(a, by_name) for a in _list(doc["arrows"], "arrows"))
-    return ModelGroupoid(sig, params, members, arrows)
+        arrows = frozenset(iso_from_json(a, family.by_name) for a in _list(doc["arrows"], "arrows"))
+    memo.append((doc, ModelGroupoid(family.signature, family.params, family.members, arrows, family)))
+    return memo[-1][1]
 
 
 def model_groupoid_to_json(g: ModelGroupoid):
@@ -358,7 +395,9 @@ def model_groupoid_to_json(g: ModelGroupoid):
 # -- cospans ------------------------------------------------------------------
 
 
-def cospan_from_json(doc):
+def cospan_from_json(doc, memo=None):
+    """The two legs of a cospan document; its model groupoids are read
+    through `memo` as `model_groupoid_from_json` reads them."""
     from . import frac
 
     doc = _object(doc, "cospan document", ("source", "target", "apex", "fwd"))
@@ -366,9 +405,9 @@ def cospan_from_json(doc):
     obj_map = _object(fdoc["obj_map"], "obj_map")
     if not all(isinstance(v, str) for v in obj_map.values()):
         raise InputError("obj_map must map model names to model names")
-    source = model_groupoid_from_json(doc["source"])
-    target = model_groupoid_from_json(doc["target"])
-    apex = model_groupoid_from_json(doc["apex"])
+    source = model_groupoid_from_json(doc["source"], memo)
+    target = model_groupoid_from_json(doc["target"], memo)
+    apex = model_groupoid_from_json(doc["apex"], memo)
     arr_map = {}
     for pair in _list(fdoc["arr_map"], "arr_map"):
         if not isinstance(pair, list) or len(pair) != 2:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, islice, permutations, product
 from operator import and_, or_
 from typing import NamedTuple
 
@@ -665,10 +665,101 @@ class IndexedModel:
         return hash((self.model, frozenset(self.indexing.items())))
 
 
+class MemberFamily:
+    """The members of a model groupoid (signature, params and indexed
+    models) with the definable-set work that depends on them alone: the
+    engine, and for each tuple cap the object subbasis and object space
+    at each depth, extended one depth at a time.  Every ModelGroupoid on
+    the same family shares them, whatever its arrows."""
+
+    def __init__(self, signature: Signature, params, members):
+        self.signature = signature
+        self.params = dict(params)
+        for p, s in self.params.items():
+            if s not in signature.sorts:
+                raise InputError(f"parameter {p} has undeclared sort {s}")
+        self.members = tuple(members)
+        self.by_name = {im.name: im for im in self.members}
+        if len(self.by_name) != len(self.members):
+            raise InputError("duplicate member model names")
+        self._engine = None
+        self._objects = {}  # tuple cap -> ([(subbasis, space) at depth 0, 1, ...], its cuts)
+
+    def engine(self) -> "DefinableSets":
+        """The definable-set enumeration of the members."""
+        if self._engine is None:
+            self._engine = DefinableSets(self.signature, [im.model for im in self.members])
+        return self._engine
+
+    def interp_tuple(self, name, ptuple):
+        """Interpretation of a parameter tuple in a member, or None."""
+        im = self.by_name[name]
+        vals = tuple(im.interp(p) for p in ptuple)
+        return None if any(v is None for v in vals) else vals
+
+    def param_tuples(self, max_len, with_replacement=False):
+        """Canonically ordered parameter tuples up to the cap (sorted
+        names; permutations and, unless requested, repetitions are
+        absorbed by variable renaming in the formula)."""
+        if max_len < 0:
+            raise InputError(f"tuple cap {max_len} is negative")
+        names = sorted(self.params)
+        comb = combinations_with_replacement if with_replacement else combinations
+        out = []
+        for k in range(0, max_len + 1):
+            out.extend(comb(names, k))
+        return out
+
+    def cuts(self, ctx_sorts, points, tuple_cap) -> list:
+        """(sorts, sel, bits) for each parameter tuple up to tuple_cap:
+        the context sorts followed by the tuple's, and `bits` pairs each
+        point of `points` (mapped to its (member name, tuple) pair) whose
+        member interprets the tuple with the bit of its pair extended by
+        the parameters' values; `sel` ORs those bits."""
+        eng = self.engine()
+        out = []
+        for ptuple in self.param_tuples(tuple_cap):
+            sorts = ctx_sorts + tuple(self.params[p] for p in ptuple)
+            index = eng.index(sorts)
+            bits = [(pt, index[(eng.rep[n], tup + vals)]) for pt, (n, tup) in points.items()
+                    if (vals := self.interp_tuple(n, ptuple)) is not None]
+            out.append((sorts, reduce(or_, (1 << bit for _, bit in bits), 0), bits))
+        return out
+
+    def objects(self, depth, tuple_cap) -> tuple:
+        """(subbasis, space) of the member names at `depth`: the sets of
+        members that formulas of depth <= depth cut out, with parameter
+        tuples up to tuple_cap, and the topology they generate.  Each
+        depth cuts only the extensions that are new at it."""
+        if tuple_cap not in self._objects:
+            names = {n: (n, ()) for n in self.by_name}
+            self._objects[tuple_cap] = ([], self.cuts((), names, tuple_cap))
+        chain, cuts = self._objects[tuple_cap]
+        eng = self.engine()
+        while len(chain) <= depth:
+            d = len(chain)
+            subbasis = set(chain[-1][0]) if chain else set()
+            for sorts, sel, bits in cuts:
+                # level(d) lists level(d - 1) first, then what is new at d
+                new = islice(eng.level(sorts, d), len(eng.level(sorts, d - 1)) if d else 0, None)
+                subbasis |= _cut({ext & sel for ext in new}, bits)
+            chain.append((subbasis, fintop.generate_topology(self.by_name, subbasis)))
+        return chain[depth]
+
+
+def _cut(exts, bits) -> set:
+    """The set of points each extension in `exts` holds, given each
+    point's bit in `bits`."""
+    return {frozenset(pt for pt, bit in bits if ext >> bit & 1) for ext in exts}
+
+
 class ModelGroupoid:
     """A groupoid of indexed models: member models plus a set of
     isomorphisms closed under composition and inverses (identities
     included).  derive() endows it with the logical topologies.
+
+    The members are held in a `MemberFamily`: a new one, unless `family`,
+    the family of these signature, params and members, is given to share.
 
     Construction checks every arrow before it composes any: its endpoints
     are members, its positions are a bijection of the carriers that keeps
@@ -683,20 +774,15 @@ class ModelGroupoid:
     the arrows.  Each stage raises one InputError naming all its
     violations in canonical order."""
 
-    def __init__(self, signature: Signature, params, members, arrows):
-        self.signature = signature
-        self.params = dict(params)
-        for p, s in self.params.items():
-            if s not in signature.sorts:
-                raise InputError(f"parameter {p} has undeclared sort {s}")
-        self.members = tuple(members)
-        names = [im.name for im in self.members]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate member model names")
-        self.by_name = {im.name: im for im in self.members}
+    def __init__(self, signature: Signature, params, members, arrows, family=None):
+        f = self.family = MemberFamily(signature, params, members) if family is None else family
+        self.signature, self.params, self.members, self.by_name = (
+            f.signature, f.params, f.members, f.by_name)
         self.arrows = frozenset(arrows)
         self._derived = {}
-        self._engine = None
+        self._chains = {}  # tuple cap -> [(object space, arrow space) at depth 0, 1, ...]
+        self._transports = None
+        self._completion = None
         faults = {a: f for a in self.arrows if (f := self._fault(a))}
         if faults:
             raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
@@ -732,42 +818,19 @@ class ModelGroupoid:
         if not _preserves(a.pos, m, n):
             return f"arrow {a.src}->{a.tgt} not an isomorphism"
 
-    def member_names(self):
-        return [im.name for im in self.members]
-
     def image(self, a: Iso, sorts, tup) -> tuple:
         """The image under `a` of the tuple `tup` of elements of `sorts`."""
         m, n = self.by_name[a.src].model.layout(), self.by_name[a.tgt].model.layout()
         return tuple(n.pairs[a.pos[m.index[(s, e)]]][1] for s, e in zip(sorts, tup))
 
     def engine(self) -> "DefinableSets":
-        """The definable-set enumeration of the members."""
-        if self._engine is None:
-            self._engine = DefinableSets(self.signature, [im.model for im in self.members])
-        return self._engine
-
-    def interp_tuple(self, name, ptuple):
-        """Interpretation of a parameter tuple in a member, or None."""
-        im = self.by_name[name]
-        vals = tuple(im.interp(p) for p in ptuple)
-        return None if any(v is None for v in vals) else vals
-
-    def param_tuples(self, max_len, with_replacement=False):
-        """Canonically ordered parameter tuples up to the cap (sorted
-        names; permutations and, unless requested, repetitions are
-        absorbed by variable renaming in the formula)."""
-        if max_len < 0:
-            raise InputError(f"tuple cap {max_len} is negative")
-        names = sorted(self.params)
-        comb = combinations_with_replacement if with_replacement else combinations
-        out = []
-        for k in range(0, max_len + 1):
-            out.extend(comb(names, k))
-        return out
+        """The definable-set enumeration of the members, the family's."""
+        return self.family.engine()
 
     def derive(self, depth: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> "DerivedGroupoid":
         """logical_topologies(self, depth, tuple_cap), computed once; a held one that
-        stabilized at achieved depth a < depth is that value (deepening breaks at a + 1)."""
+        stabilized at achieved depth a < depth is that value (deepening breaks at a + 1).
+        A deeper call extends the spaces held for this tuple cap from their last depth."""
         key = (depth, tuple_cap)
         if key not in self._derived:
             held = [d for (_, cap), d in self._derived.items()
@@ -975,23 +1038,6 @@ class DerivedGroupoid:
         return self.groupoid.arrows
 
 
-def _definable_subbasis(g: ModelGroupoid, ctx_sorts, points, depth, tuple_cap):
-    """The sets of `points` that formulas of depth <= depth in the
-    context ctx_sorts cut out, with parameter tuples up to tuple_cap;
-    `points` maps each point to its (member name, tuple) pair."""
-    eng = g.engine()
-    subbasis = set()
-    for ptuple in g.param_tuples(tuple_cap):
-        sorts = ctx_sorts + tuple(g.params[p] for p in ptuple)
-        index = eng.index(sorts)
-        bits = [(pt, index[(eng.rep[n], tup + vals)]) for pt, (n, tup) in points.items()
-                if (vals := g.interp_tuple(n, ptuple)) is not None]
-        sel = reduce(or_, (1 << bit for _, bit in bits), 0)
-        for ext in {ext & sel for ext in eng.level(sorts, depth)}:
-            subbasis.add(frozenset(pt for pt, bit in bits if ext >> bit & 1))
-    return subbasis
-
-
 def _transports(g: ModelGroupoid):
     """The parameter transports {a : a(p) = q}, one set of arrows for each
     pair (p, q) of parameters of one sort, empty where no arrow takes the
@@ -1023,29 +1069,27 @@ def logical_topologies(g: ModelGroupoid, depth: int,
                        tuple_cap: int = DEFAULT_TUPLE_CAP) -> DerivedGroupoid:
     """Endow a model groupoid with the logical topologies at bounded
     depth, deepening until consecutive open families agree or the bound
-    is hit; the achieved depth and stabilization flag are recorded."""
+    is hit; the achieved depth and stabilization flag are recorded.
+
+    The spaces of each depth are held on g for the tuple cap, so a call
+    computes only the depths past the held ones: the object side comes
+    from the member family, and the transports, arrow subbasis and arrow
+    space are g's own.  A stabilization repeats the last held spaces,
+    which ends the chain."""
     if depth < 0:
         raise InputError(f"formula depth {depth} is negative")
-    names = {n: (n, ()) for n in g.member_names()}
-    achieved = 0
-    stabilized = False
-    spaces = None
-    prev = None
-    transports = _transports(g)
-    for d in range(0, depth + 1):
-        obj_sub = _definable_subbasis(g, (), names, d, tuple_cap)
-        arr_sub = _arrow_subbasis(g, obj_sub, transports)
-        obj_space = fintop.generate_topology(names, obj_sub)
-        arr_space = fintop.generate_topology(g.arrows, arr_sub, order=g.order)
-        if prev is not None and (obj_space, arr_space) == prev:
-            stabilized = True
-            achieved = d - 1
-            spaces = prev
-            break
-        prev = (obj_space, arr_space)
-        spaces = prev
-        achieved = d
-    obj_space, arr_space = spaces
+    chain = g._chains.setdefault(tuple_cap, [])
+    if g._transports is None:
+        g._transports = _transports(g)
+    while len(chain) <= depth and not (len(chain) > 1 and chain[-1] is chain[-2]):
+        obj_sub, obj_space = g.family.objects(len(chain), tuple_cap)
+        arr_space = fintop.generate_topology(
+            g.arrows, _arrow_subbasis(g, obj_sub, g._transports), order=g.order)
+        spaces = (obj_space, arr_space)
+        chain.append(chain[-1] if chain and spaces == chain[-1] else spaces)
+    stabilized = 1 < len(chain) <= depth + 1 and chain[-1] is chain[-2]
+    achieved = len(chain) - 2 if stabilized else depth
+    obj_space, arr_space = chain[achieved]
     src = {a: a.src for a in g.arrows}
     tgt = {a: a.tgt for a in g.arrows}
     grpd_obj = TopGroupoid(obj_space, arr_space, src, tgt, g.unit, g.inv, g.comp)
@@ -1071,7 +1115,10 @@ def definable_sheaf(g: ModelGroupoid, formula: GeometricFormula, depth: int,
         for tup in product(*(im.model.carriers[s] for s in ctx_sorts)):
             if _eval(im.model, formula.ast, dict(zip(names, tup))):
                 total_pts.add((im.name, tup))
-    subbasis = _definable_subbasis(g, ctx_sorts, {pt: pt for pt in total_pts}, depth, tuple_cap)
+    eng = g.engine()
+    subbasis = set()
+    for sorts, sel, bits in g.family.cuts(ctx_sorts, {pt: pt for pt in total_pts}, tuple_cap):
+        subbasis |= _cut({ext & sel for ext in eng.level(sorts, depth)}, bits)
     total = fintop.generate_topology(total_pts, subbasis)
     proj = {pt: pt[0] for pt in total_pts}
     action = {}
@@ -1092,7 +1139,7 @@ def parameter_orbit(g: ModelGroupoid, ptuple) -> frozenset:
     sorts_of = tuple(g.params[p] for p in ptuple)
     start = set()
     for im in g.members:
-        vals = g.interp_tuple(im.name, ptuple)
+        vals = g.family.interp_tuple(im.name, ptuple)
         if vals is not None:
             start.add((im.name, vals))
     out = set(start)
@@ -1110,7 +1157,7 @@ def eliminates_parameters(g: ModelGroupoid, depth: int,
     eng = g.engine()
     witnesses = []
     unknown = []
-    for ptuple in g.param_tuples(tuple_cap, with_replacement=True):
+    for ptuple in g.family.param_tuples(tuple_cap, with_replacement=True):
         if not ptuple:
             continue
         sorts_of = tuple(g.params[p] for p in ptuple)
@@ -1163,21 +1210,26 @@ def all_isos_between_members(members) -> frozenset:
 
 
 def etale_completion(g: ModelGroupoid) -> ModelGroupoid:
-    """Same members and indexings, arrows enlarged to all isomorphisms.
+    """Same members and indexings, arrows enlarged to all isomorphisms:
+    built once and kept on g, on g's member family.
 
     The completion does not depend on a formula depth.  The inclusion of
     g at depth d and tuple cap c is
     `grpd.Subgroupoid(completion.derive(d, c).groupoid, g.arrows)`."""
-    return ModelGroupoid(g.signature, g.params, g.members, all_isos_between_members(g))
+    if g._completion is None:
+        g._completion = ModelGroupoid(g.signature, g.params, g.members,
+                                      all_isos_between_members(g), g.family)
+    return g._completion
 
 
 def is_etale_complete(g: ModelGroupoid, depth: int,
                       tuple_cap: int = DEFAULT_TUPLE_CAP) -> Verdict:
-    """Three conjuncts: all isomorphisms between members present (exact),
-    sober object space (exact; automatic for finite T0), and parameter
-    elimination (bounded, may come back unknown)."""
+    """Three conjuncts: all isomorphisms between members present (exact,
+    read from the arrows of `etale_completion(g)`), sober object space
+    (exact; automatic for finite T0), and parameter elimination (bounded,
+    may come back unknown)."""
     witnesses = []
-    missing = all_isos_between_members(g.members) - g.arrows
+    missing = etale_completion(g).arrows - g.arrows
     # a witness names only the endpoints, so their order is the canonical one
     for a in sorted(missing, key=lambda a: (ckey(a.src), ckey(a.tgt))):
         witnesses.append((("kind", "missing-isomorphism"), ("src", a.src), ("tgt", a.tgt)))

@@ -794,9 +794,9 @@ def definable_subbasis_oracle(ref, g, ctx_sorts, points, depth, tuple_cap):
     pair) that the frozenset extensions of `ref` cut out at `depth` in the
     context ctx_sorts, with parameter tuples up to tuple_cap."""
     subbasis = set()
-    for ptuple in g.param_tuples(tuple_cap):
+    for ptuple in g.family.param_tuples(tuple_cap):
         pairs = [(pt, (n, tup + vals)) for pt, (n, tup) in points.items()
-                 if (vals := g.interp_tuple(n, ptuple)) is not None]
+                 if (vals := g.family.interp_tuple(n, ptuple)) is not None]
         for ext in ref.level(ctx_sorts + tuple(g.params[p] for p in ptuple), depth):
             subbasis.add(frozenset(pt for pt, pair in pairs if pair in ext))
     return subbasis
@@ -811,7 +811,7 @@ def logical_topologies_oracle(g, depth, tuple_cap):
     `logic.logical_topologies`."""
     ref = members_oracle(g)
     maps = {a: {(s, x): y for s, x, y in triple_map(a, models_of(g))} for a in g.arrows}
-    names = {n: (n, ()) for n in g.member_names()}
+    names = {n: (n, ()) for n in g.by_name}
     params = sorted(g.params)
     spaces, achieved, stabilized = None, 0, False
     for d in range(depth + 1):
@@ -856,7 +856,7 @@ def parameter_witnesses_oracle(g, depth, tuple_cap):
     tuples `logic.eliminates_parameters` tries."""
     ref = members_oracle(g)
     out = {}
-    for ptuple in g.param_tuples(tuple_cap, with_replacement=True):
+    for ptuple in g.family.param_tuples(tuple_cap, with_replacement=True):
         if ptuple:
             level = ref.level(tuple(g.params[p] for p in ptuple), depth)
             ast = level.get(logic.parameter_orbit(g, ptuple))

@@ -518,6 +518,11 @@ POINT_NAMED_TWICE = {
     "space points": (("validate", "--space"), {"points": [1, 1, 2], "opens": [[], [1], [2], [1, 2]]},
                      "points: point 1 is named twice"),
     "model carrier": (("validate", "--models"), None, "carrier 'S': point 'a' is named twice"),
+    # 1 is read as its label "1", the element the writer would write for it
+    "model carrier of 1 and '1'": (
+        ("validate", "--models"),
+        dict(MG_DOC, models=[dict(MG_DOC["models"][0], carriers={"S": [1, "1"]})]),
+        "carrier 'S': point '1' is named twice"),
     # "1" and 1 both read as the int arrow 1
     "subgroupoid arrows": (("subobjects", "--sub"), {"arrows": ["1", 1]},
                            "arrows: point 1 is named twice"),
