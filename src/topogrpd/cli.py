@@ -173,7 +173,7 @@ def _cmd_etale_complete(args, read):
         "completion": jsonio.model_groupoid_to_json(completed),
         "added_arrows": len(completed.arrows) - len(mg.arrows),
         "input_complete": input_check.to_json(),
-        # every arrow of `completed` was checked when it was built
+        # completing again adds nothing: the same members give the same classes
         "idempotent": logic.all_isos_between_members(completed) == completed.arrows,
     }, None
 

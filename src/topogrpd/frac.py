@@ -23,7 +23,7 @@ from .errors import (
     NotModelPresented,
 )
 from .grpd import ContinuousFunctor, ContinuousTransformation, Subgroupoid
-from .logic import ModelGroupoid
+from .logic import MemberFamily, ModelGroupoid
 from .weq import Verdict
 
 # the certificate of an identity leg, which needs no search
@@ -145,12 +145,9 @@ def merge_and_complete(parts) -> ModelGroupoid:
             if params.setdefault(p, s) != s:
                 raise InputError(f"parameter {p} declared at two sorts")
         for im in g.members:
-            old = members.setdefault(im.name, im)
-            if old != im:
+            if members.setdefault(im.name, im) != im:
                 raise InputError(f"member name clash at {im.name}")
-    member_list = tuple(members[n] for n in sorted(members))
-    arrows = logic.all_isos_between_members(member_list)
-    return ModelGroupoid(sig, params, member_list, arrows)
+    return ModelGroupoid.complete(MemberFamily(sig, params, (members[n] for n in sorted(members))))
 
 
 @dataclass(frozen=True)

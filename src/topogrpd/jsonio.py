@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 from . import fintop, grpd, logic
 from .errors import InputError
@@ -124,12 +125,16 @@ def topology_from_json(doc) -> FinSpace:
 
 
 def space_to_json(space: FinSpace, label=None):
-    """The points in the space's `order` and the minimal open of each,
-    each point as `label[p]` (default: `fmt_point` of each point, once)."""
+    """The points in the space's `order` and each one's minimal open, each as
+    `label[p]` (default: `fmt_point` of each point, once); a shared label is an InputError."""
     if label is None:
         label = {p: fmt_point(p) for p in space.points}
+    points = [label[p] for p in space.order()]
+    if len(set(points)) < len(points):
+        shared = next(x for x, k in Counter(points).items() if k > 1)
+        raise InputError(f"points: two points share the label {shared!r}")
     return {
-        "points": [label[p] for p in space.order()],
+        "points": points,
         "min_open": {label[p]: sorted(label[q] for q in space.min_open(p)) for p in space.order()},
     }
 
@@ -358,10 +363,10 @@ def model_groupoid_from_json(doc, memo=None) -> ModelGroupoid:
     family = next((g.family for seen, g in memo if _same(_members_of(doc), _members_of(seen))),
                   None) or _member_family(doc)
     if doc["arrows"] == "all":
-        arrows = logic.all_isos_between_members(family.members)
+        memo.append((doc, ModelGroupoid.complete(family)))
     else:
         arrows = frozenset(iso_from_json(a, family.by_name) for a in _list(doc["arrows"], "arrows"))
-    memo.append((doc, ModelGroupoid(family.signature, family.params, family.members, arrows, family)))
+        memo.append((doc, ModelGroupoid(family.signature, family.params, family.members, arrows, family)))
     return memo[-1][1]
 
 

@@ -462,6 +462,8 @@ class FinModel:
     def __init__(self, name, signature: Signature, carriers, relations=None, constants=None):
         self.name = name
         self.signature = signature
+        if extra := sorted(set(carriers) - set(signature.sorts)):
+            raise InputError(f"undeclared sort {extra[0]}")
         self.carriers = {s: frozenset(carriers.get(s, ())) for s in signature.sorts}
         rels = dict(relations or {})
         self.relations = {}
@@ -483,6 +485,8 @@ class FinModel:
                 raise InputError(f"constant {cname} not interpreted")
             if self.constants[cname] not in self.carriers[s]:
                 raise InputError(f"constant {cname} outside carrier")
+        if extra := sorted(set(self.constants) - set(signature.constant_sorts)):
+            raise InputError(f"undeclared constant {extra[0]}")
         for e in self.elements():
             if not isinstance(e, (str, int)):
                 raise InputError("carrier elements must be strings or ints")
@@ -768,26 +772,19 @@ class ModelGroupoid:
     identity), `inv`, `out_of` and `into` (member name to the arrows with
     that source, with that target) and `comp` ((b, a) to b o a, at
     positions b.pos[a.pos[i]]) built, once, by looking each expected
-    `Iso` up among the arrows, and the closure laws read from them.
-    `order` lists the arrows sorted by (source, target, positions), with
-    the member names ranked in `ckey` order, which is the `ckey` order of
-    the arrows.  Each stage raises one InputError naming all its
-    violations in canonical order."""
+    `Iso` up among the arrows, and the closure laws read from them.  Each
+    stage raises one InputError naming all its violations in canonical
+    order.  `complete` builds the groupoid of all isomorphisms between the
+    members, checking nothing.  `order` lists the arrows sorted by (source,
+    target, positions), member names ranked in `ckey` order: their `ckey` order."""
 
     def __init__(self, signature: Signature, params, members, arrows, family=None):
-        f = self.family = MemberFamily(signature, params, members) if family is None else family
-        self.signature, self.params, self.members, self.by_name = (
-            f.signature, f.params, f.members, f.by_name)
+        self._hold(MemberFamily(signature, params, members) if family is None else family)
         self.arrows = frozenset(arrows)
-        self._derived = {}
-        self._chains = {}  # tuple cap -> [(object space, arrow space) at depth 0, 1, ...]
-        self._transports = None
-        self._completion = None
         faults = {a: f for a in self.arrows if (f := self._fault(a))}
         if faults:
             raise InputError("; ".join(faults[a] for a in sorted(faults, key=ckey)))
-        rank = {n: i for i, n in enumerate(fintop.sorted_points(self.by_name))}
-        self.order = tuple(sorted(self.arrows, key=lambda a: (rank[a.src], rank[a.tgt], a.pos)))
+        self.order = self._sorted()
         own = {a: a for a in self.arrows}
         self.unit = {n: own.get(identity_iso(im.model)) for n, im in self.by_name.items()}
         self.inv = {a: own.get(Iso(a.tgt, a.src, _inverse(a.pos))) for a in self.arrows}
@@ -804,6 +801,40 @@ class ModelGroupoid:
             bad.append("arrows not closed under composition")
         if bad:
             raise InputError("; ".join(bad))
+
+    @classmethod
+    def complete(cls, family: MemberFamily) -> "ModelGroupoid":
+        """The groupoid of every isomorphism between the members of `family`,
+        its tables read off `_iso_classes` with no arrow checked, composed
+        or looked up: (i, l, j) is grid[i][l][j], unit[m_i] = (i, i, 0), the
+        inverse of (i, l, j) is (l, i, inv[j]) and (l, o, j') o (i, l, j) is (i, o, mul[j'][j])."""
+        g = cls.__new__(cls)
+        g._hold(family)
+        g.unit, g.inv, g.out_of, g.into, g.comp = {}, {}, {}, {}, {}
+        for names, grid, mul, inv in _iso_classes(g.members):
+            out_of = [[a for arrs in row for a in arrs] for row in grid]
+            for i, (n, row) in enumerate(zip(names, grid)):
+                g.unit[n], g.out_of[n] = row[i][0], out_of[i]
+                g.into[n] = [a for before in grid for a in before[i]]
+                # (l, o, j') o (i, l, j) in the order of product(out_of[l], (i, l, .))
+                composites = [to_o[k] for to_o in row for by_b in mul for k in by_b]
+                for mid, arrs in enumerate(row):
+                    g.inv.update(zip(arrs, map(grid[mid][i].__getitem__, inv)))
+                    g.comp.update(zip(product(out_of[mid], arrs), composites))
+        g.arrows = frozenset(g.inv)
+        g.order = g._sorted()
+        return g
+
+    def _hold(self, family: MemberFamily):
+        f = self.family = family
+        self.signature, self.params, self.members, self.by_name = (
+            f.signature, f.params, f.members, f.by_name)
+        # _chains: tuple cap -> [(object space, arrow space) at depth 0, 1, ...]
+        self._derived, self._chains, self._transports, self._completion = {}, {}, None, None
+
+    def _sorted(self) -> tuple:
+        rank = {n: i for i, n in enumerate(fintop.sorted_points(self.by_name))}
+        return tuple(sorted(self.arrows, key=lambda a: (rank[a.src], rank[a.tgt], a.pos)))
 
     def _fault(self, a: Iso):
         """Why `a` is not an isomorphism between members, or None."""
@@ -1183,30 +1214,38 @@ def eliminates_parameters(g: ModelGroupoid, depth: int,
 # -- etale completion ----------------------------------------------------------
 
 
-def all_isos_between_members(members) -> frozenset:
-    """Every isomorphism between the indexed models `members` (a
-    ModelGroupoid is read as its members), from one representative r per
-    isomorphism class: each member m, tested against the representatives
-    found so far, keeps the first isomorphism a_m: r -> m found, and the
-    isomorphisms m -> n are the a_n o c o a_m^-1 for c in Aut(r), composed
-    on positions."""
-    classes = []  # (r, Aut(r), (m, a_m) for the members m of its class), on positions
-    for im in getattr(members, "members", members):
-        for r, _, isos in classes:
-            p = next(_iso_positions(r, im.model), None)
+def _iso_classes(members):
+    """(names, grid, mul, inv) per isomorphism class of the indexed models
+    `members`.  Its first model r represents it; a later member m keeps
+    the first isomorphism a_m: r -> m found, the identity if m has r's
+    very structure.  Aut(r) = (c_0 = id, c_1, ...) in increasing order:
+    c_j o c_k = c_mul[j][k], c_j^-1 = c_inv[j], and grid[i][l][j] is
+    a_l o c_j o a_i^-1: names[i] -> names[l], all on positions."""
+    found = []  # (r, Aut(r), [(name of m, a_m) for each member m of the class])
+    for im in members:
+        for r, autos, isos in found:
+            same = r.signature == im.model.signature and r.layout() == im.model.layout()
+            p = autos[0] if same else next(_iso_positions(r, im.model), None)
             if p is not None:
-                isos.append((im.model, p))
+                isos.append((im.name, p))
                 break
         else:
             autos = list(_iso_positions(im.model, im.model))
-            classes.append((im.model, autos, [(im.model, autos[0])]))
-    out = set()
-    for _, autos, isos in classes:
-        for m, pm in isos:
-            back = _inverse(pm)
-            for n, pn in isos:
-                out.update(Iso(m.name, n.name, tuple(pn[c[i]] for i in back)) for c in autos)
-    return frozenset(out)
+            found.append((im.model, autos, [(im.name, autos[0])]))
+    for _, autos, isos in found:
+        at = {c: j for j, c in enumerate(autos)}
+        mul = [[at[tuple(map(b.__getitem__, c))] for c in autos] for b in autos]
+        backs = [(m, [[c[x] for x in _inverse(pm)] for c in autos]) for m, pm in isos]
+        grid = [[[Iso(m, n, tuple(map(pn.__getitem__, cb))) for cb in back] for n, pn in isos]
+                for m, back in backs]
+        yield [n for n, _ in isos], grid, mul, [row.index(0) for row in mul]
+
+
+def all_isos_between_members(members) -> frozenset:
+    """Every isomorphism between the indexed models `members` (a
+    ModelGroupoid is read as its members), from `_iso_classes`."""
+    return frozenset(a for _, grid, _, _ in _iso_classes(getattr(members, "members", members))
+                     for row in grid for arrs in row for a in arrs)
 
 
 def etale_completion(g: ModelGroupoid) -> ModelGroupoid:
@@ -1217,8 +1256,7 @@ def etale_completion(g: ModelGroupoid) -> ModelGroupoid:
     g at depth d and tuple cap c is
     `grpd.Subgroupoid(completion.derive(d, c).groupoid, g.arrows)`."""
     if g._completion is None:
-        g._completion = ModelGroupoid(g.signature, g.params, g.members,
-                                      all_isos_between_members(g), g.family)
+        g._completion = ModelGroupoid.complete(g.family)
     return g._completion
 
 

@@ -12,6 +12,7 @@ from corpus import (
 )
 from test_grpd import LOOP5_ROWS
 from topogrpd import cli, grpd, jsonio
+from topogrpd.errors import InputError
 from topogrpd.fintop import FinSpace, fmt_point
 
 ISO_PAIR_DOC = {
@@ -333,6 +334,21 @@ def test_spaces_round_trip_from_opens_through_min_open():
     assert sum(len(s.opens()) > 2 for s in spaces) > 100
 
 
+def test_a_space_is_written_by_its_labels_and_reads_back_as_them():
+    """The int points [10, 9] are written ["9", "10"] and read back as
+    strings, which are written ["10", "9"] from then on; the points 1 and
+    "1" share a label, so the writer refuses them, naming it."""
+    first = jsonio.space_to_json(FinSpace.discrete({10, 9}))
+    second = jsonio.space_to_json(jsonio.space_from_json(first))
+    third = jsonio.space_to_json(jsonio.space_from_json(second))
+    assert (first["points"], second["points"]) == (["9", "10"], ["10", "9"])
+    assert second == third
+    with pytest.raises(InputError, match="^points: two points share the label '1'$"):
+        jsonio.space_to_json(FinSpace.discrete({1, "1"}))
+    with pytest.raises(InputError, match="^points: two points share the label '1'$"):
+        jsonio.groupoid_to_json(grpd.space_groupoid(FinSpace.discrete({1, "1", 2})))
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"points": ["a", "b"], "min_open": {"a": ["a"]}}, "min_open domain differs"),
     ({"points": ["a"], "min_open": {"a": ["a"], "b": ["b"]}}, "unknown point 'b'"),
@@ -570,6 +586,31 @@ MALFORMED_MODEL_GROUPOIDS = {
     "iso-map-list": lambda d: dict(d, arrows=[dict(d["arrows"][0], map=["a", "b"])]),
     "iso-sort-map-list": lambda d: dict(d, arrows=[dict(d["arrows"][0], map={"S": ["a", "b"]})]),
 }
+
+
+UNDECLARED = {
+    "sort": (_model(MG_DOC, carriers={"S": ["a", "b"], "W": ["w"]}), "undeclared sort W"),
+    "constant": (_model(MG_DOC, constants={"c": "a"}), "undeclared constant c"),
+    "relation": (_model(MG_DOC, relations={"P": [["a"]], "Q": [["b"]], "R": [["a"]]}),
+                 "undeclared relation R"),
+}
+
+
+@pytest.mark.parametrize("what", list(UNDECLARED))
+@pytest.mark.parametrize("argv", [
+    ("logical-topology", "--models", "{doc}"),
+    ("morita-search", "--left", "{doc}", "--right", "{doc}"),
+    ("etale-complete", "--models", "{doc}"),
+], ids=lambda argv: argv[0])
+def test_a_model_with_an_undeclared_sort_constant_or_relation_exits_3(capsys, tmp_path, argv, what):
+    """A carrier of a sort, or an interpretation of a constant or
+    relation, that the signature does not declare is an input error; it
+    is neither dropped nor echoed into the report."""
+    doc, error = UNDECLARED[what]
+    p = tmp_path / "models.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, *(a.format(doc=p) for a in argv))
+    assert (code, rep["result"]["error"]) == (3, error)
 
 
 @pytest.mark.parametrize("shape", list(MALFORMED_MODEL_GROUPOIDS))

@@ -30,6 +30,9 @@ projection and action off every arrow of each class.
 representative per isomorphism class;
 `oracles.all_isos_between_members_oracle` searches every ordered pair,
 with `oracles.model_isomorphisms`, the dict-permutation search.
+`logic.ModelGroupoid.complete` reads the tables of a complete groupoid
+off the isomorphism classes; the checked constructor builds them from
+the oracle's isomorphisms.
 `logic.ModelGroupoid` builds its tables and its arrow order on carrier
 positions; `oracles.model_groupoid_tables_oracle` composes and inverts
 triple maps and sorts them by `ckey`, crossing to positions only at its
@@ -879,6 +882,73 @@ def test_all_isos_between_members_across_signatures_is_an_input_error():
         for all_isos in (logic.all_isos_between_members, oracles.all_isos_between_members_oracle):
             with pytest.raises(InputError, match="^models over different signatures$"):
                 all_isos(members)
+
+
+def assert_complete_matches_the_checked_build(sig, params, members):
+    """`ModelGroupoid.complete` against the checked constructor on the
+    reference's isomorphisms: the same arrows, order and tables, with
+    `out_of` and `into` equal as sets (and free of repeats), every arrow
+    a fault-free isomorphism, and every table value an arrow object of
+    the groupoid.  Returns the number of arrows that are not units."""
+    fast = ModelGroupoid.complete(logic.MemberFamily(sig, params, members))
+    ref = ModelGroupoid(sig, params, members, oracles.all_isos_between_members_oracle(members))
+    assert (fast.arrows, fast.order) == (ref.arrows, ref.order)
+    assert (fast.unit, fast.inv, fast.comp) == (ref.unit, ref.inv, ref.comp)
+    for table in ("out_of", "into"):
+        got, want = getattr(fast, table), getattr(ref, table)
+        assert {n: set(v) for n, v in got.items()} == {n: set(v) for n, v in want.items()}
+        assert all(len(v) == len(set(v)) for v in got.values())
+    assert all(fast._fault(a) is None for a in fast.arrows)
+    own = {id(a) for a in fast.arrows}
+    values = [*fast.unit.values(), *fast.inv.values(), *fast.comp.values(),
+              *(a for pair in fast.comp for a in pair)]
+    assert all(id(a) in own for a in values)
+    return len(fast.arrows) - len(fast.unit)
+
+
+def test_complete_groupoids_of_the_model_corpus_match_the_checked_build():
+    """On every member list of the model corpus (each list's parameters
+    are the ones its indexings name, over the single sort V); it counts
+    the lists with an arrow that is not a unit, and those with two
+    members in one class or a non-trivial automorphism group."""
+    moving = shared_class = nontrivial_autos = 0
+    for members in model_corpus_member_lists():
+        sig = members[0].model.signature
+        params = {p: "V" for im in members for p in im.indexing}
+        moving += assert_complete_matches_the_checked_build(sig, params, members) > 0
+        classes = list(logic._iso_classes(members))
+        shared_class += any(len(names) > 1 for names, _, _, _ in classes)
+        nontrivial_autos += any(len(mul) > 1 for _, _, mul, _ in classes)
+    print(dict(moving=moving, shared_class=shared_class, nontrivial_autos=nontrivial_autos))
+    assert moving > 100 and shared_class > 70 and nontrivial_autos > 30, (
+        moving, shared_class, nontrivial_autos)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_complete_groupoids_on_multi_sort_signatures_match_the_checked_build(seed):
+    assert_complete_matches_the_checked_build(*multi_sort_members(random.Random(seed)))
+
+
+def test_complete_groupoids_are_built_without_an_arrow_check(monkeypatch):
+    """A merged apex, an etale completion and an "all" document call
+    `ModelGroupoid._fault` zero times; an explicit arrow list still calls
+    it once per arrow."""
+    edges = rigid_graphs(3)[0]
+    left, right, plain = (
+        jsonio.model_groupoid_from_json(graph_copies_doc(edges, 3, names, "identities"))
+        for names in (["M0", "M1"], ["N0", "N1"], ["M0", "M1", "M2"]))
+    full = graph_copies_doc(edges, 3, ["M0", "M1", "M2"], "all")
+    calls = []
+    fault = ModelGroupoid._fault
+    monkeypatch.setattr(ModelGroupoid, "_fault", lambda self, a: calls.append(a) or fault(self, a))
+    apex = frac.merge_and_complete([left, right])
+    completion = logic.etale_completion(plain)
+    read = jsonio.model_groupoid_from_json(full)
+    assert (len(apex.arrows), len(completion.arrows), len(read.arrows)) == (16, 9, 9)
+    assert calls == []
+    jsonio.model_groupoid_from_json(graph_copies_doc(edges, 3, ["M0", "M1", "M2"], "identities"))
+    assert len(calls) == 3
 
 
 def multi_sort_members(rng):

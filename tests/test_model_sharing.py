@@ -26,8 +26,10 @@ RIGID = [["v0", "v0"], ["v0", "v1"], ["v1", "v2"]]
 
 
 def counting(monkeypatch):
-    """Counts of model groupoids, definable-set engines, derivations and
-    isomorphism searches, from wrappers that monkeypatch removes."""
+    """Counts of model groupoids (checked or built complete from their
+    isomorphism classes), definable-set engines, derivations and
+    isomorphism searches (`all_isos_between_members` alone, and every
+    class enumeration), from wrappers that monkeypatch removes."""
     counts = Counter()
 
     def count(owner, name, key):
@@ -40,9 +42,11 @@ def counting(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(logic.ModelGroupoid, "__init__", "groupoids")
+    count(logic.ModelGroupoid, "complete", "groupoids")
     count(logic.DefinableSets, "__init__", "engines")
     count(logic, "logical_topologies", "derivations")
     count(logic, "all_isos_between_members", "isos")
+    count(logic, "_iso_classes", "classes")
     return counts
 
 
@@ -72,14 +76,15 @@ def test_one_compose_builds_each_groupoid_and_member_family_once(tmp_path, monke
 
 
 def test_one_etale_complete_builds_two_groupoids(tmp_path, monkeypatch):
-    """The input and its completion; the idempotence check searches the
-    completion's isomorphisms without building a third groupoid."""
+    """The input and its completion, which is built from the isomorphism
+    classes; the idempotence check enumerates the classes again through
+    `all_isos_between_members`, without building a third groupoid."""
     doc = graph_copies_doc(RIGID, 3, ["M0", "M1", "M2"], "identities")
     argv = ["etale-complete", "--models", write(tmp_path, "plain", doc),
             "--output", str(tmp_path / "out.json")]
     counts = counting(monkeypatch)
     assert cli.run(argv) == 0
-    assert (counts["groupoids"], counts["isos"]) == (2, 2)
+    assert (counts["groupoids"], counts["isos"], counts["classes"]) == (2, 1, 2)
     result = json.loads((tmp_path / "out.json").read_text())["result"]
     assert (result["added_arrows"], result["idempotent"]) == (6, True)
 
