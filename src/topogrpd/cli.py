@@ -124,6 +124,8 @@ def _cmd_factorize(args, read):
 
 
 def _cmd_generators(args, read):
+    if args.given and args.sub:
+        raise InputError("generators reads --open-cap only without --sub")
     g = _valid_groupoid(args, read)
     if args.sub:
         u = jsonio.subgroupoid_from_json(read.load(args.sub), g)
@@ -173,8 +175,6 @@ def _cmd_etale_complete(args, read):
         "completion": jsonio.model_groupoid_to_json(completed),
         "added_arrows": len(completed.arrows) - len(mg.arrows),
         "input_complete": input_check.to_json(),
-        # completing again adds nothing: the same members give the same classes
-        "idempotent": logic.all_isos_between_members(completed) == completed.arrows,
     }, None
 
 

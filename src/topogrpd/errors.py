@@ -9,10 +9,11 @@ class InputError(ValueError):
 
 
 class FormulaError(InputError):
-    """Lex/parse/sort error in a formula, carrying a source position."""
+    """Lex/parse/sort error in a formula, carrying its source position
+    when one is known (None for a sort error found after parsing)."""
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position=None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 

@@ -97,14 +97,13 @@ class FinSpace:
     arises this way.
     """
 
-    __slots__ = ("points", "_min", "_opens", "_order", "_rank", "_hash")
+    __slots__ = ("points", "_min", "_order", "_rank", "_hash")
 
     def __init__(self, points, min_open, _check=True, order=None):
         self.points = frozenset(points)
         if _check and set(min_open) != self.points:
             raise InputError("min_open domain differs from point set")
         self._min = {x: frozenset(min_open[x]) for x in self.points}
-        self._opens = None
         if order is not None:
             order = tuple(order)
             if len(order) != len(self.points) or frozenset(order) != self.points:
@@ -188,18 +187,13 @@ class FinSpace:
         return frozenset(x for x in self.points if self._min[x] & s)
 
     def opens(self, cap: int = DEFAULT_OPEN_CAP):
-        """The explicit open family, canonically ordered.
+        """The explicit open family, canonically ordered, listed per call.
 
         Raises CapExceeded when the family has more than `cap` members.
         """
-        if self._opens is not None:
-            if len(self._opens) > cap:
-                raise CapExceeded(f"open family exceeds cap {cap}")
-            return self._opens
         points = tuple(self.points)
         gens = map(masker(points), self._min.values())
-        self._opens = sets_in_order(union_closure(gens, cap), points, self)
-        return self._opens
+        return sets_in_order(union_closure(gens, cap), points, self)
 
     def open_count(self, limit: int = DEFAULT_OPEN_CAP) -> int:
         """Number of opens, counting no further than `limit`."""

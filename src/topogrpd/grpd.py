@@ -167,7 +167,7 @@ class Subgroupoid:
     composition and inverses, with subspace topologies.  The object set is
     recovered as the source (equivalently target) image."""
 
-    __slots__ = ("ambient", "arrow_set", "object_set", "_incl")
+    __slots__ = ("ambient", "arrow_set", "object_set")
 
     def __init__(self, ambient: TopGroupoid, arrow_set):
         self.ambient = ambient
@@ -175,7 +175,6 @@ class Subgroupoid:
         if not self.arrow_set <= ambient.arrows.points:
             raise InputError("arrow subset outside ambient arrows")
         self.object_set = frozenset(ambient.src.mapping[a] for a in self.arrow_set)
-        self._incl = None
 
     def validate(self) -> list:
         amb, arr = self.ambient, self.arrow_set
@@ -200,21 +199,18 @@ class Subgroupoid:
 
     def inclusion_functor(self) -> "ContinuousFunctor":
         """The inclusion into the ambient groupoid, built and validated
-        once per subgroupoid."""
-        if self._incl is None:
-            amb, arr = self.ambient, self.arrow_set
-            objs = self.object_set
-            sub = TopGroupoid(
-                amb.objects.subspace(objs),
-                amb.arrows.subspace(arr),
-                {a: amb.src.mapping[a] for a in arr},
-                {a: amb.tgt.mapping[a] for a in arr},
-                {x: amb.unit.mapping[x] for x in objs},
-                {a: amb.inv.mapping[a] for a in arr},
-                {p: h for p, h in amb.comp.items() if p[0] in arr and p[1] in arr},
-            )
-            self._incl = ContinuousFunctor(sub, amb, {x: x for x in objs}, {a: a for a in arr})
-        return self._incl
+        per call."""
+        amb, arr, objs = self.ambient, self.arrow_set, self.object_set
+        sub = TopGroupoid(
+            amb.objects.subspace(objs),
+            amb.arrows.subspace(arr),
+            {a: amb.src.mapping[a] for a in arr},
+            {a: amb.tgt.mapping[a] for a in arr},
+            {x: amb.unit.mapping[x] for x in objs},
+            {a: amb.inv.mapping[a] for a in arr},
+            {p: h for p, h in amb.comp.items() if p[0] in arr and p[1] in arr},
+        )
+        return ContinuousFunctor(sub, amb, {x: x for x in objs}, {a: a for a in arr})
 
     def __eq__(self, other):
         if not isinstance(other, Subgroupoid):
@@ -299,37 +295,18 @@ def open_atoms(g: TopGroupoid):
 
 def enumerate_open_subgroupoids(g: TopGroupoid, cap: int = fintop.DEFAULT_OPEN_CAP):
     """All subgroupoids whose arrow set is open, in canonical order: the
-    join closure of the open atoms and the empty subgroupoid.  Raises
-    CapExceeded as soon as the closure has more than `cap` members.
+    join closure of the open atoms and the empty subgroupoid, listed per
+    call by joining each atom to every member found before it.  Raises
+    CapExceeded as soon as the family has more than `cap` members.
     """
-    def build():
-        atoms = [u.arrow_set for u in open_atoms(g)]
-        seen = {frozenset(), *atoms}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for s in frontier:
-                if len(seen) > cap:
-                    raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
-                for a in atoms:
-                    # members are closed, so a known join needs no closure
-                    if s | a in seen:
-                        continue
-                    j = subgroupoid_closure(g, s | a)
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        subs = [Subgroupoid(g, s) for s in sorted(seen, key=fintop.set_key(g.arrows))]
-        for s in subs:
-            if not s.is_open():  # pragma: no cover - guarded by openness precondition
-                raise InputError("internal: non-open subgroupoid generated")
-        return subs
-
-    subs = g.memo("open_subgroupoids", None, build)
-    if len(subs) > cap:
-        raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
-    return subs
+    family = {frozenset()}
+    for a in (u.arrow_set for u in open_atoms(g)):
+        # members are closed, so a known join, or the atom itself, needs no closure
+        family |= {j if j in family or j == a else subgroupoid_closure(g, j)
+                   for j in (s | a for s in family)}
+        if len(family) > cap:
+            raise CapExceeded(f"subgroupoid family exceeds cap {cap}")
+    return [Subgroupoid(g, s) for s in sorted(family, key=fintop.set_key(g.arrows))]
 
 
 # -- bi-orbits ------------------------------------------------------------

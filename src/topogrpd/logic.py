@@ -168,52 +168,52 @@ class GeometricFormula:
         return print_formula(self.ast)
 
 
-def _term_sort(t, env, sig: Signature, pos=None):
+def _term_sort(t, env, sig: Signature):
     if isinstance(t, Var):
         if t.name not in env:
-            raise FormulaError(f"unbound variable {t.name}", pos)
+            raise FormulaError(f"unbound variable {t.name}")
         return env[t.name]
     if isinstance(t, Const):
         cs = sig.constant_sorts
         if t.name not in cs:
-            raise FormulaError(f"undeclared constant {t.name}", pos)
+            raise FormulaError(f"undeclared constant {t.name}")
         return cs[t.name]
     raise InputError(f"not a term: {t!r}")
 
 
-def _sort_of(ast, env, sig: Signature, pos=None):
+def _sort_of(ast, env, sig: Signature):
     """Well-sortedness check; raises FormulaError on violations."""
     if isinstance(ast, (Top, Bot)):
         return
     if isinstance(ast, Eq):
-        ls = _term_sort(ast.left, env, sig, pos)
-        rs = _term_sort(ast.right, env, sig, pos)
+        ls = _term_sort(ast.left, env, sig)
+        rs = _term_sort(ast.right, env, sig)
         if ls != rs:
-            raise FormulaError(f"equality between sorts {ls} and {rs}", pos)
+            raise FormulaError(f"equality between sorts {ls} and {rs}")
         return
     if isinstance(ast, Rel):
         arities = sig.relation_arities
         if ast.name not in arities:
-            raise FormulaError(f"undeclared relation {ast.name}", pos)
+            raise FormulaError(f"undeclared relation {ast.name}")
         arity = arities[ast.name]
         if len(ast.args) != len(arity):
-            raise FormulaError(f"relation {ast.name} expects {len(arity)} arguments", pos)
+            raise FormulaError(f"relation {ast.name} expects {len(arity)} arguments")
         for t, s in zip(ast.args, arity):
-            if _term_sort(t, env, sig, pos) != s:
-                raise FormulaError(f"argument of {ast.name} has wrong sort", pos)
+            if _term_sort(t, env, sig) != s:
+                raise FormulaError(f"argument of {ast.name} has wrong sort")
         return
     if isinstance(ast, And):
-        _sort_of(ast.left, env, sig, pos)
-        _sort_of(ast.right, env, sig, pos)
+        _sort_of(ast.left, env, sig)
+        _sort_of(ast.right, env, sig)
         return
     if isinstance(ast, Or):
         for d in ast.disjuncts:
-            _sort_of(d, env, sig, pos)
+            _sort_of(d, env, sig)
         return
     if isinstance(ast, Exists):
         if ast.sort not in sig.sorts:
-            raise FormulaError(f"undeclared sort {ast.sort}", pos)
-        _sort_of(ast.body, dict(env, **{ast.var: ast.sort}), sig, pos)
+            raise FormulaError(f"undeclared sort {ast.sort}")
+        _sort_of(ast.body, dict(env, **{ast.var: ast.sort}), sig)
         return
     raise InputError(f"not a formula node: {ast!r}")
 
@@ -400,7 +400,7 @@ def _infer_context(ast, sig: Signature):
         if v in bound:
             return
         if v in constraints and constraints[v] != s:
-            raise FormulaError(f"variable {v} used at two sorts", 0)
+            raise FormulaError(f"variable {v} used at two sorts")
         constraints[v] = s
 
     def walk(node, bound):
@@ -434,7 +434,7 @@ def _infer_context(ast, sig: Signature):
         elif len(sig.sorts) == 1:
             ctx.append((v, sig.sorts[0]))
         else:
-            raise FormulaError(f"cannot infer sort of {v}", 0)
+            raise FormulaError(f"cannot infer sort of {v}")
     return tuple(ctx)
 
 
@@ -1268,9 +1268,9 @@ def is_etale_complete(g: ModelGroupoid, depth: int,
     may come back unknown)."""
     witnesses = []
     missing = etale_completion(g).arrows - g.arrows
-    # a witness names only the endpoints, so their order is the canonical one
-    for a in sorted(missing, key=lambda a: (ckey(a.src), ckey(a.tgt))):
-        witnesses.append((("kind", "missing-isomorphism"), ("src", a.src), ("tgt", a.tgt)))
+    # a witness names only the endpoints: one per pair, in canonical order
+    for src, tgt in sorted({(a.src, a.tgt) for a in missing}, key=ckey):
+        witnesses.append((("kind", "missing-isomorphism"), ("src", src), ("tgt", tgt)))
     derived = g.derive(depth, tuple_cap)
     sober = fintop.is_sober(derived.objects)
     if not sober:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import fintop
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .fintop import ContinuousMap, FinSpace, fmt_point, sorted_points
 from .grpd import ContinuousFunctor, Subgroupoid, TopGroupoid
 
@@ -31,7 +31,7 @@ class EquivariantSheaf:
     action, stored as a table on pairs (arrow g, point y) with
     proj(y) = src(g)."""
 
-    __slots__ = ("base", "total", "proj", "action", "_nbhd", "_lattice")
+    __slots__ = ("base", "total", "proj", "action")
 
     def __init__(self, base: TopGroupoid, total: FinSpace, proj, action):
         self.base = base
@@ -44,7 +44,6 @@ class EquivariantSheaf:
         for (g, y), z in self.action.items():
             if g not in base.arrows.points or y not in total.points or z not in total.points:
                 raise InputError("action entry outside sheaf data")
-        self._nbhd = self._lattice = None
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantSheaf):
@@ -194,41 +193,28 @@ class SubobjectLattice:
 
     def __contains__(self, subset):
         s = frozenset(subset)
-        bit, _ = _neighbourhoods(self.sheaf)  # bit i is points[i]
-        return s <= self.sheaf.total.points and sum(bit[y] for y in s) in self.masks
+        return s <= self.sheaf.total.points and fintop.masker(self.points)(s) in self.masks
 
     def __len__(self):
         return len(self.masks)
 
 
-def _neighbourhoods(s: EquivariantSheaf):
-    """(bit, nb): bit i for the i-th point of the total space, and the
-    mask of each point's smallest stable open, every point reached from
-    it through minimal opens and the action; built once per sheaf."""
-    if s._nbhd is None:
-        q, out_of, action = s.proj.mapping, s.base.out_of, s.action
-        bit = {y: 1 << i for i, y in enumerate(s.total.points)}
-        step = []
-        for y in bit:
-            m = sum(bit[z] for z in s.total.min_open(y))
-            for g in out_of[q[y]]:
-                m |= bit[action[(g, y)]]
-            step.append(m)
-        s._nbhd = bit, dict(zip(bit, fintop.reach(step, range(len(step)))))
-    return s._nbhd
-
-
 def subobject_lattice(s: EquivariantSheaf, cap: int = fintop.DEFAULT_OPEN_CAP) -> SubobjectLattice:
-    """All action-stable open subsets of the total space: the unions of
-    the stable neighbourhoods of its points.  The result is kept on the
-    sheaf, and `cap` is checked on every read.
+    """All action-stable open subsets of the total space, listed per call:
+    the unions of the stable neighbourhoods of its points.  A point's
+    stable neighbourhood is every point reached from it through minimal
+    opens and the action, as a mask over the total space's points.
     """
-    if s._lattice is None:
-        bit, nb = _neighbourhoods(s)
-        s._lattice = SubobjectLattice(s, tuple(bit), frozenset(fintop.union_closure(nb.values(), cap)))
-    elif len(s._lattice) > cap:
-        raise CapExceeded(f"open family exceeds cap {cap}")
-    return s._lattice
+    q, out_of, action = s.proj.mapping, s.base.out_of, s.action
+    bit = {y: 1 << i for i, y in enumerate(s.total.points)}
+    step = []
+    for y in bit:
+        m = sum(bit[z] for z in s.total.min_open(y))
+        for g in out_of[q[y]]:
+            m |= bit[action[(g, y)]]
+        step.append(m)
+    nb = fintop.reach(step, range(len(step)))
+    return SubobjectLattice(s, tuple(bit), frozenset(fintop.union_closure(nb, cap)))
 
 
 class Restriction(NamedTuple):

@@ -277,12 +277,13 @@ def fiber_product_oracle(f, g) -> FinSpace:
                           for (x, y) in pts})
 
 
-def exhaustive_answer(decide, incl, mode="all") -> str:
+def exhaustive_answer(decide, incl, mode="all", family=None) -> str:
     """The answer of a weq criterion `decide` (is_weak_equivalence,
     is_localic_surjection or is_subtopos_inclusion) with its quantifier
     run over every open subgroupoid, the join-closed family, instead of
-    the atoms.  Each member's routes come from the public per-member
-    functions, not from the library's loop; a split raises
+    the atoms.  `family` is that family of incl's ambient, listed here
+    when not given.  Each member's routes come from the public
+    per-member functions, not from the library's loop; a split raises
     OracleDisagreement.  "no" at the first failing member, else "yes"."""
     if decide is weq.is_localic_surjection:
         routes = {"skula-dense-orbits": lambda u: weq.skula_witness(incl, u) is None,
@@ -302,7 +303,9 @@ def exhaustive_answer(decide, incl, mode="all") -> str:
             "subobject-oracle": lambda u: sheaf.subobject_restriction(incl, u).is_bijective(),
         }
         routes = routes if mode == "all" else {mode: routes[mode]}
-    for u in grpd.enumerate_open_subgroupoids(incl.ambient):
+    if family is None:
+        family = grpd.enumerate_open_subgroupoids(incl.ambient)
+    for u in family:
         answers = {name: route(u) for name, route in routes.items()}
         if len(set(answers.values())) > 1:
             raise OracleDisagreement(f"routes split on {sorted(u.arrow_set, key=fintop.ckey)}: "

@@ -203,7 +203,7 @@ def test_elim_params_and_completion(capsys, docs):
     assert rep["result"]["answer"] == "yes"
     code, rep = run(capsys, "etale-complete", "--models", docs["models"], "--depth", "1")
     assert code == 0
-    assert rep["result"]["idempotent"] is True
+    assert set(rep["result"]) == {"completion", "added_arrows", "input_complete"}
 
 
 def test_logical_topology(capsys, docs):

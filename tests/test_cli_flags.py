@@ -89,6 +89,15 @@ def test_options_hold_only_the_flags_a_command_reads(capsys, docs):  # noqa: F81
         assert set(rep["options"]) <= args_read(cli._TABLE[name][0])
 
 
+def test_generators_reads_open_cap_only_without_sub(capsys, docs):  # noqa: F811
+    """One generator is built with --sub, and no family is listed or capped."""
+    code, rep = run(capsys, "generators", "--groupoid", docs["groupoid"], "--sub", docs["sub"],
+                    "--open-cap", "0")
+    assert (code, rep["result"]) == (3, {"error": "generators reads --open-cap only without --sub"})
+    code, rep = run(capsys, "generators", "--groupoid", docs["groupoid"], "--open-cap", "0")
+    assert code == 4
+
+
 def test_validate_reads_depth_and_tuple_cap_only_with_models(capsys, docs):  # noqa: F811
     """Only the model groupoid is derived at a depth and tuple cap; given
     without --models, the two knobs are a bad command line."""

@@ -4,6 +4,9 @@
 recomputes the recursive `ckey` of every point of every set.
 `grpd.subgroupoid_closure` indexes the closed arrows by source and
 target; `oracles.subgroupoid_closure_oracle` is the naive fixpoint.
+`grpd.enumerate_open_subgroupoids` joins each open atom to the members
+found before it; the open members of `corpus.enumerate_subgroupoids`,
+the joins of the single-arrow closures, are its reference.
 Open families and subobject lattices are int bitmasks sorted into
 frozensets on output; the oracles search and compare frozensets.
 Definable-set extensions are int masks over `DefinableSets.index`, one
@@ -322,6 +325,16 @@ def test_join_closure_closes_each_new_join_once(monkeypatch):
     # 8 atoms and one closure per other non-empty member; skipping only
     # the joins a <= s costs 8 + 1024
     assert calls == 8 + 247
+
+
+def test_open_family_is_the_open_members_of_every_subgroupoid():
+    larger = 0
+    for g in groupoid_corpus(random.Random(0), 500):
+        family = grpd.enumerate_open_subgroupoids(g)
+        assert family == [u for u in enumerate_subgroupoids(g) if u.is_open()]
+        larger += len(family) > 2
+    print(f"{larger} of 500 open families have more than 2 members")
+    assert larger >= 250
 
 
 def fresh_report(argv, hash_seed="0"):
@@ -661,11 +674,12 @@ def atoms_against_the_whole_family(g, inclusions):
     the reference runs every mode on every member and raises on a split,
     so its answer is each single mode's reference answer too."""
     atoms = grpd.open_atoms(g)
+    family = grpd.enumerate_open_subgroupoids(g)
     decisions = noes = 0
     for y in inclusions:
         for decide, variants in ((weq.is_weak_equivalence, [{"mode": m} for m in ("all", *weq.MODES)]),
                                  (weq.is_localic_surjection, [{}]), (weq.is_subtopos_inclusion, [{}])):
-            expected = oracles.exhaustive_answer(decide, y, **variants[0])
+            expected = oracles.exhaustive_answer(decide, y, family=family, **variants[0])
             for kw in variants:
                 v = decide(y, **kw)
                 assert (v.answer, v.provenance) == (expected, "atoms"), (g, y, decide, kw)

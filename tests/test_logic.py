@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from corpus import (
-    formula_depth, random_formula_ast, random_model_groupoid, sober_eliminating_model_groupoids,
-    terminal_sheaf, top_formula,
+    formula_depth, graph_copies_doc, random_formula_ast, random_model_groupoid,
+    sober_eliminating_model_groupoids, terminal_sheaf, top_formula,
 )
-from topogrpd import grpd, logic, sheaf, weq
+from topogrpd import grpd, jsonio, logic, sheaf, weq
 from topogrpd.errors import FormulaError, InputError
 from topogrpd.fintop import FinSpace, ckey
 from topogrpd.logic import (
@@ -59,6 +59,17 @@ def test_parse_errors_carry_positions():
         parse_formula("T /\\", GRAPH)
     with pytest.raises(FormulaError):
         parse_formula("T T", GRAPH)
+
+
+def test_sort_errors_found_after_parsing_name_no_position():
+    sig = logic.make_signature(["S", "T"], {"P": ("S",), "Q": ("T",)}, {"c": "T"})
+    for text, context, message in (
+            ("x = c", [("x", "S")], "equality between sorts S and T"),
+            ("P(x) /\\ Q(x)", None, "variable x used at two sorts"),
+            ("exists y:S. x = x", None, "cannot infer sort of x")):
+        with pytest.raises(FormulaError) as e:
+            parse_formula(text, sig, context)
+        assert (str(e.value), e.value.position) == (message, None)
 
 
 def test_parse_precedence():
@@ -423,6 +434,18 @@ def test_is_etale_complete_examples():
     v3 = logic.is_etale_complete(gi, 1)
     assert v3.answer == "no"
     assert any(dict(w).get("kind") == "missing-isomorphism" for w in v3.witnesses)
+
+
+def test_missing_isomorphisms_are_named_once_per_pair():
+    """Two identities-only copies of the symmetric graph {v0->v1, v1->v0}
+    miss 6 isomorphisms on 4 (src, tgt) pairs: one witness each."""
+    doc = graph_copies_doc([["v0", "v1"], ["v1", "v0"]], 2, ["M0", "M1"], "identities")
+    g = jsonio.model_groupoid_from_json(doc)
+    assert len(logic.etale_completion(g).arrows - g.arrows) == 6
+    v = logic.is_etale_complete(g, 1)
+    named = [(w["src"], w["tgt"]) for w in map(dict, v.witnesses)
+             if w["kind"] == "missing-isomorphism"]
+    assert (v.answer, named) == ("no", [("M0", "M0"), ("M0", "M1"), ("M1", "M0"), ("M1", "M1")])
 
 
 def test_model_groupoid_validation():

@@ -77,16 +77,15 @@ def test_one_compose_builds_each_groupoid_and_member_family_once(tmp_path, monke
 
 def test_one_etale_complete_builds_two_groupoids(tmp_path, monkeypatch):
     """The input and its completion, which is built from the isomorphism
-    classes; the idempotence check enumerates the classes again through
-    `all_isos_between_members`, without building a third groupoid."""
+    classes, enumerated once."""
     doc = graph_copies_doc(RIGID, 3, ["M0", "M1", "M2"], "identities")
     argv = ["etale-complete", "--models", write(tmp_path, "plain", doc),
             "--output", str(tmp_path / "out.json")]
     counts = counting(monkeypatch)
     assert cli.run(argv) == 0
-    assert (counts["groupoids"], counts["isos"], counts["classes"]) == (2, 1, 2)
+    assert (counts["groupoids"], counts["isos"], counts["classes"]) == (2, 0, 1)
     result = json.loads((tmp_path / "out.json").read_text())["result"]
-    assert (result["added_arrows"], result["idempotent"]) == (6, True)
+    assert result["added_arrows"] == 6
 
 
 def test_the_read_memo_shares_equal_documents_and_member_families():
