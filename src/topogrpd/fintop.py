@@ -97,7 +97,7 @@ class FinSpace:
     arises this way.
     """
 
-    __slots__ = ("points", "_min", "_order", "_rank", "_hash")
+    __slots__ = ("points", "_min", "_order", "_rank")
 
     def __init__(self, points, min_open, _check=True, order=None):
         self.points = frozenset(points)
@@ -110,7 +110,6 @@ class FinSpace:
                 raise InputError("order does not list each point once")
         self._order = order
         self._rank = None
-        self._hash = None
         if _check:
             for x, u in self._min.items():
                 if x not in u or not u <= self.points:
@@ -215,13 +214,6 @@ class FinSpace:
             return NotImplemented
         return self is other or (self.points == other.points and self._min == other._min)
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                frozenset((x, u) for x, u in self._min.items())
-            )
-        return self._hash
-
     def __len__(self):
         return len(self.points)
 
@@ -291,9 +283,6 @@ class ContinuousMap:
             and self.codomain == other.codomain
             and self.mapping == other.mapping
         )
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, frozenset(self.mapping.items())))
 
     def __repr__(self):
         return f"ContinuousMap({len(self.domain)} -> {len(self.codomain)} points)"

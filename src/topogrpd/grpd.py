@@ -89,9 +89,6 @@ class TopGroupoid:
             and self.comp == other.comp
         )
 
-    def __hash__(self):
-        return hash((self.objects, self.arrows, self.src, self.tgt))
-
     def __repr__(self):
         return f"TopGroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
 
@@ -216,9 +213,6 @@ class Subgroupoid:
         if not isinstance(other, Subgroupoid):
             return NotImplemented
         return self.ambient == other.ambient and self.arrow_set == other.arrow_set
-
-    def __hash__(self):
-        return hash(self.arrow_set)
 
     def __repr__(self):
         return f"Subgroupoid({len(self.arrow_set)} arrows)"
@@ -375,19 +369,18 @@ def iota_map(incl: Subgroupoid, u: Subgroupoid):
 
 class ContinuousFunctor:
     """A functor of topological groupoids with continuous object and
-    arrow parts.  Functor laws are checked on construction."""
+    arrow parts.  Continuity and the functor laws are checked on
+    construction, an InputError naming every violation."""
 
     __slots__ = ("dom", "cod", "obj_map", "arr_map")
 
-    def __init__(self, dom: TopGroupoid, cod: TopGroupoid, obj_map, arr_map, check=True):
+    def __init__(self, dom: TopGroupoid, cod: TopGroupoid, obj_map, arr_map):
         self.dom = dom
         self.cod = cod
         self.obj_map = _as_map(obj_map, dom.objects, cod.objects)
         self.arr_map = _as_map(arr_map, dom.arrows, cod.arrows)
-        if check:
-            bad = self.validate()
-            if bad:
-                raise InputError("; ".join(bad))
+        if bad := self.validate():
+            raise InputError("not a continuous functor: " + "; ".join(bad))
 
     def validate(self) -> list:
         out = []
@@ -428,18 +421,13 @@ class ContinuousFunctor:
             and self.arr_map == other.arr_map
         )
 
-    def __hash__(self):
-        return hash((self.obj_map, self.arr_map))
-
     def __repr__(self):
         return f"ContinuousFunctor({self.dom!r} -> {self.cod!r})"
 
 
 def identity_functor(g: TopGroupoid) -> ContinuousFunctor:
     return ContinuousFunctor(
-        g, g, {x: x for x in g.objects.points}, {a: a for a in g.arrows.points},
-        check=False,
-    )
+        g, g, {x: x for x in g.objects.points}, {a: a for a in g.arrows.points})
 
 
 def compose_functors(g: ContinuousFunctor, f: ContinuousFunctor) -> ContinuousFunctor:
@@ -450,7 +438,6 @@ def compose_functors(g: ContinuousFunctor, f: ContinuousFunctor) -> ContinuousFu
         g.cod,
         {x: g.obj_map.mapping[f.obj_map.mapping[x]] for x in f.dom.objects.points},
         {a: g.arr_map.mapping[f.arr_map.mapping[a]] for a in f.dom.arrows.points},
-        check=False,
     )
 
 
@@ -499,9 +486,6 @@ class ContinuousTransformation:
             and self.target == other.target
             and self.component == other.component
         )
-
-    def __hash__(self):
-        return hash(self.component)
 
 
 def identity_transformation(f: ContinuousFunctor) -> ContinuousTransformation:

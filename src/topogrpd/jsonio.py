@@ -2,11 +2,12 @@
 
 A space is written by its points' minimal opens and read from those or
 from every open.  Input point ids must be JSON strings or integers (not
-booleans); any other id is an InputError.  Output spaces whose points
-were constructed internally (orbit classes, pairs) are labelled with
-canonical strings via fmt_point.  JSON object keys are always strings;
-an integer point is matched by its decimal string ("1", not "01").
-comp triples [f, g, h] mean h = g o f (f first).
+booleans); any other id is an InputError.  Every id is read as its
+label, the string the writer gives it: an integer as its decimal
+string, so 1 and "1" name one point, as JSON object keys name it, and
+"01" names another.  Output spaces whose points were constructed
+internally (orbit classes, pairs) are labelled with canonical strings
+via fmt_point.  comp triples [f, g, h] mean h = g o f (f first).
 """
 
 from __future__ import annotations
@@ -55,21 +56,23 @@ def _names(raws, what):
     return raws
 
 
-def _point_id(raw):
+def _label(raw):
+    """A point id read as the label the writer gives it: an integer is
+    its decimal string, so 1 and "1" name one point."""
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise InputError(f"point id {raw!r} is not a string or an integer")
-    return raw
+    return str(raw)
 
 
-def _point_tuple(raws, what, read=_point_id):
+def _point_tuple(raws, what):
     if not isinstance(raws, list):
         raise InputError(f"{what} must be a list of point ids")
-    return tuple(map(read, raws))
+    return tuple(map(_label, raws))
 
 
-def _point_set(raws, what, read=_point_id):
+def _point_set(raws, what):
     out = set()
-    for x in _point_tuple(raws, what, read):
+    for x in _point_tuple(raws, what):
         if x in out:
             raise InputError(f"{what}: point {x!r} is named twice")
         out.add(x)
@@ -77,16 +80,10 @@ def _point_set(raws, what, read=_point_id):
 
 
 def _coerce(raw, points):
-    if _point_id(raw) in points:
-        return raw
-    if isinstance(raw, str):
-        try:
-            as_int = int(raw)
-        except ValueError:
-            as_int = None
-        if as_int in points and str(as_int) == raw:  # "01" is not 1: one key per point
-            return as_int
-    raise InputError(f"unknown point {raw!r}")
+    """The point of `points` that `raw` labels."""
+    if (x := _label(raw)) not in points:
+        raise InputError(f"unknown point {raw!r}")
+    return x
 
 
 def _coerce_set(raws, points, what):
@@ -216,11 +213,7 @@ def functor_from_json(doc) -> ContinuousFunctor:
         _coerce(k, dom.arrows.points): _coerce(v, cod.arrows.points)
         for k, v in doc["arr_map"].items()
     }
-    f = ContinuousFunctor(dom, cod, obj, arr, check=False)
-    bad = f.validate()
-    if bad:
-        raise InputError("not a continuous functor: " + "; ".join(bad))
-    return f
+    return ContinuousFunctor(dom, cod, obj, arr)
 
 
 def sheaf_to_json(s):
@@ -259,20 +252,6 @@ def signature_to_json(sig: Signature):
     }
 
 
-def _label(raw):
-    """A model element read as the label the writer gives it: an integer
-    is its decimal string, so 1 and "1" name one element."""
-    return str(_point_id(raw))
-
-
-def _element(raw, model: FinModel, sort):
-    """The element of `sort` in `model` that `raw` labels."""
-    x = _label(raw)
-    if x not in model.carriers[sort]:
-        raise InputError(f"unknown point {raw!r}")
-    return x
-
-
 def model_from_json(doc, sig: Signature) -> FinModel:
     """A model whose elements are all labels, as `_label` reads them."""
     doc = _object(doc, "model document", ("name", "carriers"))
@@ -284,8 +263,8 @@ def model_from_json(doc, sig: Signature) -> FinModel:
     return FinModel(
         doc["name"],
         sig,
-        {s: _point_set(v, f"carrier {s!r}", _label) for s, v in carriers.items()},
-        {n: [_point_tuple(r, f"each row of {n}", _label) for r in _list(rows, f"relation {n}")]
+        {s: _point_set(v, f"carrier {s!r}") for s, v in carriers.items()},
+        {n: [_point_tuple(r, f"each row of {n}") for r in _list(rows, f"relation {n}")]
          for n, rows in relations.items()},
         {c: _label(v) for c, v in constants.items()},
     )
@@ -306,7 +285,7 @@ def iso_from_json(doc, by_name) -> Iso:
         if sort not in src.carriers:
             raise InputError(f"isomorphism map on undeclared sort {sort!r}")
         for a, b in _object(assign, f"isomorphism map of sort {sort!r}").items():
-            x, y = _element(a, src, sort), _element(b, tgt, sort)
+            x, y = _coerce(a, src.carriers[sort]), _coerce(b, tgt.carriers[sort])
             image[at_src[(sort, x)]] = at_tgt[(sort, y)]
     return Iso(doc["src"], doc["tgt"], tuple(image[i] for i in sorted(image)))
 
@@ -334,7 +313,7 @@ def _member_family(doc) -> MemberFamily:
             if p not in params:
                 raise InputError(f"parameter {p} not declared")
         members.append(IndexedModel(
-            model, {p: _element(e, model, params[p]) for p, e in indexing.items()}, params
+            model, {p: _coerce(e, model.carriers[params[p]]) for p, e in indexing.items()}, params
         ))
     return MemberFamily(sig, params, members)
 

@@ -520,9 +520,6 @@ class FinModel:
             and self.constants == other.constants
         )
 
-    def __hash__(self):
-        return hash((self.name, self.signature))
-
     def __repr__(self):
         sizes = ",".join(f"{s}:{len(c)}" for s, c in self.carriers.items())
         return f"FinModel({self.name}; {sizes})"
@@ -664,9 +661,6 @@ class IndexedModel:
         if not isinstance(other, IndexedModel):
             return NotImplemented
         return self.model == other.model and self.indexing == other.indexing
-
-    def __hash__(self):
-        return hash((self.model, frozenset(self.indexing.items())))
 
 
 class MemberFamily:
@@ -829,8 +823,8 @@ class ModelGroupoid:
         f = self.family = family
         self.signature, self.params, self.members, self.by_name = (
             f.signature, f.params, f.members, f.by_name)
-        # _chains: tuple cap -> [(object space, arrow space) at depth 0, 1, ...]
-        self._derived, self._chains, self._transports, self._completion = {}, {}, None, None
+        # _chains: tuple cap -> [derived TopGroupoid at depth 0, 1, ...]
+        self._chains, self._completion = {}, None
 
     def _sorted(self) -> tuple:
         rank = {n: i for i, n in enumerate(fintop.sorted_points(self.by_name))}
@@ -859,15 +853,8 @@ class ModelGroupoid:
         return self.family.engine()
 
     def derive(self, depth: int, tuple_cap: int = DEFAULT_TUPLE_CAP) -> "DerivedGroupoid":
-        """logical_topologies(self, depth, tuple_cap), computed once; a held one that
-        stabilized at achieved depth a < depth is that value (deepening breaks at a + 1).
-        A deeper call extends the spaces held for this tuple cap from their last depth."""
-        key = (depth, tuple_cap)
-        if key not in self._derived:
-            held = [d for (_, cap), d in self._derived.items()
-                    if cap == tuple_cap and d.stabilized and d.depth < depth]
-            self._derived[key] = held[0] if held else logical_topologies(self, depth, tuple_cap)
-        return self._derived[key]
+        """logical_topologies(self, depth, tuple_cap), read off this groupoid's chain."""
+        return logical_topologies(self, depth, tuple_cap)
 
     def __eq__(self, other):
         if not isinstance(other, ModelGroupoid):
@@ -878,9 +865,6 @@ class ModelGroupoid:
             and self.members == other.members
             and self.arrows == other.arrows
         )
-
-    def __hash__(self):
-        return hash((self.signature, frozenset(self.params.items()), self.members, self.arrows))
 
     def __repr__(self):
         return f"ModelGroupoid({len(self.members)} models, {len(self.arrows)} isos)"
@@ -1102,29 +1086,30 @@ def logical_topologies(g: ModelGroupoid, depth: int,
     depth, deepening until consecutive open families agree or the bound
     is hit; the achieved depth and stabilization flag are recorded.
 
-    The spaces of each depth are held on g for the tuple cap, so a call
-    computes only the depths past the held ones: the object side comes
-    from the member family, and the transports, arrow subbasis and arrow
-    space are g's own.  A stabilization repeats the last held spaces,
-    which ends the chain."""
+    g holds one chain per tuple cap, the derived groupoid of each depth,
+    each built once, so a call computes only the depths past the held
+    ones: the object side comes from the member family, and the
+    transports (once per call that extends the chain), arrow subbasis and
+    arrow space are g's own.  A depth whose spaces equal the previous
+    depth's appends that same groupoid again, which ends the chain."""
     if depth < 0:
         raise InputError(f"formula depth {depth} is negative")
     chain = g._chains.setdefault(tuple_cap, [])
-    if g._transports is None:
-        g._transports = _transports(g)
+    transports = None
     while len(chain) <= depth and not (len(chain) > 1 and chain[-1] is chain[-2]):
+        if transports is None:
+            transports = _transports(g)
         obj_sub, obj_space = g.family.objects(len(chain), tuple_cap)
         arr_space = fintop.generate_topology(
-            g.arrows, _arrow_subbasis(g, obj_sub, g._transports), order=g.order)
-        spaces = (obj_space, arr_space)
-        chain.append(chain[-1] if chain and spaces == chain[-1] else spaces)
+            g.arrows, _arrow_subbasis(g, obj_sub, transports), order=g.order)
+        if chain and (obj_space, arr_space) == (chain[-1].objects, chain[-1].arrows):
+            chain.append(chain[-1])
+        else:
+            chain.append(TopGroupoid(obj_space, arr_space, {a: a.src for a in g.arrows},
+                                     {a: a.tgt for a in g.arrows}, g.unit, g.inv, g.comp))
     stabilized = 1 < len(chain) <= depth + 1 and chain[-1] is chain[-2]
     achieved = len(chain) - 2 if stabilized else depth
-    obj_space, arr_space = chain[achieved]
-    src = {a: a.src for a in g.arrows}
-    tgt = {a: a.tgt for a in g.arrows}
-    grpd_obj = TopGroupoid(obj_space, arr_space, src, tgt, g.unit, g.inv, g.comp)
-    return DerivedGroupoid(grpd_obj, achieved, tuple_cap, stabilized)
+    return DerivedGroupoid(chain[achieved], achieved, tuple_cap, stabilized)
 
 
 # -- definable sheaves ---------------------------------------------------------

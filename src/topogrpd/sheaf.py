@@ -55,9 +55,6 @@ class EquivariantSheaf:
             and self.action == other.action
         )
 
-    def __hash__(self):
-        return hash((self.total, self.proj))
-
     def __repr__(self):
         return f"EquivariantSheaf({len(self.total)} points over {len(self.base.objects)} objects)"
 

@@ -532,16 +532,16 @@ INT_DISCRETE_DOC = {"objects": INT_POINTS, "arrows": INT_POINTS, "src": INT_IDEN
 SIER_DOC = jsonio.groupoid_to_json(grpd.space_groupoid(FinSpace.sierpinski()))
 POINT_NAMED_TWICE = {
     "space points": (("validate", "--space"), {"points": [1, 1, 2], "opens": [[], [1], [2], [1, 2]]},
-                     "points: point 1 is named twice"),
+                     "points: point '1' is named twice"),
     "model carrier": (("validate", "--models"), None, "carrier 'S': point 'a' is named twice"),
     # 1 is read as its label "1", the element the writer would write for it
     "model carrier of 1 and '1'": (
         ("validate", "--models"),
         dict(MG_DOC, models=[dict(MG_DOC["models"][0], carriers={"S": [1, "1"]})]),
         "carrier 'S': point '1' is named twice"),
-    # "1" and 1 both read as the int arrow 1
+    # "1" and 1 both read as the arrow labelled "1"
     "subgroupoid arrows": (("subobjects", "--sub"), {"arrows": ["1", 1]},
-                           "arrows: point 1 is named twice"),
+                           "arrows: point '1' is named twice"),
     # read last-wins, the first triple's composite 0 o 0 = 1 would go unseen
     "groupoid comp pair": (("validate", "--groupoid"),
                            dict(SIER_DOC, comp=[["0", "0", "1"], *SIER_DOC["comp"]]),
@@ -797,3 +797,125 @@ def test_a_sub_is_validated_once_and_a_non_subgroupoid_exits_3(
     code, rep = run(capsys, command, "--groupoid", docs["groupoid"], "--sub", str(bad))
     assert (code, rep["result"]["error"]) == (3, "not a subgroupoid: not closed under inv at f; "
                                               "object set differs between src and tgt images")
+
+
+def test_a_topology_of_integer_ids_reads_like_its_string_twin(capsys, tmp_path):
+    """Each id is read as its label, so [9, 10] is ["9", "10"] and both
+    are written in label order."""
+    results = []
+    for ids in ([9, 10], ["9", "10"]):
+        p = tmp_path / "topology.json"
+        p.write_text(json.dumps({"points": ids, "subbasis": [ids[:1]]}))
+        code, rep = run(capsys, "topology", "--input", str(p))
+        results.append((code, rep["result"]))
+    assert results[0] == results[1]
+    assert results[0][1]["space"]["points"] == ["10", "9"]
+
+
+def cyclic_groupoid_doc(n, **changes):
+    """The cyclic group of order n on the arrows "0".."n-1", one object
+    "*", as a groupoid document with `changes` made to its keys."""
+    els = [str(i) for i in range(n)]
+    mult = {(g, f): str((int(g) + int(f)) % n) for g in els for f in els}
+    return dict(jsonio.groupoid_to_json(group_groupoid(els, mult)), **changes)
+
+
+# two models on {a, b}: M with its swap, N with the edge b -> a and its
+# identity alone; no positive formula holds in M and fails in N, so {M}
+# is not open, but the parameter transport {the swap} is, and its source is {M}
+NON_OPEN_MODELS = {
+    "signature": {"sorts": ["V"], "relations": {"E": ["V", "V"]}},
+    "params": {"p": "V", "q": "V"},
+    "models": [{"name": "M", "carriers": {"V": ["a", "b"]}, "indexing": {"p": "a", "q": "b"}},
+               {"name": "N", "carriers": {"V": ["a", "b"]}, "relations": {"E": [["b", "a"]]},
+                "indexing": {"p": "a", "q": "b"}}],
+    "arrows": [{"src": "M", "tgt": "M", "map": {"V": {"a": "a", "b": "b"}}},
+               {"src": "M", "tgt": "M", "map": {"V": {"a": "b", "b": "a"}}},
+               {"src": "N", "tgt": "N", "map": {"V": {"a": "a", "b": "b"}}}],
+}
+
+
+def non_open_groupoid_doc():
+    derived = jsonio.model_groupoid_from_json(NON_OPEN_MODELS).derive(1).groupoid
+    return jsonio.groupoid_to_json(derived)
+
+
+BROKEN_LAWS = {
+    "non-composable pair": lambda: (
+        dict(discrete_space_groupoid_doc(3),
+             comp=discrete_space_groupoid_doc(3)["comp"] + [["0", "1", "0"]]),
+        ["comp defined on non-composable pair (1,0)"]),
+    # 1 is inverse to each arrow's inverse, but no identity
+    "unit law": lambda: (
+        cyclic_groupoid_doc(2, unit={"map": {"*": "1"}}, inv={"map": {"0": "1", "1": "0"}}),
+        ["unit law fails at 0", "unit law fails at 1"]),
+    "inverse law": lambda: (
+        cyclic_groupoid_doc(3, inv={"map": {"0": "0", "1": "1", "2": "2"}}),
+        ["inverse law fails at 1", "inverse law fails at 2"]),
+    # (0, 1) is in the closure of (1, 1), but 1 = 0 o 1 is not in that of 0 = 1 o 1
+    "comp continuity": lambda: (
+        cyclic_groupoid_doc(2, arrows={"points": ["0", "1"], "min_open": {"0": ["0", "1"], "1": ["1"]}}),
+        ["comp not continuous"]),
+    "src openness": lambda: (non_open_groupoid_doc(), ["src not open"]),
+}
+
+
+@pytest.mark.parametrize("law", list(BROKEN_LAWS))
+def test_validate_names_each_broken_groupoid_law(capsys, tmp_path, law):
+    doc, diagnostics = BROKEN_LAWS[law]()
+    p = tmp_path / "groupoid.json"
+    p.write_text(json.dumps(doc))
+    code, rep = run(capsys, "validate", "--groupoid", str(p))
+    assert (code, rep["result"]["diagnostics"]) == (1, diagnostics)
+
+
+def test_weq_check_on_a_non_open_derived_groupoid_exits_3(capsys, tmp_path):
+    doc = non_open_groupoid_doc()
+    g = tmp_path / "groupoid.json"
+    g.write_text(json.dumps(doc))
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"arrows": list(doc["unit"]["map"].values())}))
+    code, rep = run(capsys, "weq-check", "--groupoid", str(g), "--sub", str(sub))
+    assert (code, rep["result"]["error"]) == (3, "not an open topological groupoid: src not open")
+
+
+# M1 on {a, b} with no relations: its automorphisms are the identity and the swap
+AUT_DOC = {"signature": {"sorts": ["S"]}, "params": {"p": "S", "q": "S"},
+           "models": [{"name": "M1", "carriers": {"S": ["a", "b"]}, "indexing": {"p": "a", "q": "b"}}],
+           "arrows": "all"}
+ID_M1 = {"src": "M1", "tgt": "M1", "map": {"S": {"a": "a", "b": "b"}}}
+SWAP_M1 = {"src": "M1", "tgt": "M1", "map": {"S": {"a": "b", "b": "a"}}}
+MG_TWO = dict(MG_DOC, models=[*MG_DOC["models"], dict(MG_DOC["models"][0], name="M2")])
+
+
+def cospan_fault(source=MG_DOC, apex=MG_DOC, target=MG_DOC, obj_map=None, arr_map=None):
+    return {"source": source, "target": target, "apex": apex,
+            "fwd": {"obj_map": {"M1": "M1"} if obj_map is None else obj_map,
+                    "arr_map": [[ID_M1, ID_M1]] if arr_map is None else arr_map}}
+
+
+COSPAN_FAULTS = {
+    "object map outside member names": cospan_fault(obj_map={"M1": "X"}),
+    "object map not total": cospan_fault(obj_map={}),
+    "arrow map not total": cospan_fault(arr_map=[]),
+    "arrow map value outside codomain arrows": cospan_fault(arr_map=[[ID_M1, SWAP_M1]]),
+    "arrow map incompatible with object map": cospan_fault(apex=MG_TWO, obj_map={"M1": "M2"}),
+    "arrow map not functorial": cospan_fault(AUT_DOC, AUT_DOC, AUT_DOC,
+                                             arr_map=[[ID_M1, SWAP_M1], [SWAP_M1, ID_M1]]),
+    "inclusion across signatures": cospan_fault(target=AUT_DOC),
+    "parameter r not in the ambient groupoid": cospan_fault(
+        target=dict(MG_DOC, params={**MG_DOC["params"], "r": "S"})),
+    "member M2 not in the ambient groupoid": cospan_fault(
+        target=dict(MG_DOC, models=[dict(MG_DOC["models"][0], name="M2")])),
+    "arrows not contained in the ambient groupoid": cospan_fault(
+        dict(AUT_DOC, arrows=[ID_M1]), dict(AUT_DOC, arrows=[ID_M1]), AUT_DOC),
+}
+
+
+@pytest.mark.parametrize("fault", list(COSPAN_FAULTS))
+def test_each_cospan_leg_fault_exits_3_through_compose(capsys, tmp_path, fault):
+    """The six faults of a forward leg and the four of an inclusion leg."""
+    p = tmp_path / "cospan.json"
+    p.write_text(json.dumps(COSPAN_FAULTS[fault]))
+    code, rep = run(capsys, "compose", "--first", str(p), "--second", str(p))
+    assert (code, rep["result"]["error"]) == (3, fault)

@@ -123,6 +123,18 @@ def test_compose_unit_laws():
     assert cert2 is not None
 
 
+def test_an_apex_included_in_the_other_mediates_by_inclusion():
+    """The identity cospan's apex g is included in c's apex, the completion
+    of g and a renamed copy, and both legs of c are g's inclusion: the
+    certified inclusion of the apexes mediates."""
+    g = ident_groupoid("M1")
+    leg = ModelInclusion(g, frac.merge_and_complete([g, ident_groupoid("M2")]))
+    c = make_cospan(leg.as_model_functor(), leg, 1, 2)
+    cert = frac.cospans_isomorphic(identity_cospan(g, 1, 2), c)
+    assert cert is not None and (cert.direction, cert.mediator) == ("1->2", "inclusion")
+    assert cert.mediator_certificate.answer == "yes"
+
+
 def test_compose_completion_cospans():
     g = ident_groupoid("M1")
     f = completion_cospan(g)

@@ -72,6 +72,14 @@ def test_sort_errors_found_after_parsing_name_no_position():
         assert (str(e.value), e.value.position) == (message, None)
 
 
+def test_a_variable_equated_with_a_constant_takes_its_sort():
+    """On a two-sorted signature, x's sort is read off the constant that
+    x is equated with, on either side of the equality."""
+    sig = logic.make_signature(["S", "T"], {"P": ("S",)}, {"c": "T"})
+    assert parse_formula("x = c", sig).context == (("x", "T"),)
+    assert parse_formula("(exists y:S. P(y)) /\\ c = x", sig).context == (("x", "T"),)
+
+
 def test_parse_precedence():
     f = parse_formula("T /\\ F \\/ T", GRAPH, context=())
     assert isinstance(f.ast, logic.Or)
@@ -192,19 +200,24 @@ def test_topology_stabilization_recorded():
 
 
 def test_a_stabilized_derivation_is_shared_by_every_deeper_depth():
-    """derive(d) for d above a held derivation's achieved depth returns
-    that derivation, which equals a cold derivation at d; derive(0),
-    which cannot see stabilization, stays its own."""
+    """The chain holds each depth's groupoid once: derive(d) for d above a
+    stabilized chain's achieved depth reads that depth's groupoid, and
+    equals a cold derivation at d; derive(0), which cannot see
+    stabilization, reads the same groupoid, not stabilized.  Each
+    DerivedGroupoid is built per call, so identity is asserted on its
+    groupoid."""
     g = aut_groupoid()
     d1 = g.derive(1)
     assert d1.stabilized and d1.depth == 0
-    assert g.derive(2) is d1 and g.derive(5) is d1
+    assert g.derive(2).groupoid is d1.groupoid and g.derive(5).groupoid is d1.groupoid
+    assert g.derive(5) == d1
     cold = logic.logical_topologies(aut_groupoid(), 2)
     assert (cold.objects, cold.arrows, cold.depth, cold.stabilized) == (
         d1.objects, d1.arrows, d1.depth, d1.stabilized)
     d0 = g.derive(0)
-    assert d0 is not d1 and not d0.stabilized
-    assert g.derive(2, tuple_cap=1) is not d1
+    assert d0.groupoid is d1.groupoid and (d0.depth, d0.stabilized) == (0, False)
+    assert g.derive(1).groupoid is g.derive(0).groupoid
+    assert g.derive(2, tuple_cap=1).groupoid is not d1.groupoid
 
 
 def test_a_negative_depth_is_an_input_error():

@@ -1,8 +1,9 @@
 """One command reads each model-groupoid document once, and the model
 groupoids on one member family share its definable-set work.
 
-The counting guards wrap the constructors and `logical_topologies` for
-one CLI command of the benchmark's shapes; the property checks that a
+The counting guards wrap the constructors, the derived groupoids that
+`logical_topologies` builds and the isomorphism searches for one CLI
+command of the benchmark's shapes; the property checks that a
 derivation through a shared family, extended depth by depth, equals a
 cold one on a fresh copy.
 """
@@ -27,9 +28,11 @@ RIGID = [["v0", "v0"], ["v0", "v1"], ["v1", "v2"]]
 
 def counting(monkeypatch):
     """Counts of model groupoids (checked or built complete from their
-    isomorphism classes), definable-set engines, derivations and
-    isomorphism searches (`all_isos_between_members` alone, and every
-    class enumeration), from wrappers that monkeypatch removes."""
+    isomorphism classes), definable-set engines, derived groupoids (the
+    `TopGroupoid`s that `logical_topologies` builds, one per distinct
+    depth of a chain) and isomorphism searches (`all_isos_between_members`
+    alone, and every class enumeration), from wrappers that monkeypatch
+    removes."""
     counts = Counter()
 
     def count(owner, name, key):
@@ -44,7 +47,7 @@ def counting(monkeypatch):
     count(logic.ModelGroupoid, "__init__", "groupoids")
     count(logic.ModelGroupoid, "complete", "groupoids")
     count(logic.DefinableSets, "__init__", "engines")
-    count(logic, "logical_topologies", "derivations")
+    count(logic, "TopGroupoid", "derived groupoids")
     count(logic, "all_isos_between_members", "isos")
     count(logic, "_iso_classes", "classes")
     return counts
@@ -60,7 +63,7 @@ def test_one_compose_builds_each_groupoid_and_member_family_once(tmp_path, monke
     """The two cospans name 4 groupoids (the plain copies M0, M1 three
     times, their completion, and the renamed copies N0, N1 twice) on 2
     member families, and the Ore square adds the merged apex: 4
-    groupoids, 3 engines and 4 derivations.  A second command counts
+    groupoids, 3 engines and 4 derived groupoids.  A second command counts
     the same again, so nothing outlived the first."""
     assert RIGID in rigid_graphs(3)
     first, second = ore_cospans(RIGID, 3, 2)
@@ -70,7 +73,7 @@ def test_one_compose_builds_each_groupoid_and_member_family_once(tmp_path, monke
     for _ in range(2):
         counts.clear()
         assert cli.run(argv) == 0
-        assert (counts["groupoids"], counts["engines"], counts["derivations"]) == (4, 3, 4)
+        assert (counts["groupoids"], counts["engines"], counts["derived groupoids"]) == (4, 3, 4)
     apex = json.loads((tmp_path / "out.json").read_text())["result"]["cospan"]["apex"]
     assert (len(apex["models"]), len(apex["arrows"])) == (4, 16)
 
