@@ -9,6 +9,10 @@ space (2^24 opens) that could never be materialised extensionally.
 FinSpace.opens() lists the open family, capped at DEFAULT_OPEN_CAP sets,
 built on int bitmasks by `union_closure` and ordered by `sets_in_order`.
 
+Work is done per distinct minimal open (or pair of them), not per point:
+the copies in a coarse space that no formula tells apart share one, and a
+space whose points all differ pays one lookup per point for the grouping.
+
 Points are opaque hashable ids; constructed spaces (generator total
 spaces, fiber products) use frozensets and tuples of ids as points.
 Quotients and the quasi-homeomorphism test work on int masks of point
@@ -88,6 +92,17 @@ def fmt_point(x) -> str:
     return str(x)
 
 
+def _min_open_fault(m, points) -> str:
+    """The first law of minimal neighbourhoods `m` breaks, named at the least
+    point, in `ckey` order, that breaks it."""
+    bad = [x for x, u in m.items() if x not in u or not u <= points]
+    if bad:
+        return f"bad minimal neighbourhood at {fmt_point(min(bad, key=ckey))}"
+    nested = {u for u in set(m.values()) if all(m[y] <= u for y in u)}
+    bad = [x for x, u in m.items() if u not in nested]
+    return f"minimal neighbourhoods not nested at {fmt_point(min(bad, key=ckey))}"
+
+
 class FinSpace:
     """A finite point set with a topology, held as minimal neighbourhoods.
 
@@ -111,14 +126,17 @@ class FinSpace:
         self._order = order
         self._rank = None
         if _check:
-            for x, u in self._min.items():
-                if x not in u or not u <= self.points:
-                    raise InputError(f"bad minimal neighbourhood at {fmt_point(x)}")
-                for y in u:
-                    if not self._min[y] <= u:
-                        raise InputError(
-                            f"minimal neighbourhoods not nested at {fmt_point(x)}"
-                        )
+            # U(x) <= points and the nesting law read U(x) alone, so each is
+            # tested once per distinct minimal open
+            m, tested = self._min, set()
+            for x, u in m.items():
+                if x not in u or u not in tested and not u <= self.points:
+                    raise InputError(_min_open_fault(m, self.points))
+                if u not in tested:
+                    tested.add(u)
+                    for y in u:
+                        if not m[y] <= u:
+                            raise InputError(_min_open_fault(m, self.points))
 
     # -- constructors ---------------------------------------------------
 
@@ -172,6 +190,10 @@ class FinSpace:
 
     def min_open(self, x) -> frozenset:
         return self._min[x]
+
+    def min_opens(self) -> dict:
+        """Each point's minimal open, in one dict to read, not to change."""
+        return self._min
 
     def is_open(self, subset) -> bool:
         s = frozenset(subset)
@@ -229,18 +251,22 @@ def generate_topology(points, subbasis, order=None) -> FinSpace:
     `order`; it must list each point once.
     """
     pts = frozenset(points)
-    fam = [frozenset(s) for s in subbasis]
-    for s in fam:
+    # blocks of the points in the same members so far, with their meet, so each
+    # minimal open is intersected once; a repeated member splits no block
+    blocks = [(pts, pts)]
+    for s in map(frozenset, subbasis):
         if not s <= pts:
             raise InputError("subset not contained in points")
-    min_open = {}
-    for x in pts:
-        u = pts
-        for s in fam:
-            if x in s:
-                u = u & s
-        min_open[x] = u
-    return FinSpace(pts, min_open, _check=False, order=order)
+        split = []
+        for b, u in blocks:
+            if b <= s:
+                split.append((b, u & s))
+            elif b.isdisjoint(s):
+                split.append((b, u))
+            else:
+                split += [(b & s, u & s), (b - s, u)]
+        blocks = split
+    return FinSpace(pts, {x: u for b, u in blocks for x in b}, _check=False, order=order)
 
 
 class ContinuousMap:
@@ -267,13 +293,11 @@ class ContinuousMap:
         return self.mapping[x]
 
     def is_continuous(self) -> bool:
-        # monotone on minimal neighbourhoods <=> all preimages of opens open
-        m = self.mapping
-        return all(
-            m[y] in self.codomain.min_open(m[x])
-            for x in self.domain.points
-            for y in self.domain.min_open(x)
-        )
+        # monotone on minimal neighbourhoods <=> all preimages of opens open;
+        # the test at x reads only U(x) and U(f(x)), so it runs once per pair
+        m, cod = self.mapping, self.codomain._min
+        pairs = {(u, cod[m[x]]) for x, u in self.domain._min.items()}
+        return all(m[y] in v for u, v in pairs for y in u)
 
     def __eq__(self, other):
         if not isinstance(other, ContinuousMap):
@@ -375,16 +399,18 @@ def fiber_product(f: ContinuousMap, g: ContinuousMap):
     over = {}  # the points of g's domain by their image
     for y in g.domain.points:
         over.setdefault(g.mapping[y], []).append(y)
-    pts = frozenset((x, y) for x in f.domain.points for y in over.get(f.mapping[x], ()))
-    min_open = {}
-    for (x, y) in pts:
-        uy = g.domain.min_open(y)
-        min_open[(x, y)] = frozenset(
-            (a, b) for a in f.domain.min_open(x) for b in over.get(f.mapping[a], ()) if b in uy
-        )
-    p = FinSpace(pts, min_open, _check=False)
-    pr1 = ContinuousMap(p, f.domain, {xy: xy[0] for xy in pts})
-    pr2 = ContinuousMap(p, g.domain, {xy: xy[1] for xy in pts})
+    min_open, built = {}, {}  # that of (x, y) is built once per (U(x), U(y))
+    for x, ux in f.domain._min.items():
+        for y in over.get(f.mapping[x], ()):
+            uy = g.domain._min[y]
+            w = built.get((ux, uy))
+            if w is None:
+                w = built[(ux, uy)] = frozenset(
+                    (a, b) for a in ux for b in over.get(f.mapping[a], ()) if b in uy)
+            min_open[(x, y)] = w
+    p = FinSpace(min_open, min_open, _check=False)
+    pr1 = ContinuousMap(p, f.domain, {xy: xy[0] for xy in min_open})
+    pr2 = ContinuousMap(p, g.domain, {xy: xy[1] for xy in min_open})
     return p, pr1, pr2
 
 

@@ -124,7 +124,8 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     the open neighbourhood W demanded for an arrow can be taken minimal
     as well.  The arrows realised from V, theta o eta o zeta with theta
     included, eta in V and zeta in u, form one set, built once per
-    distinct V; every gamma sourced in W must lie in it.  Whether some
+    distinct V; every gamma sourced in W must lie in it.  An arrow's test
+    runs once per pair (its minimal open, its source's).  Whether some
     gamma fails does not depend on the order of the search, so it runs in
     set order, and only a failing call repeats it in canonical order to
     name the minimal (alpha, V, gamma).
@@ -135,35 +136,47 @@ def source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
 def _source_determined_witness(incl: Subgroupoid, u: Subgroupoid):
     amb = incl.ambient
     s, t, comp = amb.src.mapping, amb.tgt.mapping, amb.comp
+    arrow_min, object_min = amb.arrows.min_opens(), amb.objects.min_opens()
     u0 = u.object_set
     y0 = incl.object_set
-    span = frozenset(a for x in u0 for a in amb.out_of[x] if t[a] in y0)
+    span_from, keyed = {}, {}  # the span's arrows by source; the first with each key
+    for x in u0:
+        for a in amb.out_of[x]:
+            if t[a] in y0:
+                span_from.setdefault(x, []).append(a)
+                keyed.setdefault((arrow_min[a], object_min[x]), a)
+    if not keyed:
+        return None
+    span = frozenset().union(*span_from.values())
     u1_to, y1_from, realised = {}, {}, {}
     for zeta in u.arrow_set:
         u1_to.setdefault(t[zeta], []).append(zeta)
     for theta in incl.arrow_set:
         y1_from.setdefault(s[theta], []).append(theta)
 
-    def first_failure(span_order, order):
+    def first_failure(keyed, order):
         # every admissible gamma (source in w, a subset of u0; target in y0) is in span
-        span_from = {}
-        for a in span_order:
-            span_from.setdefault(s[a], []).append(a)
-        for alpha in span_order:
-            v = amb.arrows.min_open(alpha) & span
-            if v not in realised:
-                realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
-                               for zeta in u1_to.get(s[eta], ())
-                               for theta in y1_from.get(t[eta], ())}
-            for x2 in order(amb.objects.min_open(s[alpha]) & u0):
+        for (ua, ux), alpha in keyed.items():
+            v = ua & span
+            r = realised.get(v)
+            if r is None:
+                r = realised[v] = {comp[(theta, comp[(eta, zeta)])] for eta in v
+                                   for zeta in u1_to.get(s[eta], ())
+                                   for theta in y1_from.get(t[eta], ())}
+            for x2 in order(ux & u0):
                 for gamma in span_from.get(x2, ()):
-                    if gamma not in realised[v]:
+                    if gamma not in r:
                         return alpha, v, gamma
         return None
 
-    if first_failure(span, iter) is None:
+    if first_failure(keyed, iter) is None:
         return None
-    alpha, v, gamma = first_failure(fintop.in_order(amb.arrows, span), sorted_points)
+    first, rank = {}, amb.arrows.rank()
+    for a in fintop.in_order(amb.arrows, span):
+        first.setdefault((arrow_min[a], object_min[s[a]]), a)
+    for arrows in span_from.values():
+        arrows.sort(key=rank.__getitem__)
+    alpha, v, gamma = first_failure(first, sorted_points)
     return {
         "kind": "source-determined-orbit",
         "arrow": fmt_point(alpha),
@@ -200,10 +213,16 @@ def _check_scope(incl: Subgroupoid):
     """InputError unless the inclusion is a subgroupoid and an open groupoid."""
     grpd.checked_subgroupoid(incl)
     amb, y0, y1 = incl.ambient, incl.object_set, incl.arrow_set
-    s = amb.src.mapping
-    # an open source map sends each minimal open onto a neighbourhood of its source
-    bad = [a for a in y1
-           if not amb.objects.min_open(s[a]) & y0 <= {s[b] for b in amb.arrows.min_open(a) & y1}]
+    s, arrow_min, object_min = amb.src.mapping, amb.arrows.min_opens(), amb.objects.min_opens()
+    # s is open at a iff s(U(a)) holds U(s(a)), within Y; tested once per (U(a), U(s(a)))
+    is_open_at, bad = {}, []
+    for a in y1:
+        key = ua, ux = arrow_min[a], object_min[s[a]]
+        ok = is_open_at.get(key)
+        if ok is None:
+            ok = is_open_at[key] = ux & y0 <= {s[b] for b in ua & y1}
+        if not ok:
+            bad.append(a)
     if bad:
         raise InputError(
             f"subgroupoid is not an open groupoid: its source map is not open at arrow "

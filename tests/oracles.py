@@ -445,6 +445,37 @@ def is_open_map_oracle(f) -> bool:
                for x in f.domain.points)
 
 
+def is_continuous_oracle(f) -> bool:
+    """Pointwise: y in min_open(x) puts f(y) in min_open(f(x))."""
+    return all(f.mapping[y] in f.codomain.min_open(f.mapping[x])
+               for x in f.domain.points for y in f.domain.min_open(x))
+
+
+def min_open_fault_oracle(points, min_open):
+    """The message of `FinSpace`'s check, or None, from a check at every
+    point naming the least failing point in `ckey` order."""
+    points = frozenset(points)
+    bad = [x for x in points if x not in min_open[x] or not min_open[x] <= points]
+    if bad:
+        return f"bad minimal neighbourhood at {fintop.fmt_point(fintop.sorted_points(bad)[0])}"
+    bad = [x for x in points if any(not min_open[y] <= min_open[x] for y in min_open[x])]
+    if bad:
+        return ("minimal neighbourhoods not nested at "
+                f"{fintop.fmt_point(fintop.sorted_points(bad)[0])}")
+    return None
+
+
+def source_not_open_oracle(incl):
+    """The least arrow of the subgroupoid at which its source map is not
+    open, tested at every arrow, or None."""
+    amb, y0, y1 = incl.ambient, incl.object_set, incl.arrow_set
+    s = amb.src.mapping
+    bad = [a for a in y1 if not all(
+        any(s[b] == x for b in amb.arrows.min_open(a) & y1)
+        for x in amb.objects.min_open(s[a]) & y0)]
+    return fintop.sorted_points(bad)[0] if bad else None
+
+
 def source_determined_oracle(incl, u) -> bool:
     """The literal quantifier: every open V of the span subspace equals
     s^-1(W) & t^-1(Y0) on bi-orbits for some open W of u's objects."""

@@ -731,6 +731,25 @@ def test_validate_names_the_least_non_associative_triple(tmp_path):
     assert json.loads(out)["result"]["diagnostics"] == ["comp not associative at (1,1,2)"]
 
 
+@pytest.mark.parametrize("neighbours, message", [
+    ((0, 1), "minimal neighbourhoods not nested at a"),
+    ((1,), "bad minimal neighbourhood at a"),
+], ids=["not-nested", "point-outside-its-neighbourhood"])
+def test_a_bad_min_open_space_names_its_least_point_under_every_hash_seed(
+        tmp_path, neighbours, message):
+    """Every point of the cycle a..f fails, and the report names the
+    least in `ckey` order, not the first in set order."""
+    cycle = "abcdef"
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps({"points": list(cycle), "min_open": {
+        x: [cycle[(i + k) % 6] for k in neighbours] for i, x in enumerate(cycle)}}))
+    runs = {run_under_hash_seed(seed, "validate", "--space", str(p)) for seed in range(1, 7)}
+    assert len(runs) == 1
+    code, out = runs.pop()
+    assert code == 3
+    assert json.loads(out)["result"]["error"] == message
+
+
 def edge_model_doc(one, arrows):
     """One model on the carrier {one, "a"} with the edge one -> "a", its
     arrows "all" or the identity written out."""
